@@ -92,20 +92,20 @@ def solve_caching(cache_cfg: CacheConfig) -> CacheSolution:
 
 
 def random_caching(cache_cfg: CacheConfig, rng: np.random.Generator) -> np.ndarray:
-    """Popularity-proportional random 0/1 placement under the capacity budget."""
+    """Popularity-proportional random 0/1 placement under the capacity budget:
+    each placed file is drawn proportionally to c among the unplaced files that
+    still fit.  Placing greedily along one c-weighted random permutation
+    (exponential keys E_v / c_v) has that law, since a file that does not fit
+    now never fits later."""
     c = zipf_popularity(cache_cfg.n_files, cache_cfg.skew)
     q = cache_cfg.lengths_array()
     e = np.zeros_like(c)
     remaining = float(cache_cfg.capacity)
-    available = np.ones(len(c), dtype=bool)
-    while True:
-        fits = available & (q <= remaining)
-        if not fits.any():
+    q_min = float(q.min())
+    for v in np.argsort(rng.exponential(size=c.size) / c, kind="stable"):
+        if remaining < q_min:
             break
-        probs = np.where(fits, c, 0.0)
-        probs /= probs.sum()
-        v = int(rng.choice(len(c), p=probs))
-        e[v] = 1.0
-        available[v] = False
-        remaining -= q[v]
+        if q[v] <= remaining:
+            e[v] = 1.0
+            remaining -= q[v]
     return e

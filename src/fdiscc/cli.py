@@ -20,7 +20,7 @@ import numpy as np
 from . import harness, orchestrator
 from .channels import draw_channels
 from .config import ConfigError, desk_config, load_config, paper_config, with_overrides
-from .orchestrator import SCHEMES, RunOptions, evaluate_baseline, result_to_json
+from .orchestrator import SCHEMES, RunOptions, result_to_json
 
 
 def _load_cfg(arg: str, paper_scale: bool, seed: int | None):
@@ -83,8 +83,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_selftest(args) -> int:
     import numpy.linalg as la
-    from . import cacheopt, conic, phaseadmm, wmmse
-    from .sysmodel import downlink_sinr, utility
+    from . import cacheopt, phaseadmm, wmmse
+    from .sysmodel import downlink_sinr
 
     failures = 0
 
@@ -119,9 +119,17 @@ def _cmd_selftest(args) -> int:
     sol_cache = cacheopt.solve_caching(cfg.cache)
     check("caching duality gap", abs(sol_cache.duality_gap) < 1e-9)
 
-    prob = conic.QcqpProblem(a=np.eye(2, dtype=complex), b=np.array([1.0, 1j]))
-    res = conic.solve_qcqp(prob)
-    check("conic unconstrained", np.allclose(res.x, [1.0, 1j], atol=1e-9))
+    # KKT of the ADMM phase step, radar constraint slack then binding (unit d keeps mu O(1))
+    state = phaseadmm.AdmmState(phi=phi, psi=phi, lam=np.zeros_like(phi), rho=0.5)
+    a, r = coeffs.t12_mat + np.eye(cfg.m_passive), coeffs.t12_vec + phi
+    d = coeffs.t0_mat @ phi / la.norm(coeffs.t0_mat @ phi)
+    edge = 2 * float((d.conj() @ la.solve(a, r)).real)
+    kkt = []
+    for e in (edge - la.norm(r), edge + la.norm(r)):
+        x = phaseadmm.admm_phi_step(coeffs, state, phaseadmm.LinearRadar(d=d, e=e))
+        mu, slack = float((d.conj() @ (a @ x - r)).real), e - 2 * float((d.conj() @ x).real)
+        kkt += [la.norm(a @ x - r - mu * d), -mu, slack, abs(mu * slack)]
+    check("phase step KKT", max(kkt) <= 1e-9)
 
     result = orchestrator.run(cfg, ch, RunOptions(max_iter=8))
     objs = [r.objective for r in result.trace]

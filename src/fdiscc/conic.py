@@ -1,14 +1,13 @@
-"""Dense interior-point kernels for the convex subproblems.
+"""Dense interior-point kernels over complex data.
 
-Two problem classes are supported, both over complex data:
-
-* ``solve_qcqp`` -- minimize x^H A x - 2 Re{b^H x} + c over complex x subject
-  to affine inequalities Re{d_i^H x} + e_i <= 0, with A Hermitian PSD.  Solved
-  through the standard 2x2 real embedding and a Mehrotra predictor-corrector
-  method.
 * ``solve_sdp`` -- minimize sum_k Tr(C_k X_k) over Hermitian PSD blocks X_k
   subject to linear trace constraints (<=, ==, >=), solved natively in complex
-  Hermitian arithmetic with a symmetrized-HKM predictor-corrector method.
+  Hermitian arithmetic with a symmetrized-HKM predictor-corrector method; the
+  relaxation kernel of the transmit-beam (SDR) block.
+* ``solve_qcqp`` -- minimize x^H A x - 2 Re{b^H x} + c over complex x subject
+  to affine inequalities Re{d_i^H x} + e_i <= 0, with A Hermitian PSD, through
+  the 2x2 real embedding and a Mehrotra predictor-corrector method.  No block
+  calls it: it is the test reference for the closed-form ADMM phase step.
 
 Problem sizes here are tiny (tens of variables), so everything is dense and
 deterministic: no randomness, no sparsity machinery.

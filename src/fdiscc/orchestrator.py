@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import beamforming, cacheopt, phaseadmm, powercomp, wmmse
-from .channels import ChannelSet, draw_channels
+from .channels import ChannelSet
 from .config import SystemConfig
 from .sysmodel import Metrics, Solution, residuals, utility
 
@@ -27,15 +27,15 @@ CONVERGED = "converged"
 MAX_ITER_STATUS = "max-iter"
 INFEASIBLE_SENSING = "infeasible-sensing"
 
+# converged after CONV_WINDOW iterations in a row of relative gain < CONV_TOL
+CONV_TOL, CONV_WINDOW = 1e-4, 3
+N_DRAWS = 200           # Gaussian randomization draws per transmit block
+
 
 @dataclass(frozen=True)
 class RunOptions:
     scheme: str = "proposed"
     max_iter: int = 50
-    conv_tol: float = 1e-4
-    conv_window: int = 3
-    n_draws: int = 200
-    admm: phaseadmm.AdmmOptions = field(default_factory=phaseadmm.AdmmOptions)
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -98,7 +98,8 @@ def echo_aligned_phases(ch: ChannelSet) -> np.ndarray:
     return np.exp(-1j * np.angle(cascade[:, j_star]))
 
 
-def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray) -> Solution | None:
+def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray,
+                   e: np.ndarray) -> Solution | None:
     """Feasible start at the given phases, or None if the sensing threshold is
     out of reach there.
 
@@ -145,27 +146,27 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray) -> Soluti
         return None
 
     e_max, t = cfg.e_max_array(), cfg.coherence_time_s
+    # unit-vector combiners, reused cyclically when n_cp > n_rx
+    u = np.eye(cfg.n_rx, dtype=complex)[np.arange(l_n) % cfg.n_rx]
     if l_n:
         g_au_norm2 = (np.abs(ch.g_au) ** 2).sum(axis=1)
         budget = max(0.0, echo_val / gamma - sig2)
         p_uni = budget / float(g_au_norm2.sum()) * (1.0 - 1e-9)
         p = np.minimum(e_max / (2.0 * t), p_uni)
         f = ((e_max - t * p) / (t * cfg.zeta)) ** (1.0 / 3.0)
-        u = np.eye(cfg.n_rx, dtype=complex)[:l_n].copy()
     else:
         p, f = np.zeros(0), np.zeros(0)
-        u = np.zeros((0, cfg.n_rx), complex)
 
-    e = cacheopt.solve_caching(cfg.cache).e
     return Solution(w=w, u=u, phi=phi.copy(), f=f, p=p, e=e)
 
 
 def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
-               phi: np.ndarray | None = None) -> Solution:
-    """Feasible start.  With ``phi`` pinned (fixed-phase baseline) only that
-    phase vector is tried; otherwise the best of the max-gain alignment, the
-    echo alignment and a random draw is kept, scored by initial sum bits.
-    Raises SensingInfeasible when no candidate can reach the threshold."""
+               phi: np.ndarray | None = None, e: np.ndarray | None = None) -> Solution:
+    """Feasible start with cache placement ``e`` (by default the optimal one).  With
+    ``phi`` pinned (fixed-phase baseline) only that phase vector is tried; otherwise the
+    best of the max-gain alignment, the echo alignment and a random draw is kept, scored
+    by initial sum bits.  Raises SensingInfeasible when no candidate reaches the threshold."""
+    e = cacheopt.solve_caching(cfg.cache).e if e is None else e
     if phi is not None:
         candidates = [np.asarray(phi, complex)]
     else:
@@ -176,7 +177,7 @@ def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
         ]
     best, best_score = None, -np.inf
     for cand in candidates:
-        sol = _start_for_phi(cfg, ch, cand)
+        sol = _start_for_phi(cfg, ch, cand, e)
         if sol is None:
             continue
         score = utility(sol, ch, cfg).sum_bits
@@ -201,7 +202,6 @@ def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> R
     """Full solve of one scenario under the given scheme."""
     cfg.validate()
     hd = opts.scheme == "hd"
-    rate_weight = 0.5 if hd else 1.0
     fixed_phase = opts.scheme == "fixed-phase"
     force_f_zero = opts.scheme == "full-offloading"
 
@@ -209,29 +209,26 @@ def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> R
     rng_cache = np.random.default_rng([cfg.seed, 151])
     rng_draws = np.random.default_rng([cfg.seed, 202])
 
+    e = _cache_for_scheme(cfg, opts.scheme, rng_cache)
     # the fixed-phase baseline pins its heuristic phases; other schemes let
     # the initializer pick the best candidate start
     phi0 = fixed_phase_heuristic(ch, cfg) if fixed_phase else None
     try:
-        sol = initialize(cfg, ch, rng_init, phi=phi0)
+        sol = initialize(cfg, ch, rng_init, phi=phi0, e=e)
     except SensingInfeasible:
         sol = Solution(w=np.zeros((cfg.n_cm + 1, cfg.n_tx), complex),
                        u=np.zeros((cfg.n_cp, cfg.n_rx), complex),
                        phi=np.ones(cfg.m_passive, complex),
-                       f=np.zeros(cfg.n_cp), p=np.zeros(cfg.n_cp),
-                       e=_cache_for_scheme(cfg, opts.scheme, rng_cache))
+                       f=np.zeros(cfg.n_cp), p=np.zeros(cfg.n_cp), e=e)
         return RunResult(sol, utility(sol, ch, cfg, hd), (), INFEASIBLE_SENSING,
                          opts.scheme, 0)
-    sol = sol.copy_with(e=_cache_for_scheme(cfg, opts.scheme, rng_cache))
     if force_f_zero:
         sol = sol.copy_with(f=np.zeros(cfg.n_cp))
 
     trace: list[TraceRow] = []
     status = MAX_ITER_STATUS
-    prev_obj = None
     slow_count = 0
     t0 = time.perf_counter()
-    n_done = 0
 
     for n in range(1, opts.max_iter + 1):
         # combiner scale is immaterial (SINRs are u-scale invariant) but must
@@ -242,11 +239,11 @@ def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> R
         aux = wmmse.update_aux(sol, ch, cfg, hd)
 
         if not fixed_phase and cfg.n_cm + cfg.n_cp > 0:
-            phi_new, _ = phaseadmm.optimize_phase(sol, ch, aux, cfg, opts.admm, hd)
+            phi_new, _ = phaseadmm.optimize_phase(sol, ch, aux, cfg, hd)
             sol = sol.copy_with(phi=phi_new)
 
         try:
-            w_new, _ = beamforming.optimize_tx(sol, ch, aux, cfg, opts.n_draws,
+            w_new, _ = beamforming.optimize_tx(sol, ch, aux, cfg, N_DRAWS,
                                                rng_draws, hd)
             sol = sol.copy_with(w=w_new)
         except beamforming.SdrInfeasibleError:
@@ -256,12 +253,12 @@ def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> R
             sol = sol.copy_with(u=beamforming.optimize_rx(sol, ch, aux, cfg, hd))
             try:
                 p_new, f_new, _ = powercomp.optimize_power(
-                    sol, ch, aux, cfg, rate_weight, force_f_zero, hd)
+                    sol, ch, aux, cfg, force_f_zero, hd)
                 sol = sol.copy_with(p=p_new, f=f_new)
             except powercomp.SensingInfeasibleError:
                 pass
 
-        obj = wmmse.bca_objective(sol, ch, cfg, aux, hd, rate_weight)
+        obj = wmmse.bca_objective(sol, ch, cfg, aux, hd)
         met = utility(sol, ch, cfg, hd)
         res = residuals(sol, ch, cfg)
         trace.append(TraceRow(
@@ -270,26 +267,25 @@ def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> R
             res_modulus=res["modulus"], res_energy=res["energy"],
             res_cache=res["cache"], wall_ms=(time.perf_counter() - t0) * 1e3,
         ))
-        n_done = n
-        if prev_obj is not None:
+        if n > 1:
+            prev_obj = trace[-2].objective
             rel = (obj - prev_obj) / max(abs(prev_obj), 1e-12)
-            slow_count = slow_count + 1 if rel < opts.conv_tol else 0
-            if slow_count >= opts.conv_window:
+            slow_count = slow_count + 1 if rel < CONV_TOL else 0
+            if slow_count >= CONV_WINDOW:
                 status = CONVERGED
                 break
-        prev_obj = obj
         if cfg.n_cm + cfg.n_cp == 0:
             status = CONVERGED
             break
 
     return RunResult(sol, utility(sol, ch, cfg, hd), tuple(trace), status,
-                     opts.scheme, n_done)
+                     opts.scheme, len(trace))
 
 
 def evaluate_baseline(cfg: SystemConfig, ch: ChannelSet, scheme: str,
-                      max_iter: int = 50, n_draws: int = 200) -> RunResult:
+                      max_iter: int = 50) -> RunResult:
     """Run one scheme from the comparison set."""
-    return run(cfg, ch, RunOptions(scheme=scheme, max_iter=max_iter, n_draws=n_draws))
+    return run(cfg, ch, RunOptions(scheme=scheme, max_iter=max_iter))
 
 
 def _to_jsonable(obj):

@@ -6,19 +6,19 @@ modulus constraint is split off onto a copy variable and handled by ADMM with
 a geometrically decreasing penalty; the nonconvex side of the radar constraint
 is linearized at the current iterate each pass (a tangent minorant of the echo
 power, so any point feasible for the linearized constraint is feasible for the
-true one).
+true one), so each pass has a closed-form reflection step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import conic
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import Solution, composite_channels, si_power
+from .sysmodel import Solution, si_power
 from .wmmse import LN2, AuxVars
 
 
@@ -35,6 +35,11 @@ class PhaseCoeffs:
     b12: float
     t0_mat: np.ndarray
     b0: float
+
+    @cached_property
+    def t12_eig(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigen split of T12, shared by every proximal solve on these data."""
+        return np.linalg.eigh(self.t12_mat)
 
 
 @dataclass
@@ -53,13 +58,11 @@ class LinearRadar:
     e: float
 
 
-@dataclass(frozen=True)
-class AdmmOptions:
-    rho_init: float = 1.0
-    rho_factor: float = 0.8
-    rho_floor: float = 1e-6
-    max_inner: int = 200
-    consensus_tol: float = 1e-5
+# penalty rho = max(RHO_INIT * RHO_FACTOR^n, RHO_FLOOR) on pass n; stop after
+# MAX_INNER passes or at consensus max|phi - psi| <= CONSENSUS_TOL
+RHO_INIT, RHO_FACTOR, RHO_FLOOR = 1.0, 0.8, 1e-6
+MAX_INNER, CONSENSUS_TOL = 200, 1e-5
+SLACK_TOL = 1e-12       # radar slack, relative to max(1, |e|), still taken as met
 
 
 @dataclass
@@ -147,20 +150,25 @@ def mm_linearize_radar(coeffs: PhaseCoeffs, phi0: np.ndarray) -> LinearRadar:
 
 
 def admm_phi_step(coeffs: PhaseCoeffs, state: AdmmState, lin: LinearRadar) -> np.ndarray:
-    """Solve the per-pass convex reflection subproblem via the conic kernel."""
-    m = state.phi.shape[0]
+    """Exact minimizer of phi^H A phi - 2 Re{r^H phi} s.t. -2 Re{d^H phi} + e <= 0 with
+    A = T12 + I/(2 rho), r = t12 + (psi - rho lambda)/(2 rho): phi_u = A^-1 r if it meets
+    the constraint, else phi_u + mu A^-1 d with the binding multiplier mu = slack(phi_u) /
+    (2 d^H A^-1 d).  Raises PhaseStepInfeasible when d = 0 and the constraint is violated."""
+    evals, evecs = coeffs.t12_eig
     prox = 1.0 / (2.0 * state.rho)
-    target = state.psi - state.rho * state.lam
-    prob = conic.QcqpProblem(
-        a=coeffs.t12_mat + prox * np.eye(m),
-        b=coeffs.t12_vec + prox * target,
-        d=(-2.0 * lin.d)[None, :],
-        e=np.array([lin.e]),
-    )
-    res = conic.solve_qcqp(prob)
-    if res.status == conic.INFEASIBLE:
+
+    def a_inv(v):
+        return evecs @ ((evecs.conj().T @ v) / (evals + prox))
+
+    phi_u = a_inv(coeffs.t12_vec + prox * (state.psi - state.rho * state.lam))
+    slack = -2.0 * float((lin.d.conj() @ phi_u).real) + lin.e
+    if slack <= SLACK_TOL * max(1.0, abs(lin.e)):
+        return phi_u
+    a_inv_d = a_inv(lin.d)
+    curvature = float((lin.d.conj() @ a_inv_d).real)
+    if curvature <= 0.0:
         raise PhaseStepInfeasible()
-    return res.x
+    return phi_u + (slack / (2.0 * curvature)) * a_inv_d
 
 
 class PhaseStepInfeasible(Exception):
@@ -177,8 +185,7 @@ def dual_step(state: AdmmState) -> np.ndarray:
 
 
 def optimize_phase(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
-                   opts: AdmmOptions = AdmmOptions(), hd: bool = False
-                   ) -> tuple[np.ndarray, PhaseInfo]:
+                   hd: bool = False) -> tuple[np.ndarray, PhaseInfo]:
     """Full inner ADMM pass; returns a unit-modulus phi that never lowers the
     surrogate of the incoming one (reverts otherwise)."""
     coeffs = assemble_phase_coeffs(sol, ch, aux, cfg, hd)
@@ -192,35 +199,24 @@ def optimize_phase(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfi
         info.infeasible = True
         return phi_in, info
 
-    m = phi_in.shape[0]
     state = AdmmState(phi=phi_in.copy(), psi=np.exp(1j * np.angle(phi_in)),
-                      lam=np.zeros(m, complex), rho=opts.rho_init)
+                      lam=np.zeros_like(phi_in), rho=RHO_INIT)
 
-    # eigen split of T12 gives the unconstrained proximal solve in O(M^2)
-    evals, evecs = np.linalg.eigh(coeffs.t12_mat)
-
-    for it in range(1, opts.max_inner + 1):
+    for it in range(1, MAX_INNER + 1):
         lin = mm_linearize_radar(coeffs, state.phi)
-        prox = 1.0 / (2.0 * state.rho)
-        rhs = coeffs.t12_vec + prox * (state.psi - state.rho * state.lam)
-        phi_u = evecs @ ((evecs.conj().T @ rhs) / (evals + prox))
-        slack = -2.0 * float((lin.d.conj() @ phi_u).real) + lin.e
-        if slack <= 1e-12 * max(1.0, abs(lin.e)):
-            state.phi = phi_u
-        else:
-            try:
-                state.phi = admm_phi_step(coeffs, state, lin)
-            except PhaseStepInfeasible:
-                info.infeasible = True
-                return phi_in, info
+        try:
+            state.phi = admm_phi_step(coeffs, state, lin)
+        except PhaseStepInfeasible:
+            info.infeasible = True
+            return phi_in, info
         state.psi = psi_step(state.phi, state.lam, state.rho)
         state.lam = dual_step(state)
         info.consensus = float(np.abs(state.phi - state.psi).max())
         info.iterations = it
         info.trace.append((info.consensus, surrogate_value(coeffs, state.phi), state.rho))
-        if info.consensus <= opts.consensus_tol:
+        if info.consensus <= CONSENSUS_TOL:
             break
-        state.rho = max(state.rho * opts.rho_factor, opts.rho_floor)
+        state.rho = max(state.rho * RHO_FACTOR, RHO_FLOOR)
 
     phi_out = state.psi
     exit_val = surrogate_value(coeffs, phi_out)

@@ -26,7 +26,7 @@ class SensingInfeasibleError(Exception):
 
 @dataclass(frozen=True)
 class PowerCoeffs:
-    """Objective data (log2 scaled) and the unscaled sensing budget row.
+    """Objective data (log2 scaled, halved under HD) and the unscaled sensing row.
 
     Offload surrogate of user l:  b2[l] + sqrt(p_l) b6[l] - p_l b7[l];
     downlink surrogate of user k: b10[k] - c1[k] sum_l p_l b11[k, l];
@@ -81,16 +81,18 @@ def assemble_power_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     echo = float(np.sum(np.abs(cascade @ sol.w.T) ** 2))
     c8 = echo - cfg.noise_irs_watt * cfg.gamma_tar_linear
     b9 = cfg.gamma_tar_linear * (np.abs(ch.g_au) ** 2).sum(axis=1)
-    return PowerCoeffs(b2=b2, b6=b6, b7=b7, b9=b9, b10=b10, b11=b11, c1=c1, c8=float(c8))
+    dw = 0.5 if hd else 1.0     # HD links transmit half of the time
+    return PowerCoeffs(b2=dw * b2, b6=dw * b6, b7=dw * b7, b9=b9, b10=dw * b10, b11=b11,
+                       c1=dw * c1, c8=float(c8))
 
 
 def power_objective(coeffs: PowerCoeffs, cfg: SystemConfig, p: np.ndarray,
-                    f: np.ndarray, rate_weight: float = 1.0) -> float:
+                    f: np.ndarray) -> float:
     """The separable concave objective at (p, f)."""
     lin = coeffs.b7 + coeffs.c1 @ coeffs.b11 if coeffs.b11.size else coeffs.b7
     off = float(np.sum(coeffs.b6 * np.sqrt(p) - lin * p))
     loc = float(np.sum(f / (cfg.eps_array() * cfg.bandwidth_hz)))
-    return rate_weight * off + loc
+    return off + loc
 
 
 def _user_solve(b6: float, lin: float, mu_b9: float, e_max: float, t: float,
@@ -134,7 +136,7 @@ def _user_solve(b6: float, lin: float, mu_b9: float, e_max: float, t: float,
 
 
 def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
-                        rate_weight: float = 1.0, force_f_zero: bool = False
+                        force_f_zero: bool = False
                         ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Exact KKT point of the power/compute block.
 
@@ -152,14 +154,12 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
     eps = cfg.eps_array()
     f_coef = 1.0 / (eps * cfg.bandwidth_hz)
     lin = coeffs.b7 + (coeffs.c1 @ coeffs.b11 if coeffs.b11.size else 0.0)
-    b6w = rate_weight * coeffs.b6
-    linw = rate_weight * lin
 
     def all_users(mu):
         p = np.zeros(l_n)
         f = np.zeros(l_n)
         for l in range(l_n):
-            p[l], f[l] = _user_solve(b6w[l], linw[l], mu * coeffs.b9[l],
+            p[l], f[l] = _user_solve(coeffs.b6[l], lin[l], mu * coeffs.b9[l],
                                      e_max[l], t, zeta, f_coef[l], force_f_zero)
         return p, f
 
@@ -201,13 +201,13 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
 
 
 def optimize_power(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
-                   rate_weight: float = 1.0, force_f_zero: bool = False,
-                   hd: bool = False) -> tuple[np.ndarray, np.ndarray, dict]:
+                   force_f_zero: bool = False, hd: bool = False
+                   ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Power/compute update with a monotonicity safeguard against the incumbent."""
     coeffs = assemble_power_coeffs(sol, ch, aux, cfg, hd)
-    p, f, info = solve_power_compute(coeffs, cfg, rate_weight, force_f_zero)
-    new_val = power_objective(coeffs, cfg, p, f, rate_weight)
-    old_val = power_objective(coeffs, cfg, sol.p, sol.f, rate_weight)
+    p, f, info = solve_power_compute(coeffs, cfg, force_f_zero)
+    new_val = power_objective(coeffs, cfg, p, f)
+    old_val = power_objective(coeffs, cfg, sol.p, sol.f)
     info["accepted"] = new_val >= old_val - 1e-12 * (1.0 + abs(old_val))
     if not info["accepted"]:
         return sol.p, sol.f, info

@@ -111,8 +111,8 @@ def surrogate_sum(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
 
 
 def bca_objective(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
-                  aux: AuxVars, hd: bool = False, rate_weight: float = 1.0) -> float:
-    """Block-coordinate objective: weighted surrogates plus normalized local
-    computation rate (everything per channel use, log2 units)."""
+                  aux: AuxVars, hd: bool = False) -> float:
+    """Block-coordinate objective: surrogates (halved under HD) plus normalized
+    local computation rate (everything per channel use, log2 units)."""
     loc = float(np.sum(sol.f / (cfg.eps_array() * cfg.bandwidth_hz))) if sol.f.size else 0.0
-    return rate_weight * surrogate_sum(sol, ch, cfg, aux, hd) + loc
+    return (0.5 if hd else 1.0) * surrogate_sum(sol, ch, cfg, aux, hd) + loc

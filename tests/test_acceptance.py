@@ -19,8 +19,8 @@ import pytest
 from fdiscc import beamforming, cacheopt, conic, phaseadmm, powercomp, wmmse
 from fdiscc.channels import draw_channels
 from fdiscc.config import CacheConfig, db2lin, dbm2watt, desk_config, paper_config, with_overrides
-from fdiscc.orchestrator import (CONVERGED, RunOptions, echo_aligned_phases,
-                                 evaluate_baseline, run)
+from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, RunOptions,
+                                 echo_aligned_phases, evaluate_baseline, run)
 from fdiscc.sysmodel import backhaul_cost, utility
 from fdiscc.wmmse import update_aux
 
@@ -216,18 +216,22 @@ def test_criterion_6_sdr_quality():
 
 @pytest.fixture(scope="module")
 def sweep_medians(desk_runs):
-    """Median sum-bits per (parameter value, scheme) for the trend criteria."""
+    """Median sum-bits per (parameter value, scheme) for the trend criteria,
+    and the per-seed runs of every scheme at M=16."""
     def med(fn):
         return float(np.median([fn(seed) for seed in DESK_SEEDS]))
 
     data = {}
     for m in (8, 16, 24):
         for scheme in ("proposed", "full-offloading", "fixed-phase", "hd"):
-            def cell(seed, m=m, scheme=scheme):
+            runs = []
+            for seed in DESK_SEEDS:
                 cfg = desk_config(seed=seed, m_passive=m)
-                ch = draw_channels(cfg)
-                return evaluate_baseline(cfg, ch, scheme).metrics.sum_bits
-            data[("m_passive", m, scheme)] = med(cell)
+                runs.append(evaluate_baseline(cfg, draw_channels(cfg), scheme))
+            data[("m_passive", m, scheme)] = float(np.median(
+                [r.metrics.sum_bits for r in runs]))
+            if m == 16:
+                data[("runs", scheme)] = runs
     for p_dbm in (20.0, 25.0, 30.0):
         def cell(seed, p=p_dbm):
             cfg = desk_config(seed=seed, p_bs_watt=dbm2watt(p))
@@ -257,8 +261,15 @@ def test_criterion_7_trends_and_orderings(desk_runs, sweep_medians):
         assert b <= a
     # scheme ordering on the M=16 medians
     assert d[("m_passive", 16, "proposed")] >= d[("m_passive", 16, "full-offloading")]
-    assert d[("m_passive", 16, "proposed")] >= d[("m_passive", 16, "fixed-phase")]
     assert d[("m_passive", 16, "proposed")] >= d[("m_passive", 16, "hd")]
+    # fixed-phase only on the seeds where its phases reach the sensing floor:
+    # an infeasible-sensing run reports 0 bits, which is no result to beat
+    fixed_runs, prop_runs = d[("runs", "fixed-phase")], d[("runs", "proposed")]
+    feasible = [i for i, r in enumerate(fixed_runs) if r.status != INFEASIBLE_SENSING]
+    assert len(feasible) == 8, f"fixed-phase feasible on {len(feasible)}/10 seeds"
+    prop_med = float(np.median([prop_runs[i].metrics.sum_bits for i in feasible]))
+    fixed_med = float(np.median([fixed_runs[i].metrics.sum_bits for i in feasible]))
+    assert prop_med >= fixed_med
 
     # backhaul-rate and skew trends: the physical solve is unaffected by the
     # cache side (neither the placement nor R0/skew enters the rate problem),
@@ -294,7 +305,8 @@ def test_criterion_7_trends_and_orderings(desk_runs, sweep_medians):
         assert sk_med[s]["proposed"] >= sk_med[s]["random-caching"] \
             >= sk_med[s]["no-caching"]
     print("\n[criterion 7] PASS: M/P_BS/Gamma/R0/skew trends and scheme orderings hold "
-          "on 10-seed medians")
+          f"on 10-seed medians (proposed {prop_med:.3e} >= fixed-phase {fixed_med:.3e} "
+          f"on its {len(feasible)} feasible seeds)")
 
 
 def test_criterion_8_full_scale_iteration_count():

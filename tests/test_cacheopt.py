@@ -147,3 +147,29 @@ class TestRandomCaching:
         a = random_caching(cfg, np.random.default_rng(5))
         b = random_caching(cfg, np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+    def test_inclusion_frequencies_match_sequential_law(self):
+        # exact law: each placed file is drawn proportionally to c among the
+        # unplaced files that still fit; enumerate every draw sequence
+        cfg = CacheConfig(n_files=5, capacity=6.0, lengths=(3.0, 1.0, 2.0, 4.0, 2.0),
+                          skew=0.9)
+        c = zipf_popularity(cfg.n_files, cfg.skew)
+        q = cfg.lengths_array()
+        exact = np.zeros(cfg.n_files)
+
+        def walk(placed, remaining, prob):
+            fits = [v for v in range(cfg.n_files) if v not in placed and q[v] <= remaining]
+            if not fits:
+                for v in placed:
+                    exact[v] += prob
+                return
+            total = sum(c[v] for v in fits)
+            for v in fits:
+                walk(placed | {v}, remaining - q[v], prob * c[v] / total)
+
+        walk(frozenset(), cfg.capacity, 1.0)
+        n = 40_000
+        rng = np.random.default_rng(11)
+        freq = sum(random_caching(cfg, rng) for _ in range(n)) / n
+        sigma = np.sqrt(exact * (1.0 - exact) / n)
+        assert np.all(np.abs(freq - exact) <= 4.0 * sigma + 1e-12)

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from fdiscc import cacheopt
 from fdiscc.channels import draw_channels
 from fdiscc.config import desk_config, with_overrides
-from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, RunOptions,
+from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, SCHEMES, RunOptions,
                                  SensingInfeasible, echo_aligned_phases,
                                  evaluate_baseline, fixed_phase_heuristic,
                                  initialize, result_to_json, run)
@@ -114,6 +115,28 @@ class TestRun:
         res = run(cfg_hi, ch)
         assert res.status == INFEASIBLE_SENSING
         assert res.trace == ()
+
+    def test_more_cp_users_than_receive_antennas(self):
+        cfg = desk_config(n_cp=5, seed=0)
+        assert cfg.n_cp > cfg.n_rx
+        ch = draw_channels(cfg)
+        res = run(cfg, ch, RunOptions(max_iter=3))
+        assert res.status != INFEASIBLE_SENSING
+        assert max(residuals(res.solution, ch, cfg).values()) <= 1e-6
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_cache_solved_at_most_once(self, desk, monkeypatch, scheme):
+        calls = []
+        solve = cacheopt.solve_caching
+
+        def counted(cache_cfg):
+            calls.append(cache_cfg)
+            return solve(cache_cfg)
+
+        monkeypatch.setattr(cacheopt, "solve_caching", counted)
+        cfg, ch = desk
+        run(cfg, ch, RunOptions(scheme=scheme, max_iter=1))
+        assert len(calls) <= 1
 
 
 class TestBaselines:

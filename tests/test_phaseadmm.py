@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdiscc import conic, orchestrator
 from fdiscc.channels import draw_channels
-from fdiscc.config import desk_config
-from fdiscc.phaseadmm import (AdmmOptions, AdmmState, admm_phi_step,
-                              assemble_phase_coeffs, dual_step, echo_power,
-                              mm_linearize_radar, optimize_phase, psi_step,
-                              surrogate_value)
+from fdiscc.config import db2lin, desk_config, paper_config
+from fdiscc.phaseadmm import (AdmmState, LinearRadar, PhaseCoeffs, PhaseStepInfeasible,
+                              admm_phi_step, assemble_phase_coeffs, dual_step,
+                              echo_power, mm_linearize_radar, optimize_phase,
+                              psi_step, surrogate_value)
 from fdiscc.sysmodel import radar_sinr
 from fdiscc.wmmse import surrogate_sum, update_aux
 
@@ -189,6 +190,49 @@ class TestPhiStep:
             mu = max(0.0, mu + lr * grad)
         assert obj(phi) == pytest.approx(obj(x), rel=1e-6, abs=1e-12)
 
+    @pytest.mark.parametrize("active", [False, True])
+    def test_matches_qcqp_reference(self, active):
+        # the closed-form step against the interior-point reference on random
+        # instances, with the radar constraint slack or binding
+        rng = np.random.default_rng(8 + active)
+        for _ in range(20):
+            m = int(rng.integers(2, 12))
+            g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+            t12 = g @ g.conj().T / m
+            coeffs = PhaseCoeffs(t12_mat=t12, t12_vec=rng.normal(size=m) + 1j * rng.normal(size=m),
+                                 b12=0.0, t0_mat=np.eye(m, dtype=complex), b0=0.0)
+            state = AdmmState(phi=np.zeros(m, complex),
+                              psi=np.exp(1j * rng.uniform(0, 2 * np.pi, m)),
+                              lam=0.1 * (rng.normal(size=m) + 1j * rng.normal(size=m)),
+                              rho=float(rng.uniform(0.05, 2.0)))
+            a = t12 + np.eye(m) / (2 * state.rho)
+            r = coeffs.t12_vec + (state.psi - state.rho * state.lam) / (2 * state.rho)
+            d = rng.normal(size=m) + 1j * rng.normal(size=m)
+            # place e so the unconstrained point is strictly inside or outside
+            edge = 2 * float((d.conj() @ np.linalg.solve(a, r)).real)
+            e = edge + (1.0 if active else -1.0) * float(rng.uniform(0.5, 3.0))
+            lin = LinearRadar(d=d, e=e)
+            phi = admm_phi_step(coeffs, state, lin)
+            ref = conic.solve_qcqp(conic.QcqpProblem(a=a, b=r, d=(-2.0 * d)[None, :],
+                                                     e=np.array([e])))
+            assert ref.status == conic.OPTIMAL
+
+            def obj(x):
+                return float((x.conj() @ a @ x).real - 2 * (r.conj() @ x).real)
+
+            assert obj(phi) == pytest.approx(obj(ref.x), rel=1e-9)
+            violation = -2 * float((d.conj() @ phi).real) + e
+            assert violation <= 1e-12 * abs(e)
+            if active:
+                assert abs(violation) <= 1e-12 * abs(e)
+
+    def test_zero_direction_infeasible(self, coeffs):
+        m = coeffs.t12_vec.shape[0]
+        state = AdmmState(phi=np.ones(m, complex), psi=np.ones(m, complex),
+                          lam=np.zeros(m, complex), rho=1.0)
+        with pytest.raises(PhaseStepInfeasible):
+            admm_phi_step(coeffs, state, LinearRadar(d=np.zeros(m, complex), e=1.0))
+
 
 class TestOptimizePhase:
     @pytest.fixture()
@@ -252,3 +296,25 @@ class TestOptimizePhase:
         coeffs = assemble_phase_coeffs(sol, small_ch, aux, small_cfg)
         phi, info = optimize_phase(sol, small_ch, aux, small_cfg)
         assert echo_power(coeffs, phi) >= coeffs.b0 * (1 - 1e-6)
+
+    def test_tight_paper_cell_runs_without_qcqp(self, monkeypatch):
+        # a 17 dB sensing floor binds the linearized radar constraint on many
+        # ADMM passes; the interior-point kernel must never be reached
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_qcqp called from the hot path")
+
+        monkeypatch.setattr(conic, "solve_qcqp", forbidden)
+        binding = []
+
+        def counted(coeffs, state, lin):
+            phi = admm_phi_step(coeffs, state, lin)
+            binding.append(abs(-2 * float((lin.d.conj() @ phi).real) + lin.e)
+                           <= 1e-9 * abs(lin.e))
+            return phi
+
+        monkeypatch.setattr("fdiscc.phaseadmm.admm_phi_step", counted)
+        cfg = paper_config(seed=0, gamma_tar_linear=db2lin(17.0))
+        res = orchestrator.run(cfg, draw_channels(cfg))
+        assert res.status in (orchestrator.CONVERGED, orchestrator.MAX_ITER_STATUS)
+        assert any(binding)
+        assert res.trace[-1].res_radar <= 1e-6

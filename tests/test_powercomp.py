@@ -34,20 +34,23 @@ def pc_setup(small_cfg, small_ch, pc_sol):
 
 
 class TestAssemble:
-    def test_identity_vs_surrogates(self, small_cfg, small_ch, pc_sol, pc_setup):
-        aux, coeffs = pc_setup
+    def test_identity_vs_surrogates(self, small_cfg, small_ch, pc_sol):
+        # under HD the coefficients carry the halved surrogates
         rng = np.random.default_rng(0)
-        for _ in range(5):
-            p = rng.uniform(0, 5e-9, small_cfg.n_cp)
-            sol2 = pc_sol.copy_with(p=p)
-            direct = sum(surrogate_com(sol2, small_ch, small_cfg, aux, k)
-                         for k in range(small_cfg.n_cm))
-            direct += sum(surrogate_off(sol2, small_ch, small_cfg, aux, l)
-                          for l in range(small_cfg.n_cp))
-            lin = coeffs.b7 + coeffs.c1 @ coeffs.b11
-            via = float(coeffs.b10.sum() + coeffs.b2.sum()
-                        + np.sum(coeffs.b6 * np.sqrt(p) - lin * p))
-            assert via == pytest.approx(direct, abs=1e-8)
+        for hd in (False, True):
+            aux = update_aux(pc_sol, small_ch, small_cfg, hd)
+            coeffs = assemble_power_coeffs(pc_sol, small_ch, aux, small_cfg, hd)
+            for _ in range(5):
+                p = rng.uniform(0, 5e-9, small_cfg.n_cp)
+                sol2 = pc_sol.copy_with(p=p)
+                direct = sum(surrogate_com(sol2, small_ch, small_cfg, aux, k, hd=hd)
+                             for k in range(small_cfg.n_cm))
+                direct += sum(surrogate_off(sol2, small_ch, small_cfg, aux, l, hd=hd)
+                              for l in range(small_cfg.n_cp))
+                lin = coeffs.b7 + coeffs.c1 @ coeffs.b11
+                via = float(coeffs.b10.sum() + coeffs.b2.sum()
+                            + np.sum(coeffs.b6 * np.sqrt(p) - lin * p))
+                assert via == pytest.approx((0.5 if hd else 1.0) * direct, abs=1e-8)
 
     def test_zero_power_gives_constants(self, small_cfg, small_ch, pc_sol, pc_setup):
         aux, coeffs = pc_setup
@@ -76,7 +79,7 @@ class TestAssemble:
         assert np.all(coeffs.b11 >= 0)
 
 
-def _grid_oracle(coeffs, cfg, rate_weight=1.0, n_p=200, n_mu=100):
+def _grid_oracle(coeffs, cfg, n_p=200, n_mu=100):
     """Per-user 2-D grid + coupling-multiplier grid bounds.
 
     Returns (primal lower bound from feasible grid points, dual upper bound
@@ -84,12 +87,11 @@ def _grid_oracle(coeffs, cfg, rate_weight=1.0, n_p=200, n_mu=100):
     l_n = coeffs.b6.shape[0]
     e_max, t, zeta = cfg.e_max_array(), cfg.coherence_time_s, cfg.zeta
     f_coef = 1.0 / (cfg.eps_array() * cfg.bandwidth_hz)
-    lin = rate_weight * (coeffs.b7 + coeffs.c1 @ coeffs.b11)
-    b6w = rate_weight * coeffs.b6
+    lin = coeffs.b7 + coeffs.c1 @ coeffs.b11
 
     def user_obj(l, p):
         f = ((e_max[l] - t * p) / (t * zeta)) ** (1 / 3)
-        return b6w[l] * np.sqrt(p) - lin[l] * p + f_coef[l] * f, f
+        return coeffs.b6[l] * np.sqrt(p) - lin[l] * p + f_coef[l] * f, f
 
     def user_best(l, mu, lo, hi, n):
         ps = np.linspace(lo, hi, n)
