@@ -1,10 +1,25 @@
-"""Transmit beamforming via semidefinite relaxation with Gaussian rank-one
-recovery, and the closed-form receive combiners.
+"""Transmit beamforming in closed form from a two-multiplier dual, and the
+closed-form receive combiners.
 
-The transmit subproblem is lifted to one (N_t+1)-dimensional PSD block per
-beam (corner entry pinned to 1 homogenizes the linear term); dropping the
-rank-one constraint leaves a small SDP handled by the in-repo kernel, and the
-relaxation value is a certified upper bound on any rank-one feasible point.
+The transmit subproblem
+
+    max  sum_k 2Re(w_{k+1}^H q_k) - sum_j w_j^H S w_j
+    s.t. sum_j ||w_j||^2 <= P,   sum_j w_j^H Omega0 w_j >= b0
+
+has a tight semidefinite relaxation (separable-SDP rank bound, Huang &
+Palomar, IEEE TSP 2010), so its Lagrangian dual in the power multiplier mu and
+the radar multiplier nu has no gap. With A = S + mu I - nu Omega0 > 0 the
+maximizer is w_{k+1} = A^{-1} q_k, w_0 = 0 (the ISAC construction of Liu,
+Huang, Li & Masouros, IEEE TSP 2020). Omega0 = d d^H is rank one, so one
+eigendecomposition of S and Sherman-Morrison in nu give every trial point, the
+nu minimizing the dual at a given mu is closed form, and mu solves the power
+equation by a secular root-find. When no communication beam can carry echo
+power A is singular at the optimum and the sensing beam w_0 lies in its null
+space.
+
+``solve_tx_sdr``, ``sdr_bound`` and ``gaussian_randomize`` keep the lifted
+relaxation and its randomized rank-one recovery as the test oracle of the
+closed form; nothing in the package calls them.
 """
 
 from __future__ import annotations
@@ -16,8 +31,16 @@ import numpy as np
 from . import conic
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import Solution, composite_channels, si_power
+from .sysmodel import Solution, composite_channels
 from .wmmse import LN2, AuxVars
+
+EPS = float(np.finfo(float).eps)
+# the closed form aims at b0 (1 + RADAR_MARGIN), so rounding leaves the echo
+# above the floor; the certified dual value is still taken at b0 itself
+RADAR_MARGIN = 1e-12
+ROOT_TOL = 1e-13        # relative power slack at which the mu root-find stops
+MAX_ROOT_ITERS = 100    # regula-falsi steps after the bracket is found
+MAX_DOUBLINGS = 200     # bracket growth before the floor counts as unreachable
 
 
 class SdrInfeasibleError(Exception):
@@ -42,6 +65,12 @@ class TxCoeffs:
     b0: float
     p_bs: float
 
+    @property
+    def q(self) -> np.ndarray:
+        """(K, N_t) linear terms q_k = sqrt(1+alpha_k) omega_k[:N_t, N_t]."""
+        nt = self.s_mat.shape[0]
+        return self.sqrt1a[:, None] * self.omega[:, :nt, nt]
+
 
 @dataclass(frozen=True)
 class RxCoeffs:
@@ -58,33 +87,24 @@ def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     k_n, l_n = ch.h_pu.shape[0], ch.g_pu.shape[0]
     nt = cfg.n_tx
 
-    s_mat = np.zeros((nt, nt), complex)
+    bb1 = np.abs(aux.beta1) ** 2
+    s_mat = np.einsum("k,ki,kj->ij", bb1, comp.h.conj(), comp.h)
     omega = np.zeros((k_n, nt + 1, nt + 1), complex)
-    sqrt1a = np.sqrt(1.0 + aux.alpha1)
-    b3 = np.zeros(k_n)
-    for k in range(k_n):
-        h = comp.h[k]
-        bb = abs(aux.beta1[k]) ** 2
-        s_mat += bb * np.outer(h.conj(), h)
-        omega[k, :nt, nt] = aux.beta1[k] * h.conj()
-        omega[k, nt, :nt] = aux.beta1[k].conj() * h
-        cci = 0.0 if hd else float(sol.p @ np.abs(comp.ebar[:, k]) ** 2)
-        b3[k] = (np.log(1.0 + aux.alpha1[k]) - aux.alpha1[k]
-                 - bb * (cci + cfg.noise_ue_watt)) / LN2
+    omega[:, :nt, nt] = aux.beta1[:, None] * comp.h.conj()
+    omega[:, nt, :nt] = aux.beta1.conj()[:, None] * comp.h
+    cci = 0.0 if hd else sol.p @ np.abs(comp.ebar) ** 2
+    b3 = (np.log(1.0 + aux.alpha1) - aux.alpha1 - bb1 * (cci + cfg.noise_ue_watt)) / LN2
 
-    b4 = np.zeros(l_n)
-    for l in range(l_n):
-        u = sol.u[l]
-        a2, b2l = aux.alpha2[l], aux.beta2[l]
-        bb = abs(b2l) ** 2
-        if not hd:
-            v = ch.h_si.conj().T @ u
-            s_mat += bb * np.outer(v, v.conj())
-        amps = comp.g @ u.conj()
-        b4[l] = (np.log(1.0 + a2) - a2
-                 + 2.0 * np.sqrt(1.0 + a2) * (np.conj(b2l) * np.sqrt(sol.p[l]) * amps[l]).real
-                 - bb * (float(sol.p @ np.abs(amps) ** 2)
-                         + float(np.vdot(u, u).real) * cfg.noise_bs_watt)) / LN2
+    u, a2, b2 = sol.u, aux.alpha2, aux.beta2
+    bb2 = np.abs(b2) ** 2
+    if not hd:
+        v = u @ ch.h_si.conj()                  # rows v_l = H_SI^H u_l
+        s_mat = s_mat + np.einsum("l,li,lj->ij", bb2, v, v.conj())
+    amps = u.conj() @ comp.g.T                  # amps[l, l'] = u_l^H g_l'
+    b4 = (np.log(1.0 + a2) - a2
+          + 2.0 * np.sqrt(1.0 + a2) * (np.conj(b2) * np.sqrt(sol.p) * np.diagonal(amps)).real
+          - bb2 * (np.abs(amps) ** 2 @ sol.p
+                   + np.sum(np.abs(u) ** 2, axis=1) * cfg.noise_bs_watt)) / LN2
 
     cascade = (ch.g_s * sol.phi[None, :]) @ ch.g_t      # G_s diag(phi) G_t
     omega0 = cascade.conj().T @ cascade
@@ -92,7 +112,8 @@ def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     b0 = cfg.gamma_tar_linear * (interf + cfg.noise_irs_watt)
 
     return TxCoeffs(
-        omega=omega / LN2, sqrt1a=sqrt1a, s_mat=(s_mat + s_mat.conj().T) / 2.0 / LN2,
+        omega=omega / LN2, sqrt1a=np.sqrt(1.0 + aux.alpha1),
+        s_mat=(s_mat + s_mat.conj().T) / 2.0 / LN2,
         omega0=(omega0 + omega0.conj().T) / 2.0, b3=b3, b4=b4, b0=float(b0),
         p_bs=cfg.p_bs_watt,
     )
@@ -101,24 +122,143 @@ def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
 def tx_objective(coeffs: TxCoeffs, w: np.ndarray) -> float:
     """Surrogate sum at a concrete beam set (matches the SDP objective on
     rank-one liftings)."""
-    total = float(coeffs.b3.sum() + coeffs.b4.sum())
-    for j in range(w.shape[0]):
-        total -= float((w[j].conj() @ coeffs.s_mat @ w[j]).real)
-    for k in range(coeffs.omega.shape[0]):
-        nt = w.shape[1]
-        wt = np.concatenate([w[k + 1], [1.0]])
-        total += coeffs.sqrt1a[k] * float((wt.conj() @ coeffs.omega[k] @ wt).real)
-    return total
+    quad = np.einsum("ji,ik,jk->", w.conj(), coeffs.s_mat, w).real
+    lin = 2.0 * np.sum(w[1:].conj() * coeffs.q).real
+    return float(coeffs.b3.sum() + coeffs.b4.sum() - quad + lin)
 
 
 def radar_power(coeffs: TxCoeffs, w: np.ndarray) -> float:
     """Expected echo power sum_j w_j^H Omega0 w_j."""
-    return float(sum((w[j].conj() @ coeffs.omega0 @ w[j]).real for j in range(w.shape[0])))
+    return float(np.einsum("ji,ik,jk->", w.conj(), coeffs.omega0, w).real)
 
+
+def _rank_one_factor(omega0: np.ndarray) -> np.ndarray:
+    """d with Omega0 = d d^H. Omega0 is rank one because the target response
+    G_s = eta a_active a_passive^H is, so its column of largest diagonal entry
+    gives d up to a phase."""
+    j = int(np.argmax(omega0.diagonal().real))
+    pivot = float(omega0[j, j].real)
+    if pivot <= 0.0:
+        return np.zeros(omega0.shape[0], complex)
+    return omega0[:, j] / np.sqrt(pivot)
+
+
+def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
+    """Exact transmit optimum and its dual certificate.
+
+    In the eigenbasis of S, B = S + mu I is diagonal and A^{-1} = B^{-1} +
+    nu B^{-1} d d^H B^{-1} / (1 - nu phi), phi = d^H B^{-1} d. With
+    R = sum_k |d^H B^{-1} q_k|^2 the echo of the beams A^{-1} q_k is
+    R / (1 - nu phi)^2, so the nu minimizing the dual at fixed mu is 0 if
+    R >= b0 and otherwise (1 - t) / phi with t = sqrt(R / b0), which puts the
+    echo on the floor. If R = 0 the comm beams carry no echo: nu = 1/phi makes
+    A singular and the floor is met by w_0 = tau B^{-1} d, its null vector.
+    The power ||w(mu)||^2 then falls with mu, and mu is 0 when the budget is
+    slack (EPS max(1, ||S||) if S is singular, where B must stay invertible),
+    else the root of 1/||w(mu)|| = 1/sqrt(P) found by regula falsi
+    (Illinois) on a doubling bracket; the root is kept on the side that fits.
+
+    Returns the beams (K+1, N_t) and ``{"dual", "mu", "nu", "iterations",
+    "sensing_beam"}``, where ``dual`` is g(mu, nu) = b3 + b4 +
+    sum_k q_k^H A^{-1} q_k + mu P - nu b0, an upper bound on the objective.
+    Raises SdrInfeasibleError when the floor exceeds the echo ceiling P ||d||^2.
+    """
+    q = coeffs.q
+    k_n, nt = q.shape[0], coeffs.s_mat.shape[0]
+    d = _rank_one_factor(coeffs.omega0)
+    p_max, target = coeffs.p_bs, coeffs.b0 * (1.0 + RADAR_MARGIN)
+    ceiling = p_max * float(np.vdot(d, d).real)
+    if ceiling < target:
+        raise SdrInfeasibleError(f"echo ceiling {ceiling:.3e} below floor {coeffs.b0:.3e}")
+    s, vecs = np.linalg.eigh(coeffs.s_mat)
+    s = np.maximum(s, 0.0)
+    x, y = q @ vecs.conj(), d @ vecs.conj()          # eigenbasis coordinates
+
+    def beams(mu: float):
+        """Beams maximizing the Lagrangian at (mu, nu*(mu)) in the eigenbasis,
+        nu*, and sum_k q_k^H A^{-1} q_k."""
+        b = s + mu
+        xb, yb = x / b, y / b
+        phi = float(np.sum(np.abs(y) ** 2 / b))
+        r = xb @ y.conj()                               # d^H B^{-1} q_k
+        rr = float(np.sum(np.abs(r) ** 2))
+        gain = float(np.sum(np.abs(x) ** 2 / b))
+        w = np.zeros((k_n + 1, nt), complex)
+        w[1:] = xb
+        if rr >= target:
+            return w, 0.0, gain
+        if rr > 0.0:
+            t = np.sqrt(rr / target)                    # 1 - nu phi
+            w[1:] += ((1.0 - t) / (phi * t)) * r[:, None] * yb
+            return w, (1.0 - t) / phi, gain + (1.0 - t) * np.sqrt(rr * target) / phi
+        w[0] = (np.sqrt(target) / phi) * yb
+        return w, 1.0 / phi, gain
+
+    def slack(point) -> float:
+        """1/||w|| - 1/sqrt(P): increasing and nearly linear in mu."""
+        norm = np.sqrt(np.sum(np.abs(point[0]) ** 2))
+        return 1.0 / norm - 1.0 / np.sqrt(p_max) if norm > 0.0 else np.inf
+
+    mu = 0.0 if s[0] > 0.0 else EPS * max(s[-1], 1.0)
+    point, iters = beams(mu), 0
+    f_lo = slack(point)
+    if f_lo < 0.0:
+        lo, hi = mu, max(s[-1], np.sqrt(np.sum(np.abs(q) ** 2) / p_max), 2.0 * mu)
+        point = beams(hi)
+        f_hi = slack(point)
+        while f_hi < 0.0:
+            iters += 1
+            if iters > MAX_DOUBLINGS:
+                raise SdrInfeasibleError("sensing floor at the echo ceiling")
+            lo, f_lo, hi = hi, f_hi, 2.0 * hi
+            point = beams(hi)
+            f_hi = slack(point)
+        side, f_fit = 0, f_hi       # f_fit: unscaled slack at hi, for the stop rule
+        last = iters + MAX_ROOT_ITERS
+        while iters < last and f_fit * np.sqrt(p_max) > ROOT_TOL and hi - lo > 4.0 * EPS * hi:
+            iters += 1
+            mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+            if not lo < mid < hi:
+                mid = 0.5 * (lo + hi)
+            trial = beams(mid)
+            f_mid = slack(trial)
+            if f_mid >= 0.0:
+                hi, f_hi, f_fit, point = mid, f_mid, f_mid, trial
+                f_lo = f_lo / 2.0 if side > 0 else f_lo
+                side = 1
+            else:
+                lo, f_lo = mid, f_mid
+                f_hi = f_hi / 2.0 if side < 0 else f_hi
+                side = -1
+        mu = hi
+    w, nu, gain = point
+    dual = float(coeffs.b3.sum() + coeffs.b4.sum()) + gain + mu * p_max - nu * coeffs.b0
+    return w @ vecs.T, {"dual": float(dual), "mu": float(mu), "nu": float(nu),
+                        "iterations": iters, "sensing_beam": bool(np.any(w[0]))}
+
+
+def optimize_tx(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
+                hd: bool = False) -> tuple[np.ndarray, dict]:
+    """Full transmit update with a monotonicity safeguard: the incumbent beams
+    are kept whenever the new ones do not improve the surrogate (possible only
+    when the incumbent misses the current sensing floor)."""
+    coeffs = assemble_tx_coeffs(sol, ch, aux, cfg, hd)
+    incumbent_val = tx_objective(coeffs, sol.w)
+    w_new, info = solve_tx(coeffs)
+    new_val = tx_objective(coeffs, w_new)
+    info["objective"] = new_val
+    info["accepted"] = new_val >= incumbent_val - 1e-10 * (1.0 + abs(incumbent_val))
+    if not info["accepted"]:
+        return sol.w, info
+    return w_new, info
+
+
+# --- test oracle: the lifted relaxation and its randomized recovery ---------
 
 def solve_tx_sdr(coeffs: TxCoeffs, cfg: SystemConfig) -> conic.SdpResult:
-    """Relaxed lifted solve.  Raises SdrInfeasibleError when even the best
-    eigen-direction at full power misses the sensing floor."""
+    """Relaxed lifted solve (test oracle of ``solve_tx``).  Raises
+    SdrInfeasibleError when even the best eigen-direction at full power misses
+    the sensing floor."""
     nt = cfg.n_tx
     n_beams = coeffs.omega.shape[0] + 1
     lam_max = float(np.linalg.eigvalsh(coeffs.omega0).max())
@@ -136,13 +276,18 @@ def solve_tx_sdr(coeffs: TxCoeffs, cfg: SystemConfig) -> conic.SdpResult:
             q = q - coeffs.sqrt1a[j - 1] * coeffs.omega[j - 1]
         costs.append(q)   # minimize Tr(q X) == maximize the surrogate part
 
+    # rows normalised to right-hand sides of 1: Omega0 is ~1e-11 at paper
+    # scale, below the kernel's residual tolerance, which then reported
+    # "optimal" blocks with their echo 20% under the floor
+    radar_scale = 1.0 / coeffs.b0 if coeffs.b0 > 0.0 else 1.0
     eye_tl = np.zeros((dim, dim), complex)
-    eye_tl[:nt, :nt] = np.eye(nt)
+    eye_tl[:nt, :nt] = np.eye(nt) / coeffs.p_bs
     omega0_tl = np.zeros((dim, dim), complex)
-    omega0_tl[:nt, :nt] = coeffs.omega0
+    omega0_tl[:nt, :nt] = coeffs.omega0 * radar_scale
     cons = [
-        conic.SdpConstraint(tuple((j, eye_tl) for j in range(n_beams)), "<=", coeffs.p_bs),
-        conic.SdpConstraint(tuple((j, omega0_tl) for j in range(n_beams)), ">=", coeffs.b0),
+        conic.SdpConstraint(tuple((j, eye_tl) for j in range(n_beams)), "<=", 1.0),
+        conic.SdpConstraint(tuple((j, omega0_tl) for j in range(n_beams)), ">=",
+                            coeffs.b0 * radar_scale),
     ]
     cons += [conic.fix_diag_entry(j, dim, nt, 1.0) for j in range(n_beams)]
     prob = conic.SdpProblem(dims=(dim,) * n_beams, costs=tuple(costs),
@@ -249,27 +394,6 @@ def _feasible(w: np.ndarray, coeffs: TxCoeffs) -> bool:
     power_ok = float(np.sum(np.abs(w) ** 2)) <= coeffs.p_bs * (1.0 + 1e-9)
     radar_ok = radar_power(coeffs, w) >= coeffs.b0 * (1.0 - 1e-9)
     return power_ok and radar_ok
-
-
-def optimize_tx(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
-                n_draws: int, rng: np.random.Generator,
-                hd: bool = False) -> tuple[np.ndarray, dict]:
-    """Full transmit update with a monotonicity safeguard: the incumbent beams
-    are kept whenever randomization fails to improve the surrogate."""
-    coeffs = assemble_tx_coeffs(sol, ch, aux, cfg, hd)
-    incumbent_val = tx_objective(coeffs, sol.w)
-    res = solve_tx_sdr(coeffs, cfg)
-    w_new = gaussian_randomize(res.blocks, coeffs, cfg, n_draws, rng)
-    new_val = tx_objective(coeffs, w_new)
-    info = {
-        "sdp_status": res.status,
-        "sdp_bound": sdr_bound(coeffs, res),
-        "objective": new_val,
-        "accepted": new_val >= incumbent_val - 1e-10 * (1.0 + abs(incumbent_val)),
-    }
-    if not info["accepted"]:
-        return sol.w, info
-    return w_new, info
 
 
 def assemble_rx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,

@@ -82,8 +82,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    import dataclasses
     import numpy.linalg as la
-    from . import cacheopt, phaseadmm, wmmse
+    from . import beamforming, cacheopt, phaseadmm, wmmse
     from .sysmodel import downlink_sinr
 
     failures = 0
@@ -130,6 +131,26 @@ def _cmd_selftest(args) -> int:
         mu, slack = float((d.conj() @ (a @ x - r)).real), e - 2 * float((d.conj() @ x).real)
         kkt += [la.norm(a @ x - r - mu * d), -mu, slack, abs(mu * slack)]
     check("phase step KKT", max(kkt) <= 1e-9)
+
+    # KKT of the closed-form transmit step (feasibility, stationarity, signs,
+    # complementary slackness, dual gap), radar floor at 1% (slack) then 90%
+    # (binding) of the echo ceiling
+    tx = beamforming.assemble_tx_coeffs(sol, ch, aux, cfg)
+    kkt = []
+    for frac in (0.01, 0.9):
+        b0 = frac * tx.p_bs * la.eigvalsh(tx.omega0)[-1]
+        c = dataclasses.replace(tx, b0=b0)
+        w, info = beamforming.solve_tx(c)
+        mu, nu = info["mu"], info["nu"]
+        a = c.s_mat + mu * np.eye(cfg.n_tx) - nu * c.omega0
+        value, power, echo = (beamforming.tx_objective(c, w), float(np.sum(np.abs(w) ** 2)),
+                              beamforming.radar_power(c, w))
+        scale = max(1.0, abs(value))
+        kkt += [la.norm(w[1:] @ a.T - c.q) / la.norm(c.q), la.norm(a @ w[0]), -mu, -nu,
+                power / c.p_bs - 1.0, 1.0 - echo / b0,
+                abs(mu * (c.p_bs - power)) / scale, abs(nu * (echo - b0)) / scale,
+                abs(info["dual"] - value) / scale]
+    check("transmit step KKT", max(kkt) <= 1e-9)
 
     result = orchestrator.run(cfg, ch, RunOptions(max_iter=8))
     objs = [r.objective for r in result.trace]

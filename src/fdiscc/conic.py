@@ -2,8 +2,9 @@
 
 * ``solve_sdp`` -- minimize sum_k Tr(C_k X_k) over Hermitian PSD blocks X_k
   subject to linear trace constraints (<=, ==, >=), solved natively in complex
-  Hermitian arithmetic with a symmetrized-HKM predictor-corrector method; the
-  relaxation kernel of the transmit-beam (SDR) block.
+  Hermitian arithmetic with a symmetrized-HKM predictor-corrector method.  No
+  block calls it: it solves the lifted relaxation that is the test oracle of
+  the closed-form transmit step (``beamforming.solve_tx_sdr``).
 * ``solve_qcqp`` -- minimize x^H A x - 2 Re{b^H x} + c over complex x subject
   to affine inequalities Re{d_i^H x} + e_i <= 0, with A Hermitian PSD, through
   the 2x2 real embedding and a Mehrotra predictor-corrector method.  No block

@@ -1,13 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from fdiscc.beamforming import (SdrInfeasibleError, assemble_rx_coeffs,
                                 assemble_tx_coeffs, gaussian_randomize,
                                 optimize_rx, optimize_tx, radar_power,
-                                rx_objective, sdr_bound, solve_rx,
+                                rx_objective, sdr_bound, solve_rx, solve_tx,
                                 solve_tx_sdr, tx_objective)
 from fdiscc.channels import draw_channels
-from fdiscc.config import db2lin, desk_config
+from fdiscc.config import db2lin, desk_config, paper_config
+from fdiscc.orchestrator import echo_aligned_phases
 from fdiscc.sysmodel import composite_channels
 from fdiscc.wmmse import surrogate_off, surrogate_sum, update_aux
 
@@ -57,6 +60,40 @@ class TestTxCoeffs:
         expected = sum(abs(aux.beta1[k]) ** 2 * np.outer(comp_h[k].conj(), comp_h[k])
                        for k in range(cfg.n_cm)) / LN2
         assert np.allclose(coeffs.s_mat, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("hd", [False, True])
+    def test_matches_per_user_loop(self, small_cfg, small_ch, rand_sol, hd):
+        # the einsum assembly against the per-user loops it replaced
+        from fdiscc.wmmse import LN2
+        aux = update_aux(rand_sol, small_ch, small_cfg, hd)
+        coeffs = assemble_tx_coeffs(rand_sol, small_ch, aux, small_cfg, hd)
+        comp = composite_channels(small_ch, rand_sol.phi)
+        nt, p = small_cfg.n_tx, rand_sol.p
+        s_mat = np.zeros((nt, nt), complex)
+        b3, b4 = [], []
+        for k in range(small_cfg.n_cm):
+            h, bb = comp.h[k], abs(aux.beta1[k]) ** 2
+            s_mat += bb * np.outer(h.conj(), h)
+            cci = 0.0 if hd else float(p @ np.abs(comp.ebar[:, k]) ** 2)
+            b3.append(np.log(1 + aux.alpha1[k]) - aux.alpha1[k]
+                      - bb * (cci + small_cfg.noise_ue_watt))
+        for l in range(small_cfg.n_cp):
+            u, a2, b2l = rand_sol.u[l], aux.alpha2[l], aux.beta2[l]
+            if not hd:
+                v = small_ch.h_si.conj().T @ u
+                s_mat += abs(b2l) ** 2 * np.outer(v, v.conj())
+            amps = comp.g @ u.conj()
+            b4.append(np.log(1 + a2) - a2
+                      + 2 * np.sqrt(1 + a2) * (np.conj(b2l) * np.sqrt(p[l]) * amps[l]).real
+                      - abs(b2l) ** 2 * (p @ np.abs(amps) ** 2
+                                         + np.vdot(u, u).real * small_cfg.noise_bs_watt))
+        assert np.allclose(coeffs.s_mat, s_mat / LN2, rtol=1e-12,
+                           atol=1e-14 * np.abs(s_mat / LN2).max())
+        assert np.allclose(coeffs.b3, np.array(b3) / LN2, rtol=1e-12, atol=0)
+        assert np.allclose(coeffs.b4, np.array(b4) / LN2, rtol=1e-12, atol=0)
+        for k in range(small_cfg.n_cm):
+            assert np.allclose(coeffs.q[k], coeffs.sqrt1a[k] * aux.beta1[k]
+                               * comp.h[k].conj() / LN2, rtol=1e-12, atol=0)
 
     def test_omega0_psd(self, tx_setup):
         _, coeffs = tx_setup
@@ -135,11 +172,113 @@ class TestSolveTxSdr:
 
     def test_safeguard_keeps_incumbent(self, small_cfg, small_ch, tx_sol, tx_setup):
         aux, _ = tx_setup
-        w_new, info = optimize_tx(tx_sol, small_ch, aux, small_cfg, 50,
-                                  np.random.default_rng(6))
+        w_new, info = optimize_tx(tx_sol, small_ch, aux, small_cfg)
         coeffs = assemble_tx_coeffs(tx_sol, small_ch, aux, small_cfg)
         assert tx_objective(coeffs, w_new) >= tx_objective(coeffs, tx_sol.w) \
             - 1e-9 * (1 + abs(tx_objective(coeffs, tx_sol.w)))
+
+
+def _certificate_gap(coeffs, w, info):
+    """(dual - primal) / max(1, |primal|), and the beams' feasibility."""
+    primal = tx_objective(coeffs, w)
+    feasible = (np.sum(np.abs(w) ** 2) <= coeffs.p_bs * (1 + 1e-12)
+                and radar_power(coeffs, w) >= coeffs.b0)
+    return (info["dual"] - primal) / max(1.0, abs(primal)), feasible
+
+
+def _paper_tx_coeffs(seed, hd=False):
+    cfg = paper_config(seed=seed)
+    ch = draw_channels(cfg)
+    sol = make_solution(cfg, ch, np.random.default_rng(seed))
+    sol = sol.copy_with(phi=echo_aligned_phases(ch))
+    aux = update_aux(sol, ch, cfg, hd)
+    return cfg, assemble_tx_coeffs(sol, ch, aux, cfg, hd)
+
+
+class TestSolveTx:
+    """Closed-form dual solve of the transmit block against the lifted oracle."""
+
+    @pytest.mark.parametrize("binding", [False, True])
+    def test_matches_rescaled_oracle(self, binding):
+        # paper-scale coefficients (Omega0 ~ 1e-11); the binding half puts the
+        # floor at 90% of the echo ceiling. Even seeds FD, odd seeds HD.
+        n_binding = 0
+        for seed in range(25):
+            cfg, coeffs = _paper_tx_coeffs(seed, hd=seed % 2 == 1)
+            if binding:
+                ceiling = coeffs.p_bs * np.linalg.eigvalsh(coeffs.omega0)[-1]
+                coeffs = dataclasses.replace(coeffs, b0=0.9 * ceiling)
+            w, info = solve_tx(coeffs)
+            n_binding += info["nu"] > 0
+            res = solve_tx_sdr(coeffs, cfg)
+            echo = sum(np.trace(coeffs.omega0 @ x[:cfg.n_tx, :cfg.n_tx]).real
+                       for x in res.blocks)
+            assert echo >= coeffs.b0 * (1 - 1e-6)
+            bound, value = sdr_bound(coeffs, res), tx_objective(coeffs, w)
+            assert bound >= value - 1e-12 * abs(value)
+            assert value >= bound - 1e-6 * abs(bound)
+        assert n_binding == (25 if binding else 0)
+
+    def test_dual_certificate(self, small_cfg, tx_setup):
+        _, coeffs = tx_setup
+        for frac in (None, 0.3, 0.6, 0.95):
+            if frac is not None:
+                ceiling = coeffs.p_bs * np.linalg.eigvalsh(coeffs.omega0)[-1]
+                coeffs = dataclasses.replace(coeffs, b0=frac * ceiling)
+            w, info = solve_tx(coeffs)
+            gap, feasible = _certificate_gap(coeffs, w, info)
+            assert feasible
+            assert abs(gap) <= 1e-9
+            assert info["mu"] >= 0 and info["nu"] >= 0
+
+    def test_slack_power_gives_zero_mu(self, tx_setup):
+        _, coeffs = tx_setup
+        nt = coeffs.s_mat.shape[0]
+        roomy = dataclasses.replace(coeffs, s_mat=coeffs.s_mat + np.eye(nt), p_bs=1e6)
+        w, info = solve_tx(roomy)
+        assert info["mu"] == 0.0 and info["iterations"] == 0
+        assert np.sum(np.abs(w) ** 2) < roomy.p_bs
+        gap, feasible = _certificate_gap(roomy, w, info)
+        assert feasible and abs(gap) <= 1e-9
+
+    @pytest.mark.parametrize("hd", [False, True])
+    def test_no_cm_users_use_the_sensing_beam(self, hd):
+        cfg = desk_config(m_passive=8, m_active=4, n_cm=0, seed=5)
+        ch = draw_channels(cfg)
+        sol = make_solution(cfg, ch, np.random.default_rng(5))
+        sol = sol.copy_with(phi=echo_aligned_phases(ch))
+        aux = update_aux(sol, ch, cfg, hd)
+        coeffs = assemble_tx_coeffs(sol, ch, aux, cfg, hd)
+        w, info = solve_tx(coeffs)
+        assert w.shape == (1, cfg.n_tx) and info["sensing_beam"]
+        assert radar_power(coeffs, w) == pytest.approx(coeffs.b0, rel=1e-9)
+        gap, feasible = _certificate_gap(coeffs, w, info)
+        assert feasible and abs(gap) <= 1e-9
+
+    def test_hd_coefficients(self, small_cfg, small_ch, tx_sol):
+        aux = update_aux(tx_sol, small_ch, small_cfg, True)
+        coeffs = assemble_tx_coeffs(tx_sol, small_ch, aux, small_cfg, hd=True)
+        fd = assemble_tx_coeffs(tx_sol, small_ch, aux, small_cfg)
+        # HD drops the self-interference weight from S
+        assert np.linalg.norm(coeffs.s_mat) < np.linalg.norm(fd.s_mat)
+        w, info = solve_tx(coeffs)
+        gap, feasible = _certificate_gap(coeffs, w, info)
+        assert feasible and abs(gap) <= 1e-9
+        w_new, _ = optimize_tx(tx_sol, small_ch, aux, small_cfg, hd=True)
+        assert np.array_equal(w_new, w)
+
+    def test_unreachable_floor_raises(self, small_cfg, tx_setup):
+        _, coeffs = tx_setup
+        lam_max = float(np.linalg.eigvalsh(coeffs.omega0).max())
+        bad = dataclasses.replace(coeffs, b0=small_cfg.p_bs_watt * lam_max * 1.01)
+        with pytest.raises(SdrInfeasibleError):
+            solve_tx(bad)
+
+    def test_repeated_calls_bit_identical(self, tx_setup):
+        _, coeffs = tx_setup
+        w1, info1 = solve_tx(coeffs)
+        w2, info2 = solve_tx(coeffs)
+        assert np.array_equal(w1, w2) and info1 == info2
 
 
 class TestSdrQuality:

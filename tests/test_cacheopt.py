@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdiscc.cacheopt import random_caching, solve_caching, zipf_popularity
+from fdiscc.cacheopt import (random_caching, solve_caching, zipf_popularity,
+                             zipf_weights)
 from fdiscc.config import CacheConfig
 
 
@@ -24,6 +25,14 @@ class TestZipf:
         c = zipf_popularity(v, eps)
         assert c.sum() == pytest.approx(1.0)
         assert np.all(np.diff(c) <= 1e-15)
+
+    def test_weights_cached_read_only(self):
+        w = zipf_weights(50, 1.1)
+        assert zipf_weights(50, 1.1) is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 2.0
+        assert np.array_equal(w, np.arange(1, 51, dtype=float) ** -1.1)
 
 
 def lp_vertex_oracle(c, q, cap):
