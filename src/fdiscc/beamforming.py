@@ -31,8 +31,8 @@ import numpy as np
 from . import conic
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import Solution, composite_channels
-from .wmmse import LN2, AuxVars
+from .sysmodel import Solution, composite_channels, echo_matrix, link_terms, sensing_floor
+from .wmmse import LN2, AuxVars, _bracket
 
 EPS = float(np.finfo(float).eps)
 # the closed form aims at b0 (1 + RADAR_MARGIN), so rounding leaves the echo
@@ -83,8 +83,9 @@ class RxCoeffs:
 
 def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
                        cfg: SystemConfig, hd: bool = False) -> TxCoeffs:
-    comp = composite_channels(ch, sol.phi)
-    k_n, l_n = ch.h_pu.shape[0], ch.g_pu.shape[0]
+    lt = link_terms(sol, ch, cfg, hd)
+    comp = lt.comp
+    k_n = comp.h.shape[0]
     nt = cfg.n_tx
 
     bb1 = np.abs(aux.beta1) ** 2
@@ -92,30 +93,22 @@ def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     omega = np.zeros((k_n, nt + 1, nt + 1), complex)
     omega[:, :nt, nt] = aux.beta1[:, None] * comp.h.conj()
     omega[:, nt, :nt] = aux.beta1.conj()[:, None] * comp.h
-    cci = 0.0 if hd else sol.p @ np.abs(comp.ebar) ** 2
-    b3 = (np.log(1.0 + aux.alpha1) - aux.alpha1 - bb1 * (cci + cfg.noise_ue_watt)) / LN2
-
-    u, a2, b2 = sol.u, aux.alpha2, aux.beta2
-    bb2 = np.abs(b2) ** 2
+    # beam-free parts of the surrogates: downlink CCI and noise, and every
+    # offloading term but the residual SI
+    b3 = _bracket(aux.alpha1, aux.beta1, 0.0, lt.cci + cfg.noise_ue_watt)
+    b4 = _bracket(aux.alpha2, aux.beta2, lt.off_sig, lt.off_den - lt.si)
     if not hd:
-        v = u @ ch.h_si.conj()                  # rows v_l = H_SI^H u_l
-        s_mat = s_mat + np.einsum("l,li,lj->ij", bb2, v, v.conj())
-    amps = u.conj() @ comp.g.T                  # amps[l, l'] = u_l^H g_l'
-    b4 = (np.log(1.0 + a2) - a2
-          + 2.0 * np.sqrt(1.0 + a2) * (np.conj(b2) * np.sqrt(sol.p) * np.diagonal(amps)).real
-          - bb2 * (np.abs(amps) ** 2 @ sol.p
-                   + np.sum(np.abs(u) ** 2, axis=1) * cfg.noise_bs_watt)) / LN2
+        v = sol.u @ ch.h_si.conj()              # rows v_l = H_SI^H u_l
+        s_mat = s_mat + np.einsum("l,li,lj->ij", np.abs(aux.beta2) ** 2, v, v.conj())
 
-    cascade = (ch.g_s * sol.phi[None, :]) @ ch.g_t      # G_s diag(phi) G_t
+    cascade = echo_matrix(ch, sol.phi)
     omega0 = cascade.conj().T @ cascade
-    interf = float(sol.p @ (np.abs(ch.g_au) ** 2).sum(axis=1)) if l_n else 0.0
-    b0 = cfg.gamma_tar_linear * (interf + cfg.noise_irs_watt)
 
     return TxCoeffs(
         omega=omega / LN2, sqrt1a=np.sqrt(1.0 + aux.alpha1),
         s_mat=(s_mat + s_mat.conj().T) / 2.0 / LN2,
-        omega0=(omega0 + omega0.conj().T) / 2.0, b3=b3, b4=b4, b0=float(b0),
-        p_bs=cfg.p_bs_watt,
+        omega0=(omega0 + omega0.conj().T) / 2.0, b3=b3, b4=b4,
+        b0=sensing_floor(cfg, ch, sol.p), p_bs=cfg.p_bs_watt,
     )
 
 

@@ -85,7 +85,7 @@ def _cmd_selftest(args) -> int:
     import dataclasses
     import numpy.linalg as la
     from . import beamforming, cacheopt, phaseadmm, wmmse
-    from .sysmodel import downlink_sinr
+    from .sysmodel import utility
 
     failures = 0
 
@@ -105,11 +105,10 @@ def _cmd_selftest(args) -> int:
 
     sol = orchestrator.initialize(cfg, ch, np.random.default_rng(0))
     aux = wmmse.update_aux(sol, ch, cfg)
-    tight = all(
-        abs(wmmse.surrogate_com(sol, ch, cfg, aux, k)
-            - np.log2(1 + downlink_sinr(sol, ch, cfg, k))) < 1e-9
-        for k in range(cfg.n_cm))
-    check("surrogate tightness", tight)
+    com, off = wmmse.surrogates(sol, ch, cfg, aux)
+    met = utility(sol, ch, cfg)
+    gaps = np.concatenate([com - np.log2(1 + met.r_com), off - np.log2(1 + met.r_off)])
+    check("surrogate tightness", bool(np.all(np.abs(gaps) < 1e-9)))
 
     coeffs = phaseadmm.assemble_phase_coeffs(sol, ch, aux, cfg)
     phi = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * np.pi, cfg.m_passive))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +18,6 @@ import numpy as np
 def db2lin(x_db: float) -> float:
     """Convert dB to linear scale."""
     return 10.0 ** (x_db / 10.0)
-
-
-def lin2db(x: float) -> float:
-    return 10.0 * math.log10(x)
 
 
 def dbm2watt(x_dbm: float) -> float:
@@ -230,10 +226,6 @@ def load_config(path: str | Path) -> SystemConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
-
-
-def save_config(cfg: SystemConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(asdict(cfg), indent=2) + "\n")
 
 
 def with_overrides(cfg: SystemConfig, **changes) -> SystemConfig:

@@ -19,7 +19,8 @@ import numpy as np
 from . import beamforming, cacheopt, phaseadmm, powercomp, wmmse
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import Metrics, Solution, residuals, utility
+from .sysmodel import (Metrics, Solution, echo_matrix, residuals, sensing_floor,
+                       utility)
 
 SCHEMES = ("proposed", "full-offloading", "fixed-phase", "hd",
            "random-caching", "no-caching")
@@ -109,9 +110,9 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray,
     echo-vs-share law; user beams always keep strictly positive power so the
     surrogate gradients never vanish."""
     k_n, l_n = cfg.n_cm, cfg.n_cp
-    gamma, sig2 = cfg.gamma_tar_linear, cfg.noise_irs_watt
+    floor0 = sensing_floor(cfg, ch, np.zeros(l_n))      # radar floor with the uplink silent
     comp_h = (ch.h_pu.conj() * phi[None, :]) @ ch.g_t
-    cascade = (ch.g_s * phi[None, :]) @ ch.g_t
+    cascade = echo_matrix(ch, phi)
     omega0 = cascade.conj().T @ cascade
     radar_dir = np.linalg.eigh(omega0)[1][:, -1]
     mrt = _mrt_rows(comp_h)
@@ -127,14 +128,14 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray,
         return float(np.sum(np.abs(cascade @ w.T) ** 2))
 
     ceiling = echo(beams(1.0))                       # all power on the echo direction
-    if ceiling < gamma * sig2 * (1.0 + 1e-12):
+    if ceiling < floor0 * (1.0 + 1e-12):
         return None
     if k_n == 0:
         share = 1.0
     else:
         base = echo(beams(0.0))
-        target = min(2.0 * gamma * sig2, ceiling * (1.0 - 1e-9))
-        target = max(target, gamma * sig2 * (1.0 + 1e-9))
+        target = min(2.0 * floor0, ceiling * (1.0 - 1e-9))
+        target = max(target, floor0 * (1.0 + 1e-9))
         if base >= target:
             share_needed = 0.0
         else:
@@ -142,7 +143,7 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray,
         share = min(max(1.0 / (k_n + 1), share_needed), 1.0 - 1e-6)
     w = beams(share)
     echo_val = echo(w)
-    if echo_val < gamma * sig2:
+    if echo_val < floor0:
         return None
 
     e_max, t = cfg.e_max_array(), cfg.coherence_time_s
@@ -150,7 +151,7 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray,
     u = np.eye(cfg.n_rx, dtype=complex)[np.arange(l_n) % cfg.n_rx]
     if l_n:
         g_au_norm2 = (np.abs(ch.g_au) ** 2).sum(axis=1)
-        budget = max(0.0, echo_val / gamma - sig2)
+        budget = max(0.0, echo_val / cfg.gamma_tar_linear - cfg.noise_irs_watt)
         p_uni = budget / float(g_au_norm2.sum()) * (1.0 - 1e-9)
         p = np.minimum(e_max / (2.0 * t), p_uni)
         f = ((e_max - t * p) / (t * cfg.zeta)) ** (1.0 / 3.0)
@@ -185,7 +186,7 @@ def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
             best, best_score = sol, score
     if best is None:
         raise SensingInfeasible(
-            f"sensing threshold {cfg.gamma_tar_linear * cfg.noise_irs_watt:.3e} "
+            f"sensing threshold {sensing_floor(cfg, ch, np.zeros(cfg.n_cp)):.3e} "
             "unreachable at full power for every candidate phase start")
     return best
 

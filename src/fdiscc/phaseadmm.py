@@ -11,15 +11,15 @@ true one), so each pass has a closed-form reflection step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import Solution, si_power
-from .wmmse import LN2, AuxVars
+from .sysmodel import Solution, link_terms, sensing_floor
+from .wmmse import LN2, AuxVars, _bracket
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,6 @@ class PhaseInfo:
     consensus: float = float("inf")
     reverted: bool = False
     infeasible: bool = False
-    trace: list = field(default_factory=list)   # (residual, surrogate, rho) rows
 
 
 def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
@@ -99,9 +98,11 @@ def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
             b1k_const -= bb * float(sol.p @ np.abs(ch.e_direct[:, k]) ** 2)
         b1 += b1k_const
 
+    # offloading: the residual SI and receiver noise do not depend on phi
+    lt = link_terms(sol, ch, cfg, hd)
     t2 = np.zeros(m, complex)
     t2_mat = np.zeros((m, m), complex)
-    b2 = 0.0
+    b2 = float(np.sum(_bracket(aux.alpha2, aux.beta2, 0.0, lt.si + lt.noise_off)))
     for l in range(l_n):
         a2, b2l, bb = aux.alpha2[l], aux.beta2[l], abs(aux.beta2[l]) ** 2
         u = sol.u[l]
@@ -109,21 +110,17 @@ def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
         urows = (ch.g_r @ u).conj()[None, :] * ch.g_pu  # (L, M), row l' = u^H a_{2,l'}
         t2 += np.sqrt(1.0 + a2) * b2l * np.sqrt(sol.p[l]) * urows[l].conj()
         t2_mat += bb * (urows.conj().T * sol.p[None, :]) @ urows
-        si = 0.0 if hd else si_power(u, ch, sol.w)
-        b2 += (np.log(1.0 + a2) - a2
-               - bb * (si + float(np.vdot(u, u).real) * cfg.noise_bs_watt))
 
     t12_mat = (t1_mat + t2_mat) / LN2
     t12_vec = (t1 + t2) / LN2
-    b12 = (b1 + b2) / LN2
+    b12 = b1 / LN2 + b2
 
     # echo power: sum_j |G_s diag(phi) G_t w_j|^2 = phi^H T0 phi
     t0_mat = np.zeros((m, m), complex)
     for j in range(gtw.shape[0]):
         block = ch.g_s * gtw[j][None, :]        # G_s diag(G_t w_j)
         t0_mat += block.conj().T @ block
-    interf = float(sol.p @ (np.abs(ch.g_au) ** 2).sum(axis=1)) if l_n else 0.0
-    b0 = cfg.gamma_tar_linear * (interf + cfg.noise_irs_watt)
+    b0 = sensing_floor(cfg, ch, sol.p)
 
     t12_mat = (t12_mat + t12_mat.conj().T) / 2.0
     t0_mat = (t0_mat + t0_mat.conj().T) / 2.0
@@ -213,7 +210,6 @@ def optimize_phase(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfi
         state.lam = dual_step(state)
         info.consensus = float(np.abs(state.phi - state.psi).max())
         info.iterations = it
-        info.trace.append((info.consensus, surrogate_value(coeffs, state.phi), state.rho))
         if info.consensus <= CONSENSUS_TOL:
             break
         state.rho = max(state.rho * RHO_FACTOR, RHO_FLOOR)

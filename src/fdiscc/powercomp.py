@@ -1,7 +1,11 @@
 """CP-UE transmit power and local CPU allocation.
 
-A separable concave maximization with one coupling constraint (the sensing
-interference budget).  The energy constraint is always active at an optimum
+The coefficients restate the ``wmmse`` surrogates of ``sysmodel.link_terms``
+as functions of the uplink powers: each offloading surrogate is
+b2 + sqrt(p_l) b6 - p_l b7, each downlink surrogate loses its uplink CCI
+linearly in p, and ``sysmodel.sensing_floor`` turns the radar constraint into
+one linear interference budget.  That leaves a separable concave maximization
+with one coupling constraint.  The energy constraint is always active at an optimum
 because residual energy is worth strictly positive computation rate, so each
 user reduces to a 1-D concave problem in p after substituting
 f(p) = ((E - T p) / (T zeta))^{1/3}; the coupling multiplier is found by outer
@@ -16,8 +20,8 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import Solution, composite_channels, si_power
-from .wmmse import LN2, AuxVars
+from .sysmodel import Solution, echo_matrix, link_terms, sensing_floor
+from .wmmse import LN2, AuxVars, _bracket
 
 
 class SensingInfeasibleError(Exception):
@@ -45,41 +49,21 @@ class PowerCoeffs:
 
 def assemble_power_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
                           cfg: SystemConfig, hd: bool = False) -> PowerCoeffs:
-    comp = composite_channels(ch, sol.phi)
-    k_n, l_n = ch.h_pu.shape[0], ch.g_pu.shape[0]
+    """Split each surrogate of ``wmmse`` into its p-free part and its terms in
+    sqrt(p) and p, read from ``sysmodel.link_terms``."""
+    lt = link_terms(sol, ch, cfg, hd)
+    k_n, l_n = lt.com_sig.shape[0], lt.off_sig.shape[0]
+    # downlink: everything but the uplink CCI, which is linear in p
+    b10 = _bracket(aux.alpha1, aux.beta1, lt.com_sig, lt.com_den - lt.cci)
+    c1 = np.abs(aux.beta1) ** 2 / LN2
+    b11 = np.zeros((k_n, l_n)) if hd else (np.abs(lt.comp.ebar) ** 2).T
+    # offloading: b2 + sqrt(p_l) b6 - p_l b7
+    b2 = _bracket(aux.alpha2, aux.beta2, 0.0, lt.si + lt.noise_off)
+    b6 = 2.0 * np.sqrt(1.0 + aux.alpha2) * (np.conj(aux.beta2) * np.diagonal(lt.uamp)).real / LN2
+    b7 = np.abs(aux.beta2) ** 2 @ np.abs(lt.uamp) ** 2 / LN2
 
-    b10 = np.zeros(k_n)
-    c1 = np.zeros(k_n)
-    b11 = np.zeros((k_n, l_n))
-    for k in range(k_n):
-        a1, b1k = aux.alpha1[k], aux.beta1[k]
-        bb = abs(b1k) ** 2
-        amps = sol.w @ comp.h[k]
-        b10[k] = (np.log(1.0 + a1) - a1
-                  + 2.0 * np.sqrt(1.0 + a1) * (np.conj(b1k) * amps[k + 1]).real
-                  - bb * (float(np.sum(np.abs(amps) ** 2)) + cfg.noise_ue_watt)) / LN2
-        c1[k] = bb / LN2
-        if not hd:
-            b11[k] = np.abs(comp.ebar[:, k]) ** 2
-
-    b2 = np.zeros(l_n)
-    b6 = np.zeros(l_n)
-    b7 = np.zeros(l_n)
-    uamp = np.zeros((l_n, l_n), complex)     # uamp[l, l'] = u_l^H g_l'
-    for l in range(l_n):
-        uamp[l] = comp.g @ sol.u[l].conj()
-    for l in range(l_n):
-        a2, b2l = aux.alpha2[l], aux.beta2[l]
-        si = 0.0 if hd else si_power(sol.u[l], ch, sol.w)
-        b2[l] = (np.log(1.0 + a2) - a2
-                 - abs(b2l) ** 2 * (si + float(np.vdot(sol.u[l], sol.u[l]).real)
-                                    * cfg.noise_bs_watt)) / LN2
-        b6[l] = 2.0 * np.sqrt(1.0 + a2) * (np.conj(b2l) * uamp[l, l]).real / LN2
-        b7[l] = float(np.sum(np.abs(aux.beta2) ** 2 * np.abs(uamp[:, l]) ** 2)) / LN2
-
-    cascade = (ch.g_s * sol.phi[None, :]) @ ch.g_t
-    echo = float(np.sum(np.abs(cascade @ sol.w.T) ** 2))
-    c8 = echo - cfg.noise_irs_watt * cfg.gamma_tar_linear
+    echo = float(np.sum(np.abs(echo_matrix(ch, sol.phi) @ sol.w.T) ** 2))
+    c8 = echo - sensing_floor(cfg, ch, np.zeros(l_n))
     b9 = cfg.gamma_tar_linear * (np.abs(ch.g_au) ** 2).sum(axis=1)
     dw = 0.5 if hd else 1.0     # HD links transmit half of the time
     return PowerCoeffs(b2=dw * b2, b6=dw * b6, b7=dw * b7, b9=b9, b10=dw * b10, b11=b11,

@@ -1,6 +1,11 @@
-"""Exact evaluation of the physical metrics.
+"""The signal and sensing model, and exact evaluation of the physical metrics.
 
-Downlink and offloading SINRs, radar SINR, local computation rate/energy,
+This module owns the model every block optimizes: ``link_terms`` gives each
+user's desired amplitude and SINR denominator (interference, uplink CCI,
+residual SI, receiver noise), and is the one place that applies the HD rule
+(no CCI, no SI); ``echo_matrix`` is the cascaded target path and
+``sensing_floor`` the echo power the radar constraint asks for.  On top of
+those: downlink, offloading and radar SINRs, local computation rate/energy,
 backhaul cost and the overall system utility (bits).  Rates use log2 so that
 SINR = 1 gives exactly B bits/s.  Quadratic terms in the transmitted symbol
 vector are evaluated in expectation (unit-variance independent symbols), i.e.
@@ -71,53 +76,86 @@ def composite_channels(ch: ChannelSet, phi: np.ndarray) -> Composite:
     return Composite(h=h, ebar=ebar, g=g)
 
 
-def downlink_sinr(sol: Solution, ch: ChannelSet, cfg: SystemConfig, k: int,
-                  comp: Composite | None = None, hd: bool = False) -> float:
-    """SINR of CM-UE k (0-based).  In HD mode the uplink CCI term is absent."""
-    if not 0 <= k < ch.h_pu.shape[0]:
-        raise IndexError(f"CM-UE index {k} out of range")
-    comp = comp or composite_channels(ch, sol.phi)
-    gains = np.abs(sol.w @ comp.h[k]) ** 2        # |h_k w_j|^2 over all beams j
-    sig = gains[k + 1]
-    interf = gains.sum() - sig
-    cci = 0.0 if hd else float(sol.p @ np.abs(comp.ebar[:, k]) ** 2)
-    return float(sig / (interf + cci + cfg.noise_ue_watt))
+@dataclass(frozen=True)
+class LinkTerms:
+    """Per-user terms of the SINR model at one solution.
+
+    Downlink, CM-UE k: desired amplitude com_sig_k = h_k w_k and full
+    denominator com_den_k = sum_j |h_k w_j|^2 + cci_k + sigma_ue^2 (every beam,
+    the desired one included), so SINR_k = |sig|^2 / (den - |sig|^2).
+    Offloading, CP-UE l after combining with u_l: off_sig_l = sqrt(p_l) uamp_ll
+    and off_den_l = sum_l' p_l' |uamp_ll'|^2 + si_l + noise_off_l, with
+    uamp_ll' = u_l^H g_l'.  Under HD the uplink CCI and the residual SI are
+    zero; an all-zero combiner has off_den = 0 and SINR 0.
+    """
+
+    comp: Composite
+    com_sig: np.ndarray    # (K,) complex
+    com_den: np.ndarray    # (K,)
+    cci: np.ndarray        # (K,) sum_l p_l |ebar_lk|^2
+    off_sig: np.ndarray    # (L,) complex
+    off_den: np.ndarray    # (L,)
+    si: np.ndarray         # (L,) sum_j |u_l^H H_SI w_j|^2
+    noise_off: np.ndarray  # (L,) ||u_l||^2 sigma_bs^2
+    uamp: np.ndarray       # (L, L) complex
+
+    @property
+    def r_com(self) -> np.ndarray:
+        sig = np.abs(self.com_sig) ** 2
+        return sig / (self.com_den - sig)
+
+    @property
+    def r_off(self) -> np.ndarray:
+        sig = np.abs(self.off_sig) ** 2
+        return np.divide(sig, self.off_den - sig, out=np.zeros(sig.shape),
+                         where=self.off_den > 0.0)
+
+
+def link_terms(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
+               hd: bool = False) -> LinkTerms:
+    """Every user's desired amplitude and SINR denominator at ``sol``."""
+    comp = composite_channels(ch, sol.phi)
+    k_n = comp.h.shape[0]
+    amps = comp.h @ sol.w.T                          # [k, j] = h_k w_j
+    cci = np.zeros(k_n) if hd else sol.p @ np.abs(comp.ebar) ** 2
+    com_den = np.sum(np.abs(amps) ** 2, axis=1) + cci + cfg.noise_ue_watt
+
+    l_n = comp.g.shape[0]
+    uamp = sol.u.conj() @ comp.g.T                   # [l, l'] = u_l^H g_l'
+    si = np.zeros(l_n) if hd else np.sum(np.abs(sol.u.conj() @ ch.h_si @ sol.w.T) ** 2, axis=1)
+    noise_off = np.sum(np.abs(sol.u) ** 2, axis=1) * cfg.noise_bs_watt
+    off_den = np.abs(uamp) ** 2 @ sol.p + si + noise_off
+    return LinkTerms(
+        comp=comp, com_sig=np.diagonal(amps, 1), com_den=com_den,
+        cci=cci, off_sig=np.sqrt(sol.p) * np.diagonal(uamp), off_den=off_den, si=si,
+        noise_off=noise_off, uamp=uamp,
+    )
+
+
+def echo_matrix(ch: ChannelSet, phi: np.ndarray) -> np.ndarray:
+    """Cascaded BS->IRS->target->SE response G_s diag(phi) G_t, (M_a, N_t)."""
+    return (ch.g_s * phi[None, :]) @ ch.g_t
+
+
+def _echo_disturbance(cfg: SystemConfig, ch: ChannelSet, p: np.ndarray) -> float:
+    """Uplink interference plus noise at the sensing elements."""
+    interf = float(p @ (np.abs(ch.g_au) ** 2).sum(axis=1)) if p.size else 0.0
+    return interf + cfg.noise_irs_watt
+
+
+def sensing_floor(cfg: SystemConfig, ch: ChannelSet, p: np.ndarray) -> float:
+    """Echo power the radar SINR constraint asks for at uplink powers p:
+    Gamma (sum_l p_l ||g_au,l||^2 + sigma_irs^2)."""
+    return cfg.gamma_tar_linear * _echo_disturbance(cfg, ch, p)
 
 
 def radar_sinr(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
                p: np.ndarray | None = None) -> float:
-    """Echo power through the cascaded BS->IRS->target->SE path over uplink
-    interference plus sensing noise."""
+    """Echo power through the cascaded path over uplink interference plus
+    sensing noise."""
     p = sol.p if p is None else np.asarray(p, float)
-    echo_mat = (ch.g_s * sol.phi[None, :]) @ ch.g_t  # G_s diag(phi) G_t, (M_a, N_t)
-    echo = float(np.sum(np.abs(echo_mat @ sol.w.T) ** 2))
-    interf = float(p @ (np.abs(ch.g_au) ** 2).sum(axis=1)) if p.size else 0.0
-    return echo / (interf + cfg.noise_irs_watt)
-
-
-def offload_sinr(sol: Solution, ch: ChannelSet, cfg: SystemConfig, l: int,
-                 comp: Composite | None = None, hd: bool = False) -> float:
-    """Receive SINR of CP-UE l after combining with u_l.  In HD mode the
-    residual-SI term is absent."""
-    if not 0 <= l < ch.g_pu.shape[0]:
-        raise IndexError(f"CP-UE index {l} out of range")
-    comp = comp or composite_channels(ch, sol.phi)
-    u = sol.u[l]
-    gains = sol.p * np.abs(comp.g @ u.conj()) ** 2   # p_l' |u^H g_l'|^2
-    sig = gains[l]
-    interf = gains.sum() - sig
-    si = 0.0 if hd else float(np.sum(np.abs(sol.w @ (ch.h_si.conj().T @ u).conj()) ** 2))
-    noise = float(np.vdot(u, u).real) * cfg.noise_bs_watt
-    den = interf + si + noise
-    if den <= 0.0:            # all-zero combiner receives nothing
-        return 0.0
-    return float(sig / den)
-
-
-def si_power(u_l: np.ndarray, ch: ChannelSet, w: np.ndarray) -> float:
-    """Expected residual self-interference power sum_k |u^H H_SI w_k|^2."""
-    v = ch.h_si.conj().T @ u_l
-    return float(np.sum(np.abs(w @ v.conj()) ** 2))
+    echo = float(np.sum(np.abs(echo_matrix(ch, sol.phi) @ sol.w.T) ** 2))
+    return echo / _echo_disturbance(cfg, ch, p)
 
 
 def local_rate_energy(f_l: float, eps_l: float, t: float, zeta: float) -> tuple[float, float]:
@@ -145,13 +183,12 @@ def backhaul_cost(e: np.ndarray, cache_cfg, t: float, n_cp: int) -> float:
 def utility(sol: Solution, ch: ChannelSet, cfg: SystemConfig, hd: bool = False) -> Metrics:
     """Evaluate every metric of the current solution.  HD halves both
     throughput terms (orthogonal equal-duration slots)."""
-    comp = composite_channels(ch, sol.phi)
-    k_n, l_n = ch.h_pu.shape[0], ch.g_pu.shape[0]
+    l_n = ch.g_pu.shape[0]
     b, t = cfg.bandwidth_hz, cfg.coherence_time_s
     duplex = 0.5 if hd else 1.0
 
-    r_com = np.array([downlink_sinr(sol, ch, cfg, k, comp, hd) for k in range(k_n)])
-    r_off = np.array([offload_sinr(sol, ch, cfg, l, comp, hd) for l in range(l_n)])
+    lt = link_terms(sol, ch, cfg, hd)
+    r_com, r_off = lt.r_com, lt.r_off
     rate_com = duplex * b * np.log2(1.0 + r_com)
     rate_off = duplex * b * np.log2(1.0 + r_off)
     eps = cfg.eps_array()

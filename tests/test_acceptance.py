@@ -100,11 +100,11 @@ def test_criterion_4_closed_form_oracles(small_cfg, small_ch):
     aux = update_aux(sol, small_ch, small_cfg)
 
     # aux maximizers beat a 1000-point grid
-    from fdiscc.sysmodel import composite_channels
-    from fdiscc.wmmse import _bracket, _com_terms
-    comp = composite_channels(small_ch, sol.phi)
+    from fdiscc.sysmodel import link_terms
+    from fdiscc.wmmse import _bracket
+    lt = link_terms(sol, small_ch, small_cfg)
     for k in range(small_cfg.n_cm):
-        sig, den = _com_terms(sol, small_ch, small_cfg, comp, k, False)
+        sig, den = lt.com_sig[k], lt.com_den[k]
         hat = aux.alpha1[k]
         grid = np.linspace(0, 10 * hat + 1, 1000)
         vals = [_bracket(a, np.sqrt(1 + a) * sig / den, sig, den) for a in grid]

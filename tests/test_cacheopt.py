@@ -35,25 +35,34 @@ class TestZipf:
         assert np.array_equal(w, np.arange(1, 51, dtype=float) ** -1.1)
 
 
-def lp_vertex_oracle(c, q, cap):
+def lp_vertex_oracle(c, q, cap, chunk=1 << 14):
     """Exhaustive vertex enumeration of max c@e s.t. q@e <= cap, 0<=e<=1.
 
     Vertices have at most one fractional coordinate: enumerate every subset
-    loaded fully plus an optional fractional item."""
+    loaded fully plus an optional fractional item.  Bit i of a mask loads item
+    i; the subset sums are built by doubling (the masks with bit i set add
+    item i to those without it, so each sum adds its items in index order),
+    then the masks are scored in chunks."""
+    c, q = np.asarray(c, float), np.asarray(q, float)
     v = len(c)
+    used, gained = np.zeros(1), np.zeros(1)
+    for i in range(v):
+        used = np.concatenate([used, used + q[i]])
+        gained = np.concatenate([gained, gained + c[i]])
+    bits = 1 << np.arange(v)
     best = 0.0
-    for mask in range(1 << v):
-        idx = [i for i in range(v) if mask >> i & 1]
-        used = sum(q[i] for i in idx)
-        if used > cap + 1e-12:
+    for start in range(0, 1 << v, chunk):
+        masks = np.arange(start, min(start + chunk, 1 << v))
+        fits = used[masks] <= cap + 1e-12
+        if not fits.any():
             continue
-        gained = sum(c[i] for i in idx)
-        best = max(best, gained)
-        rest = cap - used
-        for j in range(v):
-            if not mask >> j & 1 and q[j] > 0:
-                frac = min(1.0, rest / q[j])
-                best = max(best, gained + frac * c[j])
+        masks, rest, base = masks[fits], cap - used[masks[fits]], gained[masks[fits]]
+        best = max(best, float(base.max()))
+        free = ((masks[:, None] & bits) == 0) & (q > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            frac = np.minimum(1.0, rest[:, None] / q)
+        cand = np.where(free, base[:, None] + frac * c, -np.inf)
+        best = max(best, float(cand.max()))
     return best
 
 

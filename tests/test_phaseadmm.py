@@ -268,13 +268,6 @@ class TestOptimizePhase:
         after = surrogate_value(coeffs, phi)
         assert after >= before - 1e-9 * (1 + abs(before))
 
-    def test_monotone_inner_trace(self, small_cfg, small_ch, feasible_sol):
-        aux = update_aux(feasible_sol, small_ch, small_cfg)
-        _, info = optimize_phase(feasible_sol, small_ch, aux, small_cfg)
-        # rho decreases across the trace
-        rhos = [row[2] for row in info.trace]
-        assert all(r2 <= r1 + 1e-15 for r1, r2 in zip(rhos, rhos[1:]))
-
     def test_single_element_aligns(self):
         cfg = desk_config(m_passive=1, m_active=1, seed=4)
         ch = draw_channels(cfg)

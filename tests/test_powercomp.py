@@ -8,7 +8,7 @@ from fdiscc.channels import draw_channels
 from fdiscc.powercomp import (PowerCoeffs, SensingInfeasibleError,
                               assemble_power_coeffs, optimize_power,
                               power_objective, solve_power_compute)
-from fdiscc.wmmse import surrogate_com, surrogate_off, update_aux
+from fdiscc.wmmse import surrogates, update_aux
 
 from conftest import make_solution
 
@@ -43,10 +43,9 @@ class TestAssemble:
             for _ in range(5):
                 p = rng.uniform(0, 5e-9, small_cfg.n_cp)
                 sol2 = pc_sol.copy_with(p=p)
-                direct = sum(surrogate_com(sol2, small_ch, small_cfg, aux, k, hd=hd)
-                             for k in range(small_cfg.n_cm))
-                direct += sum(surrogate_off(sol2, small_ch, small_cfg, aux, l, hd=hd)
-                              for l in range(small_cfg.n_cp))
+                com, off = surrogates(sol2, small_ch, small_cfg, aux, hd=hd)
+                direct = sum(com[k] for k in range(small_cfg.n_cm))
+                direct += sum(off[l] for l in range(small_cfg.n_cp))
                 lin = coeffs.b7 + coeffs.c1 @ coeffs.b11
                 via = float(coeffs.b10.sum() + coeffs.b2.sum()
                             + np.sum(coeffs.b6 * np.sqrt(p) - lin * p))
@@ -55,8 +54,8 @@ class TestAssemble:
     def test_zero_power_gives_constants(self, small_cfg, small_ch, pc_sol, pc_setup):
         aux, coeffs = pc_setup
         sol0 = pc_sol.copy_with(p=np.zeros(small_cfg.n_cp))
-        direct = sum(surrogate_off(sol0, small_ch, small_cfg, aux, l)
-                     for l in range(small_cfg.n_cp))
+        _, off = surrogates(sol0, small_ch, small_cfg, aux)
+        direct = sum(off[l] for l in range(small_cfg.n_cp))
         assert float(coeffs.b2.sum()) == pytest.approx(direct, abs=1e-10)
 
     def test_single_user_b7(self):
@@ -70,6 +69,40 @@ class TestAssemble:
         comp = composite_channels(ch, sol.phi)
         expected = abs(aux.beta2[0]) ** 2 * abs(np.vdot(sol.u[0], comp.g[0])) ** 2 / LN2
         assert coeffs.b7[0] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("hd", [False, True])
+    def test_matches_per_user_loop(self, small_cfg, small_ch, pc_sol, hd):
+        # the vectorised assembly against the per-user loops it replaced
+        from fdiscc.sysmodel import composite_channels, echo_matrix
+        from fdiscc.wmmse import LN2
+        sol, cfg, ch = pc_sol, small_cfg, small_ch
+        aux = update_aux(sol, ch, cfg, hd)
+        coeffs = assemble_power_coeffs(sol, ch, aux, cfg, hd)
+        comp = composite_channels(ch, sol.phi)
+        dw = 0.5 if hd else 1.0
+        for k in range(cfg.n_cm):
+            a1, b1k = aux.alpha1[k], aux.beta1[k]
+            amps = sol.w @ comp.h[k]
+            b10 = (np.log(1 + a1) - a1 + 2 * np.sqrt(1 + a1) * (np.conj(b1k) * amps[k + 1]).real
+                   - abs(b1k) ** 2 * (np.sum(np.abs(amps) ** 2) + cfg.noise_ue_watt)) / LN2
+            assert coeffs.b10[k] == pytest.approx(dw * b10, rel=1e-12)
+            assert coeffs.c1[k] == pytest.approx(dw * abs(b1k) ** 2 / LN2, rel=1e-12)
+            cci = np.zeros(cfg.n_cp) if hd else np.abs(comp.ebar[:, k]) ** 2
+            assert np.array_equal(coeffs.b11[k], cci)
+        uamp = np.array([comp.g @ sol.u[l].conj() for l in range(cfg.n_cp)])
+        for l in range(cfg.n_cp):
+            u, a2, b2l = sol.u[l], aux.alpha2[l], aux.beta2[l]
+            si = 0.0 if hd else sum(abs(wj @ (ch.h_si.conj().T @ u).conj()) ** 2 for wj in sol.w)
+            b2 = (np.log(1 + a2) - a2
+                  - abs(b2l) ** 2 * (si + np.vdot(u, u).real * cfg.noise_bs_watt)) / LN2
+            b6 = 2 * np.sqrt(1 + a2) * (np.conj(b2l) * uamp[l, l]).real / LN2
+            b7 = sum(abs(aux.beta2[j]) ** 2 * abs(uamp[j, l]) ** 2 for j in range(cfg.n_cp)) / LN2
+            assert coeffs.b2[l] == pytest.approx(dw * b2, rel=1e-12)
+            assert coeffs.b6[l] == pytest.approx(dw * b6, rel=1e-12)
+            assert coeffs.b7[l] == pytest.approx(dw * b7, rel=1e-12)
+        echo = np.sum(np.abs(echo_matrix(ch, sol.phi) @ sol.w.T) ** 2)
+        assert coeffs.c8 == pytest.approx(echo - cfg.gamma_tar_linear * cfg.noise_irs_watt,
+                                          rel=1e-12)
 
     def test_nonnegative_coefficients(self, pc_setup):
         _, coeffs = pc_setup

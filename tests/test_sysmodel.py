@@ -4,8 +4,8 @@ import pytest
 from fdiscc.channels import draw_channels
 from fdiscc.config import desk_config
 from fdiscc.sysmodel import (Solution, backhaul_cost, composite_channels,
-                             downlink_sinr, local_rate_energy, offload_sinr,
-                             radar_sinr, residuals, utility)
+                             echo_matrix, link_terms, local_rate_energy,
+                             radar_sinr, residuals, sensing_floor, utility)
 
 from conftest import make_solution
 
@@ -72,16 +72,16 @@ class TestSinrs:
         sol = sol.copy_with(w=w)
         comp = composite_channels(ch, sol.phi)
         expected = abs(comp.h[0] @ sol.w[1]) ** 2 / cfg.noise_ue_watt
-        assert downlink_sinr(sol, ch, cfg, 0) == pytest.approx(expected, rel=1e-12)
+        assert utility(sol, ch, cfg).r_com[0] == pytest.approx(expected, rel=1e-12)
 
     def test_downlink_zero_beam(self, small_cfg, small_ch, rand_sol):
         w = rand_sol.w.copy()
         w[1] = 0.0
         sol = rand_sol.copy_with(w=w)
-        assert downlink_sinr(sol, small_ch, small_cfg, 0) == 0.0
+        assert utility(sol, small_ch, small_cfg).r_com[0] == 0.0
 
     def test_downlink_monte_carlo(self, small_cfg, small_ch, rand_sol):
-        exact = downlink_sinr(rand_sol, small_ch, small_cfg, 0)
+        exact = utility(rand_sol, small_ch, small_cfg).r_com[0]
         mc = _mc_downlink_sinr(rand_sol, small_ch, small_cfg, 0)
         assert mc == pytest.approx(exact, rel=0.01)
 
@@ -121,7 +121,7 @@ class TestSinrs:
         u = sol.u[0]
         expected = sol.p[0] * abs(np.vdot(u, comp.g[0])) ** 2 / (
             np.vdot(u, u).real * cfg.noise_bs_watt)
-        assert offload_sinr(sol, ch, cfg, 0) == pytest.approx(expected, rel=1e-12)
+        assert utility(sol, ch, cfg).r_off[0] == pytest.approx(expected, rel=1e-12)
 
     def test_offload_orthogonal_combiner(self):
         cfg = desk_config(m_passive=4, m_active=2, n_cm=0, n_cp=1, seed=6)
@@ -132,7 +132,7 @@ class TestSinrs:
         u = np.zeros(cfg.n_rx, complex)
         u[0], u[1] = g[1].conj(), -g[0].conj()   # orthogonal to g
         sol = sol.copy_with(u=u[None, :])
-        assert offload_sinr(sol, ch, cfg, 0) == pytest.approx(0.0, abs=1e-20)
+        assert utility(sol, ch, cfg).r_off[0] == pytest.approx(0.0, abs=1e-20)
 
     def test_offload_monte_carlo(self, small_cfg, small_ch, rand_sol):
         cfg, ch, sol = small_cfg, small_ch, rand_sol
@@ -152,19 +152,94 @@ class TestSinrs:
             interf += (sol.w[j] @ v.conj()) * syms(n_sym)
         num = float(np.mean(np.abs(desired) ** 2))
         den = float(np.mean(np.abs(interf) ** 2)) + np.vdot(u, u).real * cfg.noise_bs_watt
-        assert num / den == pytest.approx(offload_sinr(sol, ch, cfg, 0), rel=0.01)
+        assert num / den == pytest.approx(utility(sol, ch, cfg).r_off[0], rel=0.01)
 
     def test_common_phase_rotation_invariance(self, small_cfg, small_ch, rand_sol):
         rot = np.exp(1j * 1.234)
         sol2 = rand_sol.copy_with(w=rot * rand_sol.w)
+        m1, m2 = utility(rand_sol, small_ch, small_cfg), utility(sol2, small_ch, small_cfg)
         for k in range(small_cfg.n_cm):
-            assert downlink_sinr(sol2, small_ch, small_cfg, k) == pytest.approx(
-                downlink_sinr(rand_sol, small_ch, small_cfg, k), rel=1e-12)
+            assert m2.r_com[k] == pytest.approx(m1.r_com[k], rel=1e-12)
         assert radar_sinr(sol2, small_ch, small_cfg) == pytest.approx(
             radar_sinr(rand_sol, small_ch, small_cfg), rel=1e-12)
         for l in range(small_cfg.n_cp):
-            assert offload_sinr(sol2, small_ch, small_cfg, l) == pytest.approx(
-                offload_sinr(rand_sol, small_ch, small_cfg, l), rel=1e-12)
+            assert m2.r_off[l] == pytest.approx(m1.r_off[l], rel=1e-12)
+
+
+def _per_user_terms(sol, ch, cfg, hd):
+    """The SINR model user by user: the reference of the vectorised link terms."""
+    comp = composite_channels(ch, sol.phi)
+    com = []
+    for k in range(ch.h_pu.shape[0]):
+        amps = sol.w @ comp.h[k]                        # h_k w_j per beam
+        sig = amps[k + 1]
+        interf = sum(abs(a) ** 2 for j, a in enumerate(amps) if j != k + 1)
+        cci = 0.0 if hd else sum(sol.p[l] * abs(comp.ebar[l, k]) ** 2
+                                 for l in range(ch.g_pu.shape[0]))
+        rest = interf + cci + cfg.noise_ue_watt
+        com.append((sig, rest + abs(sig) ** 2, cci, abs(sig) ** 2 / rest))
+    off = []
+    for l in range(ch.g_pu.shape[0]):
+        u = sol.u[l]
+        amps = comp.g @ u.conj()                        # u_l^H g_l' per CP-UE
+        sig = np.sqrt(sol.p[l]) * amps[l]
+        interf = sum(sol.p[j] * abs(a) ** 2 for j, a in enumerate(amps) if j != l)
+        v = ch.h_si.conj().T @ u
+        si = 0.0 if hd else sum(abs(wj @ v.conj()) ** 2 for wj in sol.w)
+        noise = float(np.vdot(u, u).real) * cfg.noise_bs_watt
+        rest = interf + si + noise
+        sinr = abs(sig) ** 2 / rest if rest > 0 else 0.0
+        off.append((sig, rest + abs(sig) ** 2, si, noise, amps, sinr))
+    return com, off
+
+
+class TestLinkTerms:
+    @pytest.mark.parametrize("hd", [False, True])
+    @pytest.mark.parametrize("case", ["random", "zero-combiner-row", "zero-power"])
+    def test_matches_per_user_formulas(self, small_cfg, small_ch, rand_sol, hd, case):
+        sol = rand_sol
+        if case == "zero-combiner-row":
+            u = sol.u.copy()
+            u[1] = 0.0
+            sol = sol.copy_with(u=u)
+        elif case == "zero-power":
+            sol = sol.copy_with(p=np.zeros(small_cfg.n_cp))
+        lt = link_terms(sol, small_ch, small_cfg, hd)
+        com, off = _per_user_terms(sol, small_ch, small_cfg, hd)
+
+        def close(actual, expected):
+            np.testing.assert_allclose(actual, np.array(expected), rtol=1e-12, atol=0.0)
+
+        close(lt.com_sig, [t[0] for t in com])
+        close(lt.com_den, [t[1] for t in com])
+        close(lt.cci, [t[2] for t in com])
+        close(lt.r_com, [t[3] for t in com])
+        close(lt.off_sig, [t[0] for t in off])
+        close(lt.off_den, [t[1] for t in off])
+        close(lt.si, [t[2] for t in off])
+        close(lt.noise_off, [t[3] for t in off])
+        close(lt.uamp, [t[4] for t in off])
+        close(lt.r_off, [t[5] for t in off])
+        if hd:
+            assert np.all(lt.cci == 0.0) and np.all(lt.si == 0.0)
+        if case == "zero-combiner-row":
+            assert lt.off_den[1] == 0.0 and lt.r_off[1] == 0.0
+        if case == "zero-power":
+            assert np.all(lt.off_sig == 0.0) and np.all(lt.r_off == 0.0)
+
+    def test_echo_matrix_and_sensing_floor(self, small_cfg, small_ch, rand_sol):
+        phi = rand_sol.phi
+        direct = small_ch.g_s @ np.diag(phi) @ small_ch.g_t
+        np.testing.assert_allclose(echo_matrix(small_ch, phi), direct, rtol=1e-12, atol=0.0)
+        interf = sum(rand_sol.p[l] * np.linalg.norm(small_ch.g_au[l]) ** 2
+                     for l in range(small_cfg.n_cp))
+        floor = sensing_floor(small_cfg, small_ch, rand_sol.p)
+        assert floor == pytest.approx(
+            small_cfg.gamma_tar_linear * (interf + small_cfg.noise_irs_watt), rel=1e-12)
+        # the radar SINR meets Gamma exactly when the echo power meets the floor
+        echo = float(np.sum(np.abs(direct @ rand_sol.w.T) ** 2))
+        assert radar_sinr(rand_sol, small_ch, small_cfg) == pytest.approx(
+            small_cfg.gamma_tar_linear * echo / floor, rel=1e-12)
 
 
 class TestLocalAndCost:
@@ -240,12 +315,13 @@ class TestUtility:
         cfg, ch, sol = small_cfg, small_ch, rand_sol
         m = utility(sol, ch, cfg)
         b, t = cfg.bandwidth_hz, cfg.coherence_time_s
+        lt = link_terms(sol, ch, cfg)
         total = 0.0
         for k in range(cfg.n_cm):
-            total += t * b * np.log2(1 + downlink_sinr(sol, ch, cfg, k))
+            total += t * b * np.log2(1 + lt.r_com[k])
         eps = cfg.eps_array()
         for l in range(cfg.n_cp):
-            total += t * (b * np.log2(1 + offload_sinr(sol, ch, cfg, l)) + sol.f[l] / eps[l])
+            total += t * (b * np.log2(1 + lt.r_off[l]) + sol.f[l] / eps[l])
         total -= backhaul_cost(sol.e, cfg.cache, t, cfg.n_cp)
         assert m.utility == pytest.approx(total, rel=1e-12)
 

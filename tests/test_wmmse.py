@@ -3,10 +3,9 @@ import pytest
 
 from fdiscc.channels import draw_channels
 from fdiscc.config import desk_config
-from fdiscc.sysmodel import composite_channels, downlink_sinr, offload_sinr
-from fdiscc.wmmse import (LN2, AuxVars, bca_objective, surrogate_com,
-                          surrogate_off, surrogate_sum, update_aux,
-                          _com_terms, _off_terms, _bracket)
+from fdiscc.sysmodel import composite_channels, link_terms, utility
+from fdiscc.wmmse import (AuxVars, bca_objective, surrogate_sum,
+                          surrogates, update_aux, _bracket)
 
 from conftest import make_solution
 
@@ -14,12 +13,11 @@ from conftest import make_solution
 class TestUpdateAux:
     def test_alpha_equals_sinr(self, small_cfg, small_ch, rand_sol):
         aux = update_aux(rand_sol, small_ch, small_cfg)
+        m = utility(rand_sol, small_ch, small_cfg)
         for k in range(small_cfg.n_cm):
-            assert aux.alpha1[k] == pytest.approx(
-                downlink_sinr(rand_sol, small_ch, small_cfg, k), rel=1e-12)
+            assert aux.alpha1[k] == pytest.approx(m.r_com[k], rel=1e-12)
         for l in range(small_cfg.n_cp):
-            assert aux.alpha2[l] == pytest.approx(
-                offload_sinr(rand_sol, small_ch, small_cfg, l), rel=1e-12)
+            assert aux.alpha2[l] == pytest.approx(m.r_off[l], rel=1e-12)
 
     def test_zero_beam_gives_zero_aux(self, small_cfg, small_ch, rand_sol):
         w = rand_sol.w.copy()
@@ -44,9 +42,9 @@ class TestUpdateAux:
         # sweep alpha over a grid around the closed form; the surrogate at the
         # closed-form beta must peak at the closed-form alpha
         aux = update_aux(rand_sol, small_ch, small_cfg)
-        comp = composite_channels(small_ch, rand_sol.phi)
+        lt = link_terms(rand_sol, small_ch, small_cfg)
         k = 0
-        sig, den = _com_terms(rand_sol, small_ch, small_cfg, comp, k, False)
+        sig, den = lt.com_sig[k], lt.com_den[k]
         alpha_hat = aux.alpha1[k]
         best_val, best_alpha = -np.inf, None
         for alpha in np.linspace(0.0, 10 * alpha_hat + 1.0, 1000):
@@ -61,17 +59,19 @@ class TestUpdateAux:
 class TestSurrogates:
     def test_tightness_com(self, small_cfg, small_ch, rand_sol):
         aux = update_aux(rand_sol, small_ch, small_cfg)
+        com, _ = surrogates(rand_sol, small_ch, small_cfg, aux)
+        m = utility(rand_sol, small_ch, small_cfg)
         for k in range(small_cfg.n_cm):
-            rate = np.log2(1 + downlink_sinr(rand_sol, small_ch, small_cfg, k))
-            assert surrogate_com(rand_sol, small_ch, small_cfg, aux, k) == \
-                pytest.approx(rate, abs=1e-9)
+            rate = np.log2(1 + m.r_com[k])
+            assert com[k] == pytest.approx(rate, abs=1e-9)
 
     def test_tightness_off(self, small_cfg, small_ch, rand_sol):
         aux = update_aux(rand_sol, small_ch, small_cfg)
+        _, off = surrogates(rand_sol, small_ch, small_cfg, aux)
+        m = utility(rand_sol, small_ch, small_cfg)
         for l in range(small_cfg.n_cp):
-            rate = np.log2(1 + offload_sinr(rand_sol, small_ch, small_cfg, l))
-            assert surrogate_off(rand_sol, small_ch, small_cfg, aux, l) == \
-                pytest.approx(rate, abs=1e-9)
+            rate = np.log2(1 + m.r_off[l])
+            assert off[l] == pytest.approx(rate, abs=1e-9)
 
     def test_zero_solution_zero_surrogate(self, small_cfg, small_ch, rand_sol):
         sol = rand_sol.copy_with(w=np.zeros_like(rand_sol.w))
@@ -79,16 +79,17 @@ class TestSurrogates:
                       beta1=np.zeros(small_cfg.n_cm, complex),
                       alpha2=np.zeros(small_cfg.n_cp),
                       beta2=np.zeros(small_cfg.n_cp, complex))
-        assert surrogate_com(sol, small_ch, small_cfg, aux, 0) == 0.0
+        assert surrogates(sol, small_ch, small_cfg, aux)[0][0] == 0.0
 
     def test_majorization_sampled(self, small_cfg, small_ch, rand_sol):
         # the surrogate lower-bounds log2(1+SINR) for every sampled (alpha, beta)
         rng = np.random.default_rng(11)
         aux0 = update_aux(rand_sol, small_ch, small_cfg)
-        comp = composite_channels(small_ch, rand_sol.phi)
+        lt = link_terms(rand_sol, small_ch, small_cfg)
+        r_com = utility(rand_sol, small_ch, small_cfg).r_com
         for k in range(small_cfg.n_cm):
-            rate = np.log2(1 + downlink_sinr(rand_sol, small_ch, small_cfg, k))
-            sig, den = _com_terms(rand_sol, small_ch, small_cfg, comp, k, False)
+            rate = np.log2(1 + r_com[k])
+            sig, den = lt.com_sig[k], lt.com_den[k]
             for _ in range(1000):
                 alpha = rng.uniform(0, 5 * aux0.alpha1[k] + 1)
                 beta = (rng.normal() + 1j * rng.normal()) * abs(aux0.beta1[k] + 1e-30) * 2
@@ -110,8 +111,10 @@ class TestSurrogates:
 
     def test_hd_excludes_cci_and_si(self, small_cfg, small_ch, rand_sol):
         comp = composite_channels(small_ch, rand_sol.phi)
-        sig_fd, den_fd = _com_terms(rand_sol, small_ch, small_cfg, comp, 0, False)
-        sig_hd, den_hd = _com_terms(rand_sol, small_ch, small_cfg, comp, 0, True)
+        lt_fd = link_terms(rand_sol, small_ch, small_cfg, hd=False)
+        lt_hd = link_terms(rand_sol, small_ch, small_cfg, hd=True)
+        sig_fd, den_fd = lt_fd.com_sig[0], lt_fd.com_den[0]
+        sig_hd, den_hd = lt_hd.com_sig[0], lt_hd.com_den[0]
         cci = float(rand_sol.p @ np.abs(comp.ebar[:, 0]) ** 2)
         assert sig_fd == sig_hd
         assert den_fd - den_hd == pytest.approx(cci, rel=1e-12)
