@@ -31,7 +31,8 @@ import numpy as np
 from . import conic
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import Solution, composite_channels, echo_matrix, link_terms, sensing_floor
+from .sysmodel import (Composite, LinkTerms, Solution, composite_channels, echo_matrix,
+                       link_terms, sensing_floor)
 from .wmmse import LN2, AuxVars, _bracket
 
 EPS = float(np.finfo(float).eps)
@@ -82,8 +83,11 @@ class RxCoeffs:
 
 
 def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
-                       cfg: SystemConfig, hd: bool = False) -> TxCoeffs:
-    lt = link_terms(sol, ch, cfg, hd)
+                       cfg: SystemConfig, hd: bool = False, *,
+                       lt: LinkTerms | None = None) -> TxCoeffs:
+    """Transmit coefficients at ``sol``; ``lt``, when given, must be
+    ``link_terms`` of this same solution."""
+    lt = link_terms(sol, ch, cfg, hd) if lt is None else lt
     comp = lt.comp
     k_n = comp.h.shape[0]
     nt = cfg.n_tx
@@ -231,11 +235,11 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
 
 
 def optimize_tx(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
-                hd: bool = False) -> tuple[np.ndarray, dict]:
+                hd: bool = False, *, lt: LinkTerms | None = None) -> tuple[np.ndarray, dict]:
     """Full transmit update with a monotonicity safeguard: the incumbent beams
     are kept whenever the new ones do not improve the surrogate (possible only
     when the incumbent misses the current sensing floor)."""
-    coeffs = assemble_tx_coeffs(sol, ch, aux, cfg, hd)
+    coeffs = assemble_tx_coeffs(sol, ch, aux, cfg, hd, lt=lt)
     incumbent_val = tx_objective(coeffs, sol.w)
     w_new, info = solve_tx(coeffs)
     new_val = tx_objective(coeffs, w_new)
@@ -390,8 +394,11 @@ def _feasible(w: np.ndarray, coeffs: TxCoeffs) -> bool:
 
 
 def assemble_rx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
-                       cfg: SystemConfig, hd: bool = False) -> RxCoeffs:
-    comp = composite_channels(ch, sol.phi)
+                       cfg: SystemConfig, hd: bool = False, *,
+                       comp: Composite | None = None) -> RxCoeffs:
+    """Combiner coefficients at ``sol``; ``comp``, when given, must be
+    ``composite_channels`` at ``sol.phi``."""
+    comp = composite_channels(ch, sol.phi) if comp is None else comp
     l_n = ch.g_pu.shape[0]
     nr = cfg.n_rx
     t5 = np.zeros((l_n, nr), complex)
@@ -435,12 +442,12 @@ def solve_rx(coeffs: RxCoeffs) -> np.ndarray:
 
 
 def optimize_rx(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
-                hd: bool = False) -> np.ndarray:
+                hd: bool = False, *, comp: Composite | None = None) -> np.ndarray:
     """Receive update; keeps the incumbent row where the block is degenerate
     (zero offload power makes the combiner irrelevant)."""
     if sol.u.shape[0] == 0:
         return sol.u
-    coeffs = assemble_rx_coeffs(sol, ch, aux, cfg, hd)
+    coeffs = assemble_rx_coeffs(sol, ch, aux, cfg, hd, comp=comp)
     u_new = solve_rx(coeffs)
     out = sol.u.copy()
     for l in range(u_new.shape[0]):

@@ -84,7 +84,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_selftest(args) -> int:
     import dataclasses
     import numpy.linalg as la
-    from . import beamforming, cacheopt, phaseadmm, wmmse
+    from . import beamforming, cacheopt, phaseadmm, powercomp, wmmse
     from .sysmodel import utility
 
     failures = 0
@@ -151,11 +151,48 @@ def _cmd_selftest(args) -> int:
                 abs(info["dual"] - value) / scale]
     check("transmit step KKT", max(kkt) <= 1e-9)
 
+    # KKT of the power/compute step, sensing budget slack (2x) then binding
+    # (0.5x the unconstrained interference): energy active, interior
+    # stationarity b6 / (2 sqrt p) = lin + mu b9 + nu T with nu from the
+    # f-condition, mu >= 0 and complementary slackness. The uplink is idle at
+    # this start, so b6 is set to put each user's unconstrained optimum inside
+    # (0, E/T). The dual bisection stops on an absolute 1e-12 budget error and
+    # returns its upper multiplier, which can leave the budget slack by ~0.3%
+    # at these scales, hence the looser complementary-slackness bound.
+    pc = powercomp.assemble_power_coeffs(sol, ch, aux, cfg)
+    t, zeta, e_max = cfg.coherence_time_s, cfg.zeta, cfg.e_max_array()
+    f_coef = 1.0 / (cfg.eps_array() * cfg.bandwidth_hz)
+    lin = pc.b7 + pc.c1 @ pc.b11
+    p_free = e_max / t * np.linspace(0.3, 0.6, cfg.n_cp)
+    f_free = ((e_max - t * p_free) / (t * zeta)) ** (1 / 3)
+    pc = dataclasses.replace(pc, b6=2 * np.sqrt(p_free) * (lin + f_coef / (3 * zeta * f_free ** 2)))
+    kkt, comp_slack, mus = [], [], []
+    for frac in (2.0, 0.5):
+        c = dataclasses.replace(pc, c8=frac * float(p_free @ pc.b9))
+        p, f, info = powercomp.solve_power_compute(c, cfg)
+        mu, load = info["mu"], float(p @ c.b9)
+        grad = c.b6 / (2 * np.sqrt(p))
+        nu_t = f_coef / (3 * zeta * f ** 2)
+        kkt += [np.max(np.abs(t * p + t * zeta * f ** 3 - e_max) / e_max),
+                np.max(np.abs(grad - lin - mu * c.b9 - nu_t) / grad), -mu, load / c.c8 - 1.0]
+        value = powercomp.power_objective(c, cfg, p, f)
+        comp_slack.append(abs(mu * (c.c8 - load)) / max(1.0, abs(value)))
+        mus.append(mu)
+    check("power step KKT", bool(np.max(kkt) <= 1e-9 and max(comp_slack) <= 1e-2
+                                 and mus[0] == 0.0 and mus[1] > 0.0))
+
     result = orchestrator.run(cfg, ch, RunOptions(max_iter=8))
     objs = [r.objective for r in result.trace]
     mono = all(objs[i + 1] >= objs[i] - 1e-8 * abs(objs[i]) for i in range(len(objs) - 1))
     check("monotone objective trace", mono)
     return 1 if failures else 0
+
+
+def _worker_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--spec", required=True)
     p_sweep.add_argument("--config", default="default")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_worker_count, default=1,
+                         help="worker processes (at most one per cell)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_self = sub.add_parser("selftest", help="quick invariant suite")

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -26,6 +29,8 @@ from .channels import draw_channels
 from .config import ConfigError, SystemConfig, config_from_dict, with_overrides
 from .orchestrator import SCHEMES, RunResult, evaluate_baseline
 from .sysmodel import METRICS_CSV_COLUMNS, metrics_csv_row
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 SWEEP_PARAMETERS = ("m_passive", "p_bs_watt", "gamma_tar_linear",
                     "backhaul_rate", "skew", "n_tx")
@@ -148,17 +153,44 @@ def _cell_args(spec: SweepSpec, cfg: SystemConfig):
                        spec.max_iter)
 
 
+@contextmanager
+def _one_blas_thread_env():
+    """Set the BLAS thread counts to 1 for the processes started inside the
+    block, and put the caller's environment back on exit. A spawned process
+    inherits the environment and reads these when numpy loads, which happens
+    before any pool initializer could run."""
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def run_sweep(spec: SweepSpec, base_cfg: SystemConfig | None = None,
               workers: int = 1) -> list[dict]:
     """Execute every (value, scheme, seed) cell; rows come back in a
-    deterministic order regardless of worker scheduling."""
+    deterministic order regardless of worker scheduling.
+
+    With ``workers > 1`` the cells run in a pool of spawned processes, at most
+    one per cell, each started with one BLAS thread. Spawned processes import
+    the caller's main module again, so a script that calls this must guard its
+    entry point with ``if __name__ == "__main__":``."""
     spec.validate()
     if base_cfg is None:
         base_cfg = config_from_dict(spec.base_config or {})
     args = list(_cell_args(spec, base_cfg))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell_star, args))
+    n_workers = min(workers, len(args))
+    if n_workers > 1:
+        with ProcessPoolExecutor(max_workers=n_workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            with _one_blas_thread_env():
+                pending = pool.map(_run_cell_star, args)    # spawns the workers
+            rows = list(pending)
     else:
         rows = [_run_cell_star(a) for a in args]
     rows.sort(key=lambda r: (r[spec.parameter], r["scheme"], r["seed"]))

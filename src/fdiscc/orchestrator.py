@@ -6,6 +6,11 @@ power/compute (dual bisection).
 Every block carries a monotonicity safeguard, so the recorded surrogate
 objective never decreases across accepted iterations; infeasible subproblems
 skip their block for the iteration and keep the incumbent.
+
+The cache placement is fixed once per run, so ``run`` computes its backhaul
+cost and cache residual once and hands them to every ``utility`` and
+``residuals`` call; each solution state's ``sysmodel.link_terms`` is computed
+once and shared by the blocks that read that state (see ``run``).
 """
 
 from __future__ import annotations
@@ -16,11 +21,11 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import beamforming, cacheopt, phaseadmm, powercomp, wmmse
+from . import beamforming, cacheopt, phaseadmm, powercomp, sysmodel, wmmse
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import (Metrics, Solution, echo_matrix, residuals, sensing_floor,
-                       utility)
+from .sysmodel import (Metrics, Solution, cache_residual, echo_matrix, link_terms,
+                       residuals, sensing_floor, utility)
 
 SCHEMES = ("proposed", "full-offloading", "fixed-phase", "hd",
            "random-caching", "no-caching")
@@ -162,11 +167,13 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray,
 
 
 def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
-               phi: np.ndarray | None = None, e: np.ndarray | None = None) -> Solution:
+               phi: np.ndarray | None = None, e: np.ndarray | None = None,
+               d_total: float | None = None) -> Solution:
     """Feasible start with cache placement ``e`` (by default the optimal one).  With
     ``phi`` pinned (fixed-phase baseline) only that phase vector is tried; otherwise the
     best of the max-gain alignment, the echo alignment and a random draw is kept, scored
-    by initial sum bits.  Raises SensingInfeasible when no candidate reaches the threshold."""
+    by initial sum bits.  ``d_total``, when given, is the backhaul cost of ``e``.
+    Raises SensingInfeasible when no candidate reaches the threshold."""
     e = cacheopt.solve_caching(cfg.cache).e if e is None else e
     if phi is not None:
         candidates = [np.asarray(phi, complex)]
@@ -181,7 +188,7 @@ def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
         sol = _start_for_phi(cfg, ch, cand, e)
         if sol is None:
             continue
-        score = utility(sol, ch, cfg).sum_bits
+        score = utility(sol, ch, cfg, d_total=d_total).sum_bits
         if score > best_score:
             best, best_score = sol, score
     if best is None:
@@ -200,7 +207,18 @@ def _cache_for_scheme(cfg: SystemConfig, scheme: str, rng: np.random.Generator) 
 
 
 def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> RunResult:
-    """Full solve of one scenario under the given scheme."""
+    """Full solve of one scenario under the given scheme.
+
+    The cache placement is fixed for the run, so its backhaul cost and cache
+    residual are computed once and reused by every ``utility`` and
+    ``residuals`` call. Each solution state gets one ``link_terms``: the one at
+    the start of an iteration serves the auxiliaries and the phase block, the
+    one after the phase block serves the auxiliaries, the transmit block and
+    (through its composite channels, which the beams do not change) the
+    receive block, the power block makes its own, and the one at the end of
+    the iteration serves the BCA objective and the metrics. The final metrics
+    are those of the last iteration, whose solution is the returned one.
+    """
     cfg.validate()
     hd = opts.scheme == "hd"
     fixed_phase = opts.scheme == "fixed-phase"
@@ -210,22 +228,25 @@ def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> R
     rng_cache = np.random.default_rng([cfg.seed, 151])
 
     e = _cache_for_scheme(cfg, opts.scheme, rng_cache)
+    d_total = sysmodel.backhaul_cost(e, cfg.cache, cfg.coherence_time_s, cfg.n_cp)
+    res_cache = cache_residual(e, cfg.cache)
     # the fixed-phase baseline pins its heuristic phases; other schemes let
     # the initializer pick the best candidate start
     phi0 = fixed_phase_heuristic(ch, cfg) if fixed_phase else None
     try:
-        sol = initialize(cfg, ch, rng_init, phi=phi0, e=e)
+        sol = initialize(cfg, ch, rng_init, phi=phi0, e=e, d_total=d_total)
     except SensingInfeasible:
         sol = Solution(w=np.zeros((cfg.n_cm + 1, cfg.n_tx), complex),
                        u=np.zeros((cfg.n_cp, cfg.n_rx), complex),
                        phi=np.ones(cfg.m_passive, complex),
                        f=np.zeros(cfg.n_cp), p=np.zeros(cfg.n_cp), e=e)
-        return RunResult(sol, utility(sol, ch, cfg, hd), (), INFEASIBLE_SENSING,
-                         opts.scheme, 0)
+        return RunResult(sol, utility(sol, ch, cfg, hd, d_total=d_total), (),
+                         INFEASIBLE_SENSING, opts.scheme, 0)
     if force_f_zero:
         sol = sol.copy_with(f=np.zeros(cfg.n_cp))
 
     trace: list[TraceRow] = []
+    met = None
     status = MAX_ITER_STATUS
     slow_count = 0
     t0 = time.perf_counter()
@@ -236,24 +257,26 @@ def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> R
         if sol.u.size:
             norms = np.linalg.norm(sol.u, axis=1, keepdims=True)
             sol = sol.copy_with(u=np.where(norms > 0, sol.u / np.maximum(norms, 1e-300), sol.u))
-        aux = wmmse.update_aux(sol, ch, cfg, hd)
+        lt = link_terms(sol, ch, cfg, hd)
+        aux = wmmse.update_aux(sol, ch, cfg, hd, lt=lt)
 
         if not fixed_phase and cfg.n_cm + cfg.n_cp > 0:
-            phi_new, _ = phaseadmm.optimize_phase(sol, ch, aux, cfg, hd)
+            phi_new, _ = phaseadmm.optimize_phase(sol, ch, aux, cfg, hd, lt=lt)
             sol = sol.copy_with(phi=phi_new)
             # re-tighten the surrogate at the new phases: with the exact transmit
             # step, beams fitted to a stale surrogate made phases and beams creep
             # (desk seed 9 took 77 iterations instead of 41)
-            aux = wmmse.update_aux(sol, ch, cfg, hd)
+            lt = link_terms(sol, ch, cfg, hd)
+            aux = wmmse.update_aux(sol, ch, cfg, hd, lt=lt)
 
         try:
-            w_new, _ = beamforming.optimize_tx(sol, ch, aux, cfg, hd)
+            w_new, _ = beamforming.optimize_tx(sol, ch, aux, cfg, hd, lt=lt)
             sol = sol.copy_with(w=w_new)
         except beamforming.SdrInfeasibleError:
             pass
 
         if cfg.n_cp:
-            sol = sol.copy_with(u=beamforming.optimize_rx(sol, ch, aux, cfg, hd))
+            sol = sol.copy_with(u=beamforming.optimize_rx(sol, ch, aux, cfg, hd, comp=lt.comp))
             try:
                 p_new, f_new, _ = powercomp.optimize_power(
                     sol, ch, aux, cfg, force_f_zero, hd)
@@ -261,9 +284,10 @@ def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> R
             except powercomp.SensingInfeasibleError:
                 pass
 
-        obj = wmmse.bca_objective(sol, ch, cfg, aux, hd)
-        met = utility(sol, ch, cfg, hd)
-        res = residuals(sol, ch, cfg)
+        lt = link_terms(sol, ch, cfg, hd)
+        obj = wmmse.bca_objective(sol, ch, cfg, aux, hd, lt=lt)
+        met = utility(sol, ch, cfg, hd, lt=lt, d_total=d_total)
+        res = residuals(sol, ch, cfg, res_cache=res_cache)
         trace.append(TraceRow(
             iteration=n, objective=obj, utility=met.utility,
             res_power=res["power"], res_radar=res["radar"],
@@ -281,8 +305,9 @@ def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> R
             status = CONVERGED
             break
 
-    return RunResult(sol, utility(sol, ch, cfg, hd), tuple(trace), status,
-                     opts.scheme, len(trace))
+    if met is None:     # no iteration ran (max_iter < 1)
+        met = utility(sol, ch, cfg, hd, d_total=d_total)
+    return RunResult(sol, met, tuple(trace), status, opts.scheme, len(trace))
 
 
 def evaluate_baseline(cfg: SystemConfig, ch: ChannelSet, scheme: str,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import Solution, link_terms, sensing_floor
+from .sysmodel import LinkTerms, Solution, link_terms, sensing_floor
 from .wmmse import LN2, AuxVars, _bracket
 
 
@@ -74,8 +74,10 @@ class PhaseInfo:
 
 
 def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
-                          cfg: SystemConfig, hd: bool = False) -> PhaseCoeffs:
-    """Collapse the surrogates and the echo power into quadratic coefficients."""
+                          cfg: SystemConfig, hd: bool = False, *,
+                          lt: LinkTerms | None = None) -> PhaseCoeffs:
+    """Collapse the surrogates and the echo power into quadratic coefficients.
+    ``lt``, when given, must be ``link_terms`` of this same solution."""
     m = ch.g_t.shape[0]
     k_n, l_n = ch.h_pu.shape[0], ch.g_pu.shape[0]
     gtw = sol.w @ ch.g_t.T                      # rows G_t w_j, shape (K+1, M)
@@ -99,7 +101,7 @@ def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
         b1 += b1k_const
 
     # offloading: the residual SI and receiver noise do not depend on phi
-    lt = link_terms(sol, ch, cfg, hd)
+    lt = link_terms(sol, ch, cfg, hd) if lt is None else lt
     t2 = np.zeros(m, complex)
     t2_mat = np.zeros((m, m), complex)
     b2 = float(np.sum(_bracket(aux.alpha2, aux.beta2, 0.0, lt.si + lt.noise_off)))
@@ -182,10 +184,11 @@ def dual_step(state: AdmmState) -> np.ndarray:
 
 
 def optimize_phase(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
-                   hd: bool = False) -> tuple[np.ndarray, PhaseInfo]:
+                   hd: bool = False, *, lt: LinkTerms | None = None
+                   ) -> tuple[np.ndarray, PhaseInfo]:
     """Full inner ADMM pass; returns a unit-modulus phi that never lowers the
     surrogate of the incoming one (reverts otherwise)."""
-    coeffs = assemble_phase_coeffs(sol, ch, aux, cfg, hd)
+    coeffs = assemble_phase_coeffs(sol, ch, aux, cfg, hd, lt=lt)
     info = PhaseInfo()
     phi_in = sol.phi.copy()
     entry_val = surrogate_value(coeffs, phi_in)

@@ -10,10 +10,16 @@ because residual energy is worth strictly positive computation rate, so each
 user reduces to a 1-D concave problem in p after substituting
 f(p) = ((E - T p) / (T zeta))^{1/3}; the coupling multiplier is found by outer
 bisection on the monotone interference total.
+
+Each user's root-find bisects the derivative in plain float arithmetic and
+stops once the midpoint rounds onto an end of its bracket, from where no
+further step can move it: about 100 steps for the bracket [1e-14, 1 - 1e-14]
+E/T, with ``MAX_BISECTIONS`` only as a guard.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +28,8 @@ from .channels import ChannelSet
 from .config import SystemConfig
 from .sysmodel import Solution, echo_matrix, link_terms, sensing_floor
 from .wmmse import LN2, AuxVars, _bracket
+
+MAX_BISECTIONS = 200    # guard on the per-user root-find; float resolution stops it first
 
 
 class SensingInfeasibleError(Exception):
@@ -81,9 +89,16 @@ def power_objective(coeffs: PowerCoeffs, cfg: SystemConfig, p: np.ndarray,
 
 def _user_solve(b6: float, lin: float, mu_b9: float, e_max: float, t: float,
                 zeta: float, f_coef: float, force_f_zero: bool) -> tuple[float, float]:
-    """Maximize b6 sqrt(p) - (lin + mu_b9) p + f_coef * f(p) on [0, E/T]."""
+    """Maximize b6 sqrt(p) - (lin + mu_b9) p + f_coef * f(p) on [0, E/T].
+
+    The bisection stops once the midpoint rounds onto an end of the bracket.
+    ``lo`` always has a positive derivative and ``hi`` a non-positive one, so
+    every later step would reproduce that midpoint and keep the bracket:
+    stopping there returns exactly what the full MAX_BISECTIONS steps return.
+    """
+    b6, e_max, t, zeta, f_coef = float(b6), float(e_max), float(t), float(zeta), float(f_coef)
     p_hi = e_max / t
-    slope = lin + mu_b9
+    slope = float(lin) + float(mu_b9)
 
     if force_f_zero:
         if b6 <= 0.0:
@@ -93,14 +108,17 @@ def _user_solve(b6: float, lin: float, mu_b9: float, e_max: float, t: float,
         p_star = min((b6 / (2.0 * slope)) ** 2, p_hi)
         return p_star, 0.0
 
+    tz = t * zeta
+    f_slope = -f_coef / (3.0 * zeta)
+
     def f_of(p):
-        return ((e_max - t * p) / (t * zeta)) ** (1.0 / 3.0)
+        return ((e_max - t * p) / tz) ** (1.0 / 3.0)
 
     def deriv(p):
-        d = -f_coef / (3.0 * zeta) * ((e_max - t * p) / (t * zeta)) ** (-2.0 / 3.0)
+        d = f_slope * ((e_max - t * p) / tz) ** (-2.0 / 3.0)
         d -= slope
         if p > 0.0:
-            d += b6 / (2.0 * np.sqrt(p))
+            d += b6 / (2.0 * math.sqrt(p))
         return d
 
     if b6 <= 0.0 or deriv(p_hi * 1e-14) <= 0.0:
@@ -109,8 +127,10 @@ def _user_solve(b6: float, lin: float, mu_b9: float, e_max: float, t: float,
     if deriv(hi) >= 0.0:
         p_star = hi
     else:
-        for _ in range(200):
+        for _ in range(MAX_BISECTIONS):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
             if deriv(mid) > 0.0:
                 lo = mid
             else:
@@ -124,12 +144,16 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
                         ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Exact KKT point of the power/compute block.
 
+    The info dict holds the coupling multiplier ``mu``, the dual bisection
+    steps ``iterations`` and ``evaluations``, the number of all-user solves
+    (the bracket growth of mu from 1.0 included).
+
     Raises SensingInfeasibleError when c8 < 0 (no uplink power level can
     restore the sensing margin; the caller must fix phase/beams first).
     """
     l_n = coeffs.b6.shape[0]
     if l_n == 0:
-        return np.zeros(0), np.zeros(0), {"mu": 0.0, "iterations": 0}
+        return np.zeros(0), np.zeros(0), {"mu": 0.0, "iterations": 0, "evaluations": 0}
     if coeffs.c8 < 0.0:
         raise SensingInfeasibleError(f"sensing budget c8 = {coeffs.c8:.3e} < 0")
 
@@ -138,8 +162,11 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
     eps = cfg.eps_array()
     f_coef = 1.0 / (eps * cfg.bandwidth_hz)
     lin = coeffs.b7 + (coeffs.c1 @ coeffs.b11 if coeffs.b11.size else 0.0)
+    evaluations = 0
 
     def all_users(mu):
+        nonlocal evaluations
+        evaluations += 1
         p = np.zeros(l_n)
         f = np.zeros(l_n)
         for l in range(l_n):
@@ -181,7 +208,7 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
         f = ((e_max - t * p) / (t * zeta)) ** (1.0 / 3.0)
     else:
         f = np.zeros(l_n)
-    return p, f, {"mu": mu, "iterations": iters}
+    return p, f, {"mu": mu, "iterations": iters, "evaluations": evaluations}
 
 
 def optimize_power(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,

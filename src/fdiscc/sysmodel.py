@@ -6,10 +6,20 @@ residual SI, receiver noise), and is the one place that applies the HD rule
 (no CCI, no SI); ``echo_matrix`` is the cascaded target path and
 ``sensing_floor`` the echo power the radar constraint asks for.  On top of
 those: downlink, offloading and radar SINRs, local computation rate/energy,
-backhaul cost and the overall system utility (bits).  Rates use log2 so that
-SINR = 1 gives exactly B bits/s.  Quadratic terms in the transmitted symbol
-vector are evaluated in expectation (unit-variance independent symbols), i.e.
-|a^H x|^2 -> sum_k |a^H w_k|^2 over all beams including the sensing beam.
+backhaul cost and the overall system utility (bits).
+
+``link_terms`` is the costly evaluation, so the readers of one solution state
+share one record: ``wmmse.update_aux``, ``phaseadmm.assemble_phase_coeffs``,
+``beamforming.assemble_tx_coeffs``, ``wmmse.bca_objective`` and ``utility``
+take it as ``lt``, and ``beamforming.assemble_rx_coeffs`` takes its composite
+channels as ``comp``; each computes its own when none is passed.
+``utility`` likewise takes a precomputed ``d_total`` and ``residuals`` a
+precomputed ``res_cache``, since both depend only on the cache placement.
+
+Rates use log2 so that SINR = 1 gives exactly B bits/s.  Quadratic terms in
+the transmitted symbol vector are evaluated in expectation (unit-variance
+independent symbols), i.e. |a^H x|^2 -> sum_k |a^H w_k|^2 over all beams
+including the sensing beam.
 """
 
 from __future__ import annotations
@@ -180,14 +190,19 @@ def backhaul_cost(e: np.ndarray, cache_cfg, t: float, n_cp: int) -> float:
     return float(t * rho_max * mass * r0.sum())
 
 
-def utility(sol: Solution, ch: ChannelSet, cfg: SystemConfig, hd: bool = False) -> Metrics:
+def utility(sol: Solution, ch: ChannelSet, cfg: SystemConfig, hd: bool = False, *,
+            lt: LinkTerms | None = None, d_total: float | None = None) -> Metrics:
     """Evaluate every metric of the current solution.  HD halves both
-    throughput terms (orthogonal equal-duration slots)."""
+    throughput terms (orthogonal equal-duration slots).
+
+    A caller that already holds ``link_terms`` of this solution, or
+    ``backhaul_cost`` of its cache placement ``sol.e``, passes them as ``lt``
+    and ``d_total`` instead of having them recomputed."""
     l_n = ch.g_pu.shape[0]
     b, t = cfg.bandwidth_hz, cfg.coherence_time_s
     duplex = 0.5 if hd else 1.0
 
-    lt = link_terms(sol, ch, cfg, hd)
+    lt = link_terms(sol, ch, cfg, hd) if lt is None else lt
     r_com, r_off = lt.r_com, lt.r_off
     rate_com = duplex * b * np.log2(1.0 + r_com)
     rate_off = duplex * b * np.log2(1.0 + r_off)
@@ -195,7 +210,8 @@ def utility(sol: Solution, ch: ChannelSet, cfg: SystemConfig, hd: bool = False) 
     rate_loc = sol.f / eps if l_n else np.zeros(0)
     energy_loc = t * cfg.zeta * sol.f ** 3 if l_n else np.zeros(0)
     r_tar = radar_sinr(sol, ch, cfg)
-    d_total = backhaul_cost(sol.e, cfg.cache, t, l_n)
+    if d_total is None:
+        d_total = backhaul_cost(sol.e, cfg.cache, t, l_n)
     sum_bits = t * (rate_com.sum() + rate_off.sum() + rate_loc.sum())
     return Metrics(
         r_com=r_com, rate_com=rate_com, r_off=r_off, rate_off=rate_off,
@@ -204,8 +220,15 @@ def utility(sol: Solution, ch: ChannelSet, cfg: SystemConfig, hd: bool = False) 
     )
 
 
-def residuals(sol: Solution, ch: ChannelSet, cfg: SystemConfig) -> dict[str, float]:
-    """Signed constraint residuals; positive means violated."""
+def cache_residual(e: np.ndarray, cache_cfg) -> float:
+    """Cache load of placement ``e`` minus the cache capacity."""
+    return float(e @ cache_cfg.lengths_array() - cache_cfg.capacity)
+
+
+def residuals(sol: Solution, ch: ChannelSet, cfg: SystemConfig, *,
+              res_cache: float | None = None) -> dict[str, float]:
+    """Signed constraint residuals; positive means violated.  ``res_cache``,
+    when given, is ``cache_residual`` of ``sol.e``."""
     t = cfg.coherence_time_s
     power = float(np.sum(np.abs(sol.w) ** 2) - cfg.p_bs_watt)
     gamma = cfg.gamma_tar_linear
@@ -215,7 +238,7 @@ def residuals(sol: Solution, ch: ChannelSet, cfg: SystemConfig) -> dict[str, flo
         energy = float(np.max(t * sol.p + t * cfg.zeta * sol.f ** 3 - cfg.e_max_array()))
     else:
         energy = 0.0
-    cache = float(sol.e @ cfg.cache.lengths_array() - cfg.cache.capacity)
+    cache = cache_residual(sol.e, cfg.cache) if res_cache is None else res_cache
     return {
         "power": power, "radar": radar, "modulus": modulus,
         "energy": energy, "cache": cache,

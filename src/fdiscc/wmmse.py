@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import Solution, link_terms
+from .sysmodel import LinkTerms, Solution, link_terms
 
 LN2 = float(np.log(2.0))
 
@@ -34,10 +34,11 @@ class AuxVars:
 
 
 def update_aux(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
-               hd: bool = False) -> AuxVars:
+               hd: bool = False, *, lt: LinkTerms | None = None) -> AuxVars:
     """Closed-form optimal auxiliaries at the current solution: alpha is the
-    SINR and beta = sqrt(1 + alpha) sig / den (zero for an all-zero combiner)."""
-    lt = link_terms(sol, ch, cfg, hd)
+    SINR and beta = sqrt(1 + alpha) sig / den (zero for an all-zero combiner).
+    ``lt``, when given, must be ``link_terms`` of this same solution."""
+    lt = link_terms(sol, ch, cfg, hd) if lt is None else lt
     alpha1, alpha2 = lt.r_com, lt.r_off
     beta1 = np.sqrt(1.0 + alpha1) * lt.com_sig / lt.com_den
     beta2 = np.divide(np.sqrt(1.0 + alpha2) * lt.off_sig, lt.off_den,
@@ -56,23 +57,24 @@ def _bracket(alpha, beta, sig, den):
 
 
 def surrogates(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
-               aux: AuxVars, hd: bool = False) -> tuple[np.ndarray, np.ndarray]:
+               aux: AuxVars, hd: bool = False, *, lt: LinkTerms | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     """Per-user surrogate rates in log2 units: (downlink (K,), offloading (L,))."""
-    lt = link_terms(sol, ch, cfg, hd)
+    lt = link_terms(sol, ch, cfg, hd) if lt is None else lt
     return (_bracket(aux.alpha1, aux.beta1, lt.com_sig, lt.com_den),
             _bracket(aux.alpha2, aux.beta2, lt.off_sig, lt.off_den))
 
 
 def surrogate_sum(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
-                  aux: AuxVars, hd: bool = False) -> float:
+                  aux: AuxVars, hd: bool = False, *, lt: LinkTerms | None = None) -> float:
     """Sum of all communication and offloading surrogates."""
-    com, off = surrogates(sol, ch, cfg, aux, hd)
+    com, off = surrogates(sol, ch, cfg, aux, hd, lt=lt)
     return float(com.sum() + off.sum())
 
 
 def bca_objective(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
-                  aux: AuxVars, hd: bool = False) -> float:
+                  aux: AuxVars, hd: bool = False, *, lt: LinkTerms | None = None) -> float:
     """Block-coordinate objective: surrogates (halved under HD) plus normalized
     local computation rate (everything per channel use, log2 units)."""
     loc = float(np.sum(sol.f / (cfg.eps_array() * cfg.bandwidth_hz))) if sol.f.size else 0.0
-    return (0.5 if hd else 1.0) * surrogate_sum(sol, ch, cfg, aux, hd) + loc
+    return (0.5 if hd else 1.0) * surrogate_sum(sol, ch, cfg, aux, hd, lt=lt) + loc

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +84,54 @@ class TestRows:
         a.pop("wall_time_s")
         b.pop("wall_time_s")
         assert a == b
+
+    def test_pool_capped_at_cell_count(self, monkeypatch):
+        # a stand-in executor runs the cells in this process and records how
+        # it was built; no worker process starts
+        from fdiscc import harness
+        built, env_seen = [], []
+
+        class FakePool:
+            def __init__(self, max_workers, mp_context=None):
+                built.append((max_workers, mp_context.get_start_method()))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                env_seen.append({v: os.environ.get(v) for v in harness.BLAS_THREAD_VARS})
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        before = dict(os.environ)
+        spec = SweepSpec(parameter="m_passive", values=(4,), schemes=("proposed",),
+                         n_seeds=2, max_iter=1)
+        cfg = desk_config(m_passive=8, m_active=2, n_cm=1, n_cp=1)
+        rows = run_sweep(spec, base_cfg=cfg, workers=64)
+        assert built == [(2, "spawn")]
+        assert env_seen == [dict.fromkeys(harness.BLAS_THREAD_VARS, "1")]
+        assert dict(os.environ) == before
+        assert len(rows) == 2
+        # one cell, or one worker, needs no pool
+        run_sweep(replace(spec, n_seeds=1), base_cfg=cfg, workers=64)
+        run_sweep(spec, base_cfg=cfg, workers=1)
+        assert len(built) == 1
+
+    def test_two_workers_give_the_serial_rows(self):
+        spec = SweepSpec(parameter="m_passive", values=(4, 6), schemes=("proposed",),
+                         n_seeds=2, max_iter=2)
+        cfg = desk_config(m_passive=8, m_active=2, n_cm=1, n_cp=1, gamma_tar_linear=1.0)
+        serial = run_sweep(spec, base_cfg=cfg, workers=1)
+        pooled = run_sweep(spec, base_cfg=cfg, workers=2)
+        for row in serial + pooled:
+            row.pop("wall_time_s")
+        assert any(row["iterations"] > 0 for row in serial)
+        assert repr(pooled) == repr(serial)     # repr: equal floats, NaN residuals too
 
     def test_csv_write_fixed_header(self, tmp_path):
         cfg = desk_config(m_passive=6, m_active=2, n_cm=1, n_cp=1)
@@ -168,6 +217,13 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert (tmp_path / "rows_aggregate.csv").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_sweep_rejects_worker_count_below_one(self, tmp_path, workers):
+        r = run_cli(["sweep", "--spec", str(tmp_path / "unread.json"),
+                     "--workers", workers], tmp_path)
+        assert r.returncode == 2
+        assert "--workers" in r.stderr
 
     def test_selftest_passes(self, tmp_path):
         r = run_cli(["selftest"], tmp_path)

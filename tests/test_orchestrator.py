@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fdiscc import cacheopt
+from fdiscc import cacheopt, sysmodel
 from fdiscc.channels import draw_channels
 from fdiscc.config import desk_config, with_overrides
 from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, SCHEMES, RunOptions,
@@ -137,6 +137,53 @@ class TestRun:
         cfg, ch = desk
         run(cfg, ch, RunOptions(scheme=scheme, max_iter=1))
         assert len(calls) <= 1
+
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_backhaul_cost_computed_once(self, desk, monkeypatch, scheme):
+        # the cache placement is fixed for the run, so is its backhaul cost
+        calls = []
+        cost = sysmodel.backhaul_cost
+
+        def counted(*args):
+            calls.append(args)
+            return cost(*args)
+
+        monkeypatch.setattr(sysmodel, "backhaul_cost", counted)
+        cfg, ch = desk
+        res = run(cfg, ch, RunOptions(scheme=scheme, max_iter=3))
+        assert res.iterations >= 1
+        assert len(calls) <= 1
+        assert res.metrics.d_total == cost(res.solution.e, cfg.cache,
+                                           cfg.coherence_time_s, cfg.n_cp)
+
+    def test_link_terms_at_most_four_per_iteration(self, desk, monkeypatch):
+        # one LinkTerms per solution state: iteration start, after the phase
+        # block, inside the power block, iteration end
+        from fdiscc import beamforming, orchestrator, phaseadmm, powercomp, wmmse
+        calls = {"all": 0, "init": 0}
+        terms = sysmodel.link_terms
+
+        def counted(*args, **kwargs):
+            calls["all"] += 1
+            return terms(*args, **kwargs)
+
+        for mod in (sysmodel, wmmse, phaseadmm, beamforming, powercomp, orchestrator):
+            if hasattr(mod, "link_terms"):
+                monkeypatch.setattr(mod, "link_terms", counted)
+        init = orchestrator.initialize
+
+        def counted_init(*args, **kwargs):
+            before = calls["all"]
+            try:
+                return init(*args, **kwargs)
+            finally:
+                calls["init"] += calls["all"] - before
+
+        monkeypatch.setattr(orchestrator, "initialize", counted_init)
+        cfg, ch = desk
+        res = run(cfg, ch, RunOptions(scheme="proposed"))
+        assert res.iterations >= 3
+        assert calls["all"] - calls["init"] <= 4 * res.iterations
 
 
 class TestBaselines:

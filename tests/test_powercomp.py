@@ -1,11 +1,13 @@
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
 
 from fdiscc.config import desk_config
 from fdiscc.channels import draw_channels
-from fdiscc.powercomp import (PowerCoeffs, SensingInfeasibleError,
+from fdiscc.powercomp import (PowerCoeffs, SensingInfeasibleError, _user_solve,
                               assemble_power_coeffs, optimize_power,
                               power_objective, solve_power_compute)
 from fdiscc.wmmse import surrogates, update_aux
@@ -266,7 +268,155 @@ class TestSolve:
         assert new_val >= old_val - 1e-12 * (1 + abs(old_val))
 
     def test_dual_bisection_iteration_budget(self, small_cfg, pc_setup):
+        # the fixture's uplink is idle (p = 0 at every mu), so the instance with
+        # an interior optimum is the one on which the coupling binds
         _, coeffs = pc_setup
-        tight = dataclasses.replace(coeffs, c8=coeffs.c8 * 1e-4)
-        _, _, info = solve_power_compute(tight, small_cfg)
-        assert info["iterations"] <= 100
+        live = dataclasses.replace(coeffs, b6=_interior_b6(coeffs, small_cfg, (0.3, 0.6)))
+        budget = float(_free_powers(small_cfg, (0.3, 0.6)) @ coeffs.b9)
+        for c, bound in ((coeffs, False), (live, True)):
+            tight = dataclasses.replace(c, c8=c.c8 * 1e-4 if not bound else 0.5 * budget)
+            _, _, info = solve_power_compute(tight, small_cfg)
+            assert info["iterations"] <= 100
+            # mu = 0, the growth of mu_hi from 1.0 by 4x up to 1e30 (at most 51
+            # solves), one solve per bisection step and the final one at mu_hi
+            assert info["evaluations"] <= info["iterations"] + 53
+            if bound:
+                assert info["iterations"] >= 1
+                assert info["evaluations"] >= info["iterations"] + 3
+            else:
+                assert info["evaluations"] == 1
+
+
+def _free_powers(cfg, fracs):
+    return cfg.e_max_array() / cfg.coherence_time_s * np.asarray(fracs)
+
+
+def _interior_b6(coeffs, cfg, fracs):
+    """b6 that puts the unconstrained optimum of each user at fracs * E/T."""
+    t, zeta = cfg.coherence_time_s, cfg.zeta
+    p = _free_powers(cfg, fracs)
+    f = ((cfg.e_max_array() - t * p) / (t * zeta)) ** (1 / 3)
+    f_coef = 1.0 / (cfg.eps_array() * cfg.bandwidth_hz)
+    lin = coeffs.b7 + coeffs.c1 @ coeffs.b11
+    return 2.0 * np.sqrt(p) * (lin + f_coef / (3.0 * zeta * f ** 2))
+
+
+def _user_solve_200(b6, lin, mu_b9, e_max, t, zeta, f_coef, force_f_zero):
+    """The per-user solver as it was with 200 fixed bisection steps in numpy
+    scalars: the reference that the early-stopping solver must equal."""
+    p_hi = e_max / t
+    slope = lin + mu_b9
+
+    if force_f_zero:
+        if b6 <= 0.0:
+            return 0.0, 0.0
+        if slope <= 0.0:
+            return p_hi, 0.0
+        p_star = min((b6 / (2.0 * slope)) ** 2, p_hi)
+        return p_star, 0.0
+
+    def f_of(p):
+        return ((e_max - t * p) / (t * zeta)) ** (1.0 / 3.0)
+
+    def deriv(p):
+        d = -f_coef / (3.0 * zeta) * ((e_max - t * p) / (t * zeta)) ** (-2.0 / 3.0)
+        d -= slope
+        if p > 0.0:
+            d += b6 / (2.0 * np.sqrt(p))
+        return d
+
+    if b6 <= 0.0 or deriv(p_hi * 1e-14) <= 0.0:
+        return 0.0, f_of(0.0)
+    lo, hi = p_hi * 1e-14, p_hi * (1.0 - 1e-14)
+    if deriv(hi) >= 0.0:
+        p_star = hi
+    else:
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if deriv(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        p_star = 0.5 * (lo + hi)
+    return p_star, f_of(p_star)
+
+
+USER_CASES = ("interior", "near-lower-end", "upper-cap", "no-gain", "force-f-zero")
+
+
+def _user_instances(n_per_case, seed=0):
+    """(case, args of _user_solve) at desk scales, numpy scalars as the
+    block passes them; every case draws its own energies, CPU constants and
+    linear costs log-uniformly around the desk configuration."""
+    rng = np.random.default_rng(seed)
+    cfg = desk_config()
+    t = cfg.coherence_time_s
+    out = []
+    for case in USER_CASES:
+        for _ in range(n_per_case):
+            e_max = np.float64(10.0 ** rng.uniform(-3.0, -1.0))
+            zeta = 10.0 ** rng.uniform(-27.0, -25.0)
+            f_coef = np.float64(10.0 ** rng.uniform(-10.0, -8.0))
+            lin = np.float64(10.0 ** rng.uniform(2.0, 6.0)) if rng.uniform() < 0.9 else np.float64(0.0)
+            mu_b9 = np.float64(0.0) if rng.uniform() < 0.5 else np.float64(10.0 ** rng.uniform(2.0, 6.0))
+            p_hi = e_max / t
+            slope = lin + mu_b9
+
+            def b6_at(p):
+                f = ((e_max - t * p) / (t * zeta)) ** (1.0 / 3.0)
+                return 2.0 * np.sqrt(p) * (slope + f_coef / (3.0 * zeta * f ** 2))
+
+            if case == "interior":
+                b6 = b6_at(p_hi * 10.0 ** rng.uniform(-12.0, -1e-3))
+            elif case == "near-lower-end":
+                b6 = b6_at(p_hi * 1e-14 * rng.uniform(0.5, 5.0))
+            elif case == "upper-cap":
+                b6 = b6_at(p_hi * (1.0 - 1e-14)) * rng.uniform(1.0, 2.0)
+            elif case == "no-gain":
+                b6 = -b6_at(p_hi * 10.0 ** rng.uniform(-12.0, -1e-3)) * rng.uniform(0.0, 1.0)
+            else:
+                b6 = b6_at(p_hi * 10.0 ** rng.uniform(-12.0, -1e-3)) * rng.choice((-1.0, 1.0))
+            out.append((case, (np.float64(b6), lin, mu_b9, e_max, t, zeta, f_coef,
+                               case == "force-f-zero")))
+    return out
+
+
+class TestUserSolve:
+    def test_equals_200_step_reference(self):
+        seen = set()
+        for case, args in _user_instances(50):
+            p, f = _user_solve(*args)
+            p_ref, f_ref = _user_solve_200(*args)
+            assert (p, f) == (p_ref, f_ref), (case, args)
+            if case == "interior":
+                assert 0.0 < p < args[3] / args[4] * (1.0 - 1e-14)
+            seen.add((case, p == 0.0))
+        # the lower-end draws land on both sides of the bracket's start
+        assert ("near-lower-end", True) in seen and ("near-lower-end", False) in seen
+
+    def test_derivative_evaluations_bounded_by_bracket_bits(self):
+        # bisection stops once the midpoint rounds onto an end of
+        # [1e-14, 1 - 1e-14] E/T: after about log2(E/T / spacing(1e-14 E/T))
+        # steps, not after the 200-step cap
+        from fdiscc import powercomp
+        calls = []
+
+        def profile(frame, event, arg):
+            if (event == "call" and frame.f_code.co_name == "deriv"
+                    and frame.f_code.co_filename == powercomp.__file__):
+                calls.append(1)
+
+        most = 0
+        for case, args in _user_instances(20, seed=1):
+            p_hi = args[3] / args[4]
+            bits = math.ceil(math.log2(p_hi / np.spacing(p_hi * 1e-14)))
+            calls.clear()
+            sys.setprofile(profile)
+            try:
+                _user_solve(*args)
+            finally:
+                sys.setprofile(None)
+            # two end checks, then one evaluation per bisection step
+            assert len(calls) <= bits + 3, (case, len(calls), bits)
+            most = max(most, len(calls))
+        assert 90 <= most <= 110
