@@ -57,38 +57,70 @@ def uncached_mass(e: np.ndarray, skew: float, scale: np.ndarray | float = 1.0) -
     return float(np.sum(scale * (1.0 - e) * w) / w.sum())
 
 
+def first_k_stable(key: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` indices of ``np.argsort(key, kind="stable")``, for a
+    ``key`` without NaNs.
+
+    ``np.partition`` finds the k-th smallest key; every index whose key is at
+    most that value (all ties of the k-th key included) is a candidate, and
+    only the candidates are stable-sorted, so ties keep their index order."""
+    if k >= key.size:
+        return np.argsort(key, kind="stable")
+    kth = np.partition(key, k - 1)[k - 1]
+    cand = np.flatnonzero(key <= kth)
+    return cand[np.argsort(key[cand], kind="stable")[:k]]
+
+
+def _reach(cap: float, q_min: float, n: int) -> int:
+    """floor(cap / q_min) + 1, the most files a greedy loading can visit,
+    capped at the catalogue size n."""
+    full = cap // q_min
+    return int(full) + 1 if full < n else n
+
+
 def solve_caching(cache_cfg: CacheConfig) -> CacheSolution:
     """Exact LP optimum with at most one fractional placement.
 
     Ties in popularity-per-byte are broken toward the smaller file index so
-    the result is deterministic.
+    the result is deterministic. Only the files the greedy loading can reach
+    are ordered: at most floor(F / q_min) load fully, and one more may load in
+    part. The loading is the sequential left fold ``np.subtract.accumulate``
+    of the capacity by the file lengths in that order.
     """
     c = zipf_popularity(cache_cfg.n_files, cache_cfg.skew)
     q = cache_cfg.lengths_array()
     cap = float(cache_cfg.capacity)
+    key = -c / q
 
-    order = np.argsort(-c / q, kind="stable")
     e = np.zeros_like(c)
-    remaining = cap
     marginal = 0.0
-    for v in order:
-        if remaining <= 0.0:
+    k = _reach(cap, float(q.min()), c.size)
+    while True:
+        order = first_k_stable(key, k)
+        q_order = q[order]
+        # remaining[i]: capacity left after loading the first i files fully
+        remaining = np.subtract.accumulate(np.concatenate(([cap], q_order)))
+        fits = (remaining[:-1] > 0.0) & (q_order <= remaining[:-1])
+        n_full = int(np.argmin(fits)) if not fits.all() else fits.size
+        if n_full < fits.size or k >= c.size or remaining[-1] <= 0.0:
             break
-        if q[v] <= remaining:
-            e[v] = 1.0
-            remaining -= q[v]
-        else:
-            e[v] = remaining / q[v]
-            marginal = c[v] / q[v]
-            remaining = 0.0
-            break
-    if remaining > 0.0:
+        k *= 2                  # rounding left room for more files
+    e[order[:n_full]] = 1.0
+    left = remaining[n_full]
+    if n_full < fits.size and left > 0.0:
+        v = order[n_full]       # the first file that does not fit loads in part
+        e[v] = left / q[v]
+        marginal = c[v] / q[v]
+        left = 0.0
+    if left > 0.0:
         marginal = 0.0          # capacity not binding
-    elif marginal == 0.0:
-        # exactly full with integral placements: price of the next-best file
-        loaded = e >= 1.0
-        leftover = ~loaded
-        marginal = float(np.max(c[leftover] / q[leftover])) if leftover.any() else 0.0
+    elif marginal == 0.0 and n_full < c.size:
+        # exactly full with integral placements: price of the next-best file,
+        # the first one left out in the loading order
+        if n_full == order.size:
+            order = first_k_stable(key, n_full + 1)
+        v = order[n_full]
+        marginal = float(c[v] / q[v])
 
     objective = uncached_mass(e, cache_cfg.skew)
     # LP duality on the equivalent max-form: value(mu) = mu*F + sum max(0, c - mu q)
@@ -103,16 +135,27 @@ def random_caching(cache_cfg: CacheConfig, rng: np.random.Generator) -> np.ndarr
     each placed file is drawn proportionally to c among the unplaced files that
     still fit.  Placing greedily along one c-weighted random permutation
     (exponential keys E_v / c_v) has that law, since a file that does not fit
-    now never fits later."""
+    now never fits later.  Only the head of the permutation that the loading
+    reaches is ordered: floor(F / q_min) + 1 files, widened while files too
+    large to fit leave room behind them."""
     c = zipf_popularity(cache_cfg.n_files, cache_cfg.skew)
     q = cache_cfg.lengths_array()
-    e = np.zeros_like(c)
-    remaining = float(cache_cfg.capacity)
+    key = rng.exponential(size=c.size) / c
+    cap = float(cache_cfg.capacity)
     q_min = float(q.min())
-    for v in np.argsort(rng.exponential(size=c.size) / c, kind="stable"):
-        if remaining < q_min:
+    k = _reach(cap, q_min, c.size)
+    while True:
+        placed, remaining = [], cap
+        order = first_k_stable(key, k)
+        for v, q_v in zip(order.tolist(), q[order].tolist()):
+            if remaining < q_min:
+                break
+            if q_v <= remaining:
+                placed.append(v)
+                remaining -= q_v
+        if remaining < q_min or k >= c.size:
             break
-        if q[v] <= remaining:
-            e[v] = 1.0
-            remaining -= q[v]
+        k *= 2
+    e = np.zeros_like(c)
+    e[placed] = 1.0
     return e

@@ -61,9 +61,10 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = harness.load_sweep_spec(args.spec)
-    base = None
-    if args.config != "default":
-        base = load_config(args.config)
+    base = load_config(args.config) if args.config != "default" else None
+    base = harness.sweep_base_config(spec, base)
+    cells = harness.keyed_cells(spec, base)
+    print(f"sweep: {len(cells)} cells, {len({key for key, _ in cells})} radio solves")
     rows = harness.run_sweep(spec, base_cfg=base, workers=args.workers)
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
@@ -84,7 +85,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_selftest(args) -> int:
     import dataclasses
     import numpy.linalg as la
-    from . import beamforming, cacheopt, phaseadmm, powercomp, wmmse
+    from . import beamforming, cacheopt, phaseadmm, powercomp, sysmodel, wmmse
     from .sysmodel import utility
 
     failures = 0
@@ -181,10 +182,24 @@ def _cmd_selftest(args) -> int:
     check("power step KKT", bool(np.max(kkt) <= 1e-9 and max(comp_slack) <= 1e-2
                                  and mus[0] == 0.0 and mus[1] > 0.0))
 
-    result = orchestrator.run(cfg, ch, RunOptions(max_iter=8))
+    results = {s: orchestrator.run(cfg, ch, RunOptions(scheme=s, max_iter=8))
+               for s in ("proposed", "random-caching", "no-caching")}
+    result = results["proposed"]
     objs = [r.objective for r in result.trace]
     mono = all(objs[i + 1] >= objs[i] - 1e-8 * abs(objs[i]) for i in range(len(objs) - 1))
     check("monotone objective trace", mono)
+
+    # the caching schemes differ only in the placement, which no block reads:
+    # one radio outcome, utilities apart by exactly their backhaul costs
+    def radio(r):
+        return (r.status, r.iterations, r.metrics.sum_bits,
+                *(getattr(r.solution, name).tobytes() for name in ("w", "phi", "p")))
+
+    check("cache decoupling", all(
+        radio(r) == radio(result)
+        and r.metrics.utility == result.metrics.sum_bits - sysmodel.backhaul_cost(
+            r.solution.e, cfg.cache, cfg.coherence_time_s, cfg.n_cp)
+        for r in results.values()))
     return 1 if failures else 0
 
 

@@ -82,23 +82,28 @@ class CacheConfig:
             raise ConfigError("n_files must be >= 1")
         if self.capacity < 0:
             raise ConfigError("capacity must be >= 0")
-        if np.any(self.lengths_array() <= 0):
+        # the given scalar or tuple, not its broadcast to every file
+        if np.any(_per_index(self.lengths, self.n_files, "lengths") <= 0):
             raise ConfigError("lengths must be > 0")
         if self.skew < 0:
             raise ConfigError("skew must be >= 0")
-        if np.any(self.price_array() < 0):
+        if np.any(_per_index(self.backhaul_price, self.n_files, "backhaul_price") < 0):
             raise ConfigError("backhaul_price must be >= 0")
         if np.any(np.atleast_1d(np.asarray(self.backhaul_rate, dtype=float)) < 0):
             raise ConfigError("backhaul_rate must be >= 0")
 
 
-def _broadcast(value, n: int, name: str) -> np.ndarray:
+def _per_index(value, n: int, name: str) -> np.ndarray:
+    """``value`` as a 1-D array of size 1 (shared by all n indices) or n."""
     arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.size == 1:
-        return np.full(n, float(arr[0]))
-    if arr.size != n:
+    if arr.size not in (1, n):
         raise ConfigError(f"{name} must be a scalar or have length {n}, got {arr.size}")
-    return arr.copy()
+    return arr
+
+
+def _broadcast(value, n: int, name: str) -> np.ndarray:
+    arr = _per_index(value, n, name)
+    return np.full(n, float(arr[0])) if arr.size == 1 else arr.copy()
 
 
 @dataclass(frozen=True)

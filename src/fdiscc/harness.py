@@ -18,6 +18,7 @@ import json
 import multiprocessing
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
@@ -27,7 +28,7 @@ import numpy as np
 
 from .channels import draw_channels
 from .config import ConfigError, SystemConfig, config_from_dict, with_overrides
-from .orchestrator import SCHEMES, RunResult, evaluate_baseline
+from .orchestrator import SCHEMES, RunResult, evaluate_baseline, radio_key
 from .sysmodel import METRICS_CSV_COLUMNS, metrics_csv_row
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -135,22 +136,55 @@ def result_row(cfg: SystemConfig, result: RunResult, wall_s: float | None = None
     return row
 
 
+def cell_config(cfg: SystemConfig, parameter: str, value, seed: int) -> SystemConfig:
+    """The config of one sweep cell (validated once, by ``apply_parameter``)."""
+    return apply_parameter(replace(cfg, seed=seed), parameter, value)
+
+
 def run_cell(cfg: SystemConfig, parameter: str, value, scheme: str, seed: int,
-             max_iter: int = 50) -> dict:
-    """One sweep cell: draw channels for the seed, run the scheme, build a row."""
-    cell_cfg = apply_parameter(with_overrides(cfg, seed=seed), parameter, value)
-    ch = draw_channels(cell_cfg)
+             max_iter: int = 50, solves: dict | None = None) -> dict:
+    """One sweep cell: draw channels for the seed, run the scheme, build a row.
+
+    With ``solves`` (see ``orchestrator.run``), a cell whose radio problem is
+    already solved there reuses that solve and the channel set it ran on;
+    ``draw_channels`` does not read the cache config, so that set equals a
+    fresh draw."""
+    cell_cfg = cell_config(cfg, parameter, value, seed)
+    shared = None if solves is None else solves.get(radio_key(cell_cfg, scheme, max_iter))
+    ch = draw_channels(cell_cfg) if shared is None else shared.ch
     t0 = time.perf_counter()
-    result = evaluate_baseline(cell_cfg, ch, scheme, max_iter=max_iter)
+    result = evaluate_baseline(cell_cfg, ch, scheme, max_iter=max_iter, solves=solves)
     return result_row(cell_cfg, result, wall_s=time.perf_counter() - t0)
 
 
-def _cell_args(spec: SweepSpec, cfg: SystemConfig):
-    for value in spec.values:
-        for scheme in spec.schemes:
-            for i in range(spec.n_seeds):
-                yield (cfg, spec.parameter, value, scheme, spec.seed_base + i,
-                       spec.max_iter)
+def sweep_base_config(spec: SweepSpec, base_cfg: SystemConfig | None = None) -> SystemConfig:
+    """The sweep's base config: ``base_cfg`` if given, else the spec's own."""
+    return config_from_dict(spec.base_config or {}) if base_cfg is None else base_cfg
+
+
+def keyed_cells(spec: SweepSpec, cfg: SystemConfig) -> list[tuple[tuple, tuple]]:
+    """Every cell of the sweep in (value, scheme, seed) order, as its radio key
+    (``orchestrator.radio_key``) and its ``run_cell`` arguments."""
+    return [(radio_key(cell_config(cfg, spec.parameter, value, seed), scheme, spec.max_iter),
+             (cfg, spec.parameter, value, scheme, seed, spec.max_iter))
+            for value in spec.values for scheme in spec.schemes
+            for seed in range(spec.seed_base, spec.seed_base + spec.n_seeds)]
+
+
+def _run_cells(cells: list[tuple[tuple, tuple]]) -> list[dict]:
+    """Run keyed cells in order. The cells of one key share one radio solve,
+    dropped after the last of them; a key's only cell has nothing to share
+    and runs without the dict of solves."""
+    left = Counter(key for key, _ in cells)
+    solves: dict = {}
+    rows = []
+    for key, args in cells:
+        left[key] -= 1
+        alone = not left[key] and key not in solves
+        rows.append(run_cell(*args, solves=None if alone else solves))
+        if not left[key]:
+            solves.pop(key, None)
+    return rows
 
 
 @contextmanager
@@ -176,29 +210,40 @@ def run_sweep(spec: SweepSpec, base_cfg: SystemConfig | None = None,
     """Execute every (value, scheme, seed) cell; rows come back in a
     deterministic order regardless of worker scheduling.
 
-    With ``workers > 1`` the cells run in a pool of spawned processes, at most
-    one per cell, each started with one BLAS thread. Spawned processes import
-    the caller's main module again, so a script that calls this must guard its
-    entry point with ``if __name__ == "__main__":``."""
+    Cells that differ only in the cache share one radio solve (see
+    ``orchestrator.run``): those of a ``skew`` or ``backhaul_rate`` sweep at one
+    seed, and the ``proposed``, ``random-caching`` and ``no-caching`` cells of
+    one (value, seed). The key is the cell config with its cache reset to
+    ``CacheConfig()``, the scheme's radio mode and ``max_iter``
+    (``orchestrator.radio_key``). The first cell of a key pays for the solve
+    inside its own ``run_cell``, so its ``wall_time_s`` includes it; the cells
+    of a key are counted up front, and the solve is dropped after the last of
+    them. A key's only cell runs as a plain ``run``, with no key lookups and no
+    copies. Cells run in (value, scheme, seed) order, which keeps cells of one
+    cache config together, so a sweep over a cache parameter with caching
+    schemes only holds at most ``n_seeds`` solves at a time.
+
+    With ``workers > 1`` each key's cells form one task in a pool of spawned
+    processes, at most one process per key, each started with one BLAS
+    thread. Spawned processes import the caller's main module again, so a
+    script that calls this must guard its entry point with
+    ``if __name__ == "__main__":``."""
     spec.validate()
-    if base_cfg is None:
-        base_cfg = config_from_dict(spec.base_config or {})
-    args = list(_cell_args(spec, base_cfg))
-    n_workers = min(workers, len(args))
+    cells = keyed_cells(spec, sweep_base_config(spec, base_cfg))
+    groups: dict = {}
+    for key, args in cells:
+        groups.setdefault(key, []).append((key, args))
+    n_workers = min(workers, len(groups))
     if n_workers > 1:
         with ProcessPoolExecutor(max_workers=n_workers,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
             with _one_blas_thread_env():
-                pending = pool.map(_run_cell_star, args)    # spawns the workers
-            rows = list(pending)
+                pending = pool.map(_run_cells, groups.values())    # spawns the workers
+            rows = [row for group_rows in pending for row in group_rows]
     else:
-        rows = [_run_cell_star(a) for a in args]
+        rows = _run_cells(cells)
     rows.sort(key=lambda r: (r[spec.parameter], r["scheme"], r["seed"]))
     return rows
-
-
-def _run_cell_star(args):
-    return run_cell(*args)
 
 
 def write_csv(rows: list[dict], columns: tuple, path: str | Path) -> None:

@@ -1,34 +1,47 @@
-"""Outer block-coordinate loop: cache solve, feasible initialization, and the
-per-iteration cycle auxiliaries -> reflection phases (ADMM) -> auxiliaries ->
-transmit beams (closed-form dual) -> receive combiners (closed form) ->
-power/compute (dual bisection).
+"""Outer block-coordinate loop: feasible initialization, then the per-iteration
+cycle auxiliaries -> reflection phases (ADMM) -> auxiliaries -> transmit beams
+(closed-form dual) -> receive combiners (closed form) -> power/compute (dual
+bisection), then the cache placement.
 
 Every block carries a monotonicity safeguard, so the recorded surrogate
 objective never decreases across accepted iterations; infeasible subproblems
 skip their block for the iteration and keep the incumbent.
 
-The cache placement is fixed once per run, so ``run`` computes its backhaul
-cost and cache residual once and hands them to every ``utility`` and
-``residuals`` call; each solution state's ``sysmodel.link_terms`` is computed
-once and shared by the blocks that read that state (see ``run``).
+A run has two parts. The *radio solve* (``solve_radio``) is the block loop
+above; it never reads the cache placement, ``cfg.cache`` or a scheme's cache
+rule, because the placement enters the utility only through the backhaul cost
+``D_total``, a term no block optimizes. *Pricing* (``price``) then places the
+cache by the scheme's rule and charges its backhaul cost and cache residual:
+``utility = sum_bits - d_total`` on the final metrics and on every trace row.
+So ``proposed``, ``random-caching`` and ``no-caching`` share one radio
+problem, and a sweep whose cells differ only in the cache or in these schemes
+solves it once (see ``run``'s ``solves`` and ``harness.run_sweep``). Each
+solution state's ``sysmodel.link_terms`` is computed once and shared by the
+blocks that read that state (see ``solve_radio``).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import beamforming, cacheopt, phaseadmm, powercomp, sysmodel, wmmse
 from .channels import ChannelSet
-from .config import SystemConfig
+from .config import CacheConfig, SystemConfig
 from .sysmodel import (Metrics, Solution, cache_residual, echo_matrix, link_terms,
                        residuals, sensing_floor, utility)
 
 SCHEMES = ("proposed", "full-offloading", "fixed-phase", "hd",
            "random-caching", "no-caching")
+
+# the radio problem each scheme solves: the caching baselines differ from
+# ``proposed`` only in the placement, which the radio solve does not read
+RADIO_MODE = {s: s for s in SCHEMES} | {"random-caching": "proposed",
+                                        "no-caching": "proposed"}
 
 CONVERGED = "converged"
 MAX_ITER_STATUS = "max-iter"
@@ -58,7 +71,34 @@ class TraceRow:
     res_modulus: float
     res_energy: float
     res_cache: float
+    wall_ms: float          # since the radio solve's first iteration began; cells
+                            # that share one solve report its times
+
+
+class RadioRow(NamedTuple):
+    """One iteration of the radio solve: the cache-free part of a ``TraceRow``."""
+
+    iteration: int
+    objective: float
+    sum_bits: float
+    res_power: float
+    res_radar: float
+    res_modulus: float
+    res_energy: float
     wall_ms: float
+
+
+@dataclass(frozen=True)
+class RadioSolve:
+    """Result of the block-coordinate loop alone. ``solution.e`` is the empty
+    ``NO_PLACEMENT``, and ``metrics`` carry ``d_total = 0`` (utility equals
+    sum_bits) until ``price`` charges a placement."""
+
+    ch: ChannelSet          # the channel set the loop ran on
+    solution: Solution
+    metrics: Metrics
+    rows: tuple             # RadioRow per iteration
+    status: str
 
 
 @dataclass(frozen=True)
@@ -69,6 +109,10 @@ class RunResult:
     status: str
     scheme: str
     iterations: int
+
+
+NO_PLACEMENT = np.zeros(0)
+NO_PLACEMENT.flags.writeable = False
 
 
 class SensingInfeasible(Exception):
@@ -206,52 +250,50 @@ def _cache_for_scheme(cfg: SystemConfig, scheme: str, rng: np.random.Generator) 
     return cacheopt.solve_caching(cfg.cache).e
 
 
-def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> RunResult:
-    """Full solve of one scenario under the given scheme.
+def radio_key(cfg: SystemConfig, scheme: str, max_iter: int) -> tuple:
+    """Cells with equal keys solve the same radio problem: the config without
+    its cache, the scheme's radio mode and the iteration cap."""
+    return replace(cfg, cache=CacheConfig()), RADIO_MODE[scheme], max_iter
 
-    The cache placement is fixed for the run, so its backhaul cost and cache
-    residual are computed once and reused by every ``utility`` and
-    ``residuals`` call. Each solution state gets one ``link_terms``: the one at
-    the start of an iteration serves the auxiliaries and the phase block, the
-    one after the phase block serves the auxiliaries, the transmit block and
-    (through its composite channels, which the beams do not change) the
-    receive block, the power block makes its own, and the one at the end of
-    the iteration serves the BCA objective and the metrics. The final metrics
-    are those of the last iteration, whose solution is the returned one.
+
+def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> RadioSolve:
+    """Initialization and the block-coordinate loop of one radio mode (a scheme
+    of ``RADIO_MODE``'s values), without the cache placement.
+
+    Each solution state gets one ``link_terms``: the one at the start of an
+    iteration serves the auxiliaries and the phase block, the one after the
+    phase block serves the auxiliaries, the transmit block and (through its
+    composite channels, which the beams do not change) the receive block, the
+    power block makes its own, and the one at the end of the iteration serves
+    the BCA objective and the metrics. The final metrics are those of the last
+    iteration, whose solution is the returned one.
     """
-    cfg.validate()
-    hd = opts.scheme == "hd"
-    fixed_phase = opts.scheme == "fixed-phase"
-    force_f_zero = opts.scheme == "full-offloading"
-
+    hd = mode == "hd"
+    fixed_phase = mode == "fixed-phase"
+    force_f_zero = mode == "full-offloading"
     rng_init = np.random.default_rng([cfg.seed, 101])
-    rng_cache = np.random.default_rng([cfg.seed, 151])
-
-    e = _cache_for_scheme(cfg, opts.scheme, rng_cache)
-    d_total = sysmodel.backhaul_cost(e, cfg.cache, cfg.coherence_time_s, cfg.n_cp)
-    res_cache = cache_residual(e, cfg.cache)
-    # the fixed-phase baseline pins its heuristic phases; other schemes let
+    # the fixed-phase baseline pins its heuristic phases; other modes let
     # the initializer pick the best candidate start
     phi0 = fixed_phase_heuristic(ch, cfg) if fixed_phase else None
     try:
-        sol = initialize(cfg, ch, rng_init, phi=phi0, e=e, d_total=d_total)
+        sol = initialize(cfg, ch, rng_init, phi=phi0, e=NO_PLACEMENT, d_total=0.0)
     except SensingInfeasible:
         sol = Solution(w=np.zeros((cfg.n_cm + 1, cfg.n_tx), complex),
                        u=np.zeros((cfg.n_cp, cfg.n_rx), complex),
                        phi=np.ones(cfg.m_passive, complex),
-                       f=np.zeros(cfg.n_cp), p=np.zeros(cfg.n_cp), e=e)
-        return RunResult(sol, utility(sol, ch, cfg, hd, d_total=d_total), (),
-                         INFEASIBLE_SENSING, opts.scheme, 0)
+                       f=np.zeros(cfg.n_cp), p=np.zeros(cfg.n_cp), e=NO_PLACEMENT)
+        return RadioSolve(ch, sol, utility(sol, ch, cfg, hd, d_total=0.0), (),
+                          INFEASIBLE_SENSING)
     if force_f_zero:
         sol = sol.copy_with(f=np.zeros(cfg.n_cp))
 
-    trace: list[TraceRow] = []
+    rows: list[RadioRow] = []
     met = None
     status = MAX_ITER_STATUS
     slow_count = 0
     t0 = time.perf_counter()
 
-    for n in range(1, opts.max_iter + 1):
+    for n in range(1, max_iter + 1):
         # combiner scale is immaterial (SINRs are u-scale invariant) but must
         # stay bounded: the closed-form u grows like 1/sqrt(p) as p shrinks
         if sol.u.size:
@@ -286,16 +328,14 @@ def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> R
 
         lt = link_terms(sol, ch, cfg, hd)
         obj = wmmse.bca_objective(sol, ch, cfg, aux, hd, lt=lt)
-        met = utility(sol, ch, cfg, hd, lt=lt, d_total=d_total)
-        res = residuals(sol, ch, cfg, res_cache=res_cache)
-        trace.append(TraceRow(
-            iteration=n, objective=obj, utility=met.utility,
-            res_power=res["power"], res_radar=res["radar"],
-            res_modulus=res["modulus"], res_energy=res["energy"],
-            res_cache=res["cache"], wall_ms=(time.perf_counter() - t0) * 1e3,
-        ))
+        met = utility(sol, ch, cfg, hd, lt=lt, d_total=0.0)
+        # the cache residual belongs to the placement, which pricing charges
+        res = residuals(sol, ch, cfg, res_cache=np.nan)
+        rows.append(RadioRow(n, obj, met.sum_bits, res["power"], res["radar"],
+                             res["modulus"], res["energy"],
+                             (time.perf_counter() - t0) * 1e3))
         if n > 1:
-            prev_obj = trace[-2].objective
+            prev_obj = rows[-2].objective
             rel = (obj - prev_obj) / max(abs(prev_obj), 1e-12)
             slow_count = slow_count + 1 if rel < CONV_TOL else 0
             if slow_count >= CONV_WINDOW:
@@ -306,14 +346,62 @@ def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> R
             break
 
     if met is None:     # no iteration ran (max_iter < 1)
-        met = utility(sol, ch, cfg, hd, d_total=d_total)
-    return RunResult(sol, met, tuple(trace), status, opts.scheme, len(trace))
+        met = utility(sol, ch, cfg, hd, d_total=0.0)
+    return RadioSolve(ch, sol, met, tuple(rows), status)
+
+
+def price(cfg: SystemConfig, radio: RadioSolve, scheme: str) -> RunResult:
+    """The scheme's cache placement on a radio solve: its backhaul cost and
+    cache residual are computed once and charged to the final metrics and to
+    every trace row, as ``utility = sum_bits - d_total``."""
+    e = _cache_for_scheme(cfg, scheme, np.random.default_rng([cfg.seed, 151]))
+    d_total = sysmodel.backhaul_cost(e, cfg.cache, cfg.coherence_time_s, cfg.n_cp)
+    res_cache = cache_residual(e, cfg.cache)
+    met = radio.metrics
+    trace = tuple(TraceRow(r.iteration, r.objective, r.sum_bits - d_total, r.res_power,
+                           r.res_radar, r.res_modulus, r.res_energy, res_cache, r.wall_ms)
+                  for r in radio.rows)
+    return RunResult(radio.solution.copy_with(e=e),
+                     replace(met, d_total=d_total, utility=met.sum_bits - d_total),
+                     trace, radio.status, scheme, len(trace))
+
+
+def _with_own_arrays(record):
+    """A copy of a frozen record whose array fields are copies too."""
+    return replace(record, **{k: v.copy() for k, v in vars(record).items()
+                              if isinstance(v, np.ndarray)})
+
+
+def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions(),
+        solves: dict | None = None) -> RunResult:
+    """Full solve of one scenario under the given scheme: the radio solve of
+    the scheme's radio mode (``solve_radio``), then the scheme's cache
+    placement priced on it (``price``).
+
+    ``solves``, when given, is a dict of radio solves shared between calls and
+    keyed by ``radio_key``: a call whose key is present, on the same channel
+    set object, reuses that solve instead of running the loop again, and a
+    call that runs it stores it. This is exact because the radio solve reads
+    neither ``cfg.cache`` nor the scheme's cache rule. A reused solve's arrays
+    are copied, so results never share mutable state.
+    """
+    cfg.validate()
+    mode = RADIO_MODE[opts.scheme]
+    if solves is None:
+        return price(cfg, solve_radio(cfg, ch, mode, opts.max_iter), opts.scheme)
+    key = radio_key(cfg, opts.scheme, opts.max_iter)
+    radio = solves.get(key)
+    if radio is None or radio.ch is not ch:
+        radio = solves[key] = solve_radio(cfg, ch, mode, opts.max_iter)
+    radio = replace(radio, solution=_with_own_arrays(radio.solution),
+                    metrics=_with_own_arrays(radio.metrics))
+    return price(cfg, radio, opts.scheme)
 
 
 def evaluate_baseline(cfg: SystemConfig, ch: ChannelSet, scheme: str,
-                      max_iter: int = 50) -> RunResult:
-    """Run one scheme from the comparison set."""
-    return run(cfg, ch, RunOptions(scheme=scheme, max_iter=max_iter))
+                      max_iter: int = 50, solves: dict | None = None) -> RunResult:
+    """Run one scheme from the comparison set (``solves`` as in ``run``)."""
+    return run(cfg, ch, RunOptions(scheme=scheme, max_iter=max_iter), solves=solves)
 
 
 def _to_jsonable(obj):

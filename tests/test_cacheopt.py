@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdiscc.cacheopt import (random_caching, solve_caching, zipf_popularity,
+from fdiscc.cacheopt import (CacheSolution, first_k_stable, random_caching,
+                             solve_caching, uncached_mass, zipf_popularity,
                              zipf_weights)
 from fdiscc.config import CacheConfig
 
@@ -191,3 +192,139 @@ class TestRandomCaching:
         freq = sum(random_caching(cfg, rng) for _ in range(n)) / n
         sigma = np.sqrt(exact * (1.0 - exact) / n)
         assert np.all(np.abs(freq - exact) <= 4.0 * sigma + 1e-12)
+
+
+def _solve_caching_full_sort(cache_cfg):
+    """The knapsack as it was with a full stable sort and a Python loop: the
+    reference that the selection-based solver must equal."""
+    c = zipf_popularity(cache_cfg.n_files, cache_cfg.skew)
+    q = cache_cfg.lengths_array()
+    cap = float(cache_cfg.capacity)
+    order = np.argsort(-c / q, kind="stable")
+    e = np.zeros_like(c)
+    remaining = cap
+    marginal = 0.0
+    for v in order:
+        if remaining <= 0.0:
+            break
+        if q[v] <= remaining:
+            e[v] = 1.0
+            remaining -= q[v]
+        else:
+            e[v] = remaining / q[v]
+            marginal = c[v] / q[v]
+            remaining = 0.0
+            break
+    if remaining > 0.0:
+        marginal = 0.0
+    elif marginal == 0.0:
+        leftover = ~(e >= 1.0)
+        marginal = float(np.max(c[leftover] / q[leftover])) if leftover.any() else 0.0
+    gained = float(e @ c)
+    dual_value = marginal * cap + float(np.maximum(0.0, c - marginal * q).sum())
+    return CacheSolution(e=e, objective=uncached_mass(e, cache_cfg.skew),
+                         dual_price=marginal, duality_gap=dual_value - gained)
+
+
+def _random_caching_full_sort(cache_cfg, rng):
+    """Random placement along the fully sorted exponential keys (reference)."""
+    c = zipf_popularity(cache_cfg.n_files, cache_cfg.skew)
+    q = cache_cfg.lengths_array()
+    e = np.zeros_like(c)
+    remaining = float(cache_cfg.capacity)
+    q_min = float(q.min())
+    for v in np.argsort(rng.exponential(size=c.size) / c, kind="stable"):
+        if remaining < q_min:
+            break
+        if q[v] <= remaining:
+            e[v] = 1.0
+            remaining -= q[v]
+    return e
+
+
+def _selection_instances(n, seed):
+    """Catalogues of 1 to 400 files: a shared length, lengths in {1, 2, 3}
+    (ties in popularity per byte), and mixed lengths; capacities of zero,
+    of a few files, of a random share, and of everything."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        v = int(rng.integers(1, 401))
+        kind = i % 3
+        if kind == 0:
+            lengths = float(rng.choice([1.0, 0.7, 1e5]))
+        elif kind == 1:
+            lengths = tuple(rng.choice([1.0, 2.0, 3.0], v).tolist())
+        else:
+            lengths = tuple(rng.uniform(0.1, 5.0, v).tolist())
+        q = np.broadcast_to(np.asarray(lengths, float), (v,))
+        head = q[:int(rng.integers(1, min(v, 12) + 1))].sum()
+        cap = float((0.0, head, rng.uniform(0.0, q.sum()), q.sum(), 2.0 * q.sum())[i % 5])
+        skew = float(rng.choice([0.0, 1.0, rng.uniform(0.0, 2.5)]))
+        yield CacheConfig(n_files=v, capacity=cap, lengths=lengths, skew=skew), rng
+
+
+class TestSelection:
+    def test_first_k_stable_matches_argsort(self):
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            n = int(rng.integers(1, 300))
+            key = rng.integers(0, 6, n).astype(float)       # many ties
+            if rng.random() < 0.5:
+                key = key + rng.normal(size=n)
+            k = int(rng.integers(0, n + 3))
+            assert np.array_equal(first_k_stable(key, k),
+                                  np.argsort(key, kind="stable")[:k])
+
+    def test_solve_caching_equals_full_sort(self):
+        for cfg, _ in _selection_instances(300, 5):
+            got, ref = solve_caching(cfg), _solve_caching_full_sort(cfg)
+            assert np.array_equal(got.e, ref.e)
+            assert got.objective == ref.objective
+            assert got.dual_price == ref.dual_price
+            assert got.duality_gap == ref.duality_gap
+
+    def test_random_caching_equals_full_sort(self):
+        for cfg, rng in _selection_instances(300, 6):
+            seed = int(rng.integers(1 << 31))
+            got = random_caching(cfg, np.random.default_rng(seed))
+            ref = _random_caching_full_sort(cfg, np.random.default_rng(seed))
+            assert np.array_equal(got, ref)
+
+    def test_large_catalogue_equals_full_sort(self):
+        cfg = CacheConfig(n_files=100_000, capacity=2000 * 1e5, lengths=1e5, skew=1.1)
+        got, ref = solve_caching(cfg), _solve_caching_full_sort(cfg)
+        assert np.array_equal(got.e, ref.e) and got.dual_price == ref.dual_price
+        assert np.array_equal(random_caching(cfg, np.random.default_rng(9)),
+                              _random_caching_full_sort(cfg, np.random.default_rng(9)))
+
+    def test_solve_caching_widens_past_rounding(self):
+        # 0.5 // 0.1 == 4.0, yet five sequential loads of 0.1 leave 2.8e-17
+        # of capacity, so the greedy loading reaches a sixth file
+        cfg = CacheConfig(n_files=10, capacity=0.5, lengths=0.1, skew=1.0)
+        got, ref = solve_caching(cfg), _solve_caching_full_sort(cfg)
+        assert np.count_nonzero(ref.e) == 6
+        assert np.array_equal(got.e, ref.e) and got.dual_price == ref.dual_price
+        assert got.objective == ref.objective and got.duality_gap == ref.duality_gap
+
+    def test_random_caching_widens_past_skipped_files(self, monkeypatch):
+        # one half-slot file among files that never fit: the first
+        # floor(F / q_min) + 1 = 3 candidates are mostly skipped, so the
+        # selection must widen to reach the small file
+        from fdiscc import cacheopt
+        seen = []
+        select = cacheopt.first_k_stable
+
+        def recorded(key, k):
+            seen.append(k)
+            return select(key, k)
+
+        monkeypatch.setattr(cacheopt, "first_k_stable", recorded)
+        cfg = CacheConfig(n_files=40, capacity=1.0, lengths=(0.5,) + (2.0,) * 39, skew=0.0)
+        widened = 0
+        for seed in range(20):
+            seen.clear()
+            got = random_caching(cfg, np.random.default_rng(seed))
+            assert np.array_equal(got, _random_caching_full_sort(cfg, np.random.default_rng(seed)))
+            assert got[0] == 1.0
+            widened += len(seen) > 1
+        assert widened >= 10

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdiscc.config import ConfigError, desk_config
+from fdiscc.config import CacheConfig, ConfigError, desk_config
 from fdiscc.harness import (RUN_CSV_COLUMNS, SWEEP_CSV_COLUMNS, SweepSpec,
                             aggregate, apply_parameter, load_sweep_spec,
                             result_row, run_cell, run_sweep, write_csv)
@@ -143,6 +143,116 @@ class TestRows:
         assert tuple(header) == SWEEP_CSV_COLUMNS
 
 
+CACHE_SCHEMES = ("proposed", "random-caching", "no-caching")
+
+
+def _shared_cfg():
+    return desk_config(m_passive=8, m_active=2, gamma_tar_linear=1.0,
+                       cache=CacheConfig(n_files=400, capacity=2e6, lengths=1e5))
+
+
+def _unshared_rows(spec, cfg):
+    """Every cell of the spec through ``run_cell`` alone: no solve is shared."""
+    rows = [run_cell(cfg, spec.parameter, value, scheme, spec.seed_base + i, spec.max_iter)
+            for value in spec.values for scheme in spec.schemes for i in range(spec.n_seeds)]
+    rows.sort(key=lambda r: (r[spec.parameter], r["scheme"], r["seed"]))
+    return rows
+
+
+def _timeless(rows):
+    for row in rows:
+        row.pop("wall_time_s")
+    return rows
+
+
+class TestSharedRadioSolves:
+    @pytest.mark.parametrize("parameter,values,schemes", [
+        ("skew", (0.8, 1.1, 1.4), CACHE_SCHEMES),
+        ("backhaul_rate", (5e7, 1.5e8), ("hd", "full-offloading", "proposed", "no-caching")),
+    ])
+    def test_rows_equal_unshared_runs(self, parameter, values, schemes):
+        spec = SweepSpec(parameter=parameter, values=values, schemes=schemes,
+                         n_seeds=2, max_iter=3)
+        cfg = _shared_cfg()
+        shared = _timeless(run_sweep(spec, base_cfg=cfg))
+        assert repr(shared) == repr(_timeless(_unshared_rows(spec, cfg)))
+        assert len({row["utility_bits"] for row in shared}) > len(shared) // 2
+
+    def test_one_radio_solve_per_key(self, monkeypatch):
+        from fdiscc import orchestrator
+        calls = []
+        init = orchestrator.initialize
+
+        def counted(cfg, *args, **kwargs):
+            calls.append(cfg.m_passive)
+            return init(cfg, *args, **kwargs)
+
+        monkeypatch.setattr(orchestrator, "initialize", counted)
+        cfg = _shared_cfg()
+        spec = SweepSpec(parameter="skew", values=(0.8, 1.4), schemes=CACHE_SCHEMES,
+                         n_seeds=3, max_iter=2)
+        assert len(run_sweep(spec, base_cfg=cfg)) == 18
+        assert len(calls) == 3
+        # a radio parameter shares nothing across its values, only across
+        # the caching schemes at one value
+        calls.clear()
+        spec = SweepSpec(parameter="m_passive", values=(6, 8), schemes=CACHE_SCHEMES,
+                         n_seeds=2, max_iter=2)
+        assert len(run_sweep(spec, base_cfg=cfg)) == 12
+        assert sorted(calls) == [6, 6, 8, 8]
+
+    def test_live_solves_bounded_and_channels_fresh(self, monkeypatch):
+        from dataclasses import fields
+
+        from fdiscc import harness
+        from fdiscc.channels import draw_channels
+        seen = []
+        evaluate = harness.evaluate_baseline
+
+        def recorded(cfg, ch, scheme, **kwargs):
+            result = evaluate(cfg, ch, scheme, **kwargs)
+            seen.append((cfg, ch, len(kwargs["solves"])))
+            dicts[id(kwargs["solves"])] = kwargs["solves"]
+            return result
+
+        dicts = {}
+        monkeypatch.setattr(harness, "evaluate_baseline", recorded)
+        spec = SweepSpec(parameter="skew", values=(0.8, 1.1, 1.4), schemes=CACHE_SCHEMES,
+                         n_seeds=3, max_iter=2)
+        run_sweep(spec, base_cfg=_shared_cfg())
+        assert len(seen) == 27
+        assert max(n for _, _, n in seen) == spec.n_seeds
+        assert [len(d) for d in dicts.values()] == [0]      # every solve dropped at the end
+        assert len({id(ch) for _, ch, _ in seen}) == spec.n_seeds
+        for cfg, ch, _ in seen:
+            fresh = draw_channels(cfg)
+            for f in fields(ch):
+                assert np.array_equal(getattr(ch, f.name), getattr(fresh, f.name)), f.name
+
+    def test_cell_alone_on_its_key_runs_unshared(self, monkeypatch):
+        from fdiscc import harness
+        seen = []
+        evaluate = harness.evaluate_baseline
+
+        def recorded(cfg, ch, scheme, **kwargs):
+            seen.append(kwargs["solves"])
+            return evaluate(cfg, ch, scheme, **kwargs)
+
+        monkeypatch.setattr(harness, "evaluate_baseline", recorded)
+        spec = SweepSpec(parameter="gamma_tar_linear", values=(0.5, 1.0),
+                         schemes=("proposed", "hd"), n_seeds=2, max_iter=1)
+        run_sweep(spec, base_cfg=_shared_cfg())
+        assert seen == [None] * 8
+
+    def test_two_worker_skew_sweep_gives_the_serial_rows(self):
+        spec = SweepSpec(parameter="skew", values=(0.8, 1.4), schemes=CACHE_SCHEMES,
+                         n_seeds=2, max_iter=2)
+        cfg = _shared_cfg()
+        serial = _timeless(run_sweep(spec, base_cfg=cfg, workers=1))
+        pooled = _timeless(run_sweep(spec, base_cfg=cfg, workers=2))
+        assert repr(pooled) == repr(serial)
+
+
 class TestAggregate:
     def test_single_row_median(self):
         rows = [{"scheme": "proposed", "m_passive": 8, "utility_bits": 5.0,
@@ -217,6 +327,7 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 4
         assert (tmp_path / "rows_aggregate.csv").exists()
+        assert "sweep: 4 cells, 4 radio solves" in r.stdout
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_sweep_rejects_worker_count_below_one(self, tmp_path, workers):

@@ -194,10 +194,17 @@ class TestSolve:
         assert np.allclose(used, small_cfg.e_max_array(), rtol=1e-9)
 
     def test_coupling_constraint_respected(self, small_cfg, pc_setup):
+        # the fixture's uplink is idle, so its budget never binds; the interior
+        # instance at half its free load is where the dual bisection runs
         _, coeffs = pc_setup
-        tight = dataclasses.replace(coeffs, c8=coeffs.c8 * 1e-3)
-        p, f, info = solve_power_compute(tight, small_cfg)
-        assert float(p @ tight.b9) <= tight.c8 * (1 + 1e-9)
+        live = dataclasses.replace(coeffs, b6=_interior_b6(coeffs, small_cfg, (0.3, 0.6)))
+        budget = float(_free_powers(small_cfg, (0.3, 0.6)) @ coeffs.b9)
+        for tight in (dataclasses.replace(coeffs, c8=coeffs.c8 * 1e-3),
+                      dataclasses.replace(live, c8=0.5 * budget)):
+            p, f, info = solve_power_compute(tight, small_cfg)
+            assert float(p @ tight.b9) <= tight.c8 * (1 + 1e-9)
+        assert info["mu"] > 0.0 and info["iterations"] >= 1
+        assert np.all(p > 0.0)
 
     def test_infeasible_budget_raises(self, small_cfg, pc_setup):
         _, coeffs = pc_setup
@@ -232,19 +239,30 @@ class TestSolve:
 
     def test_stationarity_conditions(self, small_cfg, pc_setup):
         # interior p: b6/(2 sqrt p) = B + mu b9 + nu T with nu from the
-        # f-stationarity 1/(eps B) = 3 nu T zeta f^2
+        # f-stationarity 1/(eps B) = 3 nu T zeta f^2; the fixture's uplink is
+        # idle (p = 0), so the interior instance is checked with its sensing
+        # budget slack (2x its free load, mu = 0) and binding (0.5x, mu > 0)
         _, coeffs = pc_setup
-        p, f, info = solve_power_compute(coeffs, small_cfg)
+        live = dataclasses.replace(coeffs, b6=_interior_b6(coeffs, small_cfg, (0.3, 0.6)))
+        budget = float(_free_powers(small_cfg, (0.3, 0.6)) @ coeffs.b9)
         t, zeta = small_cfg.coherence_time_s, small_cfg.zeta
         eps = small_cfg.eps_array()
         lin = coeffs.b7 + coeffs.c1 @ coeffs.b11
-        for l in range(small_cfg.n_cp):
-            if p[l] <= 0:
-                continue
-            nu = 1.0 / (eps[l] * small_cfg.bandwidth_hz * 3 * t * zeta * f[l] ** 2)
-            lhs = coeffs.b6[l] / (2 * np.sqrt(p[l]))
-            rhs = lin[l] + info["mu"] * coeffs.b9[l] + nu * t
-            assert lhs == pytest.approx(rhs, rel=1e-6)
+        checked, mus = 0, []
+        for c in (coeffs, dataclasses.replace(live, c8=2.0 * budget),
+                  dataclasses.replace(live, c8=0.5 * budget)):
+            p, f, info = solve_power_compute(c, small_cfg)
+            mus.append(info["mu"])
+            for l in range(small_cfg.n_cp):
+                if p[l] <= 0:
+                    continue
+                checked += 1
+                nu = 1.0 / (eps[l] * small_cfg.bandwidth_hz * 3 * t * zeta * f[l] ** 2)
+                lhs = c.b6[l] / (2 * np.sqrt(p[l]))
+                rhs = lin[l] + info["mu"] * c.b9[l] + nu * t
+                assert lhs == pytest.approx(rhs, rel=1e-6)
+        assert checked == 2 * small_cfg.n_cp
+        assert mus[1] == 0.0 and mus[2] > 0.0
 
     def test_force_f_zero(self, small_cfg, pc_setup):
         _, coeffs = pc_setup
