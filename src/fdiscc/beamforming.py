@@ -397,27 +397,20 @@ def assemble_rx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
                        cfg: SystemConfig, hd: bool = False, *,
                        comp: Composite | None = None) -> RxCoeffs:
     """Combiner coefficients at ``sol``; ``comp``, when given, must be
-    ``composite_channels`` at ``sol.phi``."""
+    ``composite_channels`` at ``sol.phi``.
+
+    Every CP-UE sees the same received covariance
+    R = sum_l p_l g_l g_l^H + H_SI W^T W^* H_SI^H (FD only) + sigma_bs^2 I,
+    so T5_l = |beta2_l|^2 R / ln 2 is one matrix broadcast over the users."""
     comp = composite_channels(ch, sol.phi) if comp is None else comp
-    l_n = ch.g_pu.shape[0]
-    nr = cfg.n_rx
-    t5 = np.zeros((l_n, nr), complex)
-    t5_mat = np.zeros((l_n, nr, nr), complex)
-    b5 = np.zeros(l_n)
-    base = sum(sol.p[lp] * np.outer(comp.g[lp], comp.g[lp].conj()) for lp in range(l_n)) \
-        if l_n else np.zeros((nr, nr), complex)
+    cov = (comp.g.T * sol.p) @ comp.g.conj() + cfg.noise_bs_watt * np.eye(cfg.n_rx)
     if not hd:
-        si_cov = sum(np.outer(ch.h_si @ wj, (ch.h_si @ wj).conj()) for wj in sol.w)
-    else:
-        si_cov = np.zeros((nr, nr), complex)
-    for l in range(l_n):
-        a2, b2l = aux.alpha2[l], aux.beta2[l]
-        bb = abs(b2l) ** 2
-        t5[l] = np.sqrt(1.0 + a2) * np.conj(b2l) * np.sqrt(sol.p[l]) * comp.g[l] / LN2
-        mat = bb * (base + si_cov + cfg.noise_bs_watt * np.eye(nr)) / LN2
-        t5_mat[l] = (mat + mat.conj().T) / 2.0
-        b5[l] = (np.log(1.0 + a2) - a2) / LN2
-    return RxCoeffs(t5=t5, t5_mat=t5_mat, b5=b5)
+        hw = sol.w @ ch.h_si.T                  # rows H_SI w_j
+        cov = cov + hw.T @ hw.conj()
+    cov = (cov + cov.conj().T) / 2.0
+    t5 = (np.sqrt(1.0 + aux.alpha2) * aux.beta2.conj() * np.sqrt(sol.p) / LN2)[:, None] * comp.g
+    t5_mat = (np.abs(aux.beta2) ** 2 / LN2)[:, None, None] * cov
+    return RxCoeffs(t5=t5, t5_mat=t5_mat, b5=(np.log(1.0 + aux.alpha2) - aux.alpha2) / LN2)
 
 
 def rx_objective(coeffs: RxCoeffs, u: np.ndarray, l: int) -> float:
@@ -428,16 +421,15 @@ def rx_objective(coeffs: RxCoeffs, u: np.ndarray, l: int) -> float:
 
 
 def solve_rx(coeffs: RxCoeffs) -> np.ndarray:
-    """Closed-form stationary combiners u_l = T5_l^{-1} t5_l."""
-    l_n, nr = coeffs.t5.shape
-    u = np.zeros((l_n, nr), complex)
-    for l in range(l_n):
-        mat = coeffs.t5_mat[l]
-        scale = float(np.abs(mat).max(initial=0.0))
-        if scale < 1e-250 or np.linalg.cond(mat / scale) > 1e14:
-            u[l, 0] = 1.0       # degenerate block (zero combiner weight)
-            continue
-        u[l] = np.linalg.solve(mat, coeffs.t5[l])
+    """Closed-form stationary combiners u_l = T5_l^{-1} t5_l; a degenerate
+    block (zero combiner weight: T5_l zero or ill-conditioned) gets e_0."""
+    mats = coeffs.t5_mat
+    scale = np.abs(mats).max(axis=(1, 2), initial=0.0)
+    live = ~(scale < 1e-250)     # a NaN block is solved; optimize_rx drops its row
+    live[live] = ~(np.linalg.cond(mats[live] / scale[live, None, None]) > 1e14)
+    u = np.zeros(coeffs.t5.shape, complex)
+    u[~live, 0] = 1.0
+    u[live] = np.linalg.solve(mats[live], coeffs.t5[live, :, None])[..., 0]
     return u
 
 
@@ -449,8 +441,5 @@ def optimize_rx(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
         return sol.u
     coeffs = assemble_rx_coeffs(sol, ch, aux, cfg, hd, comp=comp)
     u_new = solve_rx(coeffs)
-    out = sol.u.copy()
-    for l in range(u_new.shape[0]):
-        if abs(aux.beta2[l]) > 1e-120 and np.all(np.isfinite(u_new[l].view(float))):
-            out[l] = u_new[l]
-    return out
+    keep = (np.abs(aux.beta2) > 1e-120) & np.all(np.isfinite(u_new), axis=1)
+    return np.where(keep[:, None], u_new, sol.u)

@@ -111,11 +111,17 @@ def _cmd_selftest(args) -> int:
     gaps = np.concatenate([com - np.log2(1 + met.r_com), off - np.log2(1 + met.r_off)])
     check("surrogate tightness", bool(np.all(np.abs(gaps) < 1e-9)))
 
-    coeffs = phaseadmm.assemble_phase_coeffs(sol, ch, aux, cfg)
+    # half the energy budget on uplink power, so the CCI and uplink terms weigh in
+    p_live = cfg.e_max_array() / (2.0 * cfg.coherence_time_s)
+    live = sol.copy_with(p=p_live, f=(p_live / cfg.zeta) ** (1 / 3))
     phi = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * np.pi, cfg.m_passive))
-    ident = abs(phaseadmm.surrogate_value(coeffs, phi)
-                - wmmse.surrogate_sum(sol.copy_with(phi=phi), ch, cfg, aux)) < 1e-8
-    check("phase coefficient identity", ident)
+    for hd in (True, False):        # FD last: its data feed the phase-step KKT below
+        aux_live = wmmse.update_aux(live, ch, cfg, hd)
+        coeffs = phaseadmm.assemble_phase_coeffs(live, ch, aux_live, cfg, hd)
+        direct = wmmse.surrogate_sum(live.copy_with(phi=phi), ch, cfg, aux_live, hd)
+        check(f"phase coefficient identity ({'HD' if hd else 'FD'})",
+              abs(phaseadmm.surrogate_value(coeffs, phi) - direct)
+              <= 1e-10 * max(1.0, abs(direct)))
 
     sol_cache = cacheopt.solve_caching(cfg.cache)
     check("caching duality gap", abs(sol_cache.duality_gap) < 1e-9)

@@ -266,10 +266,11 @@ def write_trace_csv(result: RunResult, path: str | Path) -> None:
 
 
 def aggregate(rows: list[dict], field: str = "utility_bits") -> list[dict]:
-    """Median and interquartile range of one field per (scheme, swept value).
+    """Median and interquartile range of one field per (scheme, swept value),
+    in increasing swept value.
 
     The swept value is inferred as any scenario column that varies; falls back
-    to grouping by scheme only.
+    to grouping by scheme only (value None).
     """
     if not rows:
         raise ValueError("aggregate needs at least one row")
@@ -281,7 +282,8 @@ def aggregate(rows: list[dict], field: str = "utility_bits") -> list[dict]:
         key = (row["scheme"], row[key_col] if key_col else None)
         groups.setdefault(key, []).append(float(row[field]))
     out = []
-    for (scheme, value), vals in sorted(groups.items(), key=lambda kv: (str(kv[0][1]), kv[0][0])):
+    for (scheme, value), vals in sorted(groups.items(),
+                                        key=lambda kv: (kv[0][1] is None, kv[0][1] or 0, kv[0][0])):
         arr = np.asarray(vals)
         q1, q3 = np.percentile(arr, [25.0, 75.0])
         out.append({

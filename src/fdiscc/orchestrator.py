@@ -120,11 +120,8 @@ class SensingInfeasible(Exception):
 
 
 def _mrt_rows(comp_h: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(comp_h)
-    for k in range(comp_h.shape[0]):
-        norm = np.linalg.norm(comp_h[k])
-        out[k] = comp_h[k].conj() / norm if norm > 0 else 0.0
-    return out
+    norm = np.linalg.norm(comp_h, axis=1, keepdims=True)
+    return np.divide(comp_h.conj(), norm, out=np.zeros_like(comp_h), where=norm > 0)
 
 
 def fixed_phase_heuristic(ch: ChannelSet, cfg: SystemConfig) -> np.ndarray:

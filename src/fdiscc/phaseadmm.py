@@ -1,12 +1,32 @@
 """IRS phase-shift optimization.
 
 The surrogate objective and the radar constraint are first collapsed to the
-quadratic data (T12, t12, b12, T0, b0) of the reflection vector.  The unit
-modulus constraint is split off onto a copy variable and handled by ADMM with
-a geometrically decreasing penalty; the nonconvex side of the radar constraint
-is linearized at the current iterate each pass (a tangent minorant of the echo
-power, so any point feasible for the linearized constraint is feasible for the
-true one), so each pass has a closed-form reflection step.
+quadratic data (T12, t12, b12, T0, b0) of the reflection vector.  Every term
+is a sum of products with one factor on each side of diag(phi), so each matrix
+is a Hadamard product (o) of two Gram matrices:
+
+    G_w = sum_j conj(G_t w_j) (G_t w_j)^T          over every beam,
+    G_p = sum_l p_l conj(g_pu,l) g_pu,l^T          over the CP-UEs,
+    H_b = sum_k |beta1_k|^2 h_pu,k h_pu,k^H,
+    C_b = sum_l |beta2_l|^2 c_l c_l^H,  c_l = G_r u_l,
+
+    T12 = (H_b o (G_w + G_p) + C_b o G_p) / ln 2   (G_w alone in H_b's factor
+                                                    under HD, which has no CCI),
+    T0  = (G_s^H G_s) o G_w.
+
+The linear term is t12 = (t1 + t2) / ln 2 with
+t1 = sum_k sqrt(1+alpha1_k) beta1_k conj(G_t w_{k+1}) o h_pu,k, less, under FD
+only, sum_k |beta1_k|^2 h_pu,k o sum_l p_l e_lk conj(g_pu,l), and
+t2 = sum_l sqrt(1+alpha2_l) beta2_l sqrt(p_l) c_l o conj(g_pu,l).  The
+phi-free rest b12 is the surrogate bracket with the downlink denominator
+sigma_ue^2 + sum_l p_l |e_lk|^2 (the sum under FD only) and the offloading one
+residual SI plus receiver noise.
+
+The unit modulus constraint is split off onto a copy variable and handled by
+ADMM with a geometrically decreasing penalty; the nonconvex side of the radar
+constraint is linearized at the current iterate each pass (a tangent minorant
+of the echo power, so any point feasible for the linearized constraint is
+feasible for the true one), so each pass has a closed-form reflection step.
 """
 
 from __future__ import annotations
@@ -28,6 +48,8 @@ class PhaseCoeffs:
 
     Surrogate sum = -phi^H T12 phi + 2 Re{t12^H phi} + b12 (log2 units);
     radar constraint reads  b0 - phi^H T0 phi <= 0  (linear units).
+    T12 = (H_b o (G_w + G_p) + C_b o G_p) / ln 2 (H_b o G_w + C_b o G_p under HD)
+    and T0 = (G_s^H G_s) o G_w, with the Gram matrices of the module docstring.
     """
 
     t12_mat: np.ndarray
@@ -76,58 +98,38 @@ class PhaseInfo:
 def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
                           cfg: SystemConfig, hd: bool = False, *,
                           lt: LinkTerms | None = None) -> PhaseCoeffs:
-    """Collapse the surrogates and the echo power into quadratic coefficients.
+    """Collapse the surrogates and the echo power into quadratic coefficients
+    (the Gram/Hadamard forms of the module docstring).
     ``lt``, when given, must be ``link_terms`` of this same solution."""
-    m = ch.g_t.shape[0]
-    k_n, l_n = ch.h_pu.shape[0], ch.g_pu.shape[0]
-    gtw = sol.w @ ch.g_t.T                      # rows G_t w_j, shape (K+1, M)
-
-    t1 = np.zeros(m, complex)
-    t1_mat = np.zeros((m, m), complex)
-    b1 = 0.0
-    for k in range(k_n):
-        a1, b1k, bb = aux.alpha1[k], aux.beta1[k], abs(aux.beta1[k]) ** 2
-        # linear part from the desired-signal term
-        t1 += np.sqrt(1.0 + a1) * b1k * (gtw[k + 1].conj() * ch.h_pu[k])
-        # quadratic part from every beam through the cascaded link
-        v = gtw.conj() * ch.h_pu[k][None, :]    # rows E_j^H h_pu_k; h_k w_j = v_j^H phi
-        t1_mat += bb * (v.T @ v.conj())
-        b1k_const = np.log(1.0 + a1) - a1 - bb * cfg.noise_ue_watt
-        if not hd and l_n:
-            arows = ch.h_pu[k].conj()[None, :] * ch.g_pu      # rows a_{1,k,l}
-            t1 -= bb * (sol.p * ch.e_direct[:, k]) @ arows.conj()
-            t1_mat += bb * (arows.conj().T * sol.p[None, :]) @ arows
-            b1k_const -= bb * float(sol.p @ np.abs(ch.e_direct[:, k]) ** 2)
-        b1 += b1k_const
-
-    # offloading: the residual SI and receiver noise do not depend on phi
     lt = link_terms(sol, ch, cfg, hd) if lt is None else lt
-    t2 = np.zeros(m, complex)
-    t2_mat = np.zeros((m, m), complex)
-    b2 = float(np.sum(_bracket(aux.alpha2, aux.beta2, 0.0, lt.si + lt.noise_off)))
-    for l in range(l_n):
-        a2, b2l, bb = aux.alpha2[l], aux.beta2[l], abs(aux.beta2[l]) ** 2
-        u = sol.u[l]
-        # u^H G_r^H diag(g_pu_l') rows for every interferer l'
-        urows = (ch.g_r @ u).conj()[None, :] * ch.g_pu  # (L, M), row l' = u^H a_{2,l'}
-        t2 += np.sqrt(1.0 + a2) * b2l * np.sqrt(sol.p[l]) * urows[l].conj()
-        t2_mat += bb * (urows.conj().T * sol.p[None, :]) @ urows
+    gtw = sol.w @ ch.g_t.T                      # rows G_t w_j, shape (K+1, M)
+    c = sol.u @ ch.g_r.T                        # rows c_l = G_r u_l, shape (L, M)
+    bb1, bb2 = np.abs(aux.beta1) ** 2, np.abs(aux.beta2) ** 2
+    g_w = gtw.conj().T @ gtw
+    g_p = (ch.g_pu.conj().T * sol.p) @ ch.g_pu
+    h_b = (ch.h_pu.T * bb1) @ ch.h_pu.conj()
+    c_b = (c.T * bb2) @ c.conj()
 
-    t12_mat = (t1_mat + t2_mat) / LN2
-    t12_vec = (t1 + t2) / LN2
-    b12 = b1 / LN2 + b2
+    t1 = (np.sqrt(1.0 + aux.alpha1) * aux.beta1) @ (gtw[1:].conj() * ch.h_pu)
+    t2 = (np.sqrt(1.0 + aux.alpha2) * aux.beta2 * np.sqrt(sol.p)) @ (c * ch.g_pu.conj())
+    den1 = np.full(bb1.shape, cfg.noise_ue_watt)
+    if hd:
+        t12_mat = h_b * g_w + c_b * g_p
+    else:
+        # full-duplex CCI: e_lk + h_pu_k^H diag(phi) g_pu_l through every CP-UE
+        t1 = t1 - bb1 @ (ch.h_pu * ((sol.p[:, None] * ch.e_direct).T @ ch.g_pu.conj()))
+        t12_mat = h_b * (g_w + g_p) + c_b * g_p
+        den1 = den1 + sol.p @ np.abs(ch.e_direct) ** 2
+    # phi-free rest: downlink noise and direct-link CCI, offloading SI and noise
+    b12 = np.sum(_bracket(aux.alpha1, aux.beta1, 0.0, den1)) \
+        + np.sum(_bracket(aux.alpha2, aux.beta2, 0.0, lt.si + lt.noise_off))
 
     # echo power: sum_j |G_s diag(phi) G_t w_j|^2 = phi^H T0 phi
-    t0_mat = np.zeros((m, m), complex)
-    for j in range(gtw.shape[0]):
-        block = ch.g_s * gtw[j][None, :]        # G_s diag(G_t w_j)
-        t0_mat += block.conj().T @ block
-    b0 = sensing_floor(cfg, ch, sol.p)
-
-    t12_mat = (t12_mat + t12_mat.conj().T) / 2.0
-    t0_mat = (t0_mat + t0_mat.conj().T) / 2.0
-    return PhaseCoeffs(t12_mat=t12_mat, t12_vec=t12_vec, b12=float(b12),
-                       t0_mat=t0_mat, b0=float(b0))
+    t0_mat = (ch.g_s.conj().T @ ch.g_s) * g_w
+    t12_mat = t12_mat / LN2
+    return PhaseCoeffs(t12_mat=(t12_mat + t12_mat.conj().T) / 2.0, t12_vec=(t1 + t2) / LN2,
+                       b12=float(b12), t0_mat=(t0_mat + t0_mat.conj().T) / 2.0,
+                       b0=float(sensing_floor(cfg, ch, sol.p)))
 
 
 def surrogate_value(coeffs: PhaseCoeffs, phi: np.ndarray) -> float:

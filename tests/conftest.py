@@ -35,3 +35,19 @@ def make_solution(cfg, ch, rng, p_scale=1e-8):
 @pytest.fixture()
 def rand_sol(small_cfg, small_ch):
     return make_solution(small_cfg, small_ch, np.random.default_rng(42))
+
+
+@pytest.fixture(params=[False, True], ids=["fd", "hd"])
+def hd(request):
+    """Duplex mode: full duplex, then half duplex (no CCI, no residual SI)."""
+    return request.param
+
+
+@pytest.fixture(params=["idle", "live"])
+def uplink_sol(request, small_cfg, small_ch):
+    """rand_sol's state with p drawn up to 1e-8 W (idle uplink, rand_sol
+    itself) or up to e_max / (2T), where the CCI and the uplink interference
+    weigh in the surrogates."""
+    p_scale = 1e-8 if request.param == "idle" else float(
+        small_cfg.e_max_array().min() / (2.0 * small_cfg.coherence_time_s))
+    return make_solution(small_cfg, small_ch, np.random.default_rng(42), p_scale)

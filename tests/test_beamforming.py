@@ -311,18 +311,18 @@ class TestSdrQuality:
 
 
 class TestRx:
-    def test_identity_vs_surrogate(self, small_cfg, small_ch, rand_sol):
-        aux = update_aux(rand_sol, small_ch, small_cfg)
-        coeffs = assemble_rx_coeffs(rand_sol, small_ch, aux, small_cfg)
+    def test_identity_vs_surrogate(self, small_cfg, small_ch, uplink_sol, hd):
+        aux = update_aux(uplink_sol, small_ch, small_cfg, hd)
+        coeffs = assemble_rx_coeffs(uplink_sol, small_ch, aux, small_cfg, hd)
         rng = np.random.default_rng(7)
         for _ in range(4):
             u = rng.normal(size=(small_cfg.n_cp, small_cfg.n_rx)) \
                 + 1j * rng.normal(size=(small_cfg.n_cp, small_cfg.n_rx))
-            sol2 = rand_sol.copy_with(u=u)
-            _, off = surrogates(sol2, small_ch, small_cfg, aux)
+            sol2 = uplink_sol.copy_with(u=u)
+            _, off = surrogates(sol2, small_ch, small_cfg, aux, hd)
             for l in range(small_cfg.n_cp):
                 direct = off[l]
-                assert rx_objective(coeffs, u[l], l) == pytest.approx(direct, abs=1e-9)
+                assert rx_objective(coeffs, u[l], l) == pytest.approx(direct, rel=1e-12)
 
     def test_identity_matrix_case(self):
         from fdiscc.beamforming import RxCoeffs
@@ -331,6 +331,18 @@ class TestRx:
                           b5=np.zeros(1))
         u = solve_rx(coeffs)
         assert np.allclose(u[0], np.eye(4)[0])
+
+    def test_degenerate_rows_get_first_unit_vector(self):
+        # a zero block and an ill-conditioned one (cond 1e16) among regular
+        # rows; the zero scale must not be divided by
+        from fdiscc.beamforming import RxCoeffs
+        mats = np.stack([np.zeros((3, 3)), np.diag([1.0, 1.0, 1e-16]), 2.0 * np.eye(3)])
+        coeffs = RxCoeffs(t5=np.ones((3, 3), complex), t5_mat=mats.astype(complex),
+                          b5=np.zeros(3))
+        with np.errstate(all="raise"):
+            u = solve_rx(coeffs)
+        assert np.array_equal(u[:2], [[1, 0, 0], [1, 0, 0]])
+        assert np.array_equal(u[2], [0.5, 0.5, 0.5])
 
     def test_scaling_invariance(self, small_cfg, small_ch, rand_sol):
         import dataclasses

@@ -273,6 +273,15 @@ class TestAggregate:
         out = aggregate(rows)
         assert out[0]["utility_bits_median"] == sorted(vals)[4]
 
+    def test_swept_values_sorted_numerically(self):
+        fixed = {c: 1 for c in ("m_active", "n_tx", "n_rx", "n_cm", "n_cp", "p_bs_watt",
+                                "gamma_tar_linear", "backhaul_rate", "skew")}
+        rows = [{"scheme": scheme, "m_passive": m, "utility_bits": float(m), **fixed}
+                for m in (32, 8, 64, 16) for scheme in ("random-caching", "proposed")]
+        out = aggregate(rows)
+        assert [(r["value"], r["scheme"]) for r in out] == [
+            (m, scheme) for m in (8, 16, 32, 64) for scheme in ("proposed", "random-caching")]
+
     def test_empty_group_errors(self):
         with pytest.raises(ValueError):
             aggregate([])

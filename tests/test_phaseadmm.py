@@ -23,13 +23,15 @@ def coeffs(small_cfg, small_ch, rand_sol):
 
 
 class TestAssemble:
-    def test_identity_vs_surrogates(self, small_cfg, small_ch, rand_sol, coeffs):
+    def test_identity_vs_surrogates(self, small_cfg, small_ch, uplink_sol, hd):
         rng = np.random.default_rng(0)
-        aux = update_aux(rand_sol, small_ch, small_cfg)
+        aux = update_aux(uplink_sol, small_ch, small_cfg, hd)
+        coeffs = assemble_phase_coeffs(uplink_sol, small_ch, aux, small_cfg, hd)
         for _ in range(6):
             phi = np.exp(1j * rng.uniform(0, 2 * np.pi, small_cfg.m_passive))
-            direct = surrogate_sum(rand_sol.copy_with(phi=phi), small_ch, small_cfg, aux)
-            assert surrogate_value(coeffs, phi) == pytest.approx(direct, abs=1e-8)
+            direct = surrogate_sum(uplink_sol.copy_with(phi=phi), small_ch, small_cfg,
+                                   aux, hd)
+            assert surrogate_value(coeffs, phi) == pytest.approx(direct, rel=1e-12)
 
     def test_no_users_constant(self):
         cfg = desk_config(m_passive=6, m_active=3, n_cm=0, n_cp=0, seed=2)
@@ -49,15 +51,17 @@ class TestAssemble:
         assert np.allclose(coeffs.t12_mat, coeffs.t12_mat.conj().T)
         assert np.linalg.eigvalsh(coeffs.t12_mat).min() >= -1e-10
 
-    def test_echo_identity(self, small_cfg, small_ch, rand_sol, coeffs):
+    def test_echo_identity(self, small_cfg, small_ch, uplink_sol, hd):
+        aux = update_aux(uplink_sol, small_ch, small_cfg, hd)
+        coeffs = assemble_phase_coeffs(uplink_sol, small_ch, aux, small_cfg, hd)
         rng = np.random.default_rng(1)
         for _ in range(5):
             phi = np.exp(1j * rng.uniform(0, 2 * np.pi, small_cfg.m_passive))
-            sol = rand_sol.copy_with(phi=phi)
+            sol = uplink_sol.copy_with(phi=phi)
             den = float(sol.p @ (np.abs(small_ch.g_au) ** 2).sum(axis=1)) \
                 + small_cfg.noise_irs_watt
             expected = radar_sinr(sol, small_ch, small_cfg) * den
-            assert echo_power(coeffs, phi) == pytest.approx(expected, rel=1e-10)
+            assert echo_power(coeffs, phi) == pytest.approx(expected, rel=1e-12)
 
 
 class TestMmLinearize:
