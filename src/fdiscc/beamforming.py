@@ -31,8 +31,7 @@ import numpy as np
 from . import conic
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import (Composite, LinkTerms, Solution, composite_channels, echo_matrix,
-                       link_terms, sensing_floor)
+from .sysmodel import LinkTerms, Solution, echo_matrix, sensing_floor
 from .wmmse import LN2, AuxVars, _bracket
 
 EPS = float(np.finfo(float).eps)
@@ -83,11 +82,9 @@ class RxCoeffs:
 
 
 def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
-                       cfg: SystemConfig, hd: bool = False, *,
-                       lt: LinkTerms | None = None) -> TxCoeffs:
-    """Transmit coefficients at ``sol``; ``lt``, when given, must be
+                       cfg: SystemConfig, lt: LinkTerms) -> TxCoeffs:
+    """Transmit coefficients at ``sol``, in the duplex mode of ``lt``, the
     ``link_terms`` of this same solution."""
-    lt = link_terms(sol, ch, cfg, hd) if lt is None else lt
     comp = lt.comp
     k_n = comp.h.shape[0]
     nt = cfg.n_tx
@@ -101,7 +98,7 @@ def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     # offloading term but the residual SI
     b3 = _bracket(aux.alpha1, aux.beta1, 0.0, lt.cci + cfg.noise_ue_watt)
     b4 = _bracket(aux.alpha2, aux.beta2, lt.off_sig, lt.off_den - lt.si)
-    if not hd:
+    if not lt.hd:
         v = sol.u @ ch.h_si.conj()              # rows v_l = H_SI^H u_l
         s_mat = s_mat + np.einsum("l,li,lj->ij", np.abs(aux.beta2) ** 2, v, v.conj())
 
@@ -235,11 +232,11 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
 
 
 def optimize_tx(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
-                hd: bool = False, *, lt: LinkTerms | None = None) -> tuple[np.ndarray, dict]:
+                lt: LinkTerms) -> tuple[np.ndarray, dict]:
     """Full transmit update with a monotonicity safeguard: the incumbent beams
     are kept whenever the new ones do not improve the surrogate (possible only
     when the incumbent misses the current sensing floor)."""
-    coeffs = assemble_tx_coeffs(sol, ch, aux, cfg, hd, lt=lt)
+    coeffs = assemble_tx_coeffs(sol, ch, aux, cfg, lt)
     incumbent_val = tx_objective(coeffs, sol.w)
     w_new, info = solve_tx(coeffs)
     new_val = tx_objective(coeffs, w_new)
@@ -394,17 +391,17 @@ def _feasible(w: np.ndarray, coeffs: TxCoeffs) -> bool:
 
 
 def assemble_rx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
-                       cfg: SystemConfig, hd: bool = False, *,
-                       comp: Composite | None = None) -> RxCoeffs:
-    """Combiner coefficients at ``sol``; ``comp``, when given, must be
-    ``composite_channels`` at ``sol.phi``.
+                       cfg: SystemConfig, lt: LinkTerms) -> RxCoeffs:
+    """Combiner coefficients at ``sol``.  Of ``lt`` only the composite
+    channels and the duplex mode are read, so it may be the ``link_terms`` of
+    any state with the phases ``sol.phi``.
 
     Every CP-UE sees the same received covariance
     R = sum_l p_l g_l g_l^H + H_SI W^T W^* H_SI^H (FD only) + sigma_bs^2 I,
     so T5_l = |beta2_l|^2 R / ln 2 is one matrix broadcast over the users."""
-    comp = composite_channels(ch, sol.phi) if comp is None else comp
+    comp = lt.comp
     cov = (comp.g.T * sol.p) @ comp.g.conj() + cfg.noise_bs_watt * np.eye(cfg.n_rx)
-    if not hd:
+    if not lt.hd:
         hw = sol.w @ ch.h_si.T                  # rows H_SI w_j
         cov = cov + hw.T @ hw.conj()
     cov = (cov + cov.conj().T) / 2.0
@@ -434,12 +431,12 @@ def solve_rx(coeffs: RxCoeffs) -> np.ndarray:
 
 
 def optimize_rx(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
-                hd: bool = False, *, comp: Composite | None = None) -> np.ndarray:
+                lt: LinkTerms) -> np.ndarray:
     """Receive update; keeps the incumbent row where the block is degenerate
     (zero offload power makes the combiner irrelevant)."""
     if sol.u.shape[0] == 0:
         return sol.u
-    coeffs = assemble_rx_coeffs(sol, ch, aux, cfg, hd, comp=comp)
+    coeffs = assemble_rx_coeffs(sol, ch, aux, cfg, lt)
     u_new = solve_rx(coeffs)
     keep = (np.abs(aux.beta2) > 1e-120) & np.all(np.isfinite(u_new), axis=1)
     return np.where(keep[:, None], u_new, sol.u)

@@ -105,9 +105,10 @@ def _cmd_selftest(args) -> int:
           la.matrix_rank(ch.g_s, tol=1e-12 * np.abs(ch.g_s).max()) == 1)
 
     sol = orchestrator.initialize(cfg, ch, np.random.default_rng(0))
-    aux = wmmse.update_aux(sol, ch, cfg)
-    com, off = wmmse.surrogates(sol, ch, cfg, aux)
-    met = utility(sol, ch, cfg)
+    lt = sysmodel.link_terms(sol, ch, cfg)
+    aux = wmmse.update_aux(lt)
+    com, off = wmmse.surrogates(aux, lt)
+    met = utility(sol, ch, cfg, lt=lt)
     gaps = np.concatenate([com - np.log2(1 + met.r_com), off - np.log2(1 + met.r_off)])
     check("surrogate tightness", bool(np.all(np.abs(gaps) < 1e-9)))
 
@@ -116,9 +117,11 @@ def _cmd_selftest(args) -> int:
     live = sol.copy_with(p=p_live, f=(p_live / cfg.zeta) ** (1 / 3))
     phi = np.exp(1j * np.random.default_rng(1).uniform(0, 2 * np.pi, cfg.m_passive))
     for hd in (True, False):        # FD last: its data feed the phase-step KKT below
-        aux_live = wmmse.update_aux(live, ch, cfg, hd)
-        coeffs = phaseadmm.assemble_phase_coeffs(live, ch, aux_live, cfg, hd)
-        direct = wmmse.surrogate_sum(live.copy_with(phi=phi), ch, cfg, aux_live, hd)
+        lt_live = sysmodel.link_terms(live, ch, cfg, hd)
+        aux_live = wmmse.update_aux(lt_live)
+        coeffs = phaseadmm.assemble_phase_coeffs(live, ch, aux_live, cfg, lt_live)
+        direct = wmmse.surrogate_sum(
+            aux_live, sysmodel.link_terms(live.copy_with(phi=phi), ch, cfg, hd))
         check(f"phase coefficient identity ({'HD' if hd else 'FD'})",
               abs(phaseadmm.surrogate_value(coeffs, phi) - direct)
               <= 1e-10 * max(1.0, abs(direct)))
@@ -141,7 +144,7 @@ def _cmd_selftest(args) -> int:
     # KKT of the closed-form transmit step (feasibility, stationarity, signs,
     # complementary slackness, dual gap), radar floor at 1% (slack) then 90%
     # (binding) of the echo ceiling
-    tx = beamforming.assemble_tx_coeffs(sol, ch, aux, cfg)
+    tx = beamforming.assemble_tx_coeffs(sol, ch, aux, cfg, lt)
     kkt = []
     for frac in (0.01, 0.9):
         b0 = frac * tx.p_bs * la.eigvalsh(tx.omega0)[-1]
@@ -166,7 +169,7 @@ def _cmd_selftest(args) -> int:
     # (0, E/T). The dual bisection stops on an absolute 1e-12 budget error and
     # returns its upper multiplier, which can leave the budget slack by ~0.3%
     # at these scales, hence the looser complementary-slackness bound.
-    pc = powercomp.assemble_power_coeffs(sol, ch, aux, cfg)
+    pc = powercomp.assemble_power_coeffs(sol, ch, aux, cfg, lt)
     t, zeta, e_max = cfg.coherence_time_s, cfg.zeta, cfg.e_max_array()
     f_coef = 1.0 / (cfg.eps_array() * cfg.bandwidth_hz)
     lin = pc.b7 + pc.c1 @ pc.b11

@@ -2,7 +2,8 @@
 
 All values are stored in linear units (watts, Hz, joules, meters) except the
 fields whose names end in ``_db``.  Config files are JSON with keys exactly
-matching the dataclass field names below; omitted keys take the defaults.
+matching the dataclass field names below and values of their annotated kinds;
+omitted keys take the defaults.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,33 @@ def dbm2watt(x_dbm: float) -> float:
 
 class ConfigError(ValueError):
     """Invalid configuration value or malformed config file."""
+
+
+def is_number(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+# what a field of each annotation accepts; nested records check their own fields
+_FIELD_KINDS = {
+    "int": ("an integer", lambda v: isinstance(v, Integral) and not isinstance(v, bool)),
+    "float": ("a number", is_number),
+    "float | None": ("a number", lambda v: v is None or is_number(v)),
+    "float | tuple[float, ...]": ("a number or a list of numbers", lambda v: is_number(v) or (
+        isinstance(v, tuple) and all(map(is_number, v)))),
+    "tuple[float, float]": ("a pair of numbers", lambda v: isinstance(v, tuple)
+                            and len(v) == 2 and all(map(is_number, v))),
+    "str": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def check_field_types(record, context: str) -> None:
+    """Raise ConfigError naming the first field of a dataclass record read from
+    a file (``context``) whose value is not of its annotated kind."""
+    for f in fields(record):
+        kind = _FIELD_KINDS.get(f.type)
+        value = getattr(record, f.name)
+        if kind is not None and not kind[1](value):
+            raise ConfigError(f"{f.name} in {context} must be {kind[0]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -212,10 +241,10 @@ def _from_dict(cls, data: dict, context: str):
         elif isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         kwargs[key] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"bad value in {context}: {exc}") from exc
+    # nested records were checked above, so __post_init__ only sees numbers
+    record = cls(**kwargs)
+    check_field_types(record, context)
+    return record
 
 
 def config_from_dict(data: dict) -> SystemConfig:

@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .channels import draw_channels
-from .config import ConfigError, SystemConfig, config_from_dict, with_overrides
+from .config import (ConfigError, SystemConfig, check_field_types, config_from_dict, is_number,
+                     with_overrides)
 from .orchestrator import SCHEMES, RunResult, evaluate_baseline, radio_key
 from .sysmodel import METRICS_CSV_COLUMNS, metrics_csv_row
 
@@ -39,16 +40,14 @@ SWEEP_PARAMETERS = ("m_passive", "p_bs_watt", "gamma_tar_linear",
 SCENARIO_COLUMNS = ("m_passive", "m_active", "n_tx", "n_rx", "n_cm", "n_cp",
                     "p_bs_watt", "gamma_tar_linear", "backhaul_rate", "skew")
 
-RUN_CSV_COLUMNS = (
-    ("seed", "scheme") + SCENARIO_COLUMNS + METRICS_CSV_COLUMNS
-    + ("res_power", "res_radar", "res_modulus", "res_energy", "res_cache",
-       "iterations", "status")
-)
+RESIDUAL_COLUMNS = ("res_power", "res_radar", "res_modulus", "res_energy", "res_cache")
+
+RUN_CSV_COLUMNS = (("seed", "scheme") + SCENARIO_COLUMNS + METRICS_CSV_COLUMNS
+                   + RESIDUAL_COLUMNS + ("iterations", "status"))
 
 SWEEP_CSV_COLUMNS = RUN_CSV_COLUMNS + ("wall_time_s",)
 
-TRACE_CSV_COLUMNS = ("iteration", "objective", "utility", "res_power",
-                     "res_radar", "res_modulus", "res_energy", "res_cache")
+TRACE_CSV_COLUMNS = ("iteration", "objective", "utility") + RESIDUAL_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -70,6 +69,8 @@ class SweepSpec:
                 f"unknown sweep parameter '{self.parameter}'; one of {SWEEP_PARAMETERS}")
         if len(self.values) == 0:
             raise ConfigError("sweep needs at least one value")
+        if not all(map(is_number, self.values)):
+            raise ConfigError(f"sweep values must be numbers, got {list(self.values)!r}")
         if any(v <= 0 for v in self.values):
             raise ConfigError("sweep values must be positive")
         if self.parameter in ("m_passive", "n_tx") and any(int(v) != v or v < 1 for v in self.values):
@@ -93,8 +94,11 @@ def load_sweep_spec(path: str | Path) -> SweepSpec:
             raise ConfigError(f"unknown key '{key}' in sweep spec")
     for key in ("values", "schemes"):
         if key in data:
+            if not isinstance(data[key], list):
+                raise ConfigError(f"'{key}' in sweep spec must be a list, got {data[key]!r}")
             data[key] = tuple(data[key])
     spec = SweepSpec(**data)
+    check_field_types(spec, "sweep spec")
     spec.validate()
     return spec
 
@@ -120,15 +124,9 @@ def result_row(cfg: SystemConfig, result: RunResult, wall_s: float | None = None
     row.update(zip(SCENARIO_COLUMNS, scenario_values(cfg)))
     row.update(zip(METRICS_CSV_COLUMNS,
                    metrics_csv_row(result.metrics, cfg.coherence_time_s)))
-    if result.trace:
-        last = result.trace[-1]
-        res = {"res_power": last.res_power, "res_radar": last.res_radar,
-               "res_modulus": last.res_modulus, "res_energy": last.res_energy,
-               "res_cache": last.res_cache}
-    else:
-        res = {k: float("nan") for k in
-               ("res_power", "res_radar", "res_modulus", "res_energy", "res_cache")}
-    row.update(res)
+    # residuals of the last iteration; NaN when none ran
+    row.update((c, getattr(result.trace[-1], c) if result.trace else float("nan"))
+               for c in RESIDUAL_COLUMNS)
     row["iterations"] = result.iterations
     row["status"] = result.status
     if wall_s is not None:
@@ -259,10 +257,7 @@ def write_trace_csv(result: RunResult, path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(TRACE_CSV_COLUMNS)
         for row in result.trace:
-            writer.writerow([row.iteration, repr(row.objective), repr(row.utility),
-                             repr(row.res_power), repr(row.res_radar),
-                             repr(row.res_modulus), repr(row.res_energy),
-                             repr(row.res_cache)])
+            writer.writerow([repr(getattr(row, c)) for c in TRACE_CSV_COLUMNS])
 
 
 def aggregate(rows: list[dict], field: str = "utility_bits") -> list[dict]:

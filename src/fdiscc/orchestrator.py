@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -65,27 +64,14 @@ class RunOptions:
 class TraceRow:
     iteration: int
     objective: float        # surrogate BCA objective, log2 units per channel use
-    utility: float          # bits
+    utility: float          # bits; sum_bits until ``price`` charges the placement
     res_power: float
     res_radar: float
     res_modulus: float
     res_energy: float
-    res_cache: float
+    res_cache: float        # NaN until ``price`` charges the placement
     wall_ms: float          # since the radio solve's first iteration began; cells
                             # that share one solve report its times
-
-
-class RadioRow(NamedTuple):
-    """One iteration of the radio solve: the cache-free part of a ``TraceRow``."""
-
-    iteration: int
-    objective: float
-    sum_bits: float
-    res_power: float
-    res_radar: float
-    res_modulus: float
-    res_energy: float
-    wall_ms: float
 
 
 @dataclass(frozen=True)
@@ -97,7 +83,7 @@ class RadioSolve:
     ch: ChannelSet          # the channel set the loop ran on
     solution: Solution
     metrics: Metrics
-    rows: tuple             # RadioRow per iteration
+    rows: tuple             # TraceRow per iteration, placement not yet charged
     status: str
 
 
@@ -208,12 +194,11 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray,
 
 
 def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
-               phi: np.ndarray | None = None, e: np.ndarray | None = None,
-               d_total: float | None = None) -> Solution:
+               phi: np.ndarray | None = None, e: np.ndarray | None = None) -> Solution:
     """Feasible start with cache placement ``e`` (by default the optimal one).  With
     ``phi`` pinned (fixed-phase baseline) only that phase vector is tried; otherwise the
     best of the max-gain alignment, the echo alignment and a random draw is kept, scored
-    by initial sum bits.  ``d_total``, when given, is the backhaul cost of ``e``.
+    by initial sum bits, which no placement changes.
     Raises SensingInfeasible when no candidate reaches the threshold."""
     e = cacheopt.solve_caching(cfg.cache).e if e is None else e
     if phi is not None:
@@ -229,7 +214,7 @@ def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
         sol = _start_for_phi(cfg, ch, cand, e)
         if sol is None:
             continue
-        score = utility(sol, ch, cfg, d_total=d_total).sum_bits
+        score = utility(sol, ch, cfg, d_total=0.0).sum_bits
         if score > best_score:
             best, best_score = sol, score
     if best is None:
@@ -257,13 +242,17 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
     """Initialization and the block-coordinate loop of one radio mode (a scheme
     of ``RADIO_MODE``'s values), without the cache placement.
 
-    Each solution state gets one ``link_terms``: the one at the start of an
-    iteration serves the auxiliaries and the phase block, the one after the
-    phase block serves the auxiliaries, the transmit block and (through its
-    composite channels, which the beams do not change) the receive block, the
-    power block makes its own, and the one at the end of the iteration serves
-    the BCA objective and the metrics. The final metrics are those of the last
-    iteration, whose solution is the returned one.
+    The mode's flags each enter at one place: ``hd`` in ``link_terms``, whose
+    record carries it to every block, ``fixed_phase`` here (no phase block)
+    and ``force_f_zero`` in ``optimize_power``. Each solution state gets one
+    ``link_terms``, which the blocks take without recomputing: the one at the
+    start of an iteration serves the auxiliaries and the phase block; the one
+    after the phase block serves the auxiliaries, the transmit block and (by
+    its composite channels and mode, which the beams do not change) the
+    receive block; the one after the receive block serves the power block;
+    the one at the end serves the BCA objective and the metrics. That makes
+    4 per iteration, 3 with fixed phases. The final metrics are those of the
+    last iteration, whose solution is the returned one.
     """
     hd = mode == "hd"
     fixed_phase = mode == "fixed-phase"
@@ -273,7 +262,7 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
     # the initializer pick the best candidate start
     phi0 = fixed_phase_heuristic(ch, cfg) if fixed_phase else None
     try:
-        sol = initialize(cfg, ch, rng_init, phi=phi0, e=NO_PLACEMENT, d_total=0.0)
+        sol = initialize(cfg, ch, rng_init, phi=phi0, e=NO_PLACEMENT)
     except SensingInfeasible:
         sol = Solution(w=np.zeros((cfg.n_cm + 1, cfg.n_tx), complex),
                        u=np.zeros((cfg.n_cp, cfg.n_rx), complex),
@@ -284,7 +273,7 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
     if force_f_zero:
         sol = sol.copy_with(f=np.zeros(cfg.n_cp))
 
-    rows: list[RadioRow] = []
+    rows: list[TraceRow] = []
     met = None
     status = MAX_ITER_STATUS
     slow_count = 0
@@ -297,39 +286,39 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
             norms = np.linalg.norm(sol.u, axis=1, keepdims=True)
             sol = sol.copy_with(u=np.where(norms > 0, sol.u / np.maximum(norms, 1e-300), sol.u))
         lt = link_terms(sol, ch, cfg, hd)
-        aux = wmmse.update_aux(sol, ch, cfg, hd, lt=lt)
+        aux = wmmse.update_aux(lt)
 
         if not fixed_phase and cfg.n_cm + cfg.n_cp > 0:
-            phi_new, _ = phaseadmm.optimize_phase(sol, ch, aux, cfg, hd, lt=lt)
+            phi_new, _ = phaseadmm.optimize_phase(sol, ch, aux, cfg, lt)
             sol = sol.copy_with(phi=phi_new)
             # re-tighten the surrogate at the new phases: with the exact transmit
             # step, beams fitted to a stale surrogate made phases and beams creep
             # (desk seed 9 took 77 iterations instead of 41)
             lt = link_terms(sol, ch, cfg, hd)
-            aux = wmmse.update_aux(sol, ch, cfg, hd, lt=lt)
+            aux = wmmse.update_aux(lt)
 
         try:
-            w_new, _ = beamforming.optimize_tx(sol, ch, aux, cfg, hd, lt=lt)
+            w_new, _ = beamforming.optimize_tx(sol, ch, aux, cfg, lt)
             sol = sol.copy_with(w=w_new)
         except beamforming.SdrInfeasibleError:
             pass
 
         if cfg.n_cp:
-            sol = sol.copy_with(u=beamforming.optimize_rx(sol, ch, aux, cfg, hd, comp=lt.comp))
+            sol = sol.copy_with(u=beamforming.optimize_rx(sol, ch, aux, cfg, lt))
             try:
                 p_new, f_new, _ = powercomp.optimize_power(
-                    sol, ch, aux, cfg, force_f_zero, hd)
+                    sol, ch, aux, cfg, link_terms(sol, ch, cfg, hd), force_f_zero)
                 sol = sol.copy_with(p=p_new, f=f_new)
             except powercomp.SensingInfeasibleError:
                 pass
 
         lt = link_terms(sol, ch, cfg, hd)
-        obj = wmmse.bca_objective(sol, ch, cfg, aux, hd, lt=lt)
-        met = utility(sol, ch, cfg, hd, lt=lt, d_total=0.0)
+        obj = wmmse.bca_objective(sol, cfg, aux, lt)
+        met = utility(sol, ch, cfg, lt=lt, d_total=0.0)
         # the cache residual belongs to the placement, which pricing charges
         res = residuals(sol, ch, cfg, res_cache=np.nan)
-        rows.append(RadioRow(n, obj, met.sum_bits, res["power"], res["radar"],
-                             res["modulus"], res["energy"],
+        rows.append(TraceRow(n, obj, met.sum_bits, res["power"], res["radar"],
+                             res["modulus"], res["energy"], res["cache"],
                              (time.perf_counter() - t0) * 1e3))
         if n > 1:
             prev_obj = rows[-2].objective
@@ -355,8 +344,7 @@ def price(cfg: SystemConfig, radio: RadioSolve, scheme: str) -> RunResult:
     d_total = sysmodel.backhaul_cost(e, cfg.cache, cfg.coherence_time_s, cfg.n_cp)
     res_cache = cache_residual(e, cfg.cache)
     met = radio.metrics
-    trace = tuple(TraceRow(r.iteration, r.objective, r.sum_bits - d_total, r.res_power,
-                           r.res_radar, r.res_modulus, r.res_energy, res_cache, r.wall_ms)
+    trace = tuple(replace(r, utility=r.utility - d_total, res_cache=res_cache)
                   for r in radio.rows)
     return RunResult(radio.solution.copy_with(e=e),
                      replace(met, d_total=d_total, utility=met.sum_bits - d_total),

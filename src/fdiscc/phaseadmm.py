@@ -38,7 +38,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import LinkTerms, Solution, link_terms, sensing_floor
+from .sysmodel import LinkTerms, Solution, sensing_floor
 from .wmmse import LN2, AuxVars, _bracket
 
 
@@ -96,12 +96,10 @@ class PhaseInfo:
 
 
 def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
-                          cfg: SystemConfig, hd: bool = False, *,
-                          lt: LinkTerms | None = None) -> PhaseCoeffs:
+                          cfg: SystemConfig, lt: LinkTerms) -> PhaseCoeffs:
     """Collapse the surrogates and the echo power into quadratic coefficients
-    (the Gram/Hadamard forms of the module docstring).
-    ``lt``, when given, must be ``link_terms`` of this same solution."""
-    lt = link_terms(sol, ch, cfg, hd) if lt is None else lt
+    (the Gram/Hadamard forms of the module docstring), in the duplex mode of
+    ``lt``, the ``link_terms`` of this same solution."""
     gtw = sol.w @ ch.g_t.T                      # rows G_t w_j, shape (K+1, M)
     c = sol.u @ ch.g_r.T                        # rows c_l = G_r u_l, shape (L, M)
     bb1, bb2 = np.abs(aux.beta1) ** 2, np.abs(aux.beta2) ** 2
@@ -113,7 +111,7 @@ def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     t1 = (np.sqrt(1.0 + aux.alpha1) * aux.beta1) @ (gtw[1:].conj() * ch.h_pu)
     t2 = (np.sqrt(1.0 + aux.alpha2) * aux.beta2 * np.sqrt(sol.p)) @ (c * ch.g_pu.conj())
     den1 = np.full(bb1.shape, cfg.noise_ue_watt)
-    if hd:
+    if lt.hd:
         t12_mat = h_b * g_w + c_b * g_p
     else:
         # full-duplex CCI: e_lk + h_pu_k^H diag(phi) g_pu_l through every CP-UE
@@ -186,11 +184,10 @@ def dual_step(state: AdmmState) -> np.ndarray:
 
 
 def optimize_phase(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
-                   hd: bool = False, *, lt: LinkTerms | None = None
-                   ) -> tuple[np.ndarray, PhaseInfo]:
+                   lt: LinkTerms) -> tuple[np.ndarray, PhaseInfo]:
     """Full inner ADMM pass; returns a unit-modulus phi that never lowers the
     surrogate of the incoming one (reverts otherwise)."""
-    coeffs = assemble_phase_coeffs(sol, ch, aux, cfg, hd, lt=lt)
+    coeffs = assemble_phase_coeffs(sol, ch, aux, cfg, lt)
     info = PhaseInfo()
     phi_in = sol.phi.copy()
     entry_val = surrogate_value(coeffs, phi_in)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import Solution, echo_matrix, link_terms, sensing_floor
+from .sysmodel import LinkTerms, Solution, echo_matrix, sensing_floor
 from .wmmse import LN2, AuxVars, _bracket
 
 MAX_BISECTIONS = 200    # guard on the per-user root-find; float resolution stops it first
@@ -56,15 +56,14 @@ class PowerCoeffs:
 
 
 def assemble_power_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
-                          cfg: SystemConfig, hd: bool = False) -> PowerCoeffs:
+                          cfg: SystemConfig, lt: LinkTerms) -> PowerCoeffs:
     """Split each surrogate of ``wmmse`` into its p-free part and its terms in
-    sqrt(p) and p, read from ``sysmodel.link_terms``."""
-    lt = link_terms(sol, ch, cfg, hd)
+    sqrt(p) and p, read from ``lt``, the ``link_terms`` of this same solution."""
     k_n, l_n = lt.com_sig.shape[0], lt.off_sig.shape[0]
     # downlink: everything but the uplink CCI, which is linear in p
     b10 = _bracket(aux.alpha1, aux.beta1, lt.com_sig, lt.com_den - lt.cci)
     c1 = np.abs(aux.beta1) ** 2 / LN2
-    b11 = np.zeros((k_n, l_n)) if hd else (np.abs(lt.comp.ebar) ** 2).T
+    b11 = np.zeros((k_n, l_n)) if lt.hd else (np.abs(lt.comp.ebar) ** 2).T
     # offloading: b2 + sqrt(p_l) b6 - p_l b7
     b2 = _bracket(aux.alpha2, aux.beta2, 0.0, lt.si + lt.noise_off)
     b6 = 2.0 * np.sqrt(1.0 + aux.alpha2) * (np.conj(aux.beta2) * np.diagonal(lt.uamp)).real / LN2
@@ -73,7 +72,7 @@ def assemble_power_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     echo = float(np.sum(np.abs(echo_matrix(ch, sol.phi) @ sol.w.T) ** 2))
     c8 = echo - sensing_floor(cfg, ch, np.zeros(l_n))
     b9 = cfg.gamma_tar_linear * (np.abs(ch.g_au) ** 2).sum(axis=1)
-    dw = 0.5 if hd else 1.0     # HD links transmit half of the time
+    dw = lt.duplex              # HD links transmit half of the time
     return PowerCoeffs(b2=dw * b2, b6=dw * b6, b7=dw * b7, b9=b9, b10=dw * b10, b11=b11,
                        c1=dw * c1, c8=float(c8))
 
@@ -212,10 +211,10 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
 
 
 def optimize_power(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
-                   force_f_zero: bool = False, hd: bool = False
+                   lt: LinkTerms, force_f_zero: bool = False
                    ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Power/compute update with a monotonicity safeguard against the incumbent."""
-    coeffs = assemble_power_coeffs(sol, ch, aux, cfg, hd)
+    coeffs = assemble_power_coeffs(sol, ch, aux, cfg, lt)
     p, f, info = solve_power_compute(coeffs, cfg, force_f_zero)
     new_val = power_objective(coeffs, cfg, p, f)
     old_val = power_objective(coeffs, cfg, sol.p, sol.f)

@@ -2,19 +2,18 @@
 
 This module owns the model every block optimizes: ``link_terms`` gives each
 user's desired amplitude and SINR denominator (interference, uplink CCI,
-residual SI, receiver noise), and is the one place that applies the HD rule
-(no CCI, no SI); ``echo_matrix`` is the cascaded target path and
+residual SI, receiver noise); ``echo_matrix`` is the cascaded target path and
 ``sensing_floor`` the echo power the radar constraint asks for.  On top of
 those: downlink, offloading and radar SINRs, local computation rate/energy,
 backhaul cost and the overall system utility (bits).
 
-``link_terms`` is the costly evaluation, so the readers of one solution state
-share one record: ``wmmse.update_aux``, ``phaseadmm.assemble_phase_coeffs``,
-``beamforming.assemble_tx_coeffs``, ``wmmse.bca_objective`` and ``utility``
-take it as ``lt``, and ``beamforming.assemble_rx_coeffs`` takes its composite
-channels as ``comp``; each computes its own when none is passed.
-``utility`` likewise takes a precomputed ``d_total`` and ``residuals`` a
-precomputed ``res_cache``, since both depend only on the cache placement.
+``link_terms`` is where the duplex mode enters: it applies the HD rule (no
+CCI, no SI) and records the mode in its ``LinkTerms`` (``hd``, and
+``duplex``, the share of time each link transmits).  Every block takes that
+record as a required ``lt`` and reads the mode from it, without recomputing
+it.  ``utility`` computes its own from ``hd`` when none is passed; it takes
+a precomputed ``d_total``, and ``residuals`` a precomputed ``res_cache``,
+since both depend only on the cache placement.
 
 Rates use log2 so that SINR = 1 gives exactly B bits/s.  Quadratic terms in
 the transmitted symbol vector are evaluated in expectation (unit-variance
@@ -95,8 +94,8 @@ class LinkTerms:
     the desired one included), so SINR_k = |sig|^2 / (den - |sig|^2).
     Offloading, CP-UE l after combining with u_l: off_sig_l = sqrt(p_l) uamp_ll
     and off_den_l = sum_l' p_l' |uamp_ll'|^2 + si_l + noise_off_l, with
-    uamp_ll' = u_l^H g_l'.  Under HD the uplink CCI and the residual SI are
-    zero; an all-zero combiner has off_den = 0 and SINR 0.
+    uamp_ll' = u_l^H g_l'.  Under HD (``hd``) the uplink CCI and the residual
+    SI are zero; an all-zero combiner has off_den = 0 and SINR 0.
     """
 
     comp: Composite
@@ -108,6 +107,12 @@ class LinkTerms:
     si: np.ndarray         # (L,) sum_j |u_l^H H_SI w_j|^2
     noise_off: np.ndarray  # (L,) ||u_l||^2 sigma_bs^2
     uamp: np.ndarray       # (L, L) complex
+    hd: bool               # the duplex mode these terms were computed under
+
+    @property
+    def duplex(self) -> float:
+        """Share of time each link transmits: 1 under FD, 1/2 under HD."""
+        return 0.5 if self.hd else 1.0
 
     @property
     def r_com(self) -> np.ndarray:
@@ -138,7 +143,7 @@ def link_terms(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
     return LinkTerms(
         comp=comp, com_sig=np.diagonal(amps, 1), com_den=com_den,
         cci=cci, off_sig=np.sqrt(sol.p) * np.diagonal(uamp), off_den=off_den, si=si,
-        noise_off=noise_off, uamp=uamp,
+        noise_off=noise_off, uamp=uamp, hd=hd,
     )
 
 
@@ -193,19 +198,19 @@ def backhaul_cost(e: np.ndarray, cache_cfg, t: float, n_cp: int) -> float:
 def utility(sol: Solution, ch: ChannelSet, cfg: SystemConfig, hd: bool = False, *,
             lt: LinkTerms | None = None, d_total: float | None = None) -> Metrics:
     """Evaluate every metric of the current solution.  HD halves both
-    throughput terms (orthogonal equal-duration slots).
+    throughput terms (``LinkTerms.duplex``).
 
     A caller that already holds ``link_terms`` of this solution, or
     ``backhaul_cost`` of its cache placement ``sol.e``, passes them as ``lt``
-    and ``d_total`` instead of having them recomputed."""
+    and ``d_total`` instead of having them recomputed; a passed ``lt``
+    carries its own duplex mode, and ``hd`` then goes unread."""
     l_n = ch.g_pu.shape[0]
     b, t = cfg.bandwidth_hz, cfg.coherence_time_s
-    duplex = 0.5 if hd else 1.0
 
     lt = link_terms(sol, ch, cfg, hd) if lt is None else lt
     r_com, r_off = lt.r_com, lt.r_off
-    rate_com = duplex * b * np.log2(1.0 + r_com)
-    rate_off = duplex * b * np.log2(1.0 + r_off)
+    rate_com = lt.duplex * b * np.log2(1.0 + r_com)
+    rate_off = lt.duplex * b * np.log2(1.0 + r_off)
     eps = cfg.eps_array()
     rate_loc = sol.f / eps if l_n else np.zeros(0)
     energy_loc = t * cfg.zeta * sol.f ** 3 if l_n else np.zeros(0)

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import LinkTerms, Solution, link_terms
+from .sysmodel import LinkTerms, Solution
 
 LN2 = float(np.log(2.0))
 
@@ -33,12 +32,10 @@ class AuxVars:
     beta2: np.ndarray    # (L,) complex combiner auxiliaries, offloading
 
 
-def update_aux(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
-               hd: bool = False, *, lt: LinkTerms | None = None) -> AuxVars:
-    """Closed-form optimal auxiliaries at the current solution: alpha is the
-    SINR and beta = sqrt(1 + alpha) sig / den (zero for an all-zero combiner).
-    ``lt``, when given, must be ``link_terms`` of this same solution."""
-    lt = link_terms(sol, ch, cfg, hd) if lt is None else lt
+def update_aux(lt: LinkTerms) -> AuxVars:
+    """Closed-form optimal auxiliaries at the solution ``lt`` was computed at:
+    alpha is the SINR and beta = sqrt(1 + alpha) sig / den (zero for an
+    all-zero combiner)."""
     alpha1, alpha2 = lt.r_com, lt.r_off
     beta1 = np.sqrt(1.0 + alpha1) * lt.com_sig / lt.com_den
     beta2 = np.divide(np.sqrt(1.0 + alpha2) * lt.off_sig, lt.off_den,
@@ -56,25 +53,20 @@ def _bracket(alpha, beta, sig, den):
     return val / LN2
 
 
-def surrogates(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
-               aux: AuxVars, hd: bool = False, *, lt: LinkTerms | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
+def surrogates(aux: AuxVars, lt: LinkTerms) -> tuple[np.ndarray, np.ndarray]:
     """Per-user surrogate rates in log2 units: (downlink (K,), offloading (L,))."""
-    lt = link_terms(sol, ch, cfg, hd) if lt is None else lt
     return (_bracket(aux.alpha1, aux.beta1, lt.com_sig, lt.com_den),
             _bracket(aux.alpha2, aux.beta2, lt.off_sig, lt.off_den))
 
 
-def surrogate_sum(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
-                  aux: AuxVars, hd: bool = False, *, lt: LinkTerms | None = None) -> float:
+def surrogate_sum(aux: AuxVars, lt: LinkTerms) -> float:
     """Sum of all communication and offloading surrogates."""
-    com, off = surrogates(sol, ch, cfg, aux, hd, lt=lt)
+    com, off = surrogates(aux, lt)
     return float(com.sum() + off.sum())
 
 
-def bca_objective(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
-                  aux: AuxVars, hd: bool = False, *, lt: LinkTerms | None = None) -> float:
+def bca_objective(sol: Solution, cfg: SystemConfig, aux: AuxVars, lt: LinkTerms) -> float:
     """Block-coordinate objective: surrogates (halved under HD) plus normalized
     local computation rate (everything per channel use, log2 units)."""
     loc = float(np.sum(sol.f / (cfg.eps_array() * cfg.bandwidth_hz))) if sol.f.size else 0.0
-    return (0.5 if hd else 1.0) * surrogate_sum(sol, ch, cfg, aux, hd, lt=lt) + loc
+    return lt.duplex * surrogate_sum(aux, lt) + loc

@@ -21,7 +21,7 @@ from fdiscc.channels import draw_channels
 from fdiscc.config import CacheConfig, db2lin, dbm2watt, desk_config, paper_config, with_overrides
 from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, RunOptions,
                                  echo_aligned_phases, evaluate_baseline, run)
-from fdiscc.sysmodel import backhaul_cost, utility
+from fdiscc.sysmodel import backhaul_cost, link_terms, utility
 from fdiscc.wmmse import update_aux
 
 from conftest import make_solution
@@ -97,12 +97,11 @@ def test_criterion_4_closed_form_oracles(small_cfg, small_ch):
     w[0] = np.linalg.eigh(cascade.conj().T @ cascade)[1][:, -1] \
         * np.sqrt(small_cfg.p_bs_watt / 2)
     sol = sol.copy_with(w=w)
-    aux = update_aux(sol, small_ch, small_cfg)
+    lt = link_terms(sol, small_ch, small_cfg)
+    aux = update_aux(lt)
 
     # aux maximizers beat a 1000-point grid
-    from fdiscc.sysmodel import link_terms
     from fdiscc.wmmse import _bracket
-    lt = link_terms(sol, small_ch, small_cfg)
     for k in range(small_cfg.n_cm):
         sig, den = lt.com_sig[k], lt.com_den[k]
         hat = aux.alpha1[k]
@@ -120,7 +119,7 @@ def test_criterion_4_closed_form_oracles(small_cfg, small_ch):
         assert float((v.conj() @ cand).real) <= score + 1e-12
 
     # receive combiner passes finite-difference stationarity at 1e-6
-    rc = beamforming.assemble_rx_coeffs(sol, small_ch, aux, small_cfg)
+    rc = beamforming.assemble_rx_coeffs(sol, small_ch, aux, small_cfg, lt)
     u_hat = beamforming.solve_rx(rc)
     h = 1e-6
     for l in range(small_cfg.n_cp):
@@ -135,7 +134,7 @@ def test_criterion_4_closed_form_oracles(small_cfg, small_ch):
                 assert abs(diff) <= 1e-6 * scale
 
     # power/compute block matches the per-user grid + multiplier-grid oracle
-    coeffs = powercomp.assemble_power_coeffs(sol, small_ch, aux, small_cfg)
+    coeffs = powercomp.assemble_power_coeffs(sol, small_ch, aux, small_cfg, lt)
     for c8_scale in (1.0, 1e-4):
         c = dataclasses.replace(coeffs, c8=coeffs.c8 * c8_scale)
         p, f, _ = powercomp.solve_power_compute(c, small_cfg)
@@ -196,8 +195,8 @@ def test_criterion_6_sdr_quality():
         ch = draw_channels(cfg)
         sol = make_solution(cfg, ch, np.random.default_rng(seed + 1000), p_scale=1e-7)
         sol = sol.copy_with(phi=echo_aligned_phases(ch))
-        aux = update_aux(sol, ch, cfg)
-        coeffs = beamforming.assemble_tx_coeffs(sol, ch, aux, cfg)
+        lt = link_terms(sol, ch, cfg)
+        coeffs = beamforming.assemble_tx_coeffs(sol, ch, update_aux(lt), cfg, lt)
         try:
             res = beamforming.solve_tx_sdr(coeffs, cfg)
             w = beamforming.gaussian_randomize(res.blocks, coeffs, cfg, 200,

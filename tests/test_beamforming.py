@@ -11,7 +11,7 @@ from fdiscc.beamforming import (SdrInfeasibleError, assemble_rx_coeffs,
 from fdiscc.channels import draw_channels
 from fdiscc.config import db2lin, desk_config, paper_config
 from fdiscc.orchestrator import echo_aligned_phases
-from fdiscc.sysmodel import composite_channels
+from fdiscc.sysmodel import composite_channels, link_terms
 from fdiscc.wmmse import surrogate_sum, surrogates, update_aux
 
 from conftest import make_solution
@@ -26,8 +26,9 @@ def tx_sol(small_cfg, small_ch, rand_sol):
 
 @pytest.fixture()
 def tx_setup(small_cfg, small_ch, tx_sol):
-    aux = update_aux(tx_sol, small_ch, small_cfg)
-    coeffs = assemble_tx_coeffs(tx_sol, small_ch, aux, small_cfg)
+    lt = link_terms(tx_sol, small_ch, small_cfg)
+    aux = update_aux(lt)
+    coeffs = assemble_tx_coeffs(tx_sol, small_ch, aux, small_cfg, lt)
     return aux, coeffs
 
 
@@ -38,7 +39,7 @@ class TestTxCoeffs:
         for _ in range(5):
             w = 0.2 * (rng.normal(size=tx_sol.w.shape)
                        + 1j * rng.normal(size=tx_sol.w.shape))
-            direct = surrogate_sum(tx_sol.copy_with(w=w), small_ch, small_cfg, aux)
+            direct = surrogate_sum(aux, link_terms(tx_sol.copy_with(w=w), small_ch, small_cfg))
             assert tx_objective(coeffs, w) == pytest.approx(direct, abs=1e-8)
 
     def test_zero_beams_give_constants(self, small_cfg, tx_sol, tx_setup):
@@ -51,8 +52,9 @@ class TestTxCoeffs:
         cfg = desk_config(m_passive=6, m_active=3, n_cp=0, seed=11)
         ch = draw_channels(cfg)
         sol = make_solution(cfg, ch, np.random.default_rng(1))
-        aux = update_aux(sol, ch, cfg)
-        coeffs = assemble_tx_coeffs(sol, ch, aux, cfg)
+        lt = link_terms(sol, ch, cfg)
+        aux = update_aux(lt)
+        coeffs = assemble_tx_coeffs(sol, ch, aux, cfg, lt)
         assert coeffs.b4.size == 0
         # s_mat then only carries the downlink interference weights
         comp_h = composite_channels(ch, sol.phi).h
@@ -65,8 +67,9 @@ class TestTxCoeffs:
     def test_matches_per_user_loop(self, small_cfg, small_ch, rand_sol, hd):
         # the einsum assembly against the per-user loops it replaced
         from fdiscc.wmmse import LN2
-        aux = update_aux(rand_sol, small_ch, small_cfg, hd)
-        coeffs = assemble_tx_coeffs(rand_sol, small_ch, aux, small_cfg, hd)
+        lt = link_terms(rand_sol, small_ch, small_cfg, hd)
+        aux = update_aux(lt)
+        coeffs = assemble_tx_coeffs(rand_sol, small_ch, aux, small_cfg, lt)
         comp = composite_channels(small_ch, rand_sol.phi)
         nt, p = small_cfg.n_tx, rand_sol.p
         s_mat = np.zeros((nt, nt), complex)
@@ -134,8 +137,9 @@ class TestSolveTxSdr:
                           n_cp=0, seed=13, gamma_tar_linear=1e-12)
         ch = draw_channels(cfg)
         sol = make_solution(cfg, ch, np.random.default_rng(5))
-        aux = update_aux(sol, ch, cfg)
-        coeffs = assemble_tx_coeffs(sol, ch, aux, cfg)
+        lt = link_terms(sol, ch, cfg)
+        aux = update_aux(lt)
+        coeffs = assemble_tx_coeffs(sol, ch, aux, cfg, lt)
         res = solve_tx_sdr(coeffs, cfg)
         bound = sdr_bound(coeffs, res)
 
@@ -172,8 +176,9 @@ class TestSolveTxSdr:
 
     def test_safeguard_keeps_incumbent(self, small_cfg, small_ch, tx_sol, tx_setup):
         aux, _ = tx_setup
-        w_new, info = optimize_tx(tx_sol, small_ch, aux, small_cfg)
-        coeffs = assemble_tx_coeffs(tx_sol, small_ch, aux, small_cfg)
+        lt = link_terms(tx_sol, small_ch, small_cfg)
+        w_new, info = optimize_tx(tx_sol, small_ch, aux, small_cfg, lt)
+        coeffs = assemble_tx_coeffs(tx_sol, small_ch, aux, small_cfg, lt)
         assert tx_objective(coeffs, w_new) >= tx_objective(coeffs, tx_sol.w) \
             - 1e-9 * (1 + abs(tx_objective(coeffs, tx_sol.w)))
 
@@ -191,8 +196,9 @@ def _paper_tx_coeffs(seed, hd=False):
     ch = draw_channels(cfg)
     sol = make_solution(cfg, ch, np.random.default_rng(seed))
     sol = sol.copy_with(phi=echo_aligned_phases(ch))
-    aux = update_aux(sol, ch, cfg, hd)
-    return cfg, assemble_tx_coeffs(sol, ch, aux, cfg, hd)
+    lt = link_terms(sol, ch, cfg, hd)
+    aux = update_aux(lt)
+    return cfg, assemble_tx_coeffs(sol, ch, aux, cfg, lt)
 
 
 class TestSolveTx:
@@ -247,8 +253,9 @@ class TestSolveTx:
         ch = draw_channels(cfg)
         sol = make_solution(cfg, ch, np.random.default_rng(5))
         sol = sol.copy_with(phi=echo_aligned_phases(ch))
-        aux = update_aux(sol, ch, cfg, hd)
-        coeffs = assemble_tx_coeffs(sol, ch, aux, cfg, hd)
+        lt = link_terms(sol, ch, cfg, hd)
+        aux = update_aux(lt)
+        coeffs = assemble_tx_coeffs(sol, ch, aux, cfg, lt)
         w, info = solve_tx(coeffs)
         assert w.shape == (1, cfg.n_tx) and info["sensing_beam"]
         assert radar_power(coeffs, w) == pytest.approx(coeffs.b0, rel=1e-9)
@@ -256,15 +263,17 @@ class TestSolveTx:
         assert feasible and abs(gap) <= 1e-9
 
     def test_hd_coefficients(self, small_cfg, small_ch, tx_sol):
-        aux = update_aux(tx_sol, small_ch, small_cfg, True)
-        coeffs = assemble_tx_coeffs(tx_sol, small_ch, aux, small_cfg, hd=True)
-        fd = assemble_tx_coeffs(tx_sol, small_ch, aux, small_cfg)
+        lt_hd = link_terms(tx_sol, small_ch, small_cfg, True)
+        aux = update_aux(lt_hd)
+        coeffs = assemble_tx_coeffs(tx_sol, small_ch, aux, small_cfg, lt_hd)
+        fd = assemble_tx_coeffs(tx_sol, small_ch, aux, small_cfg,
+                                link_terms(tx_sol, small_ch, small_cfg))
         # HD drops the self-interference weight from S
         assert np.linalg.norm(coeffs.s_mat) < np.linalg.norm(fd.s_mat)
         w, info = solve_tx(coeffs)
         gap, feasible = _certificate_gap(coeffs, w, info)
         assert feasible and abs(gap) <= 1e-9
-        w_new, _ = optimize_tx(tx_sol, small_ch, aux, small_cfg, hd=True)
+        w_new, _ = optimize_tx(tx_sol, small_ch, aux, small_cfg, lt_hd)
         assert np.array_equal(w_new, w)
 
     def test_unreachable_floor_raises(self, small_cfg, tx_setup):
@@ -295,8 +304,9 @@ class TestSdrQuality:
             sol = make_solution(cfg, ch, np.random.default_rng(seed + 1000),
                                 p_scale=1e-7)
             sol = sol.copy_with(phi=echo_aligned_phases(ch))
-            aux = update_aux(sol, ch, cfg)
-            coeffs = assemble_tx_coeffs(sol, ch, aux, cfg)
+            lt = link_terms(sol, ch, cfg)
+            aux = update_aux(lt)
+            coeffs = assemble_tx_coeffs(sol, ch, aux, cfg, lt)
             try:
                 res = solve_tx_sdr(coeffs, cfg)
                 w = gaussian_randomize(res.blocks, coeffs, cfg, 200,
@@ -312,14 +322,15 @@ class TestSdrQuality:
 
 class TestRx:
     def test_identity_vs_surrogate(self, small_cfg, small_ch, uplink_sol, hd):
-        aux = update_aux(uplink_sol, small_ch, small_cfg, hd)
-        coeffs = assemble_rx_coeffs(uplink_sol, small_ch, aux, small_cfg, hd)
+        lt = link_terms(uplink_sol, small_ch, small_cfg, hd)
+        aux = update_aux(lt)
+        coeffs = assemble_rx_coeffs(uplink_sol, small_ch, aux, small_cfg, lt)
         rng = np.random.default_rng(7)
         for _ in range(4):
             u = rng.normal(size=(small_cfg.n_cp, small_cfg.n_rx)) \
                 + 1j * rng.normal(size=(small_cfg.n_cp, small_cfg.n_rx))
             sol2 = uplink_sol.copy_with(u=u)
-            _, off = surrogates(sol2, small_ch, small_cfg, aux, hd)
+            _, off = surrogates(aux, link_terms(sol2, small_ch, small_cfg, hd))
             for l in range(small_cfg.n_cp):
                 direct = off[l]
                 assert rx_objective(coeffs, u[l], l) == pytest.approx(direct, rel=1e-12)
@@ -346,14 +357,16 @@ class TestRx:
 
     def test_scaling_invariance(self, small_cfg, small_ch, rand_sol):
         import dataclasses
-        aux = update_aux(rand_sol, small_ch, small_cfg)
-        coeffs = assemble_rx_coeffs(rand_sol, small_ch, aux, small_cfg)
+        lt = link_terms(rand_sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        coeffs = assemble_rx_coeffs(rand_sol, small_ch, aux, small_cfg, lt)
         scaled = dataclasses.replace(coeffs, t5=2 * coeffs.t5, t5_mat=2 * coeffs.t5_mat)
         assert np.allclose(solve_rx(coeffs), solve_rx(scaled), atol=1e-10)
 
     def test_finite_difference_stationarity(self, small_cfg, small_ch, rand_sol):
-        aux = update_aux(rand_sol, small_ch, small_cfg)
-        coeffs = assemble_rx_coeffs(rand_sol, small_ch, aux, small_cfg)
+        lt = link_terms(rand_sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        coeffs = assemble_rx_coeffs(rand_sol, small_ch, aux, small_cfg, lt)
         u_hat = solve_rx(coeffs)
         h = 1e-6
         for l in range(small_cfg.n_cp):
@@ -368,8 +381,9 @@ class TestRx:
                     assert abs(plus - minus) / (2 * h) <= 1e-6 * scale
 
     def test_sphere_search_no_better(self, small_cfg, small_ch, rand_sol):
-        aux = update_aux(rand_sol, small_ch, small_cfg)
-        coeffs = assemble_rx_coeffs(rand_sol, small_ch, aux, small_cfg)
+        lt = link_terms(rand_sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        coeffs = assemble_rx_coeffs(rand_sol, small_ch, aux, small_cfg, lt)
         u_hat = solve_rx(coeffs)
         rng = np.random.default_rng(8)
         for l in range(small_cfg.n_cp):
@@ -380,11 +394,12 @@ class TestRx:
                 assert rx_objective(coeffs, cand, l) <= best + 1e-12
 
     def test_never_decreases_offload_surrogate(self, small_cfg, small_ch, rand_sol):
-        aux = update_aux(rand_sol, small_ch, small_cfg)
-        u_new = optimize_rx(rand_sol, small_ch, aux, small_cfg)
+        lt = link_terms(rand_sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        u_new = optimize_rx(rand_sol, small_ch, aux, small_cfg, lt)
         sol2 = rand_sol.copy_with(u=u_new)
-        _, off_before = surrogates(rand_sol, small_ch, small_cfg, aux)
-        _, off_after = surrogates(sol2, small_ch, small_cfg, aux)
+        _, off_before = surrogates(aux, lt)
+        _, off_after = surrogates(aux, link_terms(sol2, small_ch, small_cfg))
         for l in range(small_cfg.n_cp):
             before = off_before[l]
             after = off_after[l]
@@ -392,6 +407,7 @@ class TestRx:
 
     def test_degenerate_block_keeps_incumbent(self, small_cfg, small_ch, rand_sol):
         sol = rand_sol.copy_with(p=np.zeros(small_cfg.n_cp))
-        aux = update_aux(sol, small_ch, small_cfg)
-        u_new = optimize_rx(sol, small_ch, aux, small_cfg)
+        lt = link_terms(sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        u_new = optimize_rx(sol, small_ch, aux, small_cfg, lt)
         assert np.array_equal(u_new, sol.u)

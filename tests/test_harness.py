@@ -323,6 +323,26 @@ class TestCli:
         assert r.returncode == 2
         assert "not_a_key" in r.stderr
 
+    @pytest.mark.parametrize("command, key, body", [
+        ("run", "n_tx", {"n_tx": "4"}),
+        ("run", "n_files", {"cache": {"n_files": "10"}}),
+        ("run", "seed", {"seed": 1.5}),
+        ("sweep", "values", {"parameter": "m_passive", "values": 5}),
+        ("sweep", "values", {"parameter": "m_passive", "values": ["a"]}),
+        ("sweep", "n_seeds", {"parameter": "m_passive", "values": [8], "n_seeds": "2"}),
+    ], ids=["n_tx-str", "n_files-str", "seed-float", "values-scalar", "values-str",
+            "n_seeds-str"])
+    def test_wrongly_typed_value_exit_code_2(self, tmp_path, command, key, body):
+        # exit code 1 means a sensing-infeasible scenario; a bad file is a
+        # config error that names its key
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        flag = "--config" if command == "run" else "--spec"
+        r = run_cli([command, flag, str(path), "--out", str(tmp_path / "o")], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert key in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_sweep_emits_rows(self, tmp_path):
         spec = {"parameter": "m_passive", "values": [4, 6], "schemes": ["proposed"],
                 "n_seeds": 2, "output": "rows.csv", "max_iter": 2,

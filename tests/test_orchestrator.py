@@ -156,9 +156,9 @@ class TestRun:
         assert res.metrics.d_total == cost(res.solution.e, cfg.cache,
                                            cfg.coherence_time_s, cfg.n_cp)
 
-    def test_link_terms_at_most_four_per_iteration(self, desk, monkeypatch):
+    def test_link_terms_at_most_four_per_iteration(self, monkeypatch):
         # one LinkTerms per solution state: iteration start, after the phase
-        # block, inside the power block, iteration end
+        # block (not with fixed phases), before the power block, iteration end
         from fdiscc import beamforming, orchestrator, phaseadmm, powercomp, wmmse
         calls = {"all": 0, "init": 0}
         terms = sysmodel.link_terms
@@ -180,10 +180,16 @@ class TestRun:
                 calls["init"] += calls["all"] - before
 
         monkeypatch.setattr(orchestrator, "initialize", counted_init)
-        cfg, ch = desk
-        res = run(cfg, ch, RunOptions(scheme="proposed"))
-        assert res.iterations >= 3
-        assert calls["all"] - calls["init"] <= 4 * res.iterations
+        for seed in (1, 2):
+            cfg = desk_config(seed=seed)
+            ch = draw_channels(cfg)
+            for scheme, per_iteration in (("proposed", 4), ("full-offloading", 4),
+                                          ("hd", 4), ("fixed-phase", 3)):
+                calls.update(all=0, init=0)
+                res = run(cfg, ch, RunOptions(scheme=scheme))
+                assert res.iterations >= 3, (seed, scheme)
+                assert calls["all"] - calls["init"] == per_iteration * res.iterations, \
+                    (seed, scheme)
 
 
 class TestSharedSolves:

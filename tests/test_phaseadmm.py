@@ -10,7 +10,7 @@ from fdiscc.phaseadmm import (AdmmState, LinearRadar, PhaseCoeffs, PhaseStepInfe
                               admm_phi_step, assemble_phase_coeffs, dual_step,
                               echo_power, mm_linearize_radar, optimize_phase,
                               psi_step, surrogate_value)
-from fdiscc.sysmodel import radar_sinr
+from fdiscc.sysmodel import link_terms, radar_sinr
 from fdiscc.wmmse import surrogate_sum, update_aux
 
 from conftest import make_solution
@@ -18,19 +18,21 @@ from conftest import make_solution
 
 @pytest.fixture()
 def coeffs(small_cfg, small_ch, rand_sol):
-    aux = update_aux(rand_sol, small_ch, small_cfg)
-    return assemble_phase_coeffs(rand_sol, small_ch, aux, small_cfg)
+    lt = link_terms(rand_sol, small_ch, small_cfg)
+    aux = update_aux(lt)
+    return assemble_phase_coeffs(rand_sol, small_ch, aux, small_cfg, lt)
 
 
 class TestAssemble:
     def test_identity_vs_surrogates(self, small_cfg, small_ch, uplink_sol, hd):
         rng = np.random.default_rng(0)
-        aux = update_aux(uplink_sol, small_ch, small_cfg, hd)
-        coeffs = assemble_phase_coeffs(uplink_sol, small_ch, aux, small_cfg, hd)
+        lt = link_terms(uplink_sol, small_ch, small_cfg, hd)
+        aux = update_aux(lt)
+        coeffs = assemble_phase_coeffs(uplink_sol, small_ch, aux, small_cfg, lt)
         for _ in range(6):
             phi = np.exp(1j * rng.uniform(0, 2 * np.pi, small_cfg.m_passive))
-            direct = surrogate_sum(uplink_sol.copy_with(phi=phi), small_ch, small_cfg,
-                                   aux, hd)
+            direct = surrogate_sum(
+                aux, link_terms(uplink_sol.copy_with(phi=phi), small_ch, small_cfg, hd))
             assert surrogate_value(coeffs, phi) == pytest.approx(direct, rel=1e-12)
 
     def test_no_users_constant(self):
@@ -40,7 +42,7 @@ class TestAssemble:
         from fdiscc.wmmse import AuxVars
         aux = AuxVars(alpha1=np.zeros(0), beta1=np.zeros(0, complex),
                       alpha2=np.zeros(0), beta2=np.zeros(0, complex))
-        coeffs = assemble_phase_coeffs(sol, ch, aux, cfg)
+        coeffs = assemble_phase_coeffs(sol, ch, aux, cfg, link_terms(sol, ch, cfg))
         assert np.allclose(coeffs.t12_mat, 0)
         assert np.allclose(coeffs.t12_vec, 0)
         assert coeffs.b12 == 0.0
@@ -52,8 +54,9 @@ class TestAssemble:
         assert np.linalg.eigvalsh(coeffs.t12_mat).min() >= -1e-10
 
     def test_echo_identity(self, small_cfg, small_ch, uplink_sol, hd):
-        aux = update_aux(uplink_sol, small_ch, small_cfg, hd)
-        coeffs = assemble_phase_coeffs(uplink_sol, small_ch, aux, small_cfg, hd)
+        lt = link_terms(uplink_sol, small_ch, small_cfg, hd)
+        aux = update_aux(lt)
+        coeffs = assemble_phase_coeffs(uplink_sol, small_ch, aux, small_cfg, lt)
         rng = np.random.default_rng(1)
         for _ in range(5):
             phi = np.exp(1j * rng.uniform(0, 2 * np.pi, small_cfg.m_passive))
@@ -145,8 +148,9 @@ class TestPhiStep:
         from fdiscc.orchestrator import initialize
         sol = initialize(small_cfg, small_ch, np.random.default_rng(1))
         sol = sol.copy_with(p=0.25 * sol.p)
-        aux = update_aux(sol, small_ch, small_cfg)
-        coeffs = assemble_phase_coeffs(sol, small_ch, aux, small_cfg)
+        lt = link_terms(sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        coeffs = assemble_phase_coeffs(sol, small_ch, aux, small_cfg, lt)
         rng = np.random.default_rng(6)
         psi = np.exp(1j * np.angle(sol.phi))
         lam = 0.05 * (rng.normal(size=small_cfg.m_passive)
@@ -169,8 +173,9 @@ class TestPhiStep:
         from fdiscc.orchestrator import initialize
         sol = initialize(small_cfg, small_ch, np.random.default_rng(1))
         sol = sol.copy_with(p=0.25 * sol.p)
-        aux = update_aux(sol, small_ch, small_cfg)
-        coeffs = assemble_phase_coeffs(sol, small_ch, aux, small_cfg)
+        lt = link_terms(sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        coeffs = assemble_phase_coeffs(sol, small_ch, aux, small_cfg, lt)
         state = AdmmState(phi=sol.phi.copy(), psi=sol.phi.copy(),
                           lam=np.zeros(small_cfg.m_passive, complex), rho=2.0)
         lin = mm_linearize_radar(coeffs, sol.phi)
@@ -246,8 +251,9 @@ class TestOptimizePhase:
         return sol.copy_with(p=0.25 * sol.p)   # sensing margin for phase moves
 
     def test_consensus_reached(self, small_cfg, small_ch, feasible_sol):
-        aux = update_aux(feasible_sol, small_ch, small_cfg)
-        phi, info = optimize_phase(feasible_sol, small_ch, aux, small_cfg)
+        lt = link_terms(feasible_sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        phi, info = optimize_phase(feasible_sol, small_ch, aux, small_cfg, lt)
         assert np.allclose(np.abs(phi), 1.0, atol=1e-12)
         assert info.consensus <= 1e-4 or info.reverted
         assert info.iterations <= 200
@@ -256,19 +262,21 @@ class TestOptimizePhase:
     def test_infeasible_entry_returns_input(self, small_cfg, small_ch, rand_sol):
         # a random state generally violates the sensing floor at its own
         # phases: the block must flag it and hand back the input untouched
-        aux = update_aux(rand_sol, small_ch, small_cfg)
-        coeffs = assemble_phase_coeffs(rand_sol, small_ch, aux, small_cfg)
+        lt = link_terms(rand_sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        coeffs = assemble_phase_coeffs(rand_sol, small_ch, aux, small_cfg, lt)
         if echo_power(coeffs, rand_sol.phi) >= coeffs.b0:
             pytest.skip("entry happens to be feasible for this draw")
-        phi, info = optimize_phase(rand_sol, small_ch, aux, small_cfg)
+        phi, info = optimize_phase(rand_sol, small_ch, aux, small_cfg, lt)
         assert info.infeasible
         assert np.array_equal(phi, rand_sol.phi)
 
     def test_never_decreases_surrogate(self, small_cfg, small_ch, feasible_sol):
-        aux = update_aux(feasible_sol, small_ch, small_cfg)
-        coeffs = assemble_phase_coeffs(feasible_sol, small_ch, aux, small_cfg)
+        lt = link_terms(feasible_sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        coeffs = assemble_phase_coeffs(feasible_sol, small_ch, aux, small_cfg, lt)
         before = surrogate_value(coeffs, feasible_sol.phi)
-        phi, info = optimize_phase(feasible_sol, small_ch, aux, small_cfg)
+        phi, info = optimize_phase(feasible_sol, small_ch, aux, small_cfg, lt)
         after = surrogate_value(coeffs, phi)
         assert after >= before - 1e-9 * (1 + abs(before))
 
@@ -276,9 +284,10 @@ class TestOptimizePhase:
         cfg = desk_config(m_passive=1, m_active=1, seed=4)
         ch = draw_channels(cfg)
         sol = make_solution(cfg, ch, np.random.default_rng(7), p_scale=1e-9)
-        aux = update_aux(sol, ch, cfg)
-        coeffs = assemble_phase_coeffs(sol, ch, aux, cfg)
-        phi, info = optimize_phase(sol, ch, aux, cfg)
+        lt = link_terms(sol, ch, cfg)
+        aux = update_aux(lt)
+        coeffs = assemble_phase_coeffs(sol, ch, aux, cfg, lt)
+        phi, info = optimize_phase(sol, ch, aux, cfg, lt)
         if not info.reverted and abs(coeffs.t12_vec[0]) > 0:
             # single reflection element: optimum aligns with the linear term
             target = np.exp(1j * np.angle(coeffs.t12_vec[0]))
@@ -289,9 +298,10 @@ class TestOptimizePhase:
         # start from a feasible solution; output must stay feasible
         from fdiscc.orchestrator import initialize
         sol = initialize(small_cfg, small_ch, np.random.default_rng(0))
-        aux = update_aux(sol, small_ch, small_cfg)
-        coeffs = assemble_phase_coeffs(sol, small_ch, aux, small_cfg)
-        phi, info = optimize_phase(sol, small_ch, aux, small_cfg)
+        lt = link_terms(sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        coeffs = assemble_phase_coeffs(sol, small_ch, aux, small_cfg, lt)
+        phi, info = optimize_phase(sol, small_ch, aux, small_cfg, lt)
         assert echo_power(coeffs, phi) >= coeffs.b0 * (1 - 1e-6)
 
     def test_tight_paper_cell_runs_without_qcqp(self, monkeypatch):

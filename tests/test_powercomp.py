@@ -10,6 +10,7 @@ from fdiscc.channels import draw_channels
 from fdiscc.powercomp import (PowerCoeffs, SensingInfeasibleError, _user_solve,
                               assemble_power_coeffs, optimize_power,
                               power_objective, solve_power_compute)
+from fdiscc.sysmodel import link_terms
 from fdiscc.wmmse import surrogates, update_aux
 
 from conftest import make_solution
@@ -30,8 +31,9 @@ def pc_sol(small_cfg, small_ch, rand_sol):
 
 @pytest.fixture()
 def pc_setup(small_cfg, small_ch, pc_sol):
-    aux = update_aux(pc_sol, small_ch, small_cfg)
-    coeffs = assemble_power_coeffs(pc_sol, small_ch, aux, small_cfg)
+    lt = link_terms(pc_sol, small_ch, small_cfg)
+    aux = update_aux(lt)
+    coeffs = assemble_power_coeffs(pc_sol, small_ch, aux, small_cfg, lt)
     return aux, coeffs
 
 
@@ -40,12 +42,13 @@ class TestAssemble:
         # under HD the coefficients carry the halved surrogates
         rng = np.random.default_rng(0)
         for hd in (False, True):
-            aux = update_aux(pc_sol, small_ch, small_cfg, hd)
-            coeffs = assemble_power_coeffs(pc_sol, small_ch, aux, small_cfg, hd)
+            lt = link_terms(pc_sol, small_ch, small_cfg, hd)
+            aux = update_aux(lt)
+            coeffs = assemble_power_coeffs(pc_sol, small_ch, aux, small_cfg, lt)
             for _ in range(5):
                 p = rng.uniform(0, 5e-9, small_cfg.n_cp)
                 sol2 = pc_sol.copy_with(p=p)
-                com, off = surrogates(sol2, small_ch, small_cfg, aux, hd=hd)
+                com, off = surrogates(aux, link_terms(sol2, small_ch, small_cfg, hd))
                 direct = sum(com[k] for k in range(small_cfg.n_cm))
                 direct += sum(off[l] for l in range(small_cfg.n_cp))
                 lin = coeffs.b7 + coeffs.c1 @ coeffs.b11
@@ -56,7 +59,7 @@ class TestAssemble:
     def test_zero_power_gives_constants(self, small_cfg, small_ch, pc_sol, pc_setup):
         aux, coeffs = pc_setup
         sol0 = pc_sol.copy_with(p=np.zeros(small_cfg.n_cp))
-        _, off = surrogates(sol0, small_ch, small_cfg, aux)
+        _, off = surrogates(aux, link_terms(sol0, small_ch, small_cfg))
         direct = sum(off[l] for l in range(small_cfg.n_cp))
         assert float(coeffs.b2.sum()) == pytest.approx(direct, abs=1e-10)
 
@@ -64,8 +67,9 @@ class TestAssemble:
         cfg = desk_config(m_passive=6, m_active=3, n_cm=0, n_cp=1, seed=17)
         ch = draw_channels(cfg)
         sol = make_solution(cfg, ch, np.random.default_rng(3))
-        aux = update_aux(sol, ch, cfg)
-        coeffs = assemble_power_coeffs(sol, ch, aux, cfg)
+        lt = link_terms(sol, ch, cfg)
+        aux = update_aux(lt)
+        coeffs = assemble_power_coeffs(sol, ch, aux, cfg, lt)
         from fdiscc.sysmodel import composite_channels
         from fdiscc.wmmse import LN2
         comp = composite_channels(ch, sol.phi)
@@ -78,8 +82,9 @@ class TestAssemble:
         from fdiscc.sysmodel import composite_channels, echo_matrix
         from fdiscc.wmmse import LN2
         sol, cfg, ch = pc_sol, small_cfg, small_ch
-        aux = update_aux(sol, ch, cfg, hd)
-        coeffs = assemble_power_coeffs(sol, ch, aux, cfg, hd)
+        lt = link_terms(sol, ch, cfg, hd)
+        aux = update_aux(lt)
+        coeffs = assemble_power_coeffs(sol, ch, aux, cfg, lt)
         comp = composite_channels(ch, sol.phi)
         dw = 0.5 if hd else 1.0
         for k in range(cfg.n_cm):
@@ -225,8 +230,9 @@ class TestSolve:
             w = sol.w.copy()
             w[0] = radar_dir * np.sqrt(small_cfg.p_bs_watt / 2)
             sol = sol.copy_with(phi=phi, w=w)
-            aux = update_aux(sol, small_ch, small_cfg)
-            coeffs = assemble_power_coeffs(sol, small_ch, aux, small_cfg)
+            lt = link_terms(sol, small_ch, small_cfg)
+            aux = update_aux(lt)
+            coeffs = assemble_power_coeffs(sol, small_ch, aux, small_cfg, lt)
             # make the coupling active for at least one trial
             if trial == 2:
                 coeffs = dataclasses.replace(coeffs, c8=coeffs.c8 * 1e-4)
@@ -278,9 +284,10 @@ class TestSolve:
         assert p.size == 0 and f.size == 0
 
     def test_monotone_vs_incumbent(self, small_cfg, small_ch, pc_sol):
-        aux = update_aux(pc_sol, small_ch, small_cfg)
-        p, f, info = optimize_power(pc_sol, small_ch, aux, small_cfg)
-        coeffs = assemble_power_coeffs(pc_sol, small_ch, aux, small_cfg)
+        lt = link_terms(pc_sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        p, f, info = optimize_power(pc_sol, small_ch, aux, small_cfg, lt)
+        coeffs = assemble_power_coeffs(pc_sol, small_ch, aux, small_cfg, lt)
         new_val = power_objective(coeffs, small_cfg, p, f)
         old_val = power_objective(coeffs, small_cfg, pc_sol.p, pc_sol.f)
         assert new_val >= old_val - 1e-12 * (1 + abs(old_val))

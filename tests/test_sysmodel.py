@@ -340,3 +340,37 @@ class TestUtility:
         assert res["energy"] <= 1e-9
         assert res["modulus"] <= 1e-12
         assert res["cache"] <= 0.0
+
+
+class TestDuplexMode:
+    def test_link_terms_carry_the_mode(self, small_cfg, small_ch, rand_sol):
+        for hd, duplex in ((False, 1.0), (True, 0.5)):
+            lt = link_terms(rand_sol, small_ch, small_cfg, hd)
+            assert lt.hd is hd and lt.duplex == duplex
+            # a passed record decides the mode, whatever ``hd`` says
+            via_lt = utility(rand_sol, small_ch, small_cfg, not hd, lt=lt)
+            own = utility(rand_sol, small_ch, small_cfg, hd)
+            assert np.array_equal(via_lt.rate_com, own.rate_com)
+            assert np.array_equal(via_lt.rate_off, own.rate_off)
+
+    def test_mode_enters_only_through_link_terms(self):
+        # the blocks take the LinkTerms record and never the mode itself, nor
+        # an optional record they would recompute when it is missing
+        import importlib
+        import inspect
+        import pkgutil
+
+        import fdiscc
+        with_hd, optional = set(), set()
+        for info in pkgutil.iter_modules(fdiscc.__path__):
+            mod = importlib.import_module(f"fdiscc.{info.name}")
+            for name, fn in vars(mod).items():
+                if not inspect.isfunction(fn) or fn.__module__ != mod.__name__:
+                    continue
+                params = inspect.signature(fn).parameters.values()
+                if any(p.name == "hd" for p in params):
+                    with_hd.add(f"{info.name}.{name}")
+                if any(p.name in ("lt", "comp") and p.default is None for p in params):
+                    optional.add(f"{info.name}.{name}")
+        assert with_hd == {"sysmodel.link_terms", "sysmodel.utility"}
+        assert optional <= {"sysmodel.utility"}

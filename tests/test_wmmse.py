@@ -12,7 +12,7 @@ from conftest import make_solution
 
 class TestUpdateAux:
     def test_alpha_equals_sinr(self, small_cfg, small_ch, rand_sol):
-        aux = update_aux(rand_sol, small_ch, small_cfg)
+        aux = update_aux(link_terms(rand_sol, small_ch, small_cfg))
         m = utility(rand_sol, small_ch, small_cfg)
         for k in range(small_cfg.n_cm):
             assert aux.alpha1[k] == pytest.approx(m.r_com[k], rel=1e-12)
@@ -22,7 +22,7 @@ class TestUpdateAux:
     def test_zero_beam_gives_zero_aux(self, small_cfg, small_ch, rand_sol):
         w = rand_sol.w.copy()
         w[1] = 0.0
-        aux = update_aux(rand_sol.copy_with(w=w), small_ch, small_cfg)
+        aux = update_aux(link_terms(rand_sol.copy_with(w=w), small_ch, small_cfg))
         assert aux.alpha1[0] == 0.0
         assert aux.beta1[0] == 0.0
 
@@ -33,7 +33,7 @@ class TestUpdateAux:
         w = sol.w.copy()
         w[0] = 0.0
         sol = sol.copy_with(w=w)
-        aux = update_aux(sol, ch, cfg)
+        aux = update_aux(link_terms(sol, ch, cfg))
         comp = composite_channels(ch, sol.phi)
         expected = abs(comp.h[0] @ sol.w[1]) ** 2 / cfg.noise_ue_watt
         assert aux.alpha1[0] == pytest.approx(expected, rel=1e-12)
@@ -41,8 +41,8 @@ class TestUpdateAux:
     def test_alpha_grid_is_maximizer(self, small_cfg, small_ch, rand_sol):
         # sweep alpha over a grid around the closed form; the surrogate at the
         # closed-form beta must peak at the closed-form alpha
-        aux = update_aux(rand_sol, small_ch, small_cfg)
         lt = link_terms(rand_sol, small_ch, small_cfg)
+        aux = update_aux(lt)
         k = 0
         sig, den = lt.com_sig[k], lt.com_den[k]
         alpha_hat = aux.alpha1[k]
@@ -58,16 +58,16 @@ class TestUpdateAux:
 
 class TestSurrogates:
     def test_tightness_com(self, small_cfg, small_ch, rand_sol):
-        aux = update_aux(rand_sol, small_ch, small_cfg)
-        com, _ = surrogates(rand_sol, small_ch, small_cfg, aux)
+        lt = link_terms(rand_sol, small_ch, small_cfg)
+        com, _ = surrogates(update_aux(lt), lt)
         m = utility(rand_sol, small_ch, small_cfg)
         for k in range(small_cfg.n_cm):
             rate = np.log2(1 + m.r_com[k])
             assert com[k] == pytest.approx(rate, abs=1e-9)
 
     def test_tightness_off(self, small_cfg, small_ch, rand_sol):
-        aux = update_aux(rand_sol, small_ch, small_cfg)
-        _, off = surrogates(rand_sol, small_ch, small_cfg, aux)
+        lt = link_terms(rand_sol, small_ch, small_cfg)
+        _, off = surrogates(update_aux(lt), lt)
         m = utility(rand_sol, small_ch, small_cfg)
         for l in range(small_cfg.n_cp):
             rate = np.log2(1 + m.r_off[l])
@@ -79,13 +79,13 @@ class TestSurrogates:
                       beta1=np.zeros(small_cfg.n_cm, complex),
                       alpha2=np.zeros(small_cfg.n_cp),
                       beta2=np.zeros(small_cfg.n_cp, complex))
-        assert surrogates(sol, small_ch, small_cfg, aux)[0][0] == 0.0
+        assert surrogates(aux, link_terms(sol, small_ch, small_cfg))[0][0] == 0.0
 
     def test_majorization_sampled(self, small_cfg, small_ch, rand_sol):
         # the surrogate lower-bounds log2(1+SINR) for every sampled (alpha, beta)
         rng = np.random.default_rng(11)
-        aux0 = update_aux(rand_sol, small_ch, small_cfg)
         lt = link_terms(rand_sol, small_ch, small_cfg)
+        aux0 = update_aux(lt)
         r_com = utility(rand_sol, small_ch, small_cfg).r_com
         for k in range(small_cfg.n_cm):
             rate = np.log2(1 + r_com[k])
@@ -97,8 +97,9 @@ class TestSurrogates:
 
     def test_update_never_decreases_sum(self, small_cfg, small_ch, rand_sol):
         rng = np.random.default_rng(13)
-        aux0 = update_aux(rand_sol, small_ch, small_cfg)
-        base = surrogate_sum(rand_sol, small_ch, small_cfg, aux0)
+        lt = link_terms(rand_sol, small_ch, small_cfg)
+        aux0 = update_aux(lt)
+        base = surrogate_sum(aux0, lt)
         for _ in range(20):
             pert = AuxVars(
                 alpha1=aux0.alpha1 * rng.uniform(0.2, 2, small_cfg.n_cm),
@@ -107,7 +108,7 @@ class TestSurrogates:
                 alpha2=aux0.alpha2 * rng.uniform(0.2, 2, small_cfg.n_cp),
                 beta2=aux0.beta2 * (1 + 0.5 * (rng.normal(size=small_cfg.n_cp)
                                                + 1j * rng.normal(size=small_cfg.n_cp))))
-            assert surrogate_sum(rand_sol, small_ch, small_cfg, pert) <= base + 1e-9
+            assert surrogate_sum(pert, lt) <= base + 1e-9
 
     def test_hd_excludes_cci_and_si(self, small_cfg, small_ch, rand_sol):
         comp = composite_channels(small_ch, rand_sol.phi)
@@ -120,8 +121,8 @@ class TestSurrogates:
         assert den_fd - den_hd == pytest.approx(cci, rel=1e-12)
 
     def test_bca_objective_includes_compute(self, small_cfg, small_ch, rand_sol):
-        aux = update_aux(rand_sol, small_ch, small_cfg)
-        total = bca_objective(rand_sol, small_ch, small_cfg, aux)
+        lt = link_terms(rand_sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        total = bca_objective(rand_sol, small_cfg, aux, lt)
         loc = float(np.sum(rand_sol.f / (small_cfg.eps_array() * small_cfg.bandwidth_hz)))
-        assert total == pytest.approx(
-            surrogate_sum(rand_sol, small_ch, small_cfg, aux) + loc, rel=1e-12)
+        assert total == pytest.approx(surrogate_sum(aux, lt) + loc, rel=1e-12)
