@@ -31,16 +31,13 @@ import numpy as np
 from . import conic
 from .channels import ChannelSet
 from .config import SystemConfig
+from .rootfind import EPS, NoBracketError, increasing_root
 from .sysmodel import LinkTerms, Solution, echo_matrix, sensing_floor
 from .wmmse import LN2, AuxVars, _bracket
 
-EPS = float(np.finfo(float).eps)
 # the closed form aims at b0 (1 + RADAR_MARGIN), so rounding leaves the echo
 # above the floor; the certified dual value is still taken at b0 itself
 RADAR_MARGIN = 1e-12
-ROOT_TOL = 1e-13        # relative power slack at which the mu root-find stops
-MAX_ROOT_ITERS = 100    # regula-falsi steps after the bracket is found
-MAX_DOUBLINGS = 200     # bracket growth before the floor counts as unreachable
 
 
 class SdrInfeasibleError(Exception):
@@ -149,12 +146,13 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
     A singular and the floor is met by w_0 = tau B^{-1} d, its null vector.
     The power ||w(mu)||^2 then falls with mu, and mu is 0 when the budget is
     slack (EPS max(1, ||S||) if S is singular, where B must stay invertible),
-    else the root of 1/||w(mu)|| = 1/sqrt(P) found by regula falsi
-    (Illinois) on a doubling bracket; the root is kept on the side that fits.
+    else the root of 1/||w(mu)|| = 1/sqrt(P) by ``rootfind.increasing_root``,
+    on the side where the beams fit the budget.
 
     Returns the beams (K+1, N_t) and ``{"dual", "mu", "nu", "iterations",
-    "sensing_beam"}``, where ``dual`` is g(mu, nu) = b3 + b4 +
-    sum_k q_k^H A^{-1} q_k + mu P - nu b0, an upper bound on the objective.
+    "sensing_beam"}``, where ``iterations`` counts the root-find's evaluations
+    and ``dual`` is g(mu, nu) = b3 + b4 + sum_k q_k^H A^{-1} q_k + mu P - nu b0,
+    an upper bound on the objective.
     Raises SdrInfeasibleError when the floor exceeds the echo ceiling P ||d||^2.
     """
     q = coeffs.q
@@ -167,6 +165,7 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
     s, vecs = np.linalg.eigh(coeffs.s_mat)
     s = np.maximum(s, 0.0)
     x, y = q @ vecs.conj(), d @ vecs.conj()          # eigenbasis coordinates
+    points = {}         # every trial point by mu, so the root is not re-solved
 
     def beams(mu: float):
         """Beams maximizing the Lagrangian at (mu, nu*(mu)) in the eigenbasis,
@@ -188,44 +187,21 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
         w[0] = (np.sqrt(target) / phi) * yb
         return w, 1.0 / phi, gain
 
-    def slack(point) -> float:
+    def slack(mu: float) -> float:
         """1/||w|| - 1/sqrt(P): increasing and nearly linear in mu."""
-        norm = np.sqrt(np.sum(np.abs(point[0]) ** 2))
+        points[mu] = beams(mu)
+        norm = np.sqrt(np.sum(np.abs(points[mu][0]) ** 2))
         return 1.0 / norm - 1.0 / np.sqrt(p_max) if norm > 0.0 else np.inf
 
     mu = 0.0 if s[0] > 0.0 else EPS * max(s[-1], 1.0)
-    point, iters = beams(mu), 0
-    f_lo = slack(point)
+    f_lo, iters = slack(mu), 0
     if f_lo < 0.0:
-        lo, hi = mu, max(s[-1], np.sqrt(np.sum(np.abs(q) ** 2) / p_max), 2.0 * mu)
-        point = beams(hi)
-        f_hi = slack(point)
-        while f_hi < 0.0:
-            iters += 1
-            if iters > MAX_DOUBLINGS:
-                raise SdrInfeasibleError("sensing floor at the echo ceiling")
-            lo, f_lo, hi = hi, f_hi, 2.0 * hi
-            point = beams(hi)
-            f_hi = slack(point)
-        side, f_fit = 0, f_hi       # f_fit: unscaled slack at hi, for the stop rule
-        last = iters + MAX_ROOT_ITERS
-        while iters < last and f_fit * np.sqrt(p_max) > ROOT_TOL and hi - lo > 4.0 * EPS * hi:
-            iters += 1
-            mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-            if not lo < mid < hi:
-                mid = 0.5 * (lo + hi)
-            trial = beams(mid)
-            f_mid = slack(trial)
-            if f_mid >= 0.0:
-                hi, f_hi, f_fit, point = mid, f_mid, f_mid, trial
-                f_lo = f_lo / 2.0 if side > 0 else f_lo
-                side = 1
-            else:
-                lo, f_lo = mid, f_mid
-                f_hi = f_hi / 2.0 if side < 0 else f_hi
-                side = -1
-        mu = hi
-    w, nu, gain = point
+        hi = max(s[-1], np.sqrt(np.sum(np.abs(q) ** 2) / p_max), 2.0 * mu)
+        try:
+            mu, iters = increasing_root(slack, mu, f_lo, hi)
+        except NoBracketError as exc:
+            raise SdrInfeasibleError("sensing floor at the echo ceiling") from exc
+    w, nu, gain = points[mu]
     dual = float(coeffs.b3.sum() + coeffs.b4.sum()) + gain + mu * p_max - nu * coeffs.b0
     return w @ vecs.T, {"dual": float(dual), "mu": float(mu), "nu": float(nu),
                         "iterations": iters, "sensing_beam": bool(np.any(w[0]))}

@@ -166,9 +166,7 @@ def _cmd_selftest(args) -> int:
     # stationarity b6 / (2 sqrt p) = lin + mu b9 + nu T with nu from the
     # f-condition, mu >= 0 and complementary slackness. The uplink is idle at
     # this start, so b6 is set to put each user's unconstrained optimum inside
-    # (0, E/T). The dual bisection stops on an absolute 1e-12 budget error and
-    # returns its upper multiplier, which can leave the budget slack by ~0.3%
-    # at these scales, hence the looser complementary-slackness bound.
+    # (0, E/T).
     pc = powercomp.assemble_power_coeffs(sol, ch, aux, cfg, lt)
     t, zeta, e_max = cfg.coherence_time_s, cfg.zeta, cfg.e_max_array()
     f_coef = 1.0 / (cfg.eps_array() * cfg.bandwidth_hz)
@@ -176,10 +174,15 @@ def _cmd_selftest(args) -> int:
     p_free = e_max / t * np.linspace(0.3, 0.6, cfg.n_cp)
     f_free = ((e_max - t * p_free) / (t * zeta)) ** (1 / 3)
     pc = dataclasses.replace(pc, b6=2 * np.sqrt(p_free) * (lin + f_coef / (3 * zeta * f_free ** 2)))
-    kkt, comp_slack, mus = [], [], []
+    kkt, comp_slack, mus, rescaled = [], [], [], []
     for frac in (2.0, 0.5):
         c = dataclasses.replace(pc, c8=frac * float(p_free @ pc.b9))
         p, f, info = powercomp.solve_power_compute(c, cfg)
+        # b9 and c8 in other units must leave p and f bit-equal
+        for scale in (2.0 ** 20, 2.0 ** -20):
+            p2, f2, _ = powercomp.solve_power_compute(
+                dataclasses.replace(c, b9=c.b9 * scale, c8=c.c8 * scale), cfg)
+            rescaled.append(p2.tobytes() == p.tobytes() and f2.tobytes() == f.tobytes())
         mu, load = info["mu"], float(p @ c.b9)
         grad = c.b6 / (2 * np.sqrt(p))
         nu_t = f_coef / (3 * zeta * f ** 2)
@@ -188,8 +191,9 @@ def _cmd_selftest(args) -> int:
         value = powercomp.power_objective(c, cfg, p, f)
         comp_slack.append(abs(mu * (c.c8 - load)) / max(1.0, abs(value)))
         mus.append(mu)
-    check("power step KKT", bool(np.max(kkt) <= 1e-9 and max(comp_slack) <= 1e-2
+    check("power step KKT", bool(np.max(kkt) <= 1e-9 and max(comp_slack) <= 1e-9
                                  and mus[0] == 0.0 and mus[1] > 0.0))
+    check("power step unit rescale", all(rescaled))
 
     results = {s: orchestrator.run(cfg, ch, RunOptions(scheme=s, max_iter=8))
                for s in ("proposed", "random-caching", "no-caching")}

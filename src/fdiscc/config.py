@@ -122,6 +122,12 @@ class CacheConfig:
             raise ConfigError("backhaul_rate must be >= 0")
 
 
+def _require_positive(record, names: tuple[str, ...]) -> None:
+    for name in names:
+        if getattr(record, name) <= 0:
+            raise ConfigError(f"{name} must be > 0")
+
+
 def _per_index(value, n: int, name: str) -> np.ndarray:
     """``value`` as a 1-D array of size 1 (shared by all n indices) or n."""
     arr = np.atleast_1d(np.asarray(value, dtype=float))
@@ -165,6 +171,9 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # eta_rt is derived from these, so they are checked before validate runs
+        _require_positive(self.pathloss, ("lambda_linear", "d0_m"))
+        _require_positive(self.geometry, ("target_distance_m",))
         if self.eta_rt is None:
             # two-way reflected-path loss at the target distance times an
             # effective RCS gain (~13.5 dB): keeps the sensing threshold
@@ -187,18 +196,9 @@ class SystemConfig:
         for name in ("n_cm", "n_cp"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        for name in (
-            "bandwidth_hz",
-            "coherence_time_s",
-            "p_bs_watt",
-            "gamma_tar_linear",
-            "zeta",
-            "noise_bs_watt",
-            "noise_ue_watt",
-            "noise_irs_watt",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be > 0")
+        _require_positive(self, ("bandwidth_hz", "coherence_time_s", "p_bs_watt",
+                                 "gamma_tar_linear", "zeta", "noise_bs_watt",
+                                 "noise_ue_watt", "noise_irs_watt"))
         if self.n_cp > 0:
             if np.any(self.e_max_array() <= 0):
                 raise ConfigError("e_max_joule must be > 0")
@@ -257,6 +257,8 @@ def load_config(path: str | Path) -> SystemConfig:
     """Read a JSON config file.  Raises ConfigError naming any offending key."""
     try:
         data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)

@@ -85,6 +85,8 @@ class SweepSpec:
 def load_sweep_spec(path: str | Path) -> SweepSpec:
     try:
         data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read sweep spec {path}: {exc.strerror}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"sweep spec {path} is not valid JSON: {exc}") from exc
     known = {"parameter", "values", "schemes", "n_seeds", "output",

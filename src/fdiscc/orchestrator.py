@@ -1,7 +1,7 @@
 """Outer block-coordinate loop: feasible initialization, then the per-iteration
 cycle auxiliaries -> reflection phases (ADMM) -> auxiliaries -> transmit beams
 (closed-form dual) -> receive combiners (closed form) -> power/compute (dual
-bisection), then the cache placement.
+root-find), then the cache placement.
 
 Every block carries a monotonicity safeguard, so the recorded surrogate
 objective never decreases across accepted iterations; infeasible subproblems
@@ -317,7 +317,7 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
         met = utility(sol, ch, cfg, lt=lt, d_total=0.0)
         # the cache residual belongs to the placement, which pricing charges
         res = residuals(sol, ch, cfg, res_cache=np.nan)
-        rows.append(TraceRow(n, obj, met.sum_bits, res["power"], res["radar"],
+        rows.append(TraceRow(n, obj, float(met.sum_bits), res["power"], res["radar"],
                              res["modulus"], res["energy"], res["cache"],
                              (time.perf_counter() - t0) * 1e3))
         if n > 1:

@@ -8,13 +8,13 @@ one linear interference budget.  That leaves a separable concave maximization
 with one coupling constraint.  The energy constraint is always active at an optimum
 because residual energy is worth strictly positive computation rate, so each
 user reduces to a 1-D concave problem in p after substituting
-f(p) = ((E - T p) / (T zeta))^{1/3}; the coupling multiplier is found by outer
-bisection on the monotone interference total.
+f(p) = ((E - T p) / (T zeta))^{1/3}, and the coupling multiplier mu makes the
+interference total, which falls with mu, meet the budget.
 
-Each user's root-find bisects the derivative in plain float arithmetic and
-stops once the midpoint rounds onto an end of its bracket, from where no
-further step can move it: about 100 steps for the bracket [1e-14, 1 - 1e-14]
-E/T, with ``MAX_BISECTIONS`` only as a guard.
+Both searches, each user's root of the derivative in p and the outer one
+for mu, are ``rootfind.increasing_root``. Its stop rule is relative, so
+rescaling b9 and c8 by a power of two (a change of units) rescales mu
+exactly and leaves p and f bit-equal.
 """
 
 from __future__ import annotations
@@ -26,10 +26,9 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
+from .rootfind import increasing_root
 from .sysmodel import LinkTerms, Solution, echo_matrix, sensing_floor
 from .wmmse import LN2, AuxVars, _bracket
-
-MAX_BISECTIONS = 200    # guard on the per-user root-find; float resolution stops it first
 
 
 class SensingInfeasibleError(Exception):
@@ -87,13 +86,12 @@ def power_objective(coeffs: PowerCoeffs, cfg: SystemConfig, p: np.ndarray,
 
 
 def _user_solve(b6: float, lin: float, mu_b9: float, e_max: float, t: float,
-                zeta: float, f_coef: float, force_f_zero: bool) -> tuple[float, float]:
-    """Maximize b6 sqrt(p) - (lin + mu_b9) p + f_coef * f(p) on [0, E/T].
+                zeta: float, f_coef: float, force_f_zero: bool) -> float:
+    """The p maximizing b6 sqrt(p) - (lin + mu_b9) p + f_coef * f(p) on [0, E/T].
 
-    The bisection stops once the midpoint rounds onto an end of the bracket.
-    ``lo`` always has a positive derivative and ``hi`` a non-positive one, so
-    every later step would reproduce that midpoint and keep the bracket:
-    stopping there returns exactly what the full MAX_BISECTIONS steps return.
+    The derivative falls in p, so an interior optimum is the root of its
+    negative on the bracket [1e-14, 1 - 1e-14] E/T, returned on the side
+    where the derivative is not positive.
     """
     b6, e_max, t, zeta, f_coef = float(b6), float(e_max), float(t), float(zeta), float(f_coef)
     p_hi = e_max / t
@@ -101,41 +99,24 @@ def _user_solve(b6: float, lin: float, mu_b9: float, e_max: float, t: float,
 
     if force_f_zero:
         if b6 <= 0.0:
-            return 0.0, 0.0
+            return 0.0
         if slope <= 0.0:
-            return p_hi, 0.0
-        p_star = min((b6 / (2.0 * slope)) ** 2, p_hi)
-        return p_star, 0.0
+            return p_hi
+        return min((b6 / (2.0 * slope)) ** 2, p_hi)
 
     tz = t * zeta
     f_slope = -f_coef / (3.0 * zeta)
 
-    def f_of(p):
-        return ((e_max - t * p) / tz) ** (1.0 / 3.0)
-
     def deriv(p):
-        d = f_slope * ((e_max - t * p) / tz) ** (-2.0 / 3.0)
-        d -= slope
-        if p > 0.0:
-            d += b6 / (2.0 * math.sqrt(p))
-        return d
+        return f_slope * ((e_max - t * p) / tz) ** (-2.0 / 3.0) - slope + b6 / (2.0 * math.sqrt(p))
 
-    if b6 <= 0.0 or deriv(p_hi * 1e-14) <= 0.0:
-        return 0.0, f_of(0.0)
     lo, hi = p_hi * 1e-14, p_hi * (1.0 - 1e-14)
+    d_lo = deriv(lo)            # negative whenever b6 <= 0
+    if d_lo <= 0.0:
+        return 0.0
     if deriv(hi) >= 0.0:
-        p_star = hi
-    else:
-        for _ in range(MAX_BISECTIONS):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if deriv(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        p_star = 0.5 * (lo + hi)
-    return p_star, f_of(p_star)
+        return hi
+    return increasing_root(lambda p: -deriv(p), lo, -d_lo, hi)[0]
 
 
 def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
@@ -143,9 +124,15 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
                         ) -> tuple[np.ndarray, np.ndarray, dict]:
     """Exact KKT point of the power/compute block.
 
-    The info dict holds the coupling multiplier ``mu``, the dual bisection
-    steps ``iterations`` and ``evaluations``, the number of all-user solves
-    (the bracket growth of mu from 1.0 included).
+    mu is 0 when the budget is slack at mu = 0. Otherwise it is the root of
+    c8 - sum_l b9_l p_l(mu) on [0, mu_bar], mu_bar = max_l b6_l / (2 sqrt(c8 b9_l / L)):
+    at mu_bar no user's derivative is positive at its share c8 / (L b9_l) of
+    the budget, so the budget holds there, as it does at the returned mu,
+    where p is taken. Only p = 0 fits c8 = 0 (mu = inf).
+
+    The info dict holds ``mu``, ``iterations``, the root-find's evaluations,
+    and ``evaluations``, the number of all-user solves: the one at mu = 0, one
+    per root-find evaluation and the one at the returned mu.
 
     Raises SensingInfeasibleError when c8 < 0 (no uplink power level can
     restore the sensing margin; the caller must fix phase/beams first).
@@ -156,57 +143,34 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
     if coeffs.c8 < 0.0:
         raise SensingInfeasibleError(f"sensing budget c8 = {coeffs.c8:.3e} < 0")
 
-    t, zeta = cfg.coherence_time_s, cfg.zeta
-    e_max = cfg.e_max_array()
-    eps = cfg.eps_array()
-    f_coef = 1.0 / (eps * cfg.bandwidth_hz)
+    t, zeta, e_max = cfg.coherence_time_s, cfg.zeta, cfg.e_max_array()
+    f_coef = 1.0 / (cfg.eps_array() * cfg.bandwidth_hz)
     lin = coeffs.b7 + (coeffs.c1 @ coeffs.b11 if coeffs.b11.size else 0.0)
     evaluations = 0
 
     def all_users(mu):
         nonlocal evaluations
         evaluations += 1
-        p = np.zeros(l_n)
-        f = np.zeros(l_n)
-        for l in range(l_n):
-            p[l], f[l] = _user_solve(coeffs.b6[l], lin[l], mu * coeffs.b9[l],
-                                     e_max[l], t, zeta, f_coef[l], force_f_zero)
-        return p, f
+        return np.array([_user_solve(coeffs.b6[l], lin[l], mu * coeffs.b9[l], e_max[l], t,
+                                     zeta, f_coef[l], force_f_zero) for l in range(l_n)])
 
-    p, f = all_users(0.0)
+    p = all_users(0.0)
     total = float(p @ coeffs.b9)
-    iters = 0
-    mu = 0.0
-    if total > coeffs.c8:
-        mu_lo, mu_hi = 0.0, 1.0
-        while float(all_users(mu_hi)[0] @ coeffs.b9) > coeffs.c8 and mu_hi < 1e30:
-            mu_hi *= 4.0
-        for iters in range(1, 101):
-            mu = 0.5 * (mu_lo + mu_hi)
-            p, f = all_users(mu)
-            total = float(p @ coeffs.b9)
-            if total > coeffs.c8:
-                mu_lo = mu
-            else:
-                mu_hi = mu
-            if abs(total - coeffs.c8) <= 1e-12 * max(1.0, coeffs.c8):
-                break
-        mu = mu_hi
-        p, f = all_users(mu)
-        if float(p @ coeffs.b9) > coeffs.c8:
-            # land exactly on the feasible side of the bracket
-            scale = coeffs.c8 / float(p @ coeffs.b9) if float(p @ coeffs.b9) > 0 else 0.0
-            p = p * scale
+    mu, iters = 0.0, 0
+    if total > coeffs.c8 and coeffs.c8 == 0.0:
+        mu, p = math.inf, np.zeros(l_n)
+    elif total > coeffs.c8:
+        mu_bar = float(np.max(coeffs.b6 / (2.0 * np.sqrt(coeffs.c8 * coeffs.b9 / l_n))))
+        mu, iters = increasing_root(lambda m: coeffs.c8 - float(all_users(m) @ coeffs.b9),
+                                    0.0, coeffs.c8 - total, mu_bar)
+        p = all_users(mu)
 
     # snap vanishing powers to an exact zero so downstream scale-sensitive
     # quantities (combiner weights ~ 1/sqrt(p)) cannot degenerate; the
     # caller-side monotonicity safeguard rejects the snap if it ever loses
     snap = e_max / t * 1e-14
     p = np.where(p < snap, 0.0, p)
-    if not force_f_zero:
-        f = ((e_max - t * p) / (t * zeta)) ** (1.0 / 3.0)
-    else:
-        f = np.zeros(l_n)
+    f = np.zeros(l_n) if force_f_zero else ((e_max - t * p) / (t * zeta)) ** (1.0 / 3.0)
     return p, f, {"mu": mu, "iterations": iters, "evaluations": evaluations}
 
 

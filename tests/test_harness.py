@@ -310,6 +310,11 @@ class TestCli:
             a = (tmp_path / "a" / name).read_bytes()
             b = (tmp_path / "b" / name).read_bytes()
             assert a == b, name
+        # every trace cell is a plain number: float() raises on the repr of a
+        # numpy scalar, such as np.float64(-5.4e7)
+        with open(tmp_path / "a" / "trace.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len([float(v) for row in rows for v in row.values()]) == 8 * len(rows) > 0
 
     def test_unknown_scheme_exit_code_2(self, tmp_path):
         r = run_cli(["run", "--scheme", "bogus", "--out", str(tmp_path)], tmp_path)
@@ -341,6 +346,29 @@ class TestCli:
         r = run_cli([command, flag, str(path), "--out", str(tmp_path / "o")], tmp_path)
         assert r.returncode == 2, r.stderr
         assert key in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("key, body", [
+        ("d0_m", {"pathloss": {"d0_m": 0}}),
+        ("lambda_linear", {"pathloss": {"lambda_linear": -1e-3}}),
+        ("target_distance_m", {"geometry": {"target_distance_m": -3}}),
+    ], ids=["d0-zero", "lambda-negative", "target-distance-negative"])
+    def test_out_of_range_value_exit_code_2(self, tmp_path, key, body):
+        # the error names the key the file set, not one derived from it
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        r = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert key in r.stderr and "eta_rt" not in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_missing_file_exit_code_2(self, tmp_path, command):
+        flag = "--config" if command == "run" else "--spec"
+        path = tmp_path / "missing.json"
+        r = run_cli([command, flag, str(path), "--out", str(tmp_path / "o")], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert str(path) in r.stderr
         assert "Traceback" not in r.stderr
 
     def test_sweep_emits_rows(self, tmp_path):
