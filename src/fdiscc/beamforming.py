@@ -4,14 +4,15 @@ closed-form receive combiners.
 The transmit subproblem
 
     max  sum_k 2Re(w_{k+1}^H q_k) - sum_j w_j^H S w_j
-    s.t. sum_j ||w_j||^2 <= P,   sum_j w_j^H Omega0 w_j >= b0
+    s.t. sum_j ||w_j||^2 <= P,   sum_j |d^H w_j|^2 >= b0
 
 has a tight semidefinite relaxation (separable-SDP rank bound, Huang &
 Palomar, IEEE TSP 2010), so its Lagrangian dual in the power multiplier mu and
-the radar multiplier nu has no gap. With A = S + mu I - nu Omega0 > 0 the
+the radar multiplier nu has no gap. With A = S + mu I - nu d d^H > 0 the
 maximizer is w_{k+1} = A^{-1} q_k, w_0 = 0 (the ISAC construction of Liu,
-Huang, Li & Masouros, IEEE TSP 2020). Omega0 = d d^H is rank one, so one
-eigendecomposition of S and Sherman-Morrison in nu give every trial point, the
+Huang, Li & Masouros, IEEE TSP 2020). The echo matrix d d^H is rank one
+(d = conj(r), r the row of ``sysmodel.echo_row``), so one eigendecomposition
+of S and Sherman-Morrison in nu give every trial point, the
 nu minimizing the dual at a given mu is closed form, and mu solves the power
 equation by a secular root-find. When no communication beam can carry echo
 power A is singular at the optimum and the sensing beam w_0 lies in its null
@@ -19,7 +20,9 @@ space.
 
 ``solve_tx_sdr``, ``sdr_bound`` and ``gaussian_randomize`` keep the lifted
 relaxation and its randomized rank-one recovery as the test oracle of the
-closed form; nothing in the package calls them.
+closed form; nothing in the package calls them.  The coefficients hold only
+q and d: the oracle lifts them itself, into the costs [[S, -q_k], [-q_k^H, 0]]
+and the echo matrix d d^H.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from . import conic
 from .channels import ChannelSet
 from .config import SystemConfig
 from .rootfind import EPS, NoBracketError, increasing_root
-from .sysmodel import LinkTerms, Solution, echo_matrix, sensing_floor
+from .sysmodel import LinkTerms, Solution, echo_row, sensing_floor
 from .wmmse import LN2, AuxVars, _bracket
 
 # the closed form aims at b0 (1 + RADAR_MARGIN), so rounding leaves the echo
@@ -46,35 +49,32 @@ class SdrInfeasibleError(Exception):
 
 @dataclass(frozen=True)
 class TxCoeffs:
-    """Per-beam objective data (log2 scaled) plus the unscaled sensing floor.
+    """Per-beam objective data (log2 scaled) plus the unscaled sensing row.
 
-    omega: (K, N_t+1, N_t+1) Hermitian, linear-term lift per served user;
+    q: (K, N_t) linear terms, q_k = sqrt(1+alpha1_k) beta1_k conj(h_k) / ln 2;
     s_mat: (N_t, N_t) PSD, combined interference+SI weight applied to every
-    beam; omega0: (N_t, N_t) PSD echo-power matrix; b0: sensing floor.
+    beam; d: (N_t,) echo direction, echo power sum_j |d^H w_j|^2;
+    b0: sensing floor.
     """
 
-    omega: np.ndarray
-    sqrt1a: np.ndarray
+    q: np.ndarray
     s_mat: np.ndarray
-    omega0: np.ndarray
+    d: np.ndarray
     b3: np.ndarray
     b4: np.ndarray
     b0: float
     p_bs: float
 
-    @property
-    def q(self) -> np.ndarray:
-        """(K, N_t) linear terms q_k = sqrt(1+alpha_k) omega_k[:N_t, N_t]."""
-        nt = self.s_mat.shape[0]
-        return self.sqrt1a[:, None] * self.omega[:, :nt, nt]
-
 
 @dataclass(frozen=True)
 class RxCoeffs:
-    """Per-user quadratic combiner data (log2 scaled): max 2Re{u^H t5} - u^H T5 u + b5."""
+    """Combiner data (log2 scaled): CP-UE l maximizes
+    b5_l + 2Re{u^H t5_l} - weight_l u^H R u, with the received covariance R
+    shared by every user and weight_l = |beta2_l|^2 / ln 2."""
 
     t5: np.ndarray
-    t5_mat: np.ndarray
+    cov: np.ndarray
+    weight: np.ndarray
     b5: np.ndarray
 
 
@@ -83,14 +83,9 @@ def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     """Transmit coefficients at ``sol``, in the duplex mode of ``lt``, the
     ``link_terms`` of this same solution."""
     comp = lt.comp
-    k_n = comp.h.shape[0]
-    nt = cfg.n_tx
-
     bb1 = np.abs(aux.beta1) ** 2
     s_mat = np.einsum("k,ki,kj->ij", bb1, comp.h.conj(), comp.h)
-    omega = np.zeros((k_n, nt + 1, nt + 1), complex)
-    omega[:, :nt, nt] = aux.beta1[:, None] * comp.h.conj()
-    omega[:, nt, :nt] = aux.beta1.conj()[:, None] * comp.h
+    q = (np.sqrt(1.0 + aux.alpha1) * aux.beta1 / LN2)[:, None] * comp.h.conj()
     # beam-free parts of the surrogates: downlink CCI and noise, and every
     # offloading term but the residual SI
     b3 = _bracket(aux.alpha1, aux.beta1, 0.0, lt.cci + cfg.noise_ue_watt)
@@ -99,13 +94,9 @@ def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
         v = sol.u @ ch.h_si.conj()              # rows v_l = H_SI^H u_l
         s_mat = s_mat + np.einsum("l,li,lj->ij", np.abs(aux.beta2) ** 2, v, v.conj())
 
-    cascade = echo_matrix(ch, sol.phi)
-    omega0 = cascade.conj().T @ cascade
-
     return TxCoeffs(
-        omega=omega / LN2, sqrt1a=np.sqrt(1.0 + aux.alpha1),
-        s_mat=(s_mat + s_mat.conj().T) / 2.0 / LN2,
-        omega0=(omega0 + omega0.conj().T) / 2.0, b3=b3, b4=b4,
+        q=q, s_mat=(s_mat + s_mat.conj().T) / 2.0 / LN2,
+        d=echo_row(ch, sol.phi).conj(), b3=b3, b4=b4,
         b0=sensing_floor(cfg, ch, sol.p), p_bs=cfg.p_bs_watt,
     )
 
@@ -119,19 +110,8 @@ def tx_objective(coeffs: TxCoeffs, w: np.ndarray) -> float:
 
 
 def radar_power(coeffs: TxCoeffs, w: np.ndarray) -> float:
-    """Expected echo power sum_j w_j^H Omega0 w_j."""
-    return float(np.einsum("ji,ik,jk->", w.conj(), coeffs.omega0, w).real)
-
-
-def _rank_one_factor(omega0: np.ndarray) -> np.ndarray:
-    """d with Omega0 = d d^H. Omega0 is rank one because the target response
-    G_s = eta a_active a_passive^H is, so its column of largest diagonal entry
-    gives d up to a phase."""
-    j = int(np.argmax(omega0.diagonal().real))
-    pivot = float(omega0[j, j].real)
-    if pivot <= 0.0:
-        return np.zeros(omega0.shape[0], complex)
-    return omega0[:, j] / np.sqrt(pivot)
+    """Expected echo power sum_j |d^H w_j|^2."""
+    return float(np.sum(np.abs(w @ coeffs.d.conj()) ** 2))
 
 
 def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
@@ -155,9 +135,8 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
     an upper bound on the objective.
     Raises SdrInfeasibleError when the floor exceeds the echo ceiling P ||d||^2.
     """
-    q = coeffs.q
+    q, d = coeffs.q, coeffs.d
     k_n, nt = q.shape[0], coeffs.s_mat.shape[0]
-    d = _rank_one_factor(coeffs.omega0)
     p_max, target = coeffs.p_bs, coeffs.b0 * (1.0 + RADAR_MARGIN)
     ceiling = p_max * float(np.vdot(d, d).real)
     if ceiling < target:
@@ -230,33 +209,30 @@ def solve_tx_sdr(coeffs: TxCoeffs, cfg: SystemConfig) -> conic.SdpResult:
     SdrInfeasibleError when even the best eigen-direction at full power misses
     the sensing floor."""
     nt = cfg.n_tx
-    n_beams = coeffs.omega.shape[0] + 1
-    lam_max = float(np.linalg.eigvalsh(coeffs.omega0).max())
+    n_beams = coeffs.q.shape[0] + 1
+    lam_max = float(np.vdot(coeffs.d, coeffs.d).real)
     if coeffs.p_bs * lam_max < coeffs.b0:
         raise SdrInfeasibleError(
             f"echo ceiling {coeffs.p_bs * lam_max:.3e} below floor {coeffs.b0:.3e}")
 
     dim = nt + 1
-    top = np.zeros((dim, dim), complex)
-    top[:nt, :nt] = coeffs.s_mat
-    costs = []
-    for j in range(n_beams):
-        q = top.copy()
-        if j >= 1:
-            q = q - coeffs.sqrt1a[j - 1] * coeffs.omega[j - 1]
-        costs.append(q)   # minimize Tr(q X) == maximize the surrogate part
+    # minimize Tr(cost_j X_j) == maximize the surrogate part; beam 0 has no q
+    costs = np.zeros((n_beams, dim, dim), complex)
+    costs[:, :nt, :nt] = coeffs.s_mat
+    costs[1:, :nt, nt] = -coeffs.q
+    costs[1:, nt, :nt] = -coeffs.q.conj()
 
-    # rows normalised to right-hand sides of 1: Omega0 is ~1e-11 at paper
+    # rows normalised to right-hand sides of 1: d d^H is ~1e-11 at paper
     # scale, below the kernel's residual tolerance, which then reported
     # "optimal" blocks with their echo 20% under the floor
     radar_scale = 1.0 / coeffs.b0 if coeffs.b0 > 0.0 else 1.0
     eye_tl = np.zeros((dim, dim), complex)
     eye_tl[:nt, :nt] = np.eye(nt) / coeffs.p_bs
-    omega0_tl = np.zeros((dim, dim), complex)
-    omega0_tl[:nt, :nt] = coeffs.omega0 * radar_scale
+    echo_tl = np.zeros((dim, dim), complex)
+    echo_tl[:nt, :nt] = np.outer(coeffs.d, coeffs.d.conj()) * radar_scale
     cons = [
         conic.SdpConstraint(tuple((j, eye_tl) for j in range(n_beams)), "<=", 1.0),
-        conic.SdpConstraint(tuple((j, omega0_tl) for j in range(n_beams)), ">=",
+        conic.SdpConstraint(tuple((j, echo_tl) for j in range(n_beams)), ">=",
                             coeffs.b0 * radar_scale),
     ]
     cons += [conic.fix_diag_entry(j, dim, nt, 1.0) for j in range(n_beams)]
@@ -340,8 +316,8 @@ def _radar_repair(w: np.ndarray, coeffs: TxCoeffs) -> np.ndarray | None:
     smallest sufficient shift is closed form."""
     if _feasible(w, coeffs) or radar_power(coeffs, w) >= coeffs.b0:
         return None
-    evals, evecs = np.linalg.eigh(coeffs.omega0)
-    lam_max, v_max = float(evals[-1]), evecs[:, -1]
+    lam_max = float(np.vdot(coeffs.d, coeffs.d).real)
+    v_max = coeffs.d / np.sqrt(lam_max)
     com = w[1:]
     p_com = float(np.sum(np.abs(com) ** 2))
     p_res = max(coeffs.p_bs - p_com, 0.0)
@@ -374,7 +350,7 @@ def assemble_rx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
 
     Every CP-UE sees the same received covariance
     R = sum_l p_l g_l g_l^H + H_SI W^T W^* H_SI^H (FD only) + sigma_bs^2 I,
-    so T5_l = |beta2_l|^2 R / ln 2 is one matrix broadcast over the users."""
+    which each weighs by |beta2_l|^2 / ln 2."""
     comp = lt.comp
     cov = (comp.g.T * sol.p) @ comp.g.conj() + cfg.noise_bs_watt * np.eye(cfg.n_rx)
     if not lt.hd:
@@ -382,37 +358,35 @@ def assemble_rx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
         cov = cov + hw.T @ hw.conj()
     cov = (cov + cov.conj().T) / 2.0
     t5 = (np.sqrt(1.0 + aux.alpha2) * aux.beta2.conj() * np.sqrt(sol.p) / LN2)[:, None] * comp.g
-    t5_mat = (np.abs(aux.beta2) ** 2 / LN2)[:, None, None] * cov
-    return RxCoeffs(t5=t5, t5_mat=t5_mat, b5=(np.log(1.0 + aux.alpha2) - aux.alpha2) / LN2)
+    return RxCoeffs(t5=t5, cov=cov, weight=np.abs(aux.beta2) ** 2 / LN2,
+                    b5=(np.log(1.0 + aux.alpha2) - aux.alpha2) / LN2)
 
 
 def rx_objective(coeffs: RxCoeffs, u: np.ndarray, l: int) -> float:
-    """b5 + 2Re{u^H t5} - u^H T5 u for CP-UE l."""
+    """b5 + 2Re{u^H t5} - weight u^H R u for CP-UE l."""
     lin = 2.0 * float((u.conj() @ coeffs.t5[l]).real)
-    quad = float((u.conj() @ coeffs.t5_mat[l] @ u).real)
+    quad = float(coeffs.weight[l] * (u.conj() @ coeffs.cov @ u).real)
     return float(coeffs.b5[l]) + lin - quad
 
 
 def solve_rx(coeffs: RxCoeffs) -> np.ndarray:
-    """Closed-form stationary combiners u_l = T5_l^{-1} t5_l; a degenerate
-    block (zero combiner weight: T5_l zero or ill-conditioned) gets e_0."""
-    mats = coeffs.t5_mat
-    scale = np.abs(mats).max(axis=(1, 2), initial=0.0)
-    live = ~(scale < 1e-250)     # a NaN block is solved; optimize_rx drops its row
-    live[live] = ~(np.linalg.cond(mats[live] / scale[live, None, None]) > 1e14)
+    """Closed-form stationary combiners u_l = R^{-1} t5_l / weight_l, from one
+    solve of R (which is at least sigma_bs^2 I) with every t5_l as a
+    right-hand side. A user with zero weight has a constant objective, and
+    gets e_0."""
+    x = np.linalg.solve(coeffs.cov, coeffs.t5.T).T
     u = np.zeros(coeffs.t5.shape, complex)
-    u[~live, 0] = 1.0
-    u[live] = np.linalg.solve(mats[live], coeffs.t5[live, :, None])[..., 0]
-    return u
+    u[:, 0] = 1.0
+    return np.divide(x, coeffs.weight[:, None], out=u, where=coeffs.weight[:, None] > 0.0)
 
 
 def optimize_rx(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
                 lt: LinkTerms) -> np.ndarray:
-    """Receive update; keeps the incumbent row where the block is degenerate
+    """Receive update; keeps the incumbent row of a user with zero weight
     (zero offload power makes the combiner irrelevant)."""
     if sol.u.shape[0] == 0:
         return sol.u
     coeffs = assemble_rx_coeffs(sol, ch, aux, cfg, lt)
     u_new = solve_rx(coeffs)
-    keep = (np.abs(aux.beta2) > 1e-120) & np.all(np.isfinite(u_new), axis=1)
+    keep = (coeffs.weight > 0.0) & np.all(np.isfinite(u_new), axis=1)
     return np.where(keep[:, None], u_new, sol.u)

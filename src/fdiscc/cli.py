@@ -105,6 +105,12 @@ def _cmd_selftest(args) -> int:
           la.matrix_rank(ch.g_s, tol=1e-12 * np.abs(ch.g_s).max()) == 1)
 
     sol = orchestrator.initialize(cfg, ch, np.random.default_rng(0))
+    # the rank-one rows against the dense M_a x M target response
+    t, gram = sysmodel.target_row(ch), ch.g_s.conj().T @ ch.g_s
+    dense = float(np.sum(np.abs(ch.g_s @ (ch.g_t * sol.phi[:, None]) @ sol.w.T) ** 2))
+    echo = float(np.sum(np.abs(sol.w @ sysmodel.echo_row(ch, sol.phi)) ** 2))
+    check("echo row identity", abs(echo - dense) <= 1e-12 * dense
+          and la.norm(np.outer(t.conj(), t) - gram) <= 1e-12 * la.norm(gram))
     lt = sysmodel.link_terms(sol, ch, cfg)
     aux = wmmse.update_aux(lt)
     com, off = wmmse.surrogates(aux, lt)
@@ -132,7 +138,8 @@ def _cmd_selftest(args) -> int:
     # KKT of the ADMM phase step, radar constraint slack then binding (unit d keeps mu O(1))
     state = phaseadmm.AdmmState(phi=phi, psi=phi, lam=np.zeros_like(phi), rho=0.5)
     a, r = coeffs.t12_mat + np.eye(cfg.m_passive), coeffs.t12_vec + phi
-    d = coeffs.t0_mat @ phi / la.norm(coeffs.t0_mat @ phi)
+    d = phaseadmm.mm_linearize_radar(coeffs, phi).d
+    d = d / la.norm(d)
     edge = 2 * float((d.conj() @ la.solve(a, r)).real)
     kkt = []
     for e in (edge - la.norm(r), edge + la.norm(r)):
@@ -147,11 +154,11 @@ def _cmd_selftest(args) -> int:
     tx = beamforming.assemble_tx_coeffs(sol, ch, aux, cfg, lt)
     kkt = []
     for frac in (0.01, 0.9):
-        b0 = frac * tx.p_bs * la.eigvalsh(tx.omega0)[-1]
+        b0 = frac * tx.p_bs * la.norm(tx.d) ** 2
         c = dataclasses.replace(tx, b0=b0)
         w, info = beamforming.solve_tx(c)
         mu, nu = info["mu"], info["nu"]
-        a = c.s_mat + mu * np.eye(cfg.n_tx) - nu * c.omega0
+        a = c.s_mat + mu * np.eye(cfg.n_tx) - nu * np.outer(c.d, c.d.conj())
         value, power, echo = (beamforming.tx_objective(c, w), float(np.sum(np.abs(w) ** 2)),
                               beamforming.radar_power(c, w))
         scale = max(1.0, abs(value))
@@ -170,10 +177,9 @@ def _cmd_selftest(args) -> int:
     pc = powercomp.assemble_power_coeffs(sol, ch, aux, cfg, lt)
     t, zeta, e_max = cfg.coherence_time_s, cfg.zeta, cfg.e_max_array()
     f_coef = 1.0 / (cfg.eps_array() * cfg.bandwidth_hz)
-    lin = pc.b7 + pc.c1 @ pc.b11
     p_free = e_max / t * np.linspace(0.3, 0.6, cfg.n_cp)
     f_free = ((e_max - t * p_free) / (t * zeta)) ** (1 / 3)
-    pc = dataclasses.replace(pc, b6=2 * np.sqrt(p_free) * (lin + f_coef / (3 * zeta * f_free ** 2)))
+    pc = dataclasses.replace(pc, b6=2 * np.sqrt(p_free) * (pc.lin + f_coef / (3 * zeta * f_free ** 2)))
     kkt, comp_slack, mus, rescaled = [], [], [], []
     for frac in (2.0, 0.5):
         c = dataclasses.replace(pc, c8=frac * float(p_free @ pc.b9))
@@ -187,7 +193,7 @@ def _cmd_selftest(args) -> int:
         grad = c.b6 / (2 * np.sqrt(p))
         nu_t = f_coef / (3 * zeta * f ** 2)
         kkt += [np.max(np.abs(t * p + t * zeta * f ** 3 - e_max) / e_max),
-                np.max(np.abs(grad - lin - mu * c.b9 - nu_t) / grad), -mu, load / c.c8 - 1.0]
+                np.max(np.abs(grad - c.lin - mu * c.b9 - nu_t) / grad), -mu, load / c.c8 - 1.0]
         value = powercomp.power_objective(c, cfg, p, f)
         comp_slack.append(abs(mu * (c.c8 - load)) / max(1.0, abs(value)))
         mus.append(mu)

@@ -207,6 +207,10 @@ class SystemConfig:
         theta = self.geometry.target_angle_rad
         if not (0.0 <= theta < math.pi):
             raise ConfigError("target_angle_rad must lie in [0, pi)")
+        for name in ("user_x_range", "user_y_range"):
+            low, high = getattr(self.geometry, name)
+            if low > high:
+                raise ConfigError(f"{name} must be ordered low <= high, got [{low}, {high}]")
         if self.eta_rt is not None and self.eta_rt <= 0:
             raise ConfigError("eta_rt must be > 0")
         self.cache.validate()
@@ -228,14 +232,34 @@ def desk_config(**overrides) -> SystemConfig:
 _NESTED = {"cache": CacheConfig, "geometry": GeometryConfig, "pathloss": PathLossConfig}
 
 
-def _from_dict(cls, data: dict, context: str):
+def _check_keys(data, cls, context: str) -> None:
+    """Raise ConfigError unless ``data`` is a dict keyed by fields of ``cls``."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
     known = {f.name for f in fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
+    for key in data:
         if key not in known:
             raise ConfigError(f"unknown key '{key}' in {context}")
+
+
+def read_json_object(path: str | Path, cls, context: str) -> dict:
+    """The JSON object, keyed by fields of the dataclass ``cls``, in the UTF-8
+    file ``path``. Every failure is a ConfigError that names the path."""
+    where = f"{context} {path}"
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read {where}: {exc.strerror}") from exc
+    except ValueError as exc:       # UnicodeDecodeError or JSONDecodeError
+        raise ConfigError(f"{where} is not valid UTF-8 JSON: {exc}") from exc
+    _check_keys(data, cls, where)
+    return data
+
+
+def _from_dict(cls, data: dict, context: str):
+    _check_keys(data, cls, context)
+    kwargs = {}
+    for key, value in data.items():
         if key in _NESTED and cls is SystemConfig:
             value = _from_dict(_NESTED[key], value, f"{context}.{key}")
         elif isinstance(value, list):
@@ -255,13 +279,7 @@ def config_from_dict(data: dict) -> SystemConfig:
 
 def load_config(path: str | Path) -> SystemConfig:
     """Read a JSON config file.  Raises ConfigError naming any offending key."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return config_from_dict(data)
+    return config_from_dict(read_json_object(path, SystemConfig, "config file"))
 
 
 def with_overrides(cfg: SystemConfig, **changes) -> SystemConfig:

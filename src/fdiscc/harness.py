@@ -14,7 +14,6 @@ CSV schemas (all linear units: watts, Hz, bits, joules, seconds):
 from __future__ import annotations
 
 import csv
-import json
 import multiprocessing
 import os
 import time
@@ -28,7 +27,7 @@ import numpy as np
 
 from .channels import draw_channels
 from .config import (ConfigError, SystemConfig, check_field_types, config_from_dict, is_number,
-                     with_overrides)
+                     read_json_object, with_overrides)
 from .orchestrator import SCHEMES, RunResult, evaluate_baseline, radio_key
 from .sysmodel import METRICS_CSV_COLUMNS, metrics_csv_row
 
@@ -83,17 +82,7 @@ class SweepSpec:
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read sweep spec {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"sweep spec {path} is not valid JSON: {exc}") from exc
-    known = {"parameter", "values", "schemes", "n_seeds", "output",
-             "seed_base", "max_iter", "base_config"}
-    for key in data:
-        if key not in known:
-            raise ConfigError(f"unknown key '{key}' in sweep spec")
+    data = read_json_object(path, SweepSpec, "sweep spec")
     for key in ("values", "schemes"):
         if key in data:
             if not isinstance(data[key], list):

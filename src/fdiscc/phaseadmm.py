@@ -1,9 +1,9 @@
 """IRS phase-shift optimization.
 
 The surrogate objective and the radar constraint are first collapsed to the
-quadratic data (T12, t12, b12, T0, b0) of the reflection vector.  Every term
-is a sum of products with one factor on each side of diag(phi), so each matrix
-is a Hadamard product (o) of two Gram matrices:
+data (T12, t12, b12, V, b0) of the reflection vector.  Every surrogate term
+is a sum of products with one factor on each side of diag(phi), so T12 is
+built from Hadamard products (o) of Gram matrices:
 
     G_w = sum_j conj(G_t w_j) (G_t w_j)^T          over every beam,
     G_p = sum_l p_l conj(g_pu,l) g_pu,l^T          over the CP-UEs,
@@ -11,8 +11,11 @@ is a Hadamard product (o) of two Gram matrices:
     C_b = sum_l |beta2_l|^2 c_l c_l^H,  c_l = G_r u_l,
 
     T12 = (H_b o (G_w + G_p) + C_b o G_p) / ln 2   (G_w alone in H_b's factor
-                                                    under HD, which has no CCI),
-    T0  = (G_s^H G_s) o G_w.
+                                                    under HD, which has no CCI).
+
+The echo power needs no M x M matrix: with the target row t of
+``sysmodel.target_row``, it is ||V phi||^2 over the K+1 echo rows
+v_j = t o (G_t w_j), and V^H (V phi) is its gradient direction.
 
 The linear term is t12 = (t1 + t2) / ln 2 with
 t1 = sum_k sqrt(1+alpha1_k) beta1_k conj(G_t w_{k+1}) o h_pu,k, less, under FD
@@ -38,7 +41,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import LinkTerms, Solution, sensing_floor
+from .sysmodel import LinkTerms, Solution, sensing_floor, target_row
 from .wmmse import LN2, AuxVars, _bracket
 
 
@@ -47,15 +50,16 @@ class PhaseCoeffs:
     """Quadratic data of the reflection vector phi.
 
     Surrogate sum = -phi^H T12 phi + 2 Re{t12^H phi} + b12 (log2 units);
-    radar constraint reads  b0 - phi^H T0 phi <= 0  (linear units).
-    T12 = (H_b o (G_w + G_p) + C_b o G_p) / ln 2 (H_b o G_w + C_b o G_p under HD)
-    and T0 = (G_s^H G_s) o G_w, with the Gram matrices of the module docstring.
+    radar constraint reads  b0 - ||V phi||^2 <= 0  (linear units).
+    T12 = (H_b o (G_w + G_p) + C_b o G_p) / ln 2 (H_b o G_w + C_b o G_p under HD),
+    with the Gram matrices of the module docstring, and V (K+1, M) holds the
+    echo rows v_j = t o (G_t w_j).
     """
 
     t12_mat: np.ndarray
     t12_vec: np.ndarray
     b12: float
-    t0_mat: np.ndarray
+    echo_rows: np.ndarray
     b0: float
 
     @cached_property
@@ -122,11 +126,9 @@ def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     b12 = np.sum(_bracket(aux.alpha1, aux.beta1, 0.0, den1)) \
         + np.sum(_bracket(aux.alpha2, aux.beta2, 0.0, lt.si + lt.noise_off))
 
-    # echo power: sum_j |G_s diag(phi) G_t w_j|^2 = phi^H T0 phi
-    t0_mat = (ch.g_s.conj().T @ ch.g_s) * g_w
     t12_mat = t12_mat / LN2
     return PhaseCoeffs(t12_mat=(t12_mat + t12_mat.conj().T) / 2.0, t12_vec=(t1 + t2) / LN2,
-                       b12=float(b12), t0_mat=(t0_mat + t0_mat.conj().T) / 2.0,
+                       b12=float(b12), echo_rows=gtw * target_row(ch),
                        b0=float(sensing_floor(cfg, ch, sol.p)))
 
 
@@ -138,14 +140,15 @@ def surrogate_value(coeffs: PhaseCoeffs, phi: np.ndarray) -> float:
 
 
 def echo_power(coeffs: PhaseCoeffs, phi: np.ndarray) -> float:
-    return float((phi.conj() @ coeffs.t0_mat @ phi).real)
+    """||V phi||^2."""
+    return float(np.sum(np.abs(coeffs.echo_rows @ phi) ** 2))
 
 
 def mm_linearize_radar(coeffs: PhaseCoeffs, phi0: np.ndarray) -> LinearRadar:
-    """Tangent minorant of the echo power at phi0."""
-    d = coeffs.t0_mat @ phi0
-    e = float((phi0.conj() @ coeffs.t0_mat @ phi0).real) + coeffs.b0
-    return LinearRadar(d=d, e=e)
+    """Tangent minorant of the echo power at phi0: d = V^H (V phi0)."""
+    echo = coeffs.echo_rows @ phi0
+    return LinearRadar(d=coeffs.echo_rows.conj().T @ echo,
+                       e=float(np.sum(np.abs(echo) ** 2)) + coeffs.b0)
 
 
 def admm_phi_step(coeffs: PhaseCoeffs, state: AdmmState, lin: LinearRadar) -> np.ndarray:

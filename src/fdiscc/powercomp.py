@@ -1,15 +1,17 @@
 """CP-UE transmit power and local CPU allocation.
 
 The coefficients restate the ``wmmse`` surrogates of ``sysmodel.link_terms``
-as functions of the uplink powers: each offloading surrogate is
-b2 + sqrt(p_l) b6 - p_l b7, each downlink surrogate loses its uplink CCI
+as functions of the uplink powers: each offloading surrogate is a p-free
+term plus sqrt(p_l) b6 - p_l b7, each downlink surrogate loses its uplink CCI
 linearly in p, and ``sysmodel.sensing_floor`` turns the radar constraint into
-one linear interference budget.  That leaves a separable concave maximization
-with one coupling constraint.  The energy constraint is always active at an optimum
-because residual energy is worth strictly positive computation rate, so each
-user reduces to a 1-D concave problem in p after substituting
-f(p) = ((E - T p) / (T zeta))^{1/3}, and the coupling multiplier mu makes the
-interference total, which falls with mu, meet the budget.
+one linear interference budget.  Only the p-dependent part is kept, with
+every cost linear in p summed once into ``lin``.  That leaves a separable
+concave maximization with one coupling constraint.  The energy constraint is
+always active at an optimum because residual energy is worth strictly
+positive computation rate, so each user reduces to a 1-D concave problem in
+p after substituting f(p) = ((E - T p) / (T zeta))^{1/3}, and the coupling
+multiplier mu makes the interference total, which falls with mu, meet the
+budget.
 
 Both searches, each user's root of the derivative in p and the outer one
 for mu, are ``rootfind.increasing_root``. Its stop rule is relative, so
@@ -27,8 +29,8 @@ import numpy as np
 from .channels import ChannelSet
 from .config import SystemConfig
 from .rootfind import increasing_root
-from .sysmodel import LinkTerms, Solution, echo_matrix, sensing_floor
-from .wmmse import LN2, AuxVars, _bracket
+from .sysmodel import LinkTerms, Solution, echo_row, sensing_floor
+from .wmmse import LN2, AuxVars
 
 
 class SensingInfeasibleError(Exception):
@@ -39,48 +41,39 @@ class SensingInfeasibleError(Exception):
 class PowerCoeffs:
     """Objective data (log2 scaled, halved under HD) and the unscaled sensing row.
 
-    Offload surrogate of user l:  b2[l] + sqrt(p_l) b6[l] - p_l b7[l];
-    downlink surrogate of user k: b10[k] - c1[k] sum_l p_l b11[k, l];
-    sensing budget: sum_l p_l b9[l] <= c8.
+    The surrogate sum depends on p through sum_l (sqrt(p_l) b6[l] - p_l lin[l]),
+    lin[l] = b7[l] + sum_k c1[k] |ebar_lk|^2: the offloading interference
+    weight b7 plus, under FD, the CCI each user causes at every CM-UE, with
+    c1 = |beta1|^2 / ln 2.  Sensing budget: sum_l p_l b9[l] <= c8.
     """
 
-    b2: np.ndarray
     b6: np.ndarray
-    b7: np.ndarray
+    lin: np.ndarray
     b9: np.ndarray
-    b10: np.ndarray
-    b11: np.ndarray
-    c1: np.ndarray
     c8: float
 
 
 def assemble_power_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
                           cfg: SystemConfig, lt: LinkTerms) -> PowerCoeffs:
-    """Split each surrogate of ``wmmse`` into its p-free part and its terms in
-    sqrt(p) and p, read from ``lt``, the ``link_terms`` of this same solution."""
-    k_n, l_n = lt.com_sig.shape[0], lt.off_sig.shape[0]
-    # downlink: everything but the uplink CCI, which is linear in p
-    b10 = _bracket(aux.alpha1, aux.beta1, lt.com_sig, lt.com_den - lt.cci)
-    c1 = np.abs(aux.beta1) ** 2 / LN2
-    b11 = np.zeros((k_n, l_n)) if lt.hd else (np.abs(lt.comp.ebar) ** 2).T
-    # offloading: b2 + sqrt(p_l) b6 - p_l b7
-    b2 = _bracket(aux.alpha2, aux.beta2, 0.0, lt.si + lt.noise_off)
+    """The terms in sqrt(p) and p of each surrogate of ``wmmse``, read from
+    ``lt``, the ``link_terms`` of this same solution."""
+    l_n = lt.off_sig.shape[0]
     b6 = 2.0 * np.sqrt(1.0 + aux.alpha2) * (np.conj(aux.beta2) * np.diagonal(lt.uamp)).real / LN2
-    b7 = np.abs(aux.beta2) ** 2 @ np.abs(lt.uamp) ** 2 / LN2
+    lin = np.abs(aux.beta2) ** 2 @ np.abs(lt.uamp) ** 2 / LN2
+    if not lt.hd:               # the uplink CCI at the CM-UEs, linear in p
+        lin = lin + (np.abs(aux.beta1) ** 2 / LN2) @ (np.abs(lt.comp.ebar) ** 2).T
 
-    echo = float(np.sum(np.abs(echo_matrix(ch, sol.phi) @ sol.w.T) ** 2))
+    echo = float(np.sum(np.abs(sol.w @ echo_row(ch, sol.phi)) ** 2))
     c8 = echo - sensing_floor(cfg, ch, np.zeros(l_n))
     b9 = cfg.gamma_tar_linear * (np.abs(ch.g_au) ** 2).sum(axis=1)
     dw = lt.duplex              # HD links transmit half of the time
-    return PowerCoeffs(b2=dw * b2, b6=dw * b6, b7=dw * b7, b9=b9, b10=dw * b10, b11=b11,
-                       c1=dw * c1, c8=float(c8))
+    return PowerCoeffs(b6=dw * b6, lin=dw * lin, b9=b9, c8=float(c8))
 
 
 def power_objective(coeffs: PowerCoeffs, cfg: SystemConfig, p: np.ndarray,
                     f: np.ndarray) -> float:
     """The separable concave objective at (p, f)."""
-    lin = coeffs.b7 + coeffs.c1 @ coeffs.b11 if coeffs.b11.size else coeffs.b7
-    off = float(np.sum(coeffs.b6 * np.sqrt(p) - lin * p))
+    off = float(np.sum(coeffs.b6 * np.sqrt(p) - coeffs.lin * p))
     loc = float(np.sum(f / (cfg.eps_array() * cfg.bandwidth_hz)))
     return off + loc
 
@@ -145,14 +138,13 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
 
     t, zeta, e_max = cfg.coherence_time_s, cfg.zeta, cfg.e_max_array()
     f_coef = 1.0 / (cfg.eps_array() * cfg.bandwidth_hz)
-    lin = coeffs.b7 + (coeffs.c1 @ coeffs.b11 if coeffs.b11.size else 0.0)
     evaluations = 0
 
     def all_users(mu):
         nonlocal evaluations
         evaluations += 1
-        return np.array([_user_solve(coeffs.b6[l], lin[l], mu * coeffs.b9[l], e_max[l], t,
-                                     zeta, f_coef[l], force_f_zero) for l in range(l_n)])
+        return np.array([_user_solve(coeffs.b6[l], coeffs.lin[l], mu * coeffs.b9[l], e_max[l],
+                                     t, zeta, f_coef[l], force_f_zero) for l in range(l_n)])
 
     p = all_users(0.0)
     total = float(p @ coeffs.b9)

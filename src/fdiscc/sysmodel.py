@@ -2,10 +2,15 @@
 
 This module owns the model every block optimizes: ``link_terms`` gives each
 user's desired amplitude and SINR denominator (interference, uplink CCI,
-residual SI, receiver noise); ``echo_matrix`` is the cascaded target path and
+residual SI, receiver noise); ``echo_row`` gives the echo power and
 ``sensing_floor`` the echo power the radar constraint asks for.  On top of
 those: downlink, offloading and radar SINRs, local computation rate/energy,
 backhaul cost and the overall system utility (bits).
+
+It is the one module that knows the target response G_s = eta a_active
+a_passive^H is rank one: G_s^H G_s = t^H t for the row t (``target_row``), so
+the echo power of the beams w_j at phases phi is sum_j |r w_j|^2 for the row
+r = (t o phi) G_t (``echo_row``), and no block forms G_s diag(phi) G_t.
 
 ``link_terms`` is where the duplex mode enters: it applies the HD rule (no
 CCI, no SI) and records the mode in its ``LinkTerms`` (``hd``, and
@@ -147,9 +152,14 @@ def link_terms(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
     )
 
 
-def echo_matrix(ch: ChannelSet, phi: np.ndarray) -> np.ndarray:
-    """Cascaded BS->IRS->target->SE response G_s diag(phi) G_t, (M_a, N_t)."""
-    return (ch.g_s * phi[None, :]) @ ch.g_t
+def target_row(ch: ChannelSet) -> np.ndarray:
+    """t (M,) = a_active^H G_s / ||a_active||, so that G_s^H G_s = t^H t."""
+    return (ch.a_active.conj() @ ch.g_s) / np.linalg.norm(ch.a_active)
+
+
+def echo_row(ch: ChannelSet, phi: np.ndarray) -> np.ndarray:
+    """r (N_t,) = (t o phi) G_t: sum_j |r w_j|^2 = sum_j ||G_s diag(phi) G_t w_j||^2."""
+    return (target_row(ch) * phi) @ ch.g_t
 
 
 def _echo_disturbance(cfg: SystemConfig, ch: ChannelSet, p: np.ndarray) -> float:
@@ -169,7 +179,7 @@ def radar_sinr(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
     """Echo power through the cascaded path over uplink interference plus
     sensing noise."""
     p = sol.p if p is None else np.asarray(p, float)
-    echo = float(np.sum(np.abs(echo_matrix(ch, sol.phi) @ sol.w.T) ** 2))
+    echo = float(np.sum(np.abs(sol.w @ echo_row(ch, sol.phi)) ** 2))
     return echo / _echo_disturbance(cfg, ch, p)
 
 

@@ -95,13 +95,20 @@ class TestTxCoeffs:
         assert np.allclose(coeffs.b3, np.array(b3) / LN2, rtol=1e-12, atol=0)
         assert np.allclose(coeffs.b4, np.array(b4) / LN2, rtol=1e-12, atol=0)
         for k in range(small_cfg.n_cm):
-            assert np.allclose(coeffs.q[k], coeffs.sqrt1a[k] * aux.beta1[k]
+            assert np.allclose(coeffs.q[k], np.sqrt(1 + aux.alpha1[k]) * aux.beta1[k]
                                * comp.h[k].conj() / LN2, rtol=1e-12, atol=0)
 
-    def test_omega0_psd(self, tx_setup):
+    def test_echo_direction_matches_dense_cascade(self, small_cfg, small_ch, tx_sol, tx_setup):
+        # d d^H is C^H C for the dense cascade C = G_s diag(phi) G_t
         _, coeffs = tx_setup
-        assert np.allclose(coeffs.omega0, coeffs.omega0.conj().T)
-        assert np.linalg.eigvalsh(coeffs.omega0).min() >= -1e-18
+        cascade = small_ch.g_s @ np.diag(tx_sol.phi) @ small_ch.g_t
+        gram = cascade.conj().T @ cascade
+        assert np.linalg.norm(np.outer(coeffs.d, coeffs.d.conj()) - gram) \
+            <= 1e-12 * np.linalg.norm(gram)
+        rng = np.random.default_rng(9)
+        w = rng.normal(size=tx_sol.w.shape) + 1j * rng.normal(size=tx_sol.w.shape)
+        dense = sum(np.linalg.norm(cascade @ wj) ** 2 for wj in w)
+        assert radar_power(coeffs, w) == pytest.approx(dense, rel=1e-12)
 
 
 class TestSolveTxSdr:
@@ -124,7 +131,7 @@ class TestSolveTxSdr:
     def test_impossible_floor_raises(self, small_cfg, tx_setup):
         import dataclasses
         _, coeffs = tx_setup
-        lam_max = float(np.linalg.eigvalsh(coeffs.omega0).max())
+        lam_max = float(np.linalg.norm(coeffs.d) ** 2)
         bad = dataclasses.replace(coeffs, b0=small_cfg.p_bs_watt * lam_max * 2.0)
         with pytest.raises(SdrInfeasibleError):
             solve_tx_sdr(bad, small_cfg)
@@ -149,7 +156,7 @@ class TestSolveTxSdr:
         for t1 in np.linspace(0, np.pi / 2, 400):
             for ph in np.linspace(0, 2 * np.pi, 800, endpoint=False):
                 v = np.array([np.cos(t1), np.sin(t1) * np.exp(1j * ph)])
-                lin_amp = 2 * coeffs.sqrt1a[0] * abs(v.conj() @ coeffs.omega[0][:2, 2])
+                lin_amp = 2 * abs(v.conj() @ coeffs.q[0])
                 quad = float((v.conj() @ coeffs.s_mat @ v).real)
                 # exact scalar maximization of consts + a*lin - a^2*quad on [0, sqrt(p)]
                 a_star = min(np.sqrt(p), lin_amp / (2 * quad)) if quad > 0 else np.sqrt(p)
@@ -206,18 +213,18 @@ class TestSolveTx:
 
     @pytest.mark.parametrize("binding", [False, True])
     def test_matches_rescaled_oracle(self, binding):
-        # paper-scale coefficients (Omega0 ~ 1e-11); the binding half puts the
+        # paper-scale coefficients (d d^H ~ 1e-11); the binding half puts the
         # floor at 90% of the echo ceiling. Even seeds FD, odd seeds HD.
         n_binding = 0
         for seed in range(25):
             cfg, coeffs = _paper_tx_coeffs(seed, hd=seed % 2 == 1)
             if binding:
-                ceiling = coeffs.p_bs * np.linalg.eigvalsh(coeffs.omega0)[-1]
+                ceiling = coeffs.p_bs * np.linalg.norm(coeffs.d) ** 2
                 coeffs = dataclasses.replace(coeffs, b0=0.9 * ceiling)
             w, info = solve_tx(coeffs)
             n_binding += info["nu"] > 0
             res = solve_tx_sdr(coeffs, cfg)
-            echo = sum(np.trace(coeffs.omega0 @ x[:cfg.n_tx, :cfg.n_tx]).real
+            echo = sum((coeffs.d.conj() @ x[:cfg.n_tx, :cfg.n_tx] @ coeffs.d).real
                        for x in res.blocks)
             assert echo >= coeffs.b0 * (1 - 1e-6)
             bound, value = sdr_bound(coeffs, res), tx_objective(coeffs, w)
@@ -229,7 +236,7 @@ class TestSolveTx:
         _, coeffs = tx_setup
         for frac in (None, 0.3, 0.6, 0.95):
             if frac is not None:
-                ceiling = coeffs.p_bs * np.linalg.eigvalsh(coeffs.omega0)[-1]
+                ceiling = coeffs.p_bs * np.linalg.norm(coeffs.d) ** 2
                 coeffs = dataclasses.replace(coeffs, b0=frac * ceiling)
             w, info = solve_tx(coeffs)
             gap, feasible = _certificate_gap(coeffs, w, info)
@@ -278,7 +285,7 @@ class TestSolveTx:
 
     def test_unreachable_floor_raises(self, small_cfg, tx_setup):
         _, coeffs = tx_setup
-        lam_max = float(np.linalg.eigvalsh(coeffs.omega0).max())
+        lam_max = float(np.linalg.norm(coeffs.d) ** 2)
         bad = dataclasses.replace(coeffs, b0=small_cfg.p_bs_watt * lam_max * 1.01)
         with pytest.raises(SdrInfeasibleError):
             solve_tx(bad)
@@ -337,30 +344,39 @@ class TestRx:
 
     def test_identity_matrix_case(self):
         from fdiscc.beamforming import RxCoeffs
-        coeffs = RxCoeffs(t5=np.eye(1, 4, dtype=complex),
-                          t5_mat=np.eye(4, dtype=complex)[None, :, :],
-                          b5=np.zeros(1))
+        coeffs = RxCoeffs(t5=np.eye(1, 4, dtype=complex), cov=np.eye(4, dtype=complex),
+                          weight=np.ones(1), b5=np.zeros(1))
         u = solve_rx(coeffs)
         assert np.allclose(u[0], np.eye(4)[0])
 
     def test_degenerate_rows_get_first_unit_vector(self):
-        # a zero block and an ill-conditioned one (cond 1e16) among regular
-        # rows; the zero scale must not be divided by
+        # a zero weight among regular rows is not divided by
         from fdiscc.beamforming import RxCoeffs
-        mats = np.stack([np.zeros((3, 3)), np.diag([1.0, 1.0, 1e-16]), 2.0 * np.eye(3)])
-        coeffs = RxCoeffs(t5=np.ones((3, 3), complex), t5_mat=mats.astype(complex),
-                          b5=np.zeros(3))
+        coeffs = RxCoeffs(t5=np.ones((3, 3), complex), cov=2.0 * np.eye(3, dtype=complex),
+                          weight=np.array([0.0, 1.0, 0.5]), b5=np.zeros(3))
         with np.errstate(all="raise"):
             u = solve_rx(coeffs)
-        assert np.array_equal(u[:2], [[1, 0, 0], [1, 0, 0]])
-        assert np.array_equal(u[2], [0.5, 0.5, 0.5])
+        assert np.array_equal(u[0], [1, 0, 0])
+        assert np.array_equal(u[1], [0.5, 0.5, 0.5])
+        assert np.array_equal(u[2], [1, 1, 1])
+
+    def test_one_covariance_matches_per_user_solve(self, small_cfg, small_ch, uplink_sol, hd):
+        # one solve of R with L right-hand sides against the per-user solves of
+        # the matrices weight_l R
+        lt = link_terms(uplink_sol, small_ch, small_cfg, hd)
+        coeffs = assemble_rx_coeffs(uplink_sol, small_ch, update_aux(lt), small_cfg, lt)
+        u = solve_rx(coeffs)
+        assert np.all(coeffs.weight > 0.0)
+        for l in range(small_cfg.n_cp):
+            ref = np.linalg.solve(coeffs.weight[l] * coeffs.cov, coeffs.t5[l])
+            assert np.allclose(u[l], ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
     def test_scaling_invariance(self, small_cfg, small_ch, rand_sol):
         import dataclasses
         lt = link_terms(rand_sol, small_ch, small_cfg)
         aux = update_aux(lt)
         coeffs = assemble_rx_coeffs(rand_sol, small_ch, aux, small_cfg, lt)
-        scaled = dataclasses.replace(coeffs, t5=2 * coeffs.t5, t5_mat=2 * coeffs.t5_mat)
+        scaled = dataclasses.replace(coeffs, t5=2 * coeffs.t5, weight=2 * coeffs.weight)
         assert np.allclose(solve_rx(coeffs), solve_rx(scaled), atol=1e-10)
 
     def test_finite_difference_stationarity(self, small_cfg, small_ch, rand_sol):

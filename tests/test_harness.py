@@ -352,7 +352,10 @@ class TestCli:
         ("d0_m", {"pathloss": {"d0_m": 0}}),
         ("lambda_linear", {"pathloss": {"lambda_linear": -1e-3}}),
         ("target_distance_m", {"geometry": {"target_distance_m": -3}}),
-    ], ids=["d0-zero", "lambda-negative", "target-distance-negative"])
+        ("user_x_range", {"geometry": {"user_x_range": [40, 10]}}),
+        ("user_y_range", {"geometry": {"user_y_range": [1.0, 0.0]}}),
+    ], ids=["d0-zero", "lambda-negative", "target-distance-negative", "user-x-reversed",
+            "user-y-reversed"])
     def test_out_of_range_value_exit_code_2(self, tmp_path, key, body):
         # the error names the key the file set, not one derived from it
         path = tmp_path / "bad.json"
@@ -369,6 +372,20 @@ class TestCli:
         r = run_cli([command, flag, str(path), "--out", str(tmp_path / "o")], tmp_path)
         assert r.returncode == 2, r.stderr
         assert str(path) in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("body, reason", [
+        (b"\xff\xfe{\x00}\x00", "not valid UTF-8 JSON"),
+        (b"[1, 2]", "must be a JSON object"),
+    ], ids=["utf16-bom", "json-list"])
+    def test_unreadable_file_exit_code_2(self, tmp_path, command, body, reason):
+        flag = "--config" if command == "run" else "--spec"
+        path = tmp_path / "bad.json"
+        path.write_bytes(body)
+        r = run_cli([command, flag, str(path), "--out", str(tmp_path / "o")], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert str(path) in r.stderr and reason in r.stderr
         assert "Traceback" not in r.stderr
 
     def test_sweep_emits_rows(self, tmp_path):

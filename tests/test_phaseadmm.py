@@ -66,6 +66,20 @@ class TestAssemble:
             expected = radar_sinr(sol, small_ch, small_cfg) * den
             assert echo_power(coeffs, phi) == pytest.approx(expected, rel=1e-12)
 
+    def test_echo_rows_match_dense_t0(self, small_cfg, small_ch, uplink_sol):
+        # ||V phi||^2 and V^H (V phi) against T0 = (G_s^H G_s) o G_w
+        lt = link_terms(uplink_sol, small_ch, small_cfg)
+        coeffs = assemble_phase_coeffs(uplink_sol, small_ch, update_aux(lt), small_cfg, lt)
+        gtw = uplink_sol.w @ small_ch.g_t.T
+        t0 = (small_ch.g_s.conj().T @ small_ch.g_s) * (gtw.conj().T @ gtw)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            phi = np.exp(1j * rng.uniform(0, 2 * np.pi, small_cfg.m_passive))
+            dense = float((phi.conj() @ t0 @ phi).real)
+            assert echo_power(coeffs, phi) == pytest.approx(dense, rel=1e-12)
+            d = mm_linearize_radar(coeffs, phi).d
+            assert np.allclose(d, t0 @ phi, rtol=0, atol=1e-12 * np.abs(t0 @ phi).max())
+
 
 class TestMmLinearize:
     def test_tight_at_expansion_point(self, coeffs, rand_sol):
@@ -76,7 +90,7 @@ class TestMmLinearize:
 
     def test_zero_matrix_reduces_to_floor(self, coeffs, rand_sol):
         import dataclasses
-        c0 = dataclasses.replace(coeffs, t0_mat=np.zeros_like(coeffs.t0_mat))
+        c0 = dataclasses.replace(coeffs, echo_rows=np.zeros_like(coeffs.echo_rows))
         lin = mm_linearize_radar(c0, rand_sol.phi)
         assert np.allclose(lin.d, 0)
         assert lin.e == pytest.approx(coeffs.b0)
@@ -209,7 +223,7 @@ class TestPhiStep:
             g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
             t12 = g @ g.conj().T / m
             coeffs = PhaseCoeffs(t12_mat=t12, t12_vec=rng.normal(size=m) + 1j * rng.normal(size=m),
-                                 b12=0.0, t0_mat=np.eye(m, dtype=complex), b0=0.0)
+                                 b12=0.0, echo_rows=np.eye(m, dtype=complex), b0=0.0)
             state = AdmmState(phi=np.zeros(m, complex),
                               psi=np.exp(1j * rng.uniform(0, 2 * np.pi, m)),
                               lam=0.1 * (rng.normal(size=m) + 1j * rng.normal(size=m)),

@@ -39,29 +39,25 @@ def pc_setup(small_cfg, small_ch, pc_sol):
 
 class TestAssemble:
     def test_identity_vs_surrogates(self, small_cfg, small_ch, pc_sol):
-        # under HD the coefficients carry the halved surrogates
+        # the coefficients carry the surrogate sum's change from p = 0 to p,
+        # halved under HD
         rng = np.random.default_rng(0)
         for hd in (False, True):
             lt = link_terms(pc_sol, small_ch, small_cfg, hd)
             aux = update_aux(lt)
             coeffs = assemble_power_coeffs(pc_sol, small_ch, aux, small_cfg, lt)
+
+            def direct(p):
+                com, off = surrogates(aux, link_terms(pc_sol.copy_with(p=p), small_ch,
+                                                      small_cfg, hd))
+                return sum(com[k] for k in range(small_cfg.n_cm)) \
+                    + sum(off[l] for l in range(small_cfg.n_cp))
+
+            base = direct(np.zeros(small_cfg.n_cp))
             for _ in range(5):
                 p = rng.uniform(0, 5e-9, small_cfg.n_cp)
-                sol2 = pc_sol.copy_with(p=p)
-                com, off = surrogates(aux, link_terms(sol2, small_ch, small_cfg, hd))
-                direct = sum(com[k] for k in range(small_cfg.n_cm))
-                direct += sum(off[l] for l in range(small_cfg.n_cp))
-                lin = coeffs.b7 + coeffs.c1 @ coeffs.b11
-                via = float(coeffs.b10.sum() + coeffs.b2.sum()
-                            + np.sum(coeffs.b6 * np.sqrt(p) - lin * p))
-                assert via == pytest.approx((0.5 if hd else 1.0) * direct, abs=1e-8)
-
-    def test_zero_power_gives_constants(self, small_cfg, small_ch, pc_sol, pc_setup):
-        aux, coeffs = pc_setup
-        sol0 = pc_sol.copy_with(p=np.zeros(small_cfg.n_cp))
-        _, off = surrogates(aux, link_terms(sol0, small_ch, small_cfg))
-        direct = sum(off[l] for l in range(small_cfg.n_cp))
-        assert float(coeffs.b2.sum()) == pytest.approx(direct, abs=1e-10)
+                via = float(np.sum(coeffs.b6 * np.sqrt(p) - coeffs.lin * p))
+                assert via == pytest.approx((0.5 if hd else 1.0) * (direct(p) - base), abs=1e-8)
 
     def test_single_user_b7(self):
         cfg = desk_config(m_passive=6, m_active=3, n_cm=0, n_cp=1, seed=17)
@@ -74,12 +70,15 @@ class TestAssemble:
         from fdiscc.wmmse import LN2
         comp = composite_channels(ch, sol.phi)
         expected = abs(aux.beta2[0]) ** 2 * abs(np.vdot(sol.u[0], comp.g[0])) ** 2 / LN2
-        assert coeffs.b7[0] == pytest.approx(expected, rel=1e-12)
+        # no CM-UE, so no CCI: lin is the offloading weight b7 alone
+        assert coeffs.lin[0] == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("hd", [False, True])
     def test_matches_per_user_loop(self, small_cfg, small_ch, pc_sol, hd):
-        # the vectorised assembly against the per-user loops it replaced
-        from fdiscc.sysmodel import composite_channels, echo_matrix
+        # the vectorised assembly against the per-user loops it replaced, with
+        # lin rebuilt densely as b7 + c1 @ b11 and the echo through the dense
+        # target response
+        from fdiscc.sysmodel import composite_channels
         from fdiscc.wmmse import LN2
         sol, cfg, ch = pc_sol, small_cfg, small_ch
         lt = link_terms(sol, ch, cfg, hd)
@@ -87,36 +86,27 @@ class TestAssemble:
         coeffs = assemble_power_coeffs(sol, ch, aux, cfg, lt)
         comp = composite_channels(ch, sol.phi)
         dw = 0.5 if hd else 1.0
-        for k in range(cfg.n_cm):
-            a1, b1k = aux.alpha1[k], aux.beta1[k]
-            amps = sol.w @ comp.h[k]
-            b10 = (np.log(1 + a1) - a1 + 2 * np.sqrt(1 + a1) * (np.conj(b1k) * amps[k + 1]).real
-                   - abs(b1k) ** 2 * (np.sum(np.abs(amps) ** 2) + cfg.noise_ue_watt)) / LN2
-            assert coeffs.b10[k] == pytest.approx(dw * b10, rel=1e-12)
-            assert coeffs.c1[k] == pytest.approx(dw * abs(b1k) ** 2 / LN2, rel=1e-12)
-            cci = np.zeros(cfg.n_cp) if hd else np.abs(comp.ebar[:, k]) ** 2
-            assert np.array_equal(coeffs.b11[k], cci)
+        c1 = np.array([abs(aux.beta1[k]) ** 2 / LN2 for k in range(cfg.n_cm)])
+        b11 = np.array([np.zeros(cfg.n_cp) if hd else np.abs(comp.ebar[:, k]) ** 2
+                        for k in range(cfg.n_cm)])
         uamp = np.array([comp.g @ sol.u[l].conj() for l in range(cfg.n_cp)])
+        b7 = np.zeros(cfg.n_cp)
         for l in range(cfg.n_cp):
-            u, a2, b2l = sol.u[l], aux.alpha2[l], aux.beta2[l]
-            si = 0.0 if hd else sum(abs(wj @ (ch.h_si.conj().T @ u).conj()) ** 2 for wj in sol.w)
-            b2 = (np.log(1 + a2) - a2
-                  - abs(b2l) ** 2 * (si + np.vdot(u, u).real * cfg.noise_bs_watt)) / LN2
+            a2, b2l = aux.alpha2[l], aux.beta2[l]
             b6 = 2 * np.sqrt(1 + a2) * (np.conj(b2l) * uamp[l, l]).real / LN2
-            b7 = sum(abs(aux.beta2[j]) ** 2 * abs(uamp[j, l]) ** 2 for j in range(cfg.n_cp)) / LN2
-            assert coeffs.b2[l] == pytest.approx(dw * b2, rel=1e-12)
+            b7[l] = sum(abs(aux.beta2[j]) ** 2 * abs(uamp[j, l]) ** 2
+                        for j in range(cfg.n_cp)) / LN2
             assert coeffs.b6[l] == pytest.approx(dw * b6, rel=1e-12)
-            assert coeffs.b7[l] == pytest.approx(dw * b7, rel=1e-12)
-        echo = np.sum(np.abs(echo_matrix(ch, sol.phi) @ sol.w.T) ** 2)
+        np.testing.assert_allclose(coeffs.lin, dw * (b7 + c1 @ b11), rtol=1e-12, atol=0.0)
+        cascade = ch.g_s @ np.diag(sol.phi) @ ch.g_t
+        echo = sum(np.linalg.norm(cascade @ wj) ** 2 for wj in sol.w)
         assert coeffs.c8 == pytest.approx(echo - cfg.gamma_tar_linear * cfg.noise_irs_watt,
                                           rel=1e-12)
 
     def test_nonnegative_coefficients(self, pc_setup):
         _, coeffs = pc_setup
-        assert np.all(coeffs.b7 >= 0)
+        assert np.all(coeffs.lin >= 0)
         assert np.all(coeffs.b9 >= 0)
-        assert np.all(coeffs.c1 >= 0)
-        assert np.all(coeffs.b11 >= 0)
 
 
 def _grid_oracle(coeffs, cfg, n_p=200, n_mu=100):
@@ -127,11 +117,10 @@ def _grid_oracle(coeffs, cfg, n_p=200, n_mu=100):
     l_n = coeffs.b6.shape[0]
     e_max, t, zeta = cfg.e_max_array(), cfg.coherence_time_s, cfg.zeta
     f_coef = 1.0 / (cfg.eps_array() * cfg.bandwidth_hz)
-    lin = coeffs.b7 + coeffs.c1 @ coeffs.b11
 
     def user_obj(l, p):
         f = ((e_max[l] - t * p) / (t * zeta)) ** (1 / 3)
-        return coeffs.b6[l] * np.sqrt(p) - lin[l] * p + f_coef[l] * f, f
+        return coeffs.b6[l] * np.sqrt(p) - coeffs.lin[l] * p + f_coef[l] * f, f
 
     def user_best(l, mu, lo, hi, n):
         ps = np.linspace(lo, hi, n)
@@ -179,8 +168,7 @@ class TestSolve:
                            e_max_joule=1e9, zeta=1e-26)
         free = dataclasses.replace(coeffs, c8=1e30)
         p, f, _ = solve_power_compute(free, cfg2, force_f_zero=True)
-        lin = coeffs.b7 + coeffs.c1 @ coeffs.b11
-        expected = (coeffs.b6 / (2 * lin)) ** 2
+        expected = (coeffs.b6 / (2 * coeffs.lin)) ** 2
         assert np.allclose(p, expected, rtol=1e-12)
 
     def test_no_gain_all_energy_to_compute(self, small_cfg, pc_setup):
@@ -253,7 +241,6 @@ class TestSolve:
         budget = float(_free_powers(small_cfg, (0.3, 0.6)) @ coeffs.b9)
         t, zeta = small_cfg.coherence_time_s, small_cfg.zeta
         eps = small_cfg.eps_array()
-        lin = coeffs.b7 + coeffs.c1 @ coeffs.b11
         checked, mus = 0, []
         for c in (coeffs, dataclasses.replace(live, c8=2.0 * budget),
                   dataclasses.replace(live, c8=0.5 * budget)):
@@ -265,7 +252,7 @@ class TestSolve:
                 checked += 1
                 nu = 1.0 / (eps[l] * small_cfg.bandwidth_hz * 3 * t * zeta * f[l] ** 2)
                 lhs = c.b6[l] / (2 * np.sqrt(p[l]))
-                rhs = lin[l] + info["mu"] * c.b9[l] + nu * t
+                rhs = c.lin[l] + info["mu"] * c.b9[l] + nu * t
                 assert lhs == pytest.approx(rhs, rel=1e-6)
         assert checked == 2 * small_cfg.n_cp
         assert mus[1] == 0.0 and mus[2] > 0.0
@@ -276,10 +263,7 @@ class TestSolve:
         assert np.allclose(f, 0.0)
 
     def test_empty_users(self, small_cfg):
-        coeffs = PowerCoeffs(b2=np.zeros(0), b6=np.zeros(0), b7=np.zeros(0),
-                             b9=np.zeros(0), b10=np.zeros(0),
-                             b11=np.zeros((small_cfg.n_cm, 0)), c1=np.zeros(small_cfg.n_cm),
-                             c8=1.0)
+        coeffs = PowerCoeffs(b6=np.zeros(0), lin=np.zeros(0), b9=np.zeros(0), c8=1.0)
         p, f, _ = solve_power_compute(coeffs, small_cfg)
         assert p.size == 0 and f.size == 0
 
@@ -337,8 +321,7 @@ def _interior_b6(coeffs, cfg, fracs):
     p = _free_powers(cfg, fracs)
     f = ((cfg.e_max_array() - t * p) / (t * zeta)) ** (1 / 3)
     f_coef = 1.0 / (cfg.eps_array() * cfg.bandwidth_hz)
-    lin = coeffs.b7 + coeffs.c1 @ coeffs.b11
-    return 2.0 * np.sqrt(p) * (lin + f_coef / (3.0 * zeta * f ** 2))
+    return 2.0 * np.sqrt(p) * (coeffs.lin + f_coef / (3.0 * zeta * f ** 2))
 
 
 def _user_solve_200(b6, lin, mu_b9, e_max, t, zeta, f_coef, force_f_zero):

@@ -4,8 +4,8 @@ import pytest
 from fdiscc.channels import draw_channels
 from fdiscc.config import desk_config
 from fdiscc.sysmodel import (Solution, backhaul_cost, composite_channels,
-                             echo_matrix, link_terms, local_rate_energy,
-                             radar_sinr, residuals, sensing_floor, utility)
+                             echo_row, link_terms, local_rate_energy,
+                             radar_sinr, residuals, sensing_floor, target_row, utility)
 
 from conftest import make_solution
 
@@ -227,10 +227,20 @@ class TestLinkTerms:
         if case == "zero-power":
             assert np.all(lt.off_sig == 0.0) and np.all(lt.r_off == 0.0)
 
-    def test_echo_matrix_and_sensing_floor(self, small_cfg, small_ch, rand_sol):
-        phi = rand_sol.phi
-        direct = small_ch.g_s @ np.diag(phi) @ small_ch.g_t
-        np.testing.assert_allclose(echo_matrix(small_ch, phi), direct, rtol=1e-12, atol=0.0)
+    def test_echo_row_and_sensing_floor(self, small_cfg, small_ch, rand_sol):
+        # the rank-one rows against the dense M_a x M target response, with one,
+        # a few and the paper's number of sensing elements
+        for m_a in (1, 4, 10):
+            cfg = desk_config(m_passive=8, m_active=m_a, seed=7)
+            ch = draw_channels(cfg)
+            sol = make_solution(cfg, ch, np.random.default_rng(m_a))
+            t, gram = target_row(ch), ch.g_s.conj().T @ ch.g_s
+            assert np.linalg.norm(np.outer(t.conj(), t) - gram) <= 1e-12 * np.linalg.norm(gram)
+            cascade = ch.g_s @ np.diag(sol.phi) @ ch.g_t
+            dense = sum(np.linalg.norm(cascade @ w) ** 2 for w in sol.w)
+            echo = float(np.sum(np.abs(sol.w @ echo_row(ch, sol.phi)) ** 2))
+            assert echo == pytest.approx(dense, rel=1e-12)
+        direct = small_ch.g_s @ np.diag(rand_sol.phi) @ small_ch.g_t
         interf = sum(rand_sol.p[l] * np.linalg.norm(small_ch.g_au[l]) ** 2
                      for l in range(small_cfg.n_cp))
         floor = sensing_floor(small_cfg, small_ch, rand_sol.p)
