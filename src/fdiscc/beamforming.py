@@ -11,7 +11,7 @@ Palomar, IEEE TSP 2010), so its Lagrangian dual in the power multiplier mu and
 the radar multiplier nu has no gap. With A = S + mu I - nu d d^H > 0 the
 maximizer is w_{k+1} = A^{-1} q_k, w_0 = 0 (the ISAC construction of Liu,
 Huang, Li & Masouros, IEEE TSP 2020). The echo matrix d d^H is rank one
-(d = conj(r), r the row of ``sysmodel.echo_row``), so one eigendecomposition
+(d = conj(r), r the echo row of ``sysmodel.Composite``), so one eigendecomposition
 of S and Sherman-Morrison in nu give every trial point, the
 nu minimizing the dual at a given mu is closed form, and mu solves the power
 equation by a secular root-find. When no communication beam can carry echo
@@ -35,16 +35,12 @@ from . import conic
 from .channels import ChannelSet
 from .config import SystemConfig
 from .rootfind import EPS, NoBracketError, increasing_root
-from .sysmodel import LinkTerms, Solution, echo_row, sensing_floor
+from .sysmodel import LinkTerms, SensingInfeasible, Solution
 from .wmmse import LN2, AuxVars, _bracket
 
 # the closed form aims at b0 (1 + RADAR_MARGIN), so rounding leaves the echo
 # above the floor; the certified dual value is still taken at b0 itself
 RADAR_MARGIN = 1e-12
-
-
-class SdrInfeasibleError(Exception):
-    """The sensing floor cannot be met under the power budget."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,7 @@ def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
 
     return TxCoeffs(
         q=q, s_mat=(s_mat + s_mat.conj().T) / 2.0 / LN2,
-        d=echo_row(ch, sol.phi).conj(), b3=b3, b4=b4,
-        b0=sensing_floor(cfg, ch, sol.p), p_bs=cfg.p_bs_watt,
+        d=comp.r.conj(), b3=b3, b4=b4, b0=lt.floor, p_bs=cfg.p_bs_watt,
     )
 
 
@@ -133,14 +128,14 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
     "sensing_beam"}``, where ``iterations`` counts the root-find's evaluations
     and ``dual`` is g(mu, nu) = b3 + b4 + sum_k q_k^H A^{-1} q_k + mu P - nu b0,
     an upper bound on the objective.
-    Raises SdrInfeasibleError when the floor exceeds the echo ceiling P ||d||^2.
+    Raises SensingInfeasible when the floor exceeds the echo ceiling P ||d||^2.
     """
     q, d = coeffs.q, coeffs.d
     k_n, nt = q.shape[0], coeffs.s_mat.shape[0]
     p_max, target = coeffs.p_bs, coeffs.b0 * (1.0 + RADAR_MARGIN)
     ceiling = p_max * float(np.vdot(d, d).real)
     if ceiling < target:
-        raise SdrInfeasibleError(f"echo ceiling {ceiling:.3e} below floor {coeffs.b0:.3e}")
+        raise SensingInfeasible(f"echo ceiling {ceiling:.3e} below floor {coeffs.b0:.3e}")
     s, vecs = np.linalg.eigh(coeffs.s_mat)
     s = np.maximum(s, 0.0)
     x, y = q @ vecs.conj(), d @ vecs.conj()          # eigenbasis coordinates
@@ -179,7 +174,7 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
         try:
             mu, iters = increasing_root(slack, mu, f_lo, hi)
         except NoBracketError as exc:
-            raise SdrInfeasibleError("sensing floor at the echo ceiling") from exc
+            raise SensingInfeasible("sensing floor at the echo ceiling") from exc
     w, nu, gain = points[mu]
     dual = float(coeffs.b3.sum() + coeffs.b4.sum()) + gain + mu * p_max - nu * coeffs.b0
     return w @ vecs.T, {"dual": float(dual), "mu": float(mu), "nu": float(nu),
@@ -206,13 +201,13 @@ def optimize_tx(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
 
 def solve_tx_sdr(coeffs: TxCoeffs, cfg: SystemConfig) -> conic.SdpResult:
     """Relaxed lifted solve (test oracle of ``solve_tx``).  Raises
-    SdrInfeasibleError when even the best eigen-direction at full power misses
+    SensingInfeasible when even the best eigen-direction at full power misses
     the sensing floor."""
     nt = cfg.n_tx
     n_beams = coeffs.q.shape[0] + 1
     lam_max = float(np.vdot(coeffs.d, coeffs.d).real)
     if coeffs.p_bs * lam_max < coeffs.b0:
-        raise SdrInfeasibleError(
+        raise SensingInfeasible(
             f"echo ceiling {coeffs.p_bs * lam_max:.3e} below floor {coeffs.b0:.3e}")
 
     dim = nt + 1
@@ -240,7 +235,7 @@ def solve_tx_sdr(coeffs: TxCoeffs, cfg: SystemConfig) -> conic.SdpResult:
                             constraints=tuple(cons))
     res = conic.solve_sdp(prob)
     if res.status == conic.INFEASIBLE:
-        raise SdrInfeasibleError("lifted transmit problem infeasible")
+        raise SensingInfeasible("lifted transmit problem infeasible")
     return res
 
 
@@ -306,7 +301,7 @@ def gaussian_randomize(wtilde: list, coeffs: TxCoeffs, cfg: SystemConfig,
         if val > best_val:
             best, best_val = cand, val
     if best is None:
-        raise SdrInfeasibleError("no randomized beam met the sensing floor")
+        raise SensingInfeasible("no randomized beam met the sensing floor")
     return best
 
 

@@ -105,16 +105,20 @@ def _cmd_selftest(args) -> int:
           la.matrix_rank(ch.g_s, tol=1e-12 * np.abs(ch.g_s).max()) == 1)
 
     sol = orchestrator.initialize(cfg, ch, np.random.default_rng(0))
+    lt = sysmodel.link_terms(sol, ch, cfg)
     # the rank-one rows against the dense M_a x M target response
     t, gram = sysmodel.target_row(ch), ch.g_s.conj().T @ ch.g_s
-    dense = float(np.sum(np.abs(ch.g_s @ (ch.g_t * sol.phi[:, None]) @ sol.w.T) ** 2))
-    echo = float(np.sum(np.abs(sol.w @ sysmodel.echo_row(ch, sol.phi)) ** 2))
-    check("echo row identity", abs(echo - dense) <= 1e-12 * dense
+    cascade = ch.g_s @ (ch.g_t * sol.phi[:, None])
+    dense, echo_gram = float(np.sum(np.abs(cascade @ sol.w.T) ** 2)), cascade.conj().T @ cascade
+    r = sysmodel.composite_channels(ch, sol.phi).r
+    check("echo row identity", abs(lt.echo - dense) <= 1e-12 * dense
+          and la.norm(np.outer(r.conj(), r) - echo_gram) <= 1e-12 * la.norm(echo_gram)
           and la.norm(np.outer(t.conj(), t) - gram) <= 1e-12 * la.norm(gram))
-    lt = sysmodel.link_terms(sol, ch, cfg)
     aux = wmmse.update_aux(lt)
     com, off = wmmse.surrogates(aux, lt)
     met = utility(sol, ch, cfg, lt=lt)
+    check("radar SINR from link terms", met.r_tar == lt.r_tar
+          and utility(sol, ch, cfg).r_tar == lt.r_tar)
     gaps = np.concatenate([com - np.log2(1 + met.r_com), off - np.log2(1 + met.r_off)])
     check("surrogate tightness", bool(np.all(np.abs(gaps) < 1e-9)))
 
@@ -222,7 +226,7 @@ def _cmd_selftest(args) -> int:
     return 1 if failures else 0
 
 
-def _worker_count(text: str) -> int:
+def _positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
@@ -240,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--scheme", default="proposed", choices=SCHEMES)
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--max-iter", type=int, default=50)
+    p_run.add_argument("--max-iter", type=_positive_int, default=50)
     p_run.add_argument("--paper-scale", action="store_true",
                        help="use the full-scale IRS (M=50, M_a=10)")
     p_run.set_defaults(func=_cmd_run)
@@ -249,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--spec", required=True)
     p_sweep.add_argument("--config", default="default")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--workers", type=_worker_count, default=1,
+    p_sweep.add_argument("--workers", type=_positive_int, default=1,
                          help="worker processes (at most one per cell)")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields, replace
 from numbers import Integral, Real
 from pathlib import Path
@@ -32,17 +33,20 @@ class ConfigError(ValueError):
 
 
 def is_number(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
+    """A real that is finite as a float: NaN and Infinity, which JSON files may
+    hold, slip past range checks, and so do integers beyond the float range."""
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 # what a field of each annotation accepts; nested records check their own fields
 _FIELD_KINDS = {
     "int": ("an integer", lambda v: isinstance(v, Integral) and not isinstance(v, bool)),
-    "float": ("a number", is_number),
-    "float | None": ("a number", lambda v: v is None or is_number(v)),
-    "float | tuple[float, ...]": ("a number or a list of numbers", lambda v: is_number(v) or (
+    "float": ("a finite number", is_number),
+    "float | None": ("a finite number", lambda v: v is None or is_number(v)),
+    "float | tuple[float, ...]": ("a finite number or a list of them", lambda v: is_number(v) or (
         isinstance(v, tuple) and all(map(is_number, v)))),
-    "tuple[float, float]": ("a pair of numbers", lambda v: isinstance(v, tuple)
+    "tuple[float, float]": ("a pair of finite numbers", lambda v: isinstance(v, tuple)
                             and len(v) == 2 and all(map(is_number, v))),
     "str": ("a string", lambda v: isinstance(v, str)),
 }
@@ -213,6 +217,8 @@ class SystemConfig:
                 raise ConfigError(f"{name} must be ordered low <= high, got [{low}, {high}]")
         if self.eta_rt is not None and self.eta_rt <= 0:
             raise ConfigError("eta_rt must be > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.cache.validate()
 
 

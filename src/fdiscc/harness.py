@@ -69,7 +69,7 @@ class SweepSpec:
         if len(self.values) == 0:
             raise ConfigError("sweep needs at least one value")
         if not all(map(is_number, self.values)):
-            raise ConfigError(f"sweep values must be numbers, got {list(self.values)!r}")
+            raise ConfigError(f"sweep values must be finite numbers, got {list(self.values)!r}")
         if any(v <= 0 for v in self.values):
             raise ConfigError("sweep values must be positive")
         if self.parameter in ("m_passive", "n_tx") and any(int(v) != v or v < 1 for v in self.values):
@@ -79,6 +79,10 @@ class SweepSpec:
                 raise ConfigError(f"unknown scheme '{s}'; one of {SCHEMES}")
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
+        if self.seed_base < 0:
+            raise ConfigError(f"seed_base must be >= 0, got {self.seed_base}")
+        if self.max_iter < 1:
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:

@@ -31,8 +31,8 @@ import numpy as np
 from . import beamforming, cacheopt, phaseadmm, powercomp, sysmodel, wmmse
 from .channels import ChannelSet
 from .config import CacheConfig, SystemConfig
-from .sysmodel import (Metrics, Solution, cache_residual, composite_channels, echo_row,
-                       link_terms, residuals, sensing_floor, utility)
+from .sysmodel import (Metrics, SensingInfeasible, Solution, cache_residual,
+                       composite_channels, link_terms, residuals, utility)
 
 SCHEMES = ("proposed", "full-offloading", "fixed-phase", "hd",
            "random-caching", "no-caching")
@@ -58,6 +58,8 @@ class RunOptions:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,6 @@ NO_PLACEMENT = np.zeros(0)
 NO_PLACEMENT.flags.writeable = False
 
 
-class SensingInfeasible(Exception):
-    """Initialization cannot reach the radar threshold at full power."""
-
-
 def _mrt_rows(comp_h: np.ndarray) -> np.ndarray:
     norm = np.linalg.norm(comp_h, axis=1, keepdims=True)
     return np.divide(comp_h.conj(), norm, out=np.zeros_like(comp_h), where=norm > 0)
@@ -142,14 +140,15 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray,
     echo-vs-share law; user beams always keep strictly positive power so the
     surrogate gradients never vanish."""
     k_n, l_n = cfg.n_cm, cfg.n_cp
-    floor0 = sensing_floor(cfg, ch, np.zeros(l_n))      # radar floor with the uplink silent
-    r = echo_row(ch, phi)
+    floor0 = cfg.gamma_tar_linear * cfg.noise_irs_watt  # radar floor with the uplink silent
+    comp = composite_channels(ch, phi)
+    r = comp.r
     gain = float(np.linalg.norm(r))
     ceiling = cfg.p_bs_watt * gain ** 2             # all power on the echo direction
     if ceiling < floor0 * (1.0 + 1e-12):
         return None
     radar_dir = r.conj() / gain
-    mrt = _mrt_rows(composite_channels(ch, phi).h)
+    mrt = _mrt_rows(comp.h)
 
     def beams(share0: float) -> np.ndarray:
         w = np.zeros((k_n + 1, cfg.n_tx), complex)
@@ -223,7 +222,7 @@ def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
             best, best_score = sol, score
     if best is None:
         raise SensingInfeasible(
-            f"sensing threshold {sensing_floor(cfg, ch, np.zeros(cfg.n_cp)):.3e} "
+            f"sensing threshold {cfg.gamma_tar_linear * cfg.noise_irs_watt:.3e} "
             "unreachable at full power for every candidate phase start")
     return best
 
@@ -278,7 +277,6 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
         sol = sol.copy_with(f=np.zeros(cfg.n_cp))
 
     rows: list[TraceRow] = []
-    met = None
     status = MAX_ITER_STATUS
     slow_count = 0
     t0 = time.perf_counter()
@@ -304,7 +302,7 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
         try:
             w_new, _ = beamforming.optimize_tx(sol, ch, aux, cfg, lt)
             sol = sol.copy_with(w=w_new)
-        except beamforming.SdrInfeasibleError:
+        except SensingInfeasible:
             pass
 
         if cfg.n_cp:
@@ -313,14 +311,14 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
                 p_new, f_new, _ = powercomp.optimize_power(
                     sol, ch, aux, cfg, link_terms(sol, ch, cfg, hd), force_f_zero)
                 sol = sol.copy_with(p=p_new, f=f_new)
-            except powercomp.SensingInfeasibleError:
+            except SensingInfeasible:
                 pass
 
         lt = link_terms(sol, ch, cfg, hd)
         obj = wmmse.bca_objective(sol, cfg, aux, lt)
         met = utility(sol, ch, cfg, lt=lt, d_total=0.0)
         # the cache residual belongs to the placement, which pricing charges
-        res = residuals(sol, ch, cfg, res_cache=np.nan)
+        res = residuals(sol, cfg, lt, res_cache=np.nan)
         rows.append(TraceRow(n, obj, float(met.sum_bits), res["power"], res["radar"],
                              res["modulus"], res["energy"], res["cache"],
                              (time.perf_counter() - t0) * 1e3))
@@ -335,8 +333,6 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
             status = CONVERGED
             break
 
-    if met is None:     # no iteration ran (max_iter < 1)
-        met = utility(sol, ch, cfg, hd, d_total=0.0)
     return RadioSolve(ch, sol, met, tuple(rows), status)
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import LinkTerms, Solution, sensing_floor, target_row
+from .sysmodel import LinkTerms, SensingInfeasible, Solution, target_row
 from .wmmse import LN2, AuxVars, _bracket
 
 
@@ -128,8 +128,7 @@ def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
 
     t12_mat = t12_mat / LN2
     return PhaseCoeffs(t12_mat=(t12_mat + t12_mat.conj().T) / 2.0, t12_vec=(t1 + t2) / LN2,
-                       b12=float(b12), echo_rows=gtw * target_row(ch),
-                       b0=float(sensing_floor(cfg, ch, sol.p)))
+                       b12=float(b12), echo_rows=gtw * target_row(ch), b0=lt.floor)
 
 
 def surrogate_value(coeffs: PhaseCoeffs, phi: np.ndarray) -> float:
@@ -155,7 +154,7 @@ def admm_phi_step(coeffs: PhaseCoeffs, state: AdmmState, lin: LinearRadar) -> np
     """Exact minimizer of phi^H A phi - 2 Re{r^H phi} s.t. -2 Re{d^H phi} + e <= 0 with
     A = T12 + I/(2 rho), r = t12 + (psi - rho lambda)/(2 rho): phi_u = A^-1 r if it meets
     the constraint, else phi_u + mu A^-1 d with the binding multiplier mu = slack(phi_u) /
-    (2 d^H A^-1 d).  Raises PhaseStepInfeasible when d = 0 and the constraint is violated."""
+    (2 d^H A^-1 d).  Raises SensingInfeasible when d = 0 and the constraint is violated."""
     evals, evecs = coeffs.t12_eig
     prox = 1.0 / (2.0 * state.rho)
 
@@ -169,12 +168,8 @@ def admm_phi_step(coeffs: PhaseCoeffs, state: AdmmState, lin: LinearRadar) -> np
     a_inv_d = a_inv(lin.d)
     curvature = float((lin.d.conj() @ a_inv_d).real)
     if curvature <= 0.0:
-        raise PhaseStepInfeasible()
+        raise SensingInfeasible("the linearized radar constraint admits no reflection vector")
     return phi_u + (slack / (2.0 * curvature)) * a_inv_d
-
-
-class PhaseStepInfeasible(Exception):
-    """The linearized radar constraint admits no reflection vector."""
 
 
 def psi_step(phi: np.ndarray, lam: np.ndarray, rho: float) -> np.ndarray:
@@ -208,7 +203,7 @@ def optimize_phase(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfi
         lin = mm_linearize_radar(coeffs, state.phi)
         try:
             state.phi = admm_phi_step(coeffs, state, lin)
-        except PhaseStepInfeasible:
+        except SensingInfeasible:
             info.infeasible = True
             return phi_in, info
         state.psi = psi_step(state.phi, state.lam, state.rho)

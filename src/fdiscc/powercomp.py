@@ -3,8 +3,9 @@
 The coefficients restate the ``wmmse`` surrogates of ``sysmodel.link_terms``
 as functions of the uplink powers: each offloading surrogate is a p-free
 term plus sqrt(p_l) b6 - p_l b7, each downlink surrogate loses its uplink CCI
-linearly in p, and ``sysmodel.sensing_floor`` turns the radar constraint into
-one linear interference budget.  Only the p-dependent part is kept, with
+linearly in p, and the radar constraint, echo >= Gamma (sum_l p_l ||g_au,l||^2
++ sigma_irs^2) with the echo of ``LinkTerms``, is one linear interference
+budget.  Only the p-dependent part is kept, with
 every cost linear in p summed once into ``lin``.  That leaves a separable
 concave maximization with one coupling constraint.  The energy constraint is
 always active at an optimum because residual energy is worth strictly
@@ -29,12 +30,8 @@ import numpy as np
 from .channels import ChannelSet
 from .config import SystemConfig
 from .rootfind import increasing_root
-from .sysmodel import LinkTerms, Solution, echo_row, sensing_floor
+from .sysmodel import LinkTerms, SensingInfeasible, Solution
 from .wmmse import LN2, AuxVars
-
-
-class SensingInfeasibleError(Exception):
-    """Even zero uplink power violates the sensing floor (c8 < 0)."""
 
 
 @dataclass(frozen=True)
@@ -57,14 +54,12 @@ def assemble_power_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
                           cfg: SystemConfig, lt: LinkTerms) -> PowerCoeffs:
     """The terms in sqrt(p) and p of each surrogate of ``wmmse``, read from
     ``lt``, the ``link_terms`` of this same solution."""
-    l_n = lt.off_sig.shape[0]
     b6 = 2.0 * np.sqrt(1.0 + aux.alpha2) * (np.conj(aux.beta2) * np.diagonal(lt.uamp)).real / LN2
     lin = np.abs(aux.beta2) ** 2 @ np.abs(lt.uamp) ** 2 / LN2
     if not lt.hd:               # the uplink CCI at the CM-UEs, linear in p
         lin = lin + (np.abs(aux.beta1) ** 2 / LN2) @ (np.abs(lt.comp.ebar) ** 2).T
 
-    echo = float(np.sum(np.abs(sol.w @ echo_row(ch, sol.phi)) ** 2))
-    c8 = echo - sensing_floor(cfg, ch, np.zeros(l_n))
+    c8 = lt.echo - cfg.gamma_tar_linear * cfg.noise_irs_watt
     b9 = cfg.gamma_tar_linear * (np.abs(ch.g_au) ** 2).sum(axis=1)
     dw = lt.duplex              # HD links transmit half of the time
     return PowerCoeffs(b6=dw * b6, lin=dw * lin, b9=b9, c8=float(c8))
@@ -127,14 +122,14 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
     and ``evaluations``, the number of all-user solves: the one at mu = 0, one
     per root-find evaluation and the one at the returned mu.
 
-    Raises SensingInfeasibleError when c8 < 0 (no uplink power level can
+    Raises SensingInfeasible when c8 < 0 (no uplink power level can
     restore the sensing margin; the caller must fix phase/beams first).
     """
     l_n = coeffs.b6.shape[0]
     if l_n == 0:
         return np.zeros(0), np.zeros(0), {"mu": 0.0, "iterations": 0, "evaluations": 0}
     if coeffs.c8 < 0.0:
-        raise SensingInfeasibleError(f"sensing budget c8 = {coeffs.c8:.3e} < 0")
+        raise SensingInfeasible(f"sensing budget c8 = {coeffs.c8:.3e} < 0")
 
     t, zeta, e_max = cfg.coherence_time_s, cfg.zeta, cfg.e_max_array()
     f_coef = 1.0 / (cfg.eps_array() * cfg.bandwidth_hz)

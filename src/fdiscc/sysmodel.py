@@ -2,15 +2,16 @@
 
 This module owns the model every block optimizes: ``link_terms`` gives each
 user's desired amplitude and SINR denominator (interference, uplink CCI,
-residual SI, receiver noise); ``echo_row`` gives the echo power and
-``sensing_floor`` the echo power the radar constraint asks for.  On top of
-those: downlink, offloading and radar SINRs, local computation rate/energy,
-backhaul cost and the overall system utility (bits).
+residual SI, receiver noise) and the radar constraint's echo power,
+disturbance and floor, from which its ``LinkTerms`` read every SINR; and
+``SensingInfeasible`` is the one signal that the floor is out of reach.  On
+top of those: local computation rate/energy, backhaul cost and the overall
+system utility (bits).
 
 It is the one module that knows the target response G_s = eta a_active
 a_passive^H is rank one: G_s^H G_s = t^H t for the row t (``target_row``), so
 the echo power of the beams w_j at phases phi is sum_j |r w_j|^2 for the row
-r = (t o phi) G_t (``echo_row``), and no block forms G_s diag(phi) G_t.
+r = (t o phi) G_t (``Composite.r``), and no block forms G_s diag(phi) G_t.
 
 ``link_terms`` is where the duplex mode enters: it applies the HD rule (no
 CCI, no SI) and records the mode in its ``LinkTerms`` (``hd``, and
@@ -67,18 +68,31 @@ class Metrics:
     utility: float         # sum_bits - d_total
 
 
+class SensingInfeasible(Exception):
+    """The radar floor is out of reach: from every start, or in the transmit,
+    power or a phase step."""
+
+
 @dataclass(frozen=True)
 class Composite:
-    """phi-dependent effective channels: h (K, N_t) rows h_k, ebar (L, K), g (L, N_r)."""
+    """phi-dependent effective channels: h (K, N_t) rows h_k, ebar (L, K),
+    g (L, N_r) and the echo row r (N_t,)."""
 
     h: np.ndarray
     ebar: np.ndarray
     g: np.ndarray
+    r: np.ndarray
+
+
+def target_row(ch: ChannelSet) -> np.ndarray:
+    """t (M,) = a_active^H G_s / ||a_active||, so that G_s^H G_s = t^H t."""
+    return (ch.a_active.conj() @ ch.g_s) / np.linalg.norm(ch.a_active)
 
 
 def composite_channels(ch: ChannelSet, phi: np.ndarray) -> Composite:
     """h_k = h_pu_k^H diag(phi) G_t,  ebar_lk = e_lk + h_pu_k^H diag(phi) g_pu_l,
-    g_l = G_r^H diag(phi) g_pu_l."""
+    g_l = G_r^H diag(phi) g_pu_l,  r = (t o phi) G_t, for which
+    sum_j |r w_j|^2 = sum_j ||G_s diag(phi) G_t w_j||^2."""
     m = ch.g_t.shape[0]
     phi = np.asarray(phi)
     if phi.shape != (m,):
@@ -87,7 +101,8 @@ def composite_channels(ch: ChannelSet, phi: np.ndarray) -> Composite:
     h = hp @ ch.g_t                                  # (K, N_t)
     ebar = ch.e_direct + (hp @ ch.g_pu.T).T          # (L, K): e_lk + h_k^H Phi g_pu_l
     g = (ch.g_pu * phi[None, :]) @ ch.g_r.conj()     # (L, N_r): G_r^H diag(phi) g_pu_l
-    return Composite(h=h, ebar=ebar, g=g)
+    r = (target_row(ch) * phi) @ ch.g_t              # (N_t,): the echo row
+    return Composite(h=h, ebar=ebar, g=g, r=r)
 
 
 @dataclass(frozen=True)
@@ -100,7 +115,8 @@ class LinkTerms:
     Offloading, CP-UE l after combining with u_l: off_sig_l = sqrt(p_l) uamp_ll
     and off_den_l = sum_l' p_l' |uamp_ll'|^2 + si_l + noise_off_l, with
     uamp_ll' = u_l^H g_l'.  Under HD (``hd``) the uplink CCI and the residual
-    SI are zero; an all-zero combiner has off_den = 0 and SINR 0.
+    SI are zero; an all-zero combiner has off_den = 0 and SINR 0.  The radar
+    constraint is echo >= floor, i.e. r_tar >= Gamma.
     """
 
     comp: Composite
@@ -113,6 +129,9 @@ class LinkTerms:
     noise_off: np.ndarray  # (L,) ||u_l||^2 sigma_bs^2
     uamp: np.ndarray       # (L, L) complex
     hd: bool               # the duplex mode these terms were computed under
+    echo: float            # sum_j |r w_j|^2
+    disturbance: float     # sum_l p_l ||g_au,l||^2 + sigma_irs^2
+    floor: float           # Gamma disturbance
 
     @property
     def duplex(self) -> float:
@@ -130,10 +149,15 @@ class LinkTerms:
         return np.divide(sig, self.off_den - sig, out=np.zeros(sig.shape),
                          where=self.off_den > 0.0)
 
+    @property
+    def r_tar(self) -> float:
+        return self.echo / self.disturbance
+
 
 def link_terms(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
                hd: bool = False) -> LinkTerms:
-    """Every user's desired amplitude and SINR denominator at ``sol``."""
+    """Every user's desired amplitude and SINR denominator, and the radar
+    terms, at ``sol``."""
     comp = composite_channels(ch, sol.phi)
     k_n = comp.h.shape[0]
     amps = comp.h @ sol.w.T                          # [k, j] = h_k w_j
@@ -145,42 +169,15 @@ def link_terms(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
     si = np.zeros(l_n) if hd else np.sum(np.abs(sol.u.conj() @ ch.h_si @ sol.w.T) ** 2, axis=1)
     noise_off = np.sum(np.abs(sol.u) ** 2, axis=1) * cfg.noise_bs_watt
     off_den = np.abs(uamp) ** 2 @ sol.p + si + noise_off
+
+    echo = float(np.sum(np.abs(sol.w @ comp.r) ** 2))
+    disturbance = float(sol.p @ (np.abs(ch.g_au) ** 2).sum(axis=1)) + cfg.noise_irs_watt
     return LinkTerms(
         comp=comp, com_sig=np.diagonal(amps, 1), com_den=com_den,
         cci=cci, off_sig=np.sqrt(sol.p) * np.diagonal(uamp), off_den=off_den, si=si,
-        noise_off=noise_off, uamp=uamp, hd=hd,
+        noise_off=noise_off, uamp=uamp, hd=hd, echo=echo, disturbance=disturbance,
+        floor=cfg.gamma_tar_linear * disturbance,
     )
-
-
-def target_row(ch: ChannelSet) -> np.ndarray:
-    """t (M,) = a_active^H G_s / ||a_active||, so that G_s^H G_s = t^H t."""
-    return (ch.a_active.conj() @ ch.g_s) / np.linalg.norm(ch.a_active)
-
-
-def echo_row(ch: ChannelSet, phi: np.ndarray) -> np.ndarray:
-    """r (N_t,) = (t o phi) G_t: sum_j |r w_j|^2 = sum_j ||G_s diag(phi) G_t w_j||^2."""
-    return (target_row(ch) * phi) @ ch.g_t
-
-
-def _echo_disturbance(cfg: SystemConfig, ch: ChannelSet, p: np.ndarray) -> float:
-    """Uplink interference plus noise at the sensing elements."""
-    interf = float(p @ (np.abs(ch.g_au) ** 2).sum(axis=1)) if p.size else 0.0
-    return interf + cfg.noise_irs_watt
-
-
-def sensing_floor(cfg: SystemConfig, ch: ChannelSet, p: np.ndarray) -> float:
-    """Echo power the radar SINR constraint asks for at uplink powers p:
-    Gamma (sum_l p_l ||g_au,l||^2 + sigma_irs^2)."""
-    return cfg.gamma_tar_linear * _echo_disturbance(cfg, ch, p)
-
-
-def radar_sinr(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
-               p: np.ndarray | None = None) -> float:
-    """Echo power through the cascaded path over uplink interference plus
-    sensing noise."""
-    p = sol.p if p is None else np.asarray(p, float)
-    echo = float(np.sum(np.abs(sol.w @ echo_row(ch, sol.phi)) ** 2))
-    return echo / _echo_disturbance(cfg, ch, p)
 
 
 def local_rate_energy(f_l: float, eps_l: float, t: float, zeta: float) -> tuple[float, float]:
@@ -224,13 +221,12 @@ def utility(sol: Solution, ch: ChannelSet, cfg: SystemConfig, hd: bool = False, 
     eps = cfg.eps_array()
     rate_loc = sol.f / eps if l_n else np.zeros(0)
     energy_loc = t * cfg.zeta * sol.f ** 3 if l_n else np.zeros(0)
-    r_tar = radar_sinr(sol, ch, cfg)
     if d_total is None:
         d_total = backhaul_cost(sol.e, cfg.cache, t, l_n)
     sum_bits = t * (rate_com.sum() + rate_off.sum() + rate_loc.sum())
     return Metrics(
         r_com=r_com, rate_com=rate_com, r_off=r_off, rate_off=rate_off,
-        r_tar=r_tar, rate_loc=rate_loc, energy_loc=energy_loc,
+        r_tar=lt.r_tar, rate_loc=rate_loc, energy_loc=energy_loc,
         d_total=d_total, sum_bits=sum_bits, utility=sum_bits - d_total,
     )
 
@@ -240,14 +236,15 @@ def cache_residual(e: np.ndarray, cache_cfg) -> float:
     return float(e @ cache_cfg.lengths_array() - cache_cfg.capacity)
 
 
-def residuals(sol: Solution, ch: ChannelSet, cfg: SystemConfig, *,
+def residuals(sol: Solution, cfg: SystemConfig, lt: LinkTerms, *,
               res_cache: float | None = None) -> dict[str, float]:
-    """Signed constraint residuals; positive means violated.  ``res_cache``,
-    when given, is ``cache_residual`` of ``sol.e``."""
+    """Signed constraint residuals; positive means violated.  ``lt`` is the
+    ``link_terms`` of ``sol``, and ``res_cache``, when given, is
+    ``cache_residual`` of ``sol.e``."""
     t = cfg.coherence_time_s
     power = float(np.sum(np.abs(sol.w) ** 2) - cfg.p_bs_watt)
     gamma = cfg.gamma_tar_linear
-    radar = float(gamma - radar_sinr(sol, ch, cfg)) / gamma
+    radar = float(gamma - lt.r_tar) / gamma
     modulus = float(np.max(np.abs(np.abs(sol.phi) - 1.0))) if sol.phi.size else 0.0
     if sol.p.size:
         energy = float(np.max(t * sol.p + t * cfg.zeta * sol.f ** 3 - cfg.e_max_array()))

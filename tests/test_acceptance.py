@@ -21,7 +21,7 @@ from fdiscc.channels import draw_channels
 from fdiscc.config import CacheConfig, db2lin, dbm2watt, desk_config, paper_config, with_overrides
 from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, RunOptions,
                                  echo_aligned_phases, evaluate_baseline, run)
-from fdiscc.sysmodel import backhaul_cost, link_terms, utility
+from fdiscc.sysmodel import SensingInfeasible, backhaul_cost, link_terms, utility
 from fdiscc.wmmse import update_aux
 
 from conftest import make_solution
@@ -201,7 +201,7 @@ def test_criterion_6_sdr_quality():
             res = beamforming.solve_tx_sdr(coeffs, cfg)
             w = beamforming.gaussian_randomize(res.blocks, coeffs, cfg, 200,
                                                np.random.default_rng(seed))
-        except beamforming.SdrInfeasibleError:
+        except SensingInfeasible:
             continue
         bound = beamforming.sdr_bound(coeffs, res)
         gaps.append((bound - beamforming.tx_objective(coeffs, w))

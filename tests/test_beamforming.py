@@ -3,15 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fdiscc.beamforming import (SdrInfeasibleError, assemble_rx_coeffs,
-                                assemble_tx_coeffs, gaussian_randomize,
-                                optimize_rx, optimize_tx, radar_power,
-                                rx_objective, sdr_bound, solve_rx, solve_tx,
-                                solve_tx_sdr, tx_objective)
+from fdiscc.beamforming import (assemble_rx_coeffs, assemble_tx_coeffs,
+                                gaussian_randomize, optimize_rx, optimize_tx,
+                                radar_power, rx_objective, sdr_bound, solve_rx,
+                                solve_tx, solve_tx_sdr, tx_objective)
 from fdiscc.channels import draw_channels
 from fdiscc.config import db2lin, desk_config, paper_config
 from fdiscc.orchestrator import echo_aligned_phases
-from fdiscc.sysmodel import composite_channels, link_terms
+from fdiscc.sysmodel import SensingInfeasible, composite_channels, link_terms
 from fdiscc.wmmse import surrogate_sum, surrogates, update_aux
 
 from conftest import make_solution
@@ -133,7 +132,7 @@ class TestSolveTxSdr:
         _, coeffs = tx_setup
         lam_max = float(np.linalg.norm(coeffs.d) ** 2)
         bad = dataclasses.replace(coeffs, b0=small_cfg.p_bs_watt * lam_max * 2.0)
-        with pytest.raises(SdrInfeasibleError):
+        with pytest.raises(SensingInfeasible):
             solve_tx_sdr(bad, small_cfg)
 
     def test_interference_free_single_user_matches_mrt_grid(self):
@@ -287,7 +286,7 @@ class TestSolveTx:
         _, coeffs = tx_setup
         lam_max = float(np.linalg.norm(coeffs.d) ** 2)
         bad = dataclasses.replace(coeffs, b0=small_cfg.p_bs_watt * lam_max * 1.01)
-        with pytest.raises(SdrInfeasibleError):
+        with pytest.raises(SensingInfeasible):
             solve_tx(bad)
 
     def test_repeated_calls_bit_identical(self, tx_setup):
@@ -318,7 +317,7 @@ class TestSdrQuality:
                 res = solve_tx_sdr(coeffs, cfg)
                 w = gaussian_randomize(res.blocks, coeffs, cfg, 200,
                                        np.random.default_rng(seed))
-            except SdrInfeasibleError:
+            except SensingInfeasible:
                 continue
             bound = sdr_bound(coeffs, res)
             achieved = tx_objective(coeffs, w)

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,11 @@ class TestSweepSpec:
             SweepSpec(parameter="p_bs_watt", values=(-1.0,)).validate()
         with pytest.raises(ConfigError):
             SweepSpec(parameter="m_passive", values=(2.5,)).validate()
+
+    def test_seed_base_and_max_iter_ranges(self):
+        for bad in ({"seed_base": -1}, {"max_iter": 0}):
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                SweepSpec(parameter="m_passive", values=(8,), **bad).validate()
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -335,11 +341,21 @@ class TestCli:
         ("sweep", "values", {"parameter": "m_passive", "values": 5}),
         ("sweep", "values", {"parameter": "m_passive", "values": ["a"]}),
         ("sweep", "n_seeds", {"parameter": "m_passive", "values": [8], "n_seeds": "2"}),
+        ("run", "p_bs_watt", {"p_bs_watt": math.nan}),
+        ("run", "eta_rt", {"eta_rt": math.nan}),
+        ("run", "p_bs_watt", {"p_bs_watt": 10 ** 400}),
+        ("run", "user_x_range", {"geometry": {"user_x_range": [-math.inf, 10]}}),
+        ("run", "lengths", {"cache": {"lengths": math.inf}}),
+        ("sweep", "values", {"parameter": "p_bs_watt", "values": [math.nan]}),
+        ("sweep", "p_bs_watt", {"parameter": "m_passive", "values": [8],
+                                "base_config": {"p_bs_watt": math.nan}}),
     ], ids=["n_tx-str", "n_files-str", "seed-float", "values-scalar", "values-str",
-            "n_seeds-str"])
+            "n_seeds-str", "p_bs-nan", "eta_rt-nan", "p_bs-beyond-float", "user-x-neg-inf",
+            "lengths-inf", "values-nan", "base-p_bs-nan"])
     def test_wrongly_typed_value_exit_code_2(self, tmp_path, command, key, body):
         # exit code 1 means a sensing-infeasible scenario; a bad file is a
-        # config error that names its key
+        # config error that names its key. JSON's NaN and Infinity are not
+        # finite numbers.
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(body))
         flag = "--config" if command == "run" else "--spec"
@@ -363,6 +379,29 @@ class TestCli:
         r = run_cli(["run", "--config", str(path), "--out", str(tmp_path / "o")], tmp_path)
         assert r.returncode == 2, r.stderr
         assert key in r.stderr and "eta_rt" not in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("args, body, key", [
+        (["run", "--seed", "-3"], None, "seed"),
+        (["run", "--config"], {"seed": -1}, "seed"),
+        (["sweep", "--spec"], {"parameter": "m_passive", "values": [8], "seed_base": -5},
+         "seed_base"),
+        (["run", "--max-iter", "0"], None, "--max-iter"),
+        (["run", "--max-iter", "-1"], None, "--max-iter"),
+        (["sweep", "--spec"], {"parameter": "m_passive", "values": [8], "max_iter": 0},
+         "max_iter"),
+    ], ids=["run-seed-flag", "run-seed-file", "sweep-seed-base", "run-max-iter-0",
+            "run-max-iter-neg", "sweep-max-iter-0"])
+    def test_negative_seed_or_no_iteration_exit_code_2(self, tmp_path, args, body, key):
+        # a negative seed has no random stream and max_iter < 1 runs no
+        # iteration: both are config errors, not scenarios
+        if body is not None:
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps(body))
+            args = [*args, str(path)]
+        r = run_cli([*args, "--out", str(tmp_path / "o")], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert key in r.stderr
         assert "Traceback" not in r.stderr
 
     @pytest.mark.parametrize("command", ["run", "sweep"])

@@ -7,10 +7,9 @@ from fdiscc import cacheopt, sysmodel
 from fdiscc.channels import draw_channels
 from fdiscc.config import desk_config, with_overrides
 from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, SCHEMES, RunOptions,
-                                 SensingInfeasible, echo_aligned_phases,
-                                 evaluate_baseline, fixed_phase_heuristic,
-                                 initialize, result_to_json, run)
-from fdiscc.sysmodel import radar_sinr, residuals, utility
+                                 echo_aligned_phases, evaluate_baseline,
+                                 fixed_phase_heuristic, initialize, result_to_json, run)
+from fdiscc.sysmodel import SensingInfeasible, link_terms, residuals, utility
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +38,7 @@ class TestInitialize:
             cfg = desk_config(seed=seed)
             ch = draw_channels(cfg)
             sol = initialize(cfg, ch, np.random.default_rng([seed, 101]))
-            res = residuals(sol, ch, cfg)
+            res = residuals(sol, cfg, link_terms(sol, ch, cfg))
             assert res["power"] <= 1e-9
             assert res["radar"] <= 1e-9
             assert res["modulus"] <= 1e-9
@@ -50,7 +49,7 @@ class TestInitialize:
         cfg, ch = desk
         cfg0 = with_overrides(cfg, gamma_tar_linear=1e-30)
         sol = initialize(cfg0, ch, np.random.default_rng(0))
-        assert radar_sinr(sol, ch, cfg0) >= 1e-30
+        assert link_terms(sol, ch, cfg0).r_tar >= 1e-30
 
     def test_impossible_threshold_raises(self, desk):
         cfg, ch = desk
@@ -66,6 +65,11 @@ class TestInitialize:
 
 
 class TestRun:
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="max_iter"):
+            RunOptions(max_iter=max_iter)
+
     def test_converges_and_monotone(self, desk, desk_result):
         res = desk_result
         assert res.status == CONVERGED
@@ -122,7 +126,8 @@ class TestRun:
         ch = draw_channels(cfg)
         res = run(cfg, ch, RunOptions(max_iter=3))
         assert res.status != INFEASIBLE_SENSING
-        assert max(residuals(res.solution, ch, cfg).values()) <= 1e-6
+        lt = link_terms(res.solution, ch, cfg)
+        assert max(residuals(res.solution, cfg, lt).values()) <= 1e-6
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_cache_solved_at_most_once(self, desk, monkeypatch, scheme):

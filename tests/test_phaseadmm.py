@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from fdiscc import conic, orchestrator
 from fdiscc.channels import draw_channels
 from fdiscc.config import db2lin, desk_config, paper_config
-from fdiscc.phaseadmm import (AdmmState, LinearRadar, PhaseCoeffs, PhaseStepInfeasible,
-                              admm_phi_step, assemble_phase_coeffs, dual_step,
-                              echo_power, mm_linearize_radar, optimize_phase,
-                              psi_step, surrogate_value)
-from fdiscc.sysmodel import link_terms, radar_sinr
+from fdiscc.phaseadmm import (AdmmState, LinearRadar, PhaseCoeffs, admm_phi_step,
+                              assemble_phase_coeffs, dual_step, echo_power,
+                              mm_linearize_radar, optimize_phase, psi_step,
+                              surrogate_value)
+from fdiscc.sysmodel import SensingInfeasible, link_terms
 from fdiscc.wmmse import surrogate_sum, update_aux
 
 from conftest import make_solution
@@ -61,9 +61,7 @@ class TestAssemble:
         for _ in range(5):
             phi = np.exp(1j * rng.uniform(0, 2 * np.pi, small_cfg.m_passive))
             sol = uplink_sol.copy_with(phi=phi)
-            den = float(sol.p @ (np.abs(small_ch.g_au) ** 2).sum(axis=1)) \
-                + small_cfg.noise_irs_watt
-            expected = radar_sinr(sol, small_ch, small_cfg) * den
+            expected = link_terms(sol, small_ch, small_cfg).echo
             assert echo_power(coeffs, phi) == pytest.approx(expected, rel=1e-12)
 
     def test_echo_rows_match_dense_t0(self, small_cfg, small_ch, uplink_sol):
@@ -253,7 +251,7 @@ class TestPhiStep:
         m = coeffs.t12_vec.shape[0]
         state = AdmmState(phi=np.ones(m, complex), psi=np.ones(m, complex),
                           lam=np.zeros(m, complex), rho=1.0)
-        with pytest.raises(PhaseStepInfeasible):
+        with pytest.raises(SensingInfeasible):
             admm_phi_step(coeffs, state, LinearRadar(d=np.zeros(m, complex), e=1.0))
 
 

@@ -7,10 +7,10 @@ import pytest
 
 from fdiscc.config import desk_config
 from fdiscc.channels import draw_channels
-from fdiscc.powercomp import (PowerCoeffs, SensingInfeasibleError, _user_solve,
+from fdiscc.powercomp import (PowerCoeffs, _user_solve,
                               assemble_power_coeffs, optimize_power,
                               power_objective, solve_power_compute)
-from fdiscc.sysmodel import link_terms
+from fdiscc.sysmodel import SensingInfeasible, link_terms
 from fdiscc.wmmse import surrogates, update_aux
 
 from conftest import make_solution
@@ -202,7 +202,7 @@ class TestSolve:
     def test_infeasible_budget_raises(self, small_cfg, pc_setup):
         _, coeffs = pc_setup
         bad = dataclasses.replace(coeffs, c8=-1.0)
-        with pytest.raises(SensingInfeasibleError):
+        with pytest.raises(SensingInfeasible):
             solve_power_compute(bad, small_cfg)
 
     def test_matches_grid_oracle(self, small_cfg, small_ch):

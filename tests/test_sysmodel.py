@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from fdiscc import beamforming, orchestrator, phaseadmm, powercomp
 from fdiscc.channels import draw_channels
-from fdiscc.config import desk_config
-from fdiscc.sysmodel import (Solution, backhaul_cost, composite_channels,
-                             echo_row, link_terms, local_rate_energy,
-                             radar_sinr, residuals, sensing_floor, target_row, utility)
+from fdiscc.config import desk_config, with_overrides
+from fdiscc.sysmodel import (SensingInfeasible, Solution, backhaul_cost, composite_channels,
+                             link_terms, local_rate_energy, residuals, target_row, utility)
+from fdiscc.wmmse import update_aux
 
 from conftest import make_solution
 
@@ -94,11 +97,11 @@ class TestSinrs:
         sol = Solution(w=w0[None, :], u=np.zeros((0, cfg.n_rx), complex), phi=phi,
                        f=np.zeros(0), p=np.zeros(0), e=np.zeros(cfg.cache.n_files))
         expected = np.linalg.norm((ch.g_s * phi[None, :]) @ ch.g_t @ w0) ** 2 / cfg.noise_irs_watt
-        assert radar_sinr(sol, ch, cfg) == pytest.approx(expected, rel=1e-12)
+        assert link_terms(sol, ch, cfg).r_tar == pytest.approx(expected, rel=1e-12)
 
     def test_radar_zero_beams(self, small_cfg, small_ch, rand_sol):
         sol = rand_sol.copy_with(w=np.zeros_like(rand_sol.w))
-        assert radar_sinr(sol, small_ch, small_cfg) == 0.0
+        assert link_terms(sol, small_ch, small_cfg).r_tar == 0.0
 
     def test_radar_monte_carlo(self, small_cfg, small_ch, rand_sol):
         rng = np.random.default_rng(3)
@@ -110,7 +113,7 @@ class TestSinrs:
             acc += np.mean(np.abs(s) ** 2) * np.linalg.norm(cascade @ rand_sol.w[j]) ** 2
         den = float(rand_sol.p @ (np.abs(small_ch.g_au) ** 2).sum(axis=1)) + small_cfg.noise_irs_watt
         mc = acc / den
-        assert mc == pytest.approx(radar_sinr(rand_sol, small_ch, small_cfg), rel=0.01)
+        assert mc == pytest.approx(link_terms(rand_sol, small_ch, small_cfg).r_tar, rel=0.01)
 
     def test_offload_no_downlink(self):
         cfg = desk_config(m_passive=4, m_active=2, n_cm=0, n_cp=1, seed=6)
@@ -160,8 +163,7 @@ class TestSinrs:
         m1, m2 = utility(rand_sol, small_ch, small_cfg), utility(sol2, small_ch, small_cfg)
         for k in range(small_cfg.n_cm):
             assert m2.r_com[k] == pytest.approx(m1.r_com[k], rel=1e-12)
-        assert radar_sinr(sol2, small_ch, small_cfg) == pytest.approx(
-            radar_sinr(rand_sol, small_ch, small_cfg), rel=1e-12)
+        assert m2.r_tar == pytest.approx(m1.r_tar, rel=1e-12)
         for l in range(small_cfg.n_cp):
             assert m2.r_off[l] == pytest.approx(m1.r_off[l], rel=1e-12)
 
@@ -227,7 +229,7 @@ class TestLinkTerms:
         if case == "zero-power":
             assert np.all(lt.off_sig == 0.0) and np.all(lt.r_off == 0.0)
 
-    def test_echo_row_and_sensing_floor(self, small_cfg, small_ch, rand_sol):
+    def test_radar_terms_match_dense_cascade(self, small_cfg, small_ch, rand_sol):
         # the rank-one rows against the dense M_a x M target response, with one,
         # a few and the paper's number of sensing elements
         for m_a in (1, 4, 10):
@@ -237,19 +239,57 @@ class TestLinkTerms:
             t, gram = target_row(ch), ch.g_s.conj().T @ ch.g_s
             assert np.linalg.norm(np.outer(t.conj(), t) - gram) <= 1e-12 * np.linalg.norm(gram)
             cascade = ch.g_s @ np.diag(sol.phi) @ ch.g_t
+            r, echo_gram = composite_channels(ch, sol.phi).r, cascade.conj().T @ cascade
+            assert np.linalg.norm(np.outer(r.conj(), r) - echo_gram) \
+                <= 1e-12 * np.linalg.norm(echo_gram)
             dense = sum(np.linalg.norm(cascade @ w) ** 2 for w in sol.w)
-            echo = float(np.sum(np.abs(sol.w @ echo_row(ch, sol.phi)) ** 2))
-            assert echo == pytest.approx(dense, rel=1e-12)
+            disturbance = sum(sol.p[l] * np.linalg.norm(ch.g_au[l]) ** 2
+                              for l in range(cfg.n_cp)) + cfg.noise_irs_watt
+            lt = link_terms(sol, ch, cfg)
+            assert lt.echo == pytest.approx(dense, rel=1e-12)
+            assert lt.disturbance == pytest.approx(disturbance, rel=1e-12)
+            assert lt.floor == pytest.approx(cfg.gamma_tar_linear * disturbance, rel=1e-12)
+            assert lt.r_tar == pytest.approx(dense / disturbance, rel=1e-12)
         direct = small_ch.g_s @ np.diag(rand_sol.phi) @ small_ch.g_t
         interf = sum(rand_sol.p[l] * np.linalg.norm(small_ch.g_au[l]) ** 2
                      for l in range(small_cfg.n_cp))
-        floor = sensing_floor(small_cfg, small_ch, rand_sol.p)
+        lt = link_terms(rand_sol, small_ch, small_cfg)
+        floor = lt.floor
         assert floor == pytest.approx(
             small_cfg.gamma_tar_linear * (interf + small_cfg.noise_irs_watt), rel=1e-12)
         # the radar SINR meets Gamma exactly when the echo power meets the floor
         echo = float(np.sum(np.abs(direct @ rand_sol.w.T) ** 2))
-        assert radar_sinr(rand_sol, small_ch, small_cfg) == pytest.approx(
+        assert lt.r_tar == pytest.approx(
             small_cfg.gamma_tar_linear * echo / floor, rel=1e-12)
+
+
+class TestSensingInfeasible:
+    @pytest.mark.parametrize("site", ["initialize", "solve_tx", "solve_power_compute",
+                                      "admm_phi_step"])
+    def test_every_raise_site_raises_it(self, small_cfg, small_ch, rand_sol, site):
+        # an unreachable floor at each place that can meet one
+        lt = link_terms(rand_sol, small_ch, small_cfg)
+        aux = update_aux(lt)
+        args = (rand_sol, small_ch, aux, small_cfg, lt)
+        m = small_cfg.m_passive
+        tx = beamforming.assemble_tx_coeffs(*args)
+        calls = {
+            "initialize": lambda: orchestrator.initialize(
+                with_overrides(small_cfg, gamma_tar_linear=1e12), small_ch,
+                np.random.default_rng(0)),
+            "solve_tx": lambda: beamforming.solve_tx(dataclasses.replace(
+                tx, b0=2.0 * tx.p_bs * float(np.vdot(tx.d, tx.d).real))),
+            "solve_power_compute": lambda: powercomp.solve_power_compute(
+                dataclasses.replace(powercomp.assemble_power_coeffs(*args), c8=-1.0),
+                small_cfg),
+            "admm_phi_step": lambda: phaseadmm.admm_phi_step(
+                phaseadmm.assemble_phase_coeffs(*args),
+                phaseadmm.AdmmState(phi=rand_sol.phi, psi=rand_sol.phi,
+                                    lam=np.zeros(m, complex), rho=1.0),
+                phaseadmm.LinearRadar(d=np.zeros(m, complex), e=1.0)),
+        }
+        with pytest.raises(SensingInfeasible):
+            calls[site]()
 
 
 class TestLocalAndCost:
@@ -345,7 +385,7 @@ class TestUtility:
         assert np.allclose(hd.rate_loc, fd.rate_loc)
 
     def test_residual_signs(self, small_cfg, small_ch, rand_sol):
-        res = residuals(rand_sol, small_ch, small_cfg)
+        res = residuals(rand_sol, small_cfg, link_terms(rand_sol, small_ch, small_cfg))
         assert res["power"] <= 0.0       # built inside the budget
         assert res["energy"] <= 1e-9
         assert res["modulus"] <= 1e-12
