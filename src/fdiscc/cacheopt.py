@@ -1,14 +1,23 @@
-"""Optimal caching probabilities: an exact fractional-knapsack solve.
+"""Cache placement: the exact fractional-knapsack optimum, the random
+baseline, and the sums that price a placement.
 
 The cache placement LP (minimize uncached popularity mass subject to the
 capacity budget and box bounds) is solved by greedy loading in decreasing
 popularity-per-byte order, which is optimal for this structure; optimality is
 certified through the knapsack dual price.
+
+Catalogue-sized work is done once per cache config, not once per priced
+cell: ``catalogue`` keeps the last config's read-only popularity and file
+lengths, and ``solve_caching`` its solution, with the uncached mass and cache
+residual that pricing reads. ``empty_placement`` is one shared read-only
+all-zero placement, whose mass (exactly 1) and residual (exactly -F) need no
+pass at all, so only a random draw costs catalogue-sized passes per cell.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,19 +27,30 @@ from .config import CacheConfig
 
 @dataclass(frozen=True)
 class CacheSolution:
-    e: np.ndarray          # placement in [0, 1] per file
+    e: np.ndarray          # read-only placement in [0, 1] per file
     objective: float       # sum_v (1 - e_v) * c_v, see uncached_mass
     dual_price: float      # marginal popularity per unit of capacity
     duality_gap: float     # certified optimality gap (should be ~0)
+    residual: float = math.nan  # cache_residual of e; NaN on a record built without it
+
+
+@dataclass(frozen=True)
+class Catalogue:
+    """Read-only per-file arrays of one cache config."""
+
+    c: np.ndarray          # Zipf popularity, see zipf_popularity
+    q: np.ndarray          # file lengths (bits)
 
 
 @functools.lru_cache(maxsize=1)
 def zipf_weights(n_files: int, skew: float) -> np.ndarray:
     """Unnormalised Zipf weights w_v = v^-skew, v = 1..V, as a read-only array.
 
-    The last (n_files, skew) is cached: the backhaul cost needs the weights on
-    every utility evaluation, while a run keeps one catalogue. One entry, since
-    four raised the peak memory of a 1e5-file sweep by 0.5 MB."""
+    The last (n_files, skew) is cached: ``catalogue`` is built from it, and
+    every dense ``uncached_mass`` (a knapsack solve's, a random draw's, one
+    under per-file prices) reads it. One entry, since a sweep runs the cells
+    of one cache config together, and each entry holds a catalogue-sized
+    array (0.8 MB at 1e5 files)."""
     if n_files < 1:
         raise ValueError("n_files must be >= 1")
     weights = np.arange(1, n_files + 1, dtype=float) ** (-skew)
@@ -44,17 +64,42 @@ def zipf_popularity(n_files: int, skew: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-def uncached_mass(e: np.ndarray, skew: float, scale: np.ndarray | float = 1.0) -> float:
-    """sum_v s_v (1 - e_v) c_v with per-file weights s = ``scale``.
+@functools.lru_cache(maxsize=1)
+def catalogue(cache_cfg: CacheConfig) -> Catalogue:
+    """The popularity and the file lengths of the last cache config asked
+    for, as read-only arrays; one entry, as for ``zipf_weights``."""
+    c, q = zipf_popularity(cache_cfg.n_files, cache_cfg.skew), cache_cfg.lengths_array()
+    c.flags.writeable = q.flags.writeable = False
+    return Catalogue(c=c, q=q)
+
+
+def uncached_mass(e: np.ndarray, skew: float, scale: np.ndarray | None = None) -> float:
+    """sum_v s_v (1 - e_v) c_v with per-file weights s = ``scale`` (1 if None).
 
     Evaluated as sum_v s_v (1 - e_v) w_v / sum_v w_v on the unnormalised
     weights: the normalised c need not sum to exactly 1 in floating point
     (it is 1 + 2e-16 at some skews), so with s = 1 this gives exactly 1.0 at
     e = 0 and exactly 0.0 at e = 1 for every skew.
     """
-    e = np.asarray(e, float)
-    w = zipf_weights(e.size, skew)
-    return float(np.sum(scale * (1.0 - e) * w) / w.sum())
+    uncached = 1.0 - np.asarray(e, float)
+    w = zipf_weights(uncached.size, skew)
+    if scale is not None:
+        uncached *= scale
+    uncached *= w
+    return float(uncached.sum() / w.sum())
+
+
+def cache_residual(e: np.ndarray, cache_cfg: CacheConfig) -> float:
+    """Cache load of placement ``e`` minus the cache capacity."""
+    return float(e @ catalogue(cache_cfg).q - cache_cfg.capacity)
+
+
+@functools.lru_cache(maxsize=1)
+def empty_placement(n_files: int) -> np.ndarray:
+    """The read-only all-zero placement (``no-caching``), shared by every caller."""
+    e = np.zeros(n_files)
+    e.flags.writeable = False
+    return e
 
 
 def first_k_stable(key: np.ndarray, k: int) -> np.ndarray:
@@ -78,6 +123,7 @@ def _reach(cap: float, q_min: float, n: int) -> int:
     return int(full) + 1 if full < n else n
 
 
+@functools.lru_cache(maxsize=1)
 def solve_caching(cache_cfg: CacheConfig) -> CacheSolution:
     """Exact LP optimum with at most one fractional placement.
 
@@ -86,9 +132,13 @@ def solve_caching(cache_cfg: CacheConfig) -> CacheSolution:
     are ordered: at most floor(F / q_min) load fully, and one more may load in
     part. The loading is the sequential left fold ``np.subtract.accumulate``
     of the capacity by the file lengths in that order.
+
+    The last cache config's solution is kept (one entry, in the idiom of
+    ``zipf_weights``), so the cells of one config share one solve; its ``e``
+    is read-only, since every caller gets the same array.
     """
-    c = zipf_popularity(cache_cfg.n_files, cache_cfg.skew)
-    q = cache_cfg.lengths_array()
+    cat = catalogue(cache_cfg)
+    c, q = cat.c, cat.q
     cap = float(cache_cfg.capacity)
     key = -c / q
 
@@ -121,13 +171,33 @@ def solve_caching(cache_cfg: CacheConfig) -> CacheSolution:
             order = first_k_stable(key, n_full + 1)
         v = order[n_full]
         marginal = float(c[v] / q[v])
+    e.flags.writeable = False
 
-    objective = uncached_mass(e, cache_cfg.skew)
     # LP duality on the equivalent max-form: value(mu) = mu*F + sum max(0, c - mu q)
     gained = float(e @ c)
     dual_value = marginal * cap + float(np.maximum(0.0, c - marginal * q).sum())
-    gap = dual_value - gained
-    return CacheSolution(e=e, objective=objective, dual_price=marginal, duality_gap=gap)
+    return CacheSolution(e=e, objective=uncached_mass(e, cache_cfg.skew),
+                         dual_price=marginal, duality_gap=dual_value - gained,
+                         residual=cache_residual(e, cache_cfg))
+
+
+def _load(q_order: np.ndarray, cap: float, q_min: float) -> tuple[np.ndarray, float]:
+    """Sequential 0/1 loading of files of lengths ``q_order`` into capacity
+    ``cap``, each placed if it fits and skipped if not, until less than
+    ``q_min`` is left: the mask of placed files and the capacity left. The
+    files between two skipped ones load in one left fold, of at most
+    floor(r / q_min) + 1 files from capacity r."""
+    placed = np.zeros(q_order.size, bool)
+    left, start = cap, 0
+    while start < q_order.size and left >= q_min:
+        head = q_order[start:start + _reach(left, q_min, q_order.size - start)]
+        remaining = np.subtract.accumulate(np.concatenate(([left], head)))
+        fits = head <= remaining[:-1]
+        n_fit = int(np.argmin(fits)) if not fits.all() else fits.size
+        placed[start:start + n_fit] = True
+        left = remaining[n_fit]
+        start += n_fit + (n_fit < head.size)   # past a file that does not fit
+    return placed, left
 
 
 def random_caching(cache_cfg: CacheConfig, rng: np.random.Generator) -> np.ndarray:
@@ -138,24 +208,18 @@ def random_caching(cache_cfg: CacheConfig, rng: np.random.Generator) -> np.ndarr
     now never fits later.  Only the head of the permutation that the loading
     reaches is ordered: floor(F / q_min) + 1 files, widened while files too
     large to fit leave room behind them."""
-    c = zipf_popularity(cache_cfg.n_files, cache_cfg.skew)
-    q = cache_cfg.lengths_array()
-    key = rng.exponential(size=c.size) / c
+    cat = catalogue(cache_cfg)
+    key = rng.exponential(size=cat.c.size)
+    key /= cat.c
     cap = float(cache_cfg.capacity)
-    q_min = float(q.min())
-    k = _reach(cap, q_min, c.size)
+    q_min = float(cat.q.min())
+    k = _reach(cap, q_min, key.size)
     while True:
-        placed, remaining = [], cap
         order = first_k_stable(key, k)
-        for v, q_v in zip(order.tolist(), q[order].tolist()):
-            if remaining < q_min:
-                break
-            if q_v <= remaining:
-                placed.append(v)
-                remaining -= q_v
-        if remaining < q_min or k >= c.size:
+        placed, left = _load(cat.q[order], cap, q_min)
+        if left < q_min or k >= key.size:
             break
         k *= 2
-    e = np.zeros_like(c)
-    e[placed] = 1.0
+    e = np.zeros(key.size)
+    e[order[placed]] = 1.0
     return e

@@ -213,7 +213,9 @@ def _cmd_selftest(args) -> int:
     check("monotone objective trace", mono)
 
     # the caching schemes differ only in the placement, which no block reads:
-    # one radio outcome, utilities apart by exactly their backhaul costs
+    # one radio outcome, utilities apart by exactly their backhaul costs, each
+    # checked against the dense sum over the placement (no ``mass`` given),
+    # not the uncached mass that pricing took from the placement rule
     def radio(r):
         return (r.status, r.iterations, r.metrics.sum_bits,
                 *(getattr(r.solution, name).tobytes() for name in ("w", "phi", "p")))

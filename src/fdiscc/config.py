@@ -101,6 +101,14 @@ class CacheConfig:
     skew: float = 1.4
     backhaul_rate: float | tuple[float, ...] = 1e8  # bit/s per CP-UE
 
+    def __hash__(self) -> int:
+        # the placement memos of ``cacheopt`` hash this record on every lookup,
+        # and the hash of a per-file tuple walks every file: hashed once
+        if "_hash" not in self.__dict__:
+            object.__setattr__(self, "_hash",
+                               hash(tuple(getattr(self, f.name) for f in fields(self))))
+        return self.__dict__["_hash"]
+
     def lengths_array(self) -> np.ndarray:
         return _broadcast(self.lengths, self.n_files, "lengths")
 
@@ -220,6 +228,8 @@ class SystemConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.cache.validate()
+        # one backhaul rate per CP-UE, which only this record knows the number of
+        _per_index(self.cache.backhaul_rate, self.n_cp, "backhaul_rate")
 
 
 def paper_config(**overrides) -> SystemConfig:

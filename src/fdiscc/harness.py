@@ -203,6 +203,9 @@ def run_sweep(spec: SweepSpec, base_cfg: SystemConfig | None = None,
     """Execute every (value, scheme, seed) cell; rows come back in a
     deterministic order regardless of worker scheduling.
 
+    A sweep shares two solves between its cells: a radio solve per radio key
+    and a cache knapsack per cache config.
+
     Cells that differ only in the cache share one radio solve (see
     ``orchestrator.run``): those of a ``skew`` or ``backhaul_rate`` sweep at one
     seed, and the ``proposed``, ``random-caching`` and ``no-caching`` cells of
@@ -214,7 +217,10 @@ def run_sweep(spec: SweepSpec, base_cfg: SystemConfig | None = None,
     them. A key's only cell runs as a plain ``run``, with no key lookups and no
     copies. Cells run in (value, scheme, seed) order, which keeps cells of one
     cache config together, so a sweep over a cache parameter with caching
-    schemes only holds at most ``n_seeds`` solves at a time.
+    schemes only holds at most ``n_seeds`` solves at a time, and the
+    ``proposed`` cells of one cache config read one knapsack solve, which
+    ``cacheopt.solve_caching`` keeps for the last config it saw in the
+    process (the first such cell's ``wall_time_s`` includes it).
 
     With ``workers > 1`` each key's cells form one task in a pool of spawned
     processes, at most one process per key, each started with one BLAS

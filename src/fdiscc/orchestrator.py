@@ -31,8 +31,8 @@ import numpy as np
 from . import beamforming, cacheopt, phaseadmm, powercomp, sysmodel, wmmse
 from .channels import ChannelSet
 from .config import CacheConfig, SystemConfig
-from .sysmodel import (Metrics, SensingInfeasible, Solution, cache_residual,
-                       composite_channels, link_terms, residuals, utility)
+from .sysmodel import (Metrics, SensingInfeasible, Solution, composite_channels,
+                       link_terms, residuals, utility)
 
 SCHEMES = ("proposed", "full-offloading", "fixed-phase", "hd",
            "random-caching", "no-caching")
@@ -227,12 +227,21 @@ def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
     return best
 
 
-def _cache_for_scheme(cfg: SystemConfig, scheme: str, rng: np.random.Generator) -> np.ndarray:
+def _cache_for_scheme(cfg: SystemConfig, scheme: str,
+                      rng: np.random.Generator) -> tuple[np.ndarray, float, float]:
+    """The scheme's placement, its uncached mass (``cacheopt.uncached_mass``)
+    and its cache residual: the knapsack's from its memo, the empty
+    placement's exact (mass 1, residual -F), and a random draw's from passes
+    over the draw."""
+    cache = cfg.cache
     if scheme == "no-caching":
-        return np.zeros(cfg.cache.n_files)
+        # 0.0 - F, as the dense 0.0 - F: -F would read -0.0 at F = 0
+        return cacheopt.empty_placement(cache.n_files), 1.0, 0.0 - cache.capacity
     if scheme == "random-caching":
-        return cacheopt.random_caching(cfg.cache, rng)
-    return cacheopt.solve_caching(cfg.cache).e
+        e = cacheopt.random_caching(cache, rng)
+        return e, cacheopt.uncached_mass(e, cache.skew), cacheopt.cache_residual(e, cache)
+    sol = cacheopt.solve_caching(cache)
+    return sol.e, sol.objective, sol.residual
 
 
 def radio_key(cfg: SystemConfig, scheme: str, max_iter: int) -> tuple:
@@ -339,10 +348,11 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
 def price(cfg: SystemConfig, radio: RadioSolve, scheme: str) -> RunResult:
     """The scheme's cache placement on a radio solve: its backhaul cost and
     cache residual are computed once and charged to the final metrics and to
-    every trace row, as ``utility = sum_bits - d_total``."""
-    e = _cache_for_scheme(cfg, scheme, np.random.default_rng([cfg.seed, 151]))
-    d_total = sysmodel.backhaul_cost(e, cfg.cache, cfg.coherence_time_s, cfg.n_cp)
-    res_cache = cache_residual(e, cfg.cache)
+    every trace row, as ``utility = sum_bits - d_total``. The placement comes
+    with its uncached mass and residual (``_cache_for_scheme``), so pricing a
+    knapsack or empty placement makes no pass over the catalogue."""
+    e, mass, res_cache = _cache_for_scheme(cfg, scheme, np.random.default_rng([cfg.seed, 151]))
+    d_total = sysmodel.backhaul_cost(e, cfg.cache, cfg.coherence_time_s, cfg.n_cp, mass)
     met = radio.metrics
     trace = tuple(replace(r, utility=r.utility - d_total, res_cache=res_cache)
                   for r in radio.rows)
@@ -368,7 +378,8 @@ def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions(),
     set object, reuses that solve instead of running the loop again, and a
     call that runs it stores it. This is exact because the radio solve reads
     neither ``cfg.cache`` nor the scheme's cache rule. A reused solve's arrays
-    are copied, so results never share mutable state.
+    are copied, so results share only read-only arrays: the knapsack's and
+    the empty placement.
     """
     cfg.validate()
     mode = RADIO_MODE[opts.scheme]

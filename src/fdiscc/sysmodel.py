@@ -35,7 +35,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .cacheopt import uncached_mass
+from .cacheopt import cache_residual, uncached_mass
 
 
 @dataclass(frozen=True)
@@ -185,21 +185,29 @@ def local_rate_energy(f_l: float, eps_l: float, t: float, zeta: float) -> tuple[
     return f_l / eps_l, t * zeta * f_l ** 3
 
 
-def backhaul_cost(e: np.ndarray, cache_cfg, t: float, n_cp: int) -> float:
+def backhaul_cost(e: np.ndarray, cache_cfg, t: float, n_cp: int,
+                  mass: float | None = None) -> float:
     """D_total = T sum_v rho_v (1 - e_v) c_v sum_l R_0l.
 
     The largest price rho_max is factored out, D_total =
     T rho_max [sum_v (rho_v / rho_max)(1 - e_v) c_v] sum_l R_0l, so that with a
     uniform price the bracket is exactly 1 at e = 0 and exactly 0 at e = 1:
     the no-cache cost is then exactly T rho sum_l R_0l whatever the skew.
+
+    With a uniform price the bracket is the uncached mass of ``e``
+    (``cacheopt.uncached_mass``), which a caller that holds it passes as
+    ``mass``; per-file prices always take the dense sum, and ``mass`` goes
+    unread.
     """
-    rho = cache_cfg.price_array()
-    r0 = cache_cfg.rate_array(n_cp)
+    rho = np.atleast_1d(np.asarray(cache_cfg.backhaul_price, float))   # not broadcast
     rho_max = float(rho.max())
     if rho_max == 0.0:
         return 0.0
-    mass = uncached_mass(e, cache_cfg.skew, rho / rho_max)
-    return float(t * rho_max * mass * r0.sum())
+    if rho.size > 1:
+        mass = uncached_mass(e, cache_cfg.skew, rho / rho_max)
+    elif mass is None:
+        mass = uncached_mass(e, cache_cfg.skew)
+    return float(t * rho_max * mass * cache_cfg.rate_array(n_cp).sum())
 
 
 def utility(sol: Solution, ch: ChannelSet, cfg: SystemConfig, hd: bool = False, *,
@@ -229,11 +237,6 @@ def utility(sol: Solution, ch: ChannelSet, cfg: SystemConfig, hd: bool = False, 
         r_tar=lt.r_tar, rate_loc=rate_loc, energy_loc=energy_loc,
         d_total=d_total, sum_bits=sum_bits, utility=sum_bits - d_total,
     )
-
-
-def cache_residual(e: np.ndarray, cache_cfg) -> float:
-    """Cache load of placement ``e`` minus the cache capacity."""
-    return float(e @ cache_cfg.lengths_array() - cache_cfg.capacity)
 
 
 def residuals(sol: Solution, cfg: SystemConfig, lt: LinkTerms, *,

@@ -1,11 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdiscc.cacheopt import (CacheSolution, first_k_stable, random_caching,
-                             solve_caching, uncached_mass, zipf_popularity,
-                             zipf_weights)
+from fdiscc.cacheopt import (CacheSolution, catalogue, empty_placement, first_k_stable,
+                             random_caching, solve_caching, uncached_mass,
+                             zipf_popularity, zipf_weights)
 from fdiscc.config import CacheConfig
 
 
@@ -328,3 +330,77 @@ class TestSelection:
             assert got[0] == 1.0
             widened += len(seen) > 1
         assert widened >= 10
+
+
+class TestMemo:
+    """``solve_caching`` keeps the last cache config's solution."""
+
+    BASE = CacheConfig(n_files=300, capacity=2.05e6,
+                       lengths=tuple(np.linspace(3e5, 2e4, 300).tolist()), skew=1.1)
+
+    @pytest.mark.parametrize("change", [
+        {"capacity": 3.35e6},
+        {"skew": 0.4},
+        {"lengths": 1e5},
+        {"backhaul_price": 2.5},
+    ], ids=["capacity", "skew", "lengths", "backhaul_price"])
+    def test_changed_config_gets_a_fresh_solve(self, change):
+        cfg = replace(self.BASE, **change)
+        base = solve_caching(self.BASE)
+        got = solve_caching(cfg)
+        assert got is not base
+        assert solve_caching(cfg) is got          # a repeated config is served
+        ref = _solve_caching_full_sort(cfg)
+        assert np.array_equal(got.e, ref.e)
+        assert (got.objective, got.dual_price, got.duality_gap) == \
+            (ref.objective, ref.dual_price, ref.duality_gap)
+        if "backhaul_price" not in change:        # the price does not move the knapsack
+            assert not np.array_equal(got.e, base.e)
+
+    def test_equal_config_records_share_one_solve(self):
+        a = solve_caching(self.BASE)
+        assert solve_caching(replace(self.BASE)) is a
+
+    def test_placement_read_only(self):
+        sol = solve_caching(self.BASE)
+        assert not sol.e.flags.writeable
+        with pytest.raises(ValueError):
+            sol.e[0] = 0.5
+        cat = catalogue(self.BASE)
+        empty = empty_placement(7)
+        for arr in (cat.c, cat.q, empty):
+            assert not arr.flags.writeable
+        assert np.array_equal(empty, np.zeros(7))
+
+    def test_equal_by_repr_with_and_without_clearing(self):
+        cfgs = [self.BASE, replace(self.BASE, skew=0.4), self.BASE,
+                replace(self.BASE, capacity=0.0), self.BASE]
+        kept = [repr(solve_caching(cfg)) for cfg in cfgs]
+        cleared = []
+        for cfg in cfgs:
+            solve_caching.cache_clear()
+            catalogue.cache_clear()
+            cleared.append(repr(solve_caching(cfg)))
+        assert kept == cleared
+
+    def test_per_file_tuple_hashed_once_per_config(self):
+        # every memo lookup hashes the config, which hashes a per-file tuple
+        # by walking every file: that is done once per config record
+        class Counted(tuple):
+            calls = 0
+
+            def __hash__(self):
+                Counted.calls += 1
+                return tuple.__hash__(self)
+
+        cfg = CacheConfig(n_files=300, capacity=2.05e6, skew=1.1,
+                          lengths=Counted(np.linspace(3e5, 2e4, 300).tolist()))
+        for seed in range(3):
+            solve_caching(cfg)
+            random_caching(cfg, np.random.default_rng(seed))
+        assert Counted.calls == 1
+
+    def test_residual_is_the_cache_residual(self):
+        for cfg, _ in _selection_instances(40, 8):
+            sol = solve_caching(cfg)
+            assert sol.residual == float(sol.e @ cfg.lengths_array() - cfg.capacity)

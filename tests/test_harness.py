@@ -16,6 +16,16 @@ from fdiscc.harness import (RUN_CSV_COLUMNS, SWEEP_CSV_COLUMNS, SweepSpec,
                             result_row, run_cell, run_sweep, write_csv)
 
 
+class TestValidate:
+    def test_backhaul_rate_one_per_cp_ue(self):
+        with pytest.raises(ConfigError, match="backhaul_rate"):
+            desk_config(cache=CacheConfig(backhaul_rate=(1e8, 1e8, 1e8)))
+        with pytest.raises(ConfigError, match="backhaul_rate"):
+            desk_config(n_cp=0, cache=CacheConfig(backhaul_rate=(1e8, 1e8)))
+        assert desk_config(cache=CacheConfig(backhaul_rate=(1e8, 2e8))).n_cp == 2
+        assert desk_config(n_cp=0, cache=CacheConfig(backhaul_rate=1e8)).n_cp == 0
+
+
 class TestSweepSpec:
     def test_load_and_validate(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -403,6 +413,24 @@ class TestCli:
         assert r.returncode == 2, r.stderr
         assert key in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_backhaul_rate_length_exit_code_2_before_any_solve(self, tmp_path, monkeypatch,
+                                                              capsys, command):
+        # one backhaul rate per CP-UE: another length is a config error, found
+        # before the first radio solve rather than by pricing after it
+        from fdiscc import cli, orchestrator
+        solves = []
+        monkeypatch.setattr(orchestrator, "solve_radio", lambda *a: solves.append(a))
+        cache = {"backhaul_rate": [1e8, 1e8, 1e8]}
+        body = ({"m_passive": 8, "cache": cache} if command == "run" else
+                {"parameter": "m_passive", "values": [8], "base_config": {"cache": cache}})
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(body))
+        flag = "--config" if command == "run" else "--spec"
+        assert cli.main([command, flag, str(path), "--out", str(tmp_path / "o")]) == 2
+        assert solves == []
+        assert "backhaul_rate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_missing_file_exit_code_2(self, tmp_path, command):

@@ -1,14 +1,16 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fdiscc import cacheopt, sysmodel
 from fdiscc.channels import draw_channels
-from fdiscc.config import desk_config, with_overrides
+from fdiscc.config import CacheConfig, desk_config, with_overrides
 from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, SCHEMES, RunOptions,
                                  echo_aligned_phases, evaluate_baseline,
-                                 fixed_phase_heuristic, initialize, result_to_json, run)
+                                 fixed_phase_heuristic, initialize, price, result_to_json,
+                                 run, solve_radio)
 from fdiscc.sysmodel import SensingInfeasible, link_terms, residuals, utility
 
 
@@ -278,6 +280,64 @@ class TestBaselines:
         for scheme in ("proposed", "random-caching", "no-caching"):
             util[scheme] = evaluate_baseline(cfg, ch, scheme).metrics.utility
         assert util["proposed"] >= util["random-caching"] >= util["no-caching"]
+
+
+class TestPricing:
+    CACHING = ("proposed", "random-caching", "no-caching")
+
+    @pytest.mark.parametrize("scheme", CACHING)
+    def test_per_file_prices_match_dense_cost(self, scheme):
+        # per-file prices take the dense sum T sum_v rho_v (1 - e_v) c_v sum_l R_0l
+        rng = np.random.default_rng(21)
+        v = 400
+        prices = tuple(rng.uniform(0.0, 3.0, v).tolist())
+        cache = CacheConfig(n_files=v, capacity=30 * 1e5, skew=0.9, backhaul_price=prices,
+                            lengths=tuple(rng.uniform(5e4, 2e5, v).tolist()),
+                            backhaul_rate=(1e8, 3e7))
+        cfg = desk_config(cache=cache, seed=2)
+        res = run(cfg, draw_channels(cfg), RunOptions(scheme=scheme, max_iter=1))
+        c = cacheopt.zipf_popularity(v, cache.skew)
+        dense = (cfg.coherence_time_s * np.sum(np.array(prices) * (1.0 - res.solution.e) * c)
+                 * (1e8 + 3e7))
+        assert res.metrics.d_total == pytest.approx(dense, rel=1e-12, abs=0.0)
+        assert res.metrics.utility == res.metrics.sum_bits - res.metrics.d_total
+
+    def test_equal_by_repr_with_and_without_clearing(self, desk):
+        from dataclasses import replace
+        cfg, ch = desk
+        cfgs = [cfg, with_overrides(cfg, cache=replace(cfg.cache, skew=0.7)), cfg]
+
+        def outcome(c, scheme):
+            res = run(c, ch, RunOptions(scheme=scheme, max_iter=2))
+            trace = [replace(row, wall_ms=0.0) for row in res.trace]
+            return repr((res.metrics, trace, res.solution.e))
+
+        kept = [outcome(c, s) for c in cfgs for s in self.CACHING]
+        cleared = []
+        for c in cfgs:
+            for s in self.CACHING:
+                cacheopt.solve_caching.cache_clear()
+                cacheopt.catalogue.cache_clear()
+                cacheopt.zipf_weights.cache_clear()
+                cleared.append(outcome(c, s))
+        assert kept == cleared
+
+    def test_knapsack_and_empty_placements_priced_without_catalogue_arrays(self):
+        # after one warm-up, the knapsack's price comes from its memo and the
+        # empty placement's is exact: no array of the catalogue's size is built
+        cache = CacheConfig(n_files=100_000, capacity=2000 * 1e5, lengths=1e5, skew=1.1)
+        cfg = desk_config(cache=cache, seed=1)
+        radio = solve_radio(cfg, draw_channels(cfg), "proposed", 1)
+        for scheme in ("proposed", "no-caching"):
+            price(cfg, radio, scheme)
+        tracemalloc.start()
+        try:
+            for scheme in ("proposed", "no-caching"):
+                price(cfg, radio, scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * cache.n_files
 
 
 class TestSerialization:

@@ -341,6 +341,29 @@ class TestLocalAndCost:
         assert backhaul_cost(e, cache, 1.0, 2) == pytest.approx(expected)
 
 
+    def test_backhaul_per_file_prices(self):
+        from fdiscc.cacheopt import uncached_mass, zipf_popularity
+        from fdiscc.config import CacheConfig
+        rng = np.random.default_rng(5)
+        prices = tuple(rng.uniform(0.0, 2.0, 50).tolist())
+        cache = CacheConfig(n_files=50, capacity=10.0, lengths=1.0, backhaul_price=prices,
+                            skew=0.8, backhaul_rate=(2.0, 5.0))
+        e = np.where(rng.random(50) < 0.3, 1.0, rng.random(50))
+        dense = 0.5 * np.sum(np.array(prices) * (1.0 - e) * zipf_popularity(50, 0.8)) * 7.0
+        cost = backhaul_cost(e, cache, 0.5, 2)
+        assert cost == pytest.approx(dense, rel=1e-12, abs=0.0)
+        # per-file prices take the dense sum: a placement's uniform-price mass goes unread
+        assert backhaul_cost(e, cache, 0.5, 2, uncached_mass(e, 0.8)) == cost
+
+    def test_backhaul_uniform_price_reads_given_mass(self, small_cfg):
+        from fdiscc.cacheopt import uncached_mass
+        cache = small_cfg.cache
+        e = np.linspace(0.0, 1.0, cache.n_files)
+        mass = uncached_mass(e, cache.skew)
+        assert backhaul_cost(e, cache, 1.0, 2, mass) == backhaul_cost(e, cache, 1.0, 2)
+        assert backhaul_cost(e, cache, 1.0, 2, 0.25) == pytest.approx(
+            0.25 * float(cache.backhaul_price) * 2 * float(cache.backhaul_rate), rel=1e-15)
+
 class TestUtility:
     def test_zero_solution_full_cache(self, small_cfg, small_ch):
         cfg, ch = small_cfg, small_ch
