@@ -74,7 +74,6 @@ def draw_channels(cfg: SystemConfig, rng_state=None) -> ChannelSet:
     """Draw one channel realization.  ``rng_state`` may be a seed or a
     Generator; by default cfg.seed is used, so equal configs give bitwise
     equal channel sets."""
-    cfg.validate()
     if rng_state is None:
         rng_state = cfg.seed
     rng = rng_state if isinstance(rng_state, np.random.Generator) else np.random.default_rng(rng_state)

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import harness, orchestrator
 from .channels import draw_channels
-from .config import ConfigError, desk_config, load_config, paper_config, with_overrides
+from .config import ConfigError, desk_config, load_config, paper_config
 from .orchestrator import SCHEMES, RunOptions, result_to_json
 
 
@@ -29,9 +30,9 @@ def _load_cfg(arg: str, paper_scale: bool, seed: int | None):
     else:
         cfg = load_config(arg)
         if paper_scale:
-            cfg = with_overrides(cfg, m_passive=50, m_active=10)
+            cfg = replace(cfg, m_passive=50, m_active=10)
     if seed is not None:
-        cfg = with_overrides(cfg, seed=seed)
+        cfg = replace(cfg, seed=seed)
     return cfg
 
 

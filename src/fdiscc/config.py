@@ -4,6 +4,11 @@ All values are stored in linear units (watts, Hz, joules, meters) except the
 fields whose names end in ``_db``.  Config files are JSON with keys exactly
 matching the dataclass field names below and values of their annotated kinds;
 omitted keys take the defaults.
+
+Every record checks its own fields when it is built, in ``__post_init__``,
+which ``dataclasses.replace`` runs too: kinds first, then ranges, then the
+rules that tie fields together. It raises ConfigError, so no invalid record
+exists and no caller checks one again.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -39,27 +44,43 @@ def is_number(value) -> bool:
             and abs(value) <= sys.float_info.max)
 
 
+def _finite_numbers(value) -> bool:
+    """Whether ``value`` is a tuple of finite numbers: in one numpy pass where
+    the entries are floats and ints, as files give them (a per-file tuple may
+    hold 1e5), else entry by entry."""
+    if not isinstance(value, tuple):
+        return False
+    if set(map(type, value)) <= {float, int}:
+        arr = np.array(value)
+        if arr.dtype.kind in "if":      # ints past int64 give an object array
+            return bool(np.isfinite(arr).all())
+    return all(map(is_number, value))
+
+
 # what a field of each annotation accepts; nested records check their own fields
 _FIELD_KINDS = {
     "int": ("an integer", lambda v: isinstance(v, Integral) and not isinstance(v, bool)),
     "float": ("a finite number", is_number),
     "float | None": ("a finite number", lambda v: v is None or is_number(v)),
-    "float | tuple[float, ...]": ("a finite number or a list of them", lambda v: is_number(v) or (
-        isinstance(v, tuple) and all(map(is_number, v)))),
+    "float | tuple[float, ...]": ("a finite number or a list of them",
+                                  lambda v: is_number(v) or _finite_numbers(v)),
+    "tuple[float, ...]": ("a list of finite numbers", _finite_numbers),
     "tuple[float, float]": ("a pair of finite numbers", lambda v: isinstance(v, tuple)
                             and len(v) == 2 and all(map(is_number, v))),
     "str": ("a string", lambda v: isinstance(v, str)),
+    "tuple": ("a list", lambda v: isinstance(v, tuple)),
+    "dict | None": ("an object", lambda v: v is None or isinstance(v, dict)),
 }
 
 
-def check_field_types(record, context: str) -> None:
-    """Raise ConfigError naming the first field of a dataclass record read from
-    a file (``context``) whose value is not of its annotated kind."""
+def check_field_kinds(record) -> None:
+    """Raise ConfigError naming the first field of a dataclass record whose
+    value is not of its annotated kind."""
     for f in fields(record):
         kind = _FIELD_KINDS.get(f.type)
         value = getattr(record, f.name)
         if kind is not None and not kind[1](value):
-            raise ConfigError(f"{f.name} in {context} must be {kind[0]}, got {value!r}")
+            raise ConfigError(f"{f.name} must be {kind[0]}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +94,10 @@ class PathLossConfig:
     eta_rt: float = 2.2   # IRS <-> target
     eta_mp: float = 3.9   # CP-UE <-> CM-UE direct
 
+    def __post_init__(self):
+        check_field_kinds(self)
+        _require_positive(self, ("lambda_linear", "d0_m"))
+
 
 @dataclass(frozen=True)
 class GeometryConfig:
@@ -85,13 +110,25 @@ class GeometryConfig:
     user_x_range: tuple[float, float] = (10.0, 40.0)
     user_y_range: tuple[float, float] = (0.0, 1.0)
 
+    def __post_init__(self):
+        check_field_kinds(self)
+        _require_positive(self, ("target_distance_m",))
+        if not (0.0 <= self.target_angle_rad < math.pi):
+            raise ConfigError("target_angle_rad must lie in [0, pi)")
+        for name in ("user_x_range", "user_y_range"):
+            low, high = getattr(self, name)
+            if low > high:
+                raise ConfigError(f"{name} must be ordered low <= high, got [{low}, {high}]")
+
 
 @dataclass(frozen=True)
 class CacheConfig:
     """Content-popularity and backhaul parameters.
 
     ``lengths``, ``backhaul_price`` and ``backhaul_rate`` may be scalars
-    (shared by every file / CP-UE) or per-index tuples.
+    (shared by every file / CP-UE) or per-index tuples. The number of CP-UEs,
+    and so of backhaul rates, is checked by the ``SystemConfig`` that holds
+    this record.
     """
 
     n_files: int = 1000
@@ -110,27 +147,24 @@ class CacheConfig:
         return self.__dict__["_hash"]
 
     def lengths_array(self) -> np.ndarray:
-        return _broadcast(self.lengths, self.n_files, "lengths")
-
-    def price_array(self) -> np.ndarray:
-        return _broadcast(self.backhaul_price, self.n_files, "backhaul_price")
+        return _broadcast(self.lengths, self.n_files)
 
     def rate_array(self, n_cp: int) -> np.ndarray:
-        return _broadcast(self.backhaul_rate, n_cp, "backhaul_rate")
+        return _broadcast(self.backhaul_rate, n_cp)
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_field_kinds(self)
         if self.n_files < 1:
             raise ConfigError("n_files must be >= 1")
         if self.capacity < 0:
             raise ConfigError("capacity must be >= 0")
-        # the given scalar or tuple, not its broadcast to every file
-        if np.any(_per_index(self.lengths, self.n_files, "lengths") <= 0):
+        if min(_per_index(self, "lengths", self.n_files)) <= 0:
             raise ConfigError("lengths must be > 0")
         if self.skew < 0:
             raise ConfigError("skew must be >= 0")
-        if np.any(_per_index(self.backhaul_price, self.n_files, "backhaul_price") < 0):
+        if min(_per_index(self, "backhaul_price", self.n_files)) < 0:
             raise ConfigError("backhaul_price must be >= 0")
-        if np.any(np.atleast_1d(np.asarray(self.backhaul_rate, dtype=float)) < 0):
+        if min(_entries(self.backhaul_rate), default=0.0) < 0:
             raise ConfigError("backhaul_rate must be >= 0")
 
 
@@ -140,16 +174,23 @@ def _require_positive(record, names: tuple[str, ...]) -> None:
             raise ConfigError(f"{name} must be > 0")
 
 
-def _per_index(value, n: int, name: str) -> np.ndarray:
-    """``value`` as a 1-D array of size 1 (shared by all n indices) or n."""
+def _entries(value) -> tuple:
+    return value if isinstance(value, tuple) else (value,)
+
+
+def _per_index(record, name: str, n: int) -> tuple:
+    """The entries of the per-index field ``name``: one, shared by all n
+    indices, or n of them. No other count is accepted, none included."""
+    values = _entries(getattr(record, name))
+    if len(values) not in (1, max(n, 1)):
+        raise ConfigError(f"{name} must be a scalar or have length {max(n, 1)}, "
+                          f"got {len(values)}")
+    return values
+
+
+def _broadcast(value, n: int) -> np.ndarray:
+    """A per-index field, whose entry count its record has checked, as n floats."""
     arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.size not in (1, n):
-        raise ConfigError(f"{name} must be a scalar or have length {n}, got {arr.size}")
-    return arr
-
-
-def _broadcast(value, n: int, name: str) -> np.ndarray:
-    arr = _per_index(value, n, name)
     return np.full(n, float(arr[0])) if arr.size == 1 else arr.copy()
 
 
@@ -183,9 +224,26 @@ class SystemConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # eta_rt is derived from these, so they are checked before validate runs
-        _require_positive(self.pathloss, ("lambda_linear", "d0_m"))
-        _require_positive(self.geometry, ("target_distance_m",))
+        check_field_kinds(self)
+        for name in ("n_tx", "n_rx", "m_passive", "m_active"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        for name in ("n_cm", "n_cp"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        _require_positive(self, ("bandwidth_hz", "coherence_time_s", "p_bs_watt",
+                                 "gamma_tar_linear", "zeta", "noise_bs_watt",
+                                 "noise_ue_watt", "noise_irs_watt"))
+        if min(_per_index(self, "e_max_joule", self.n_cp)) <= 0:
+            raise ConfigError("e_max_joule must be > 0")
+        if min(_per_index(self, "eps_cycles_per_bit", self.n_cp)) <= 0:
+            raise ConfigError("eps_cycles_per_bit must be > 0")
+        if self.eta_rt is not None and self.eta_rt <= 0:
+            raise ConfigError("eta_rt must be > 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # one backhaul rate per CP-UE, which only this record knows the number of
+        _per_index(self.cache, "backhaul_rate", self.n_cp)
         if self.eta_rt is None:
             # two-way reflected-path loss at the target distance times an
             # effective RCS gain (~13.5 dB): keeps the sensing threshold
@@ -196,47 +254,15 @@ class SystemConfig:
             object.__setattr__(self, "eta_rt", 4.75 * pl)
 
     def e_max_array(self) -> np.ndarray:
-        return _broadcast(self.e_max_joule, self.n_cp, "e_max_joule")
+        return _broadcast(self.e_max_joule, self.n_cp)
 
     def eps_array(self) -> np.ndarray:
-        return _broadcast(self.eps_cycles_per_bit, self.n_cp, "eps_cycles_per_bit")
-
-    def validate(self) -> None:
-        for name in ("n_tx", "n_rx", "m_passive", "m_active"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        for name in ("n_cm", "n_cp"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        _require_positive(self, ("bandwidth_hz", "coherence_time_s", "p_bs_watt",
-                                 "gamma_tar_linear", "zeta", "noise_bs_watt",
-                                 "noise_ue_watt", "noise_irs_watt"))
-        if self.n_cp > 0:
-            if np.any(self.e_max_array() <= 0):
-                raise ConfigError("e_max_joule must be > 0")
-            if np.any(self.eps_array() <= 0):
-                raise ConfigError("eps_cycles_per_bit must be > 0")
-        theta = self.geometry.target_angle_rad
-        if not (0.0 <= theta < math.pi):
-            raise ConfigError("target_angle_rad must lie in [0, pi)")
-        for name in ("user_x_range", "user_y_range"):
-            low, high = getattr(self.geometry, name)
-            if low > high:
-                raise ConfigError(f"{name} must be ordered low <= high, got [{low}, {high}]")
-        if self.eta_rt is not None and self.eta_rt <= 0:
-            raise ConfigError("eta_rt must be > 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        self.cache.validate()
-        # one backhaul rate per CP-UE, which only this record knows the number of
-        _per_index(self.cache.backhaul_rate, self.n_cp, "backhaul_rate")
+        return _broadcast(self.eps_cycles_per_bit, self.n_cp)
 
 
 def paper_config(**overrides) -> SystemConfig:
     """Full-scale configuration (M=50, M_a=10)."""
-    cfg = SystemConfig(**overrides)
-    cfg.validate()
-    return cfg
+    return SystemConfig(**overrides)
 
 
 def desk_config(**overrides) -> SystemConfig:
@@ -272,34 +298,28 @@ def read_json_object(path: str | Path, cls, context: str) -> dict:
     return data
 
 
-def _from_dict(cls, data: dict, context: str):
+def record_from_dict(cls, data: dict, context: str):
+    """The ``cls`` record of a JSON object read from ``context``: lists become
+    tuples, and a ``SystemConfig``'s nested objects become records. Its
+    ConfigError names the context."""
     _check_keys(data, cls, context)
     kwargs = {}
     for key, value in data.items():
         if key in _NESTED and cls is SystemConfig:
-            value = _from_dict(_NESTED[key], value, f"{context}.{key}")
+            value = record_from_dict(_NESTED[key], value, f"{context}.{key}")
         elif isinstance(value, list):
             value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
         kwargs[key] = value
-    # nested records were checked above, so __post_init__ only sees numbers
-    record = cls(**kwargs)
-    check_field_types(record, context)
-    return record
+    try:
+        return cls(**kwargs)
+    except (ConfigError, TypeError) as exc:     # TypeError: a required key is missing
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 def config_from_dict(data: dict) -> SystemConfig:
-    cfg = _from_dict(SystemConfig, data, "config")
-    cfg.validate()
-    return cfg
+    return record_from_dict(SystemConfig, data, "config")
 
 
 def load_config(path: str | Path) -> SystemConfig:
     """Read a JSON config file.  Raises ConfigError naming any offending key."""
     return config_from_dict(read_json_object(path, SystemConfig, "config file"))
-
-
-def with_overrides(cfg: SystemConfig, **changes) -> SystemConfig:
-    """Functional update that re-validates."""
-    out = replace(cfg, **changes)
-    out.validate()
-    return out

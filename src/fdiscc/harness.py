@@ -26,9 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from .channels import draw_channels
-from .config import (ConfigError, SystemConfig, check_field_types, config_from_dict, is_number,
-                     read_json_object, with_overrides)
-from .orchestrator import SCHEMES, RunResult, evaluate_baseline, radio_key
+from .config import (ConfigError, SystemConfig, check_field_kinds, config_from_dict,
+                     read_json_object, record_from_dict)
+from .orchestrator import RunOptions, RunResult, evaluate_baseline, radio_key
 from .sysmodel import METRICS_CSV_COLUMNS, metrics_csv_row
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -54,7 +54,7 @@ class SweepSpec:
     """One-parameter sweep over schemes and seeds."""
 
     parameter: str
-    values: tuple
+    values: tuple[float, ...]
     schemes: tuple = ("proposed",)
     n_seeds: int = 10
     output: str = "sweep.csv"
@@ -62,50 +62,40 @@ class SweepSpec:
     max_iter: int = 50
     base_config: dict | None = None
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        check_field_kinds(self)
         if self.parameter not in SWEEP_PARAMETERS:
             raise ConfigError(
                 f"unknown sweep parameter '{self.parameter}'; one of {SWEEP_PARAMETERS}")
         if len(self.values) == 0:
             raise ConfigError("sweep needs at least one value")
-        if not all(map(is_number, self.values)):
-            raise ConfigError(f"sweep values must be finite numbers, got {list(self.values)!r}")
         if any(v <= 0 for v in self.values):
             raise ConfigError("sweep values must be positive")
         if self.parameter in ("m_passive", "n_tx") and any(int(v) != v or v < 1 for v in self.values):
             raise ConfigError(f"{self.parameter} values must be integers >= 1")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ConfigError(f"unknown scheme '{s}'; one of {SCHEMES}")
+        if len(self.schemes) == 0:
+            raise ConfigError("schemes must name at least one scheme")
+        for scheme in self.schemes:
+            RunOptions(scheme, self.max_iter)
         if self.n_seeds < 1:
             raise ConfigError("n_seeds must be >= 1")
         if self.seed_base < 0:
             raise ConfigError(f"seed_base must be >= 0, got {self.seed_base}")
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
-    data = read_json_object(path, SweepSpec, "sweep spec")
-    for key in ("values", "schemes"):
-        if key in data:
-            if not isinstance(data[key], list):
-                raise ConfigError(f"'{key}' in sweep spec must be a list, got {data[key]!r}")
-            data[key] = tuple(data[key])
-    spec = SweepSpec(**data)
-    check_field_types(spec, "sweep spec")
-    spec.validate()
-    return spec
+    return record_from_dict(SweepSpec, read_json_object(path, SweepSpec, "sweep spec"),
+                            "sweep spec")
 
 
-def apply_parameter(cfg: SystemConfig, name: str, value) -> SystemConfig:
-    """Return a config with one swept parameter replaced."""
+def apply_parameter(cfg: SystemConfig, name: str, value, **changes) -> SystemConfig:
+    """Return a config with one swept parameter, and any other ``changes``,
+    replaced: one record built, two for a cache parameter."""
     if name in ("backhaul_rate", "skew"):
-        cache = replace(cfg.cache, **{name: value})
-        return with_overrides(cfg, cache=cache)
+        return replace(cfg, cache=replace(cfg.cache, **{name: value}), **changes)
     if name in ("m_passive", "n_tx"):
         value = int(value)
-    return with_overrides(cfg, **{name: value})
+    return replace(cfg, **{name: value}, **changes)
 
 
 def scenario_values(cfg: SystemConfig) -> list:
@@ -130,8 +120,8 @@ def result_row(cfg: SystemConfig, result: RunResult, wall_s: float | None = None
 
 
 def cell_config(cfg: SystemConfig, parameter: str, value, seed: int) -> SystemConfig:
-    """The config of one sweep cell (validated once, by ``apply_parameter``)."""
-    return apply_parameter(replace(cfg, seed=seed), parameter, value)
+    """The config of one sweep cell: the base with its seed and swept value."""
+    return apply_parameter(cfg, parameter, value, seed=seed)
 
 
 def run_cell(cfg: SystemConfig, parameter: str, value, scheme: str, seed: int,
@@ -209,13 +199,12 @@ def run_sweep(spec: SweepSpec, base_cfg: SystemConfig | None = None,
     Cells that differ only in the cache share one radio solve (see
     ``orchestrator.run``): those of a ``skew`` or ``backhaul_rate`` sweep at one
     seed, and the ``proposed``, ``random-caching`` and ``no-caching`` cells of
-    one (value, seed). The key is the cell config with its cache reset to
-    ``CacheConfig()``, the scheme's radio mode and ``max_iter``
-    (``orchestrator.radio_key``). The first cell of a key pays for the solve
-    inside its own ``run_cell``, so its ``wall_time_s`` includes it; the cells
-    of a key are counted up front, and the solve is dropped after the last of
-    them. A key's only cell runs as a plain ``run``, with no key lookups and no
-    copies. Cells run in (value, scheme, seed) order, which keeps cells of one
+    one (value, seed). The key is the cell config's fields but its cache, the
+    scheme's radio mode and ``max_iter`` (``orchestrator.radio_key``). The
+    first cell of a key pays for the solve inside its own ``run_cell``, so its
+    ``wall_time_s`` includes it; the cells of a key are counted up front, and
+    the solve is dropped after the last of them. A key's only cell runs as a
+    plain ``run``, with no key lookups and no copies. Cells run in (value, scheme, seed) order, which keeps cells of one
     cache config together, so a sweep over a cache parameter with caching
     schemes only holds at most ``n_seeds`` solves at a time, and the
     ``proposed`` cells of one cache config read one knapsack solve, which
@@ -227,7 +216,6 @@ def run_sweep(spec: SweepSpec, base_cfg: SystemConfig | None = None,
     thread. Spawned processes import the caller's main module again, so a
     script that calls this must guard its entry point with
     ``if __name__ == "__main__":``."""
-    spec.validate()
     cells = keyed_cells(spec, sweep_base_config(spec, base_cfg))
     groups: dict = {}
     for key, args in cells:

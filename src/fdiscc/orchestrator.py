@@ -24,13 +24,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
 from . import beamforming, cacheopt, phaseadmm, powercomp, sysmodel, wmmse
 from .channels import ChannelSet
-from .config import CacheConfig, SystemConfig
+from .config import ConfigError, SystemConfig, check_field_kinds
 from .sysmodel import (Metrics, SensingInfeasible, Solution, composite_channels,
                        link_terms, residuals, utility)
 
@@ -56,10 +57,11 @@ class RunOptions:
     max_iter: int = 50
 
     def __post_init__(self):
+        check_field_kinds(self)
         if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
+            raise ConfigError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -244,10 +246,13 @@ def _cache_for_scheme(cfg: SystemConfig, scheme: str,
     return sol.e, sol.objective, sol.residual
 
 
+_radio_fields = attrgetter(*(f.name for f in fields(SystemConfig) if f.name != "cache"))
+
+
 def radio_key(cfg: SystemConfig, scheme: str, max_iter: int) -> tuple:
-    """Cells with equal keys solve the same radio problem: the config without
-    its cache, the scheme's radio mode and the iteration cap."""
-    return replace(cfg, cache=CacheConfig()), RADIO_MODE[scheme], max_iter
+    """Cells with equal keys solve the same radio problem: the config's fields
+    but its cache, the scheme's radio mode and the iteration cap."""
+    return _radio_fields(cfg), RADIO_MODE[scheme], max_iter
 
 
 def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> RadioSolve:
@@ -381,7 +386,6 @@ def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions(),
     are copied, so results share only read-only arrays: the knapsack's and
     the empty placement.
     """
-    cfg.validate()
     mode = RADIO_MODE[opts.scheme]
     if solves is None:
         return price(cfg, solve_radio(cfg, ch, mode, opts.max_iter), opts.scheme)

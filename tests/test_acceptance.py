@@ -18,7 +18,7 @@ import pytest
 
 from fdiscc import beamforming, cacheopt, conic, phaseadmm, powercomp, wmmse
 from fdiscc.channels import draw_channels
-from fdiscc.config import CacheConfig, db2lin, dbm2watt, desk_config, paper_config, with_overrides
+from fdiscc.config import CacheConfig, db2lin, dbm2watt, desk_config, paper_config
 from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, RunOptions,
                                  echo_aligned_phases, evaluate_baseline, run)
 from fdiscc.sysmodel import SensingInfeasible, backhaul_cost, link_terms, utility

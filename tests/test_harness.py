@@ -10,10 +10,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fdiscc.config import CacheConfig, ConfigError, desk_config
+from fdiscc.channels import draw_channels
+from fdiscc.config import (CacheConfig, ConfigError, GeometryConfig, PathLossConfig,
+                           SystemConfig, desk_config)
 from fdiscc.harness import (RUN_CSV_COLUMNS, SWEEP_CSV_COLUMNS, SweepSpec,
                             aggregate, apply_parameter, load_sweep_spec,
                             result_row, run_cell, run_sweep, write_csv)
+from fdiscc.orchestrator import RunOptions, run
 
 
 class TestValidate:
@@ -24,6 +27,42 @@ class TestValidate:
             desk_config(n_cp=0, cache=CacheConfig(backhaul_rate=(1e8, 1e8)))
         assert desk_config(cache=CacheConfig(backhaul_rate=(1e8, 2e8))).n_cp == 2
         assert desk_config(n_cp=0, cache=CacheConfig(backhaul_rate=1e8)).n_cp == 0
+
+    @pytest.mark.parametrize("record, change", [
+        (SystemConfig(), {"p_bs_watt": -1.0}),
+        (SystemConfig(), {"n_tx": "4"}),
+        (CacheConfig(), {"n_files": 0}),
+        (GeometryConfig(), {"target_angle_rad": 4.0}),
+        (PathLossConfig(), {"d0_m": 0.0}),
+        (SweepSpec(parameter="skew", values=(1.0,)), {"n_seeds": 0}),
+        (RunOptions(), {"max_iter": 0}),
+    ], ids=["system", "system-kind", "cache", "geometry", "pathloss", "sweep-spec",
+            "run-options"])
+    def test_replace_checks_the_new_record(self, record, change):
+        # every record checks itself when built, and replace builds one
+        with pytest.raises(ConfigError, match=next(iter(change))):
+            replace(record, **change)
+
+    def test_two_configs_per_sweep_cell_none_per_run(self, monkeypatch):
+        # a cell's config is built once to key it and once to run it; the
+        # run and the channel draw take the config as it is
+        built = []
+        post_init = SystemConfig.__post_init__
+
+        def counted(cfg):
+            built.append(cfg)
+            post_init(cfg)
+
+        monkeypatch.setattr(SystemConfig, "__post_init__", counted)
+        cfg = _shared_cfg()
+        spec = SweepSpec(parameter="skew", values=(0.8, 1.4), schemes=CACHE_SCHEMES,
+                         n_seeds=2, max_iter=2)
+        built.clear()
+        rows = run_sweep(spec, base_cfg=cfg)
+        assert 0 < len(built) <= 2 * len(rows)
+        built.clear()
+        run(cfg, draw_channels(cfg), RunOptions(max_iter=2), solves={})
+        assert built == []
 
 
 class TestSweepSpec:
@@ -38,22 +77,22 @@ class TestSweepSpec:
 
     def test_unknown_parameter_rejected(self):
         with pytest.raises(ConfigError):
-            SweepSpec(parameter="bogus", values=(1,)).validate()
+            SweepSpec(parameter="bogus", values=(1,))
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ConfigError):
-            SweepSpec(parameter="m_passive", values=(8,), schemes=("zzz",)).validate()
+            SweepSpec(parameter="m_passive", values=(8,), schemes=("zzz",))
 
     def test_nonphysical_values_rejected(self):
         with pytest.raises(ConfigError):
-            SweepSpec(parameter="p_bs_watt", values=(-1.0,)).validate()
+            SweepSpec(parameter="p_bs_watt", values=(-1.0,))
         with pytest.raises(ConfigError):
-            SweepSpec(parameter="m_passive", values=(2.5,)).validate()
+            SweepSpec(parameter="m_passive", values=(2.5,))
 
     def test_seed_base_and_max_iter_ranges(self):
         for bad in ({"seed_base": -1}, {"max_iter": 0}):
             with pytest.raises(ConfigError, match=next(iter(bad))):
-                SweepSpec(parameter="m_passive", values=(8,), **bad).validate()
+                SweepSpec(parameter="m_passive", values=(8,), **bad)
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "spec.json"
@@ -359,9 +398,11 @@ class TestCli:
         ("sweep", "values", {"parameter": "p_bs_watt", "values": [math.nan]}),
         ("sweep", "p_bs_watt", {"parameter": "m_passive", "values": [8],
                                 "base_config": {"p_bs_watt": math.nan}}),
+        ("sweep", "schemes", {"parameter": "m_passive", "values": [8], "schemes": []}),
+        ("sweep", "parameter", {"values": [8]}),
     ], ids=["n_tx-str", "n_files-str", "seed-float", "values-scalar", "values-str",
             "n_seeds-str", "p_bs-nan", "eta_rt-nan", "p_bs-beyond-float", "user-x-neg-inf",
-            "lengths-inf", "values-nan", "base-p_bs-nan"])
+            "lengths-inf", "values-nan", "base-p_bs-nan", "schemes-empty", "parameter-missing"])
     def test_wrongly_typed_value_exit_code_2(self, tmp_path, command, key, body):
         # exit code 1 means a sensing-infeasible scenario; a bad file is a
         # config error that names its key. JSON's NaN and Infinity are not
@@ -414,17 +455,22 @@ class TestCli:
         assert key in r.stderr
         assert "Traceback" not in r.stderr
 
-    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("command, config", [
+        ("run", {"m_passive": 8, "cache": {"backhaul_rate": [1e8, 1e8, 1e8]}}),
+        ("sweep", {"cache": {"backhaul_rate": [1e8, 1e8, 1e8]}}),
+        ("run", {"n_cp": 0, "m_passive": 8, "cache": {"backhaul_rate": []}}),
+        ("sweep", {"n_cp": 0, "cache": {"backhaul_rate": []}}),
+    ], ids=["run", "sweep", "run-empty", "sweep-empty"])
     def test_backhaul_rate_length_exit_code_2_before_any_solve(self, tmp_path, monkeypatch,
-                                                              capsys, command):
-        # one backhaul rate per CP-UE: another length is a config error, found
-        # before the first radio solve rather than by pricing after it
+                                                              capsys, command, config):
+        # one backhaul rate per CP-UE, or one shared by all: another length,
+        # none included, is a config error, found before the first radio
+        # solve rather than by pricing or writing the row after it
         from fdiscc import cli, orchestrator
         solves = []
         monkeypatch.setattr(orchestrator, "solve_radio", lambda *a: solves.append(a))
-        cache = {"backhaul_rate": [1e8, 1e8, 1e8]}
-        body = ({"m_passive": 8, "cache": cache} if command == "run" else
-                {"parameter": "m_passive", "values": [8], "base_config": {"cache": cache}})
+        body = (config if command == "run" else
+                {"parameter": "m_passive", "values": [8], "base_config": config})
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(body))
         flag = "--config" if command == "run" else "--spec"

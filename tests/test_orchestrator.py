@@ -1,12 +1,13 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from fdiscc import cacheopt, sysmodel
 from fdiscc.channels import draw_channels
-from fdiscc.config import CacheConfig, desk_config, with_overrides
+from fdiscc.config import CacheConfig, desk_config
 from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, SCHEMES, RunOptions,
                                  echo_aligned_phases, evaluate_baseline,
                                  fixed_phase_heuristic, initialize, price, result_to_json,
@@ -49,13 +50,13 @@ class TestInitialize:
 
     def test_zero_threshold_always_feasible(self, desk):
         cfg, ch = desk
-        cfg0 = with_overrides(cfg, gamma_tar_linear=1e-30)
+        cfg0 = replace(cfg, gamma_tar_linear=1e-30)
         sol = initialize(cfg0, ch, np.random.default_rng(0))
         assert link_terms(sol, ch, cfg0).r_tar >= 1e-30
 
     def test_impossible_threshold_raises(self, desk):
         cfg, ch = desk
-        cfg_hi = with_overrides(cfg, gamma_tar_linear=1e12)
+        cfg_hi = replace(cfg, gamma_tar_linear=1e12)
         with pytest.raises(SensingInfeasible):
             initialize(cfg_hi, ch, np.random.default_rng(0))
 
@@ -117,7 +118,7 @@ class TestRun:
 
     def test_infeasible_sensing_status(self, desk):
         cfg, ch = desk
-        cfg_hi = with_overrides(cfg, gamma_tar_linear=1e12)
+        cfg_hi = replace(cfg, gamma_tar_linear=1e12)
         res = run(cfg_hi, ch)
         assert res.status == INFEASIBLE_SENSING
         assert res.trace == ()
@@ -217,8 +218,6 @@ class TestSharedSolves:
         assert np.array_equal(c.solution.w, before[0])
 
     def test_equal_to_unshared_and_keyed_by_channel_set(self, desk, monkeypatch):
-        from dataclasses import replace
-
         from fdiscc import orchestrator
         cfg, ch = desk
         solves = {}
@@ -303,9 +302,8 @@ class TestPricing:
         assert res.metrics.utility == res.metrics.sum_bits - res.metrics.d_total
 
     def test_equal_by_repr_with_and_without_clearing(self, desk):
-        from dataclasses import replace
         cfg, ch = desk
-        cfgs = [cfg, with_overrides(cfg, cache=replace(cfg.cache, skew=0.7)), cfg]
+        cfgs = [cfg, replace(cfg, cache=replace(cfg.cache, skew=0.7)), cfg]
 
         def outcome(c, scheme):
             res = run(c, ch, RunOptions(scheme=scheme, max_iter=2))

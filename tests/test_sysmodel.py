@@ -5,7 +5,7 @@ import pytest
 
 from fdiscc import beamforming, orchestrator, phaseadmm, powercomp
 from fdiscc.channels import draw_channels
-from fdiscc.config import desk_config, with_overrides
+from fdiscc.config import desk_config
 from fdiscc.sysmodel import (SensingInfeasible, Solution, backhaul_cost, composite_channels,
                              link_terms, local_rate_energy, residuals, target_row, utility)
 from fdiscc.wmmse import update_aux
@@ -275,7 +275,7 @@ class TestSensingInfeasible:
         tx = beamforming.assemble_tx_coeffs(*args)
         calls = {
             "initialize": lambda: orchestrator.initialize(
-                with_overrides(small_cfg, gamma_tar_linear=1e12), small_ch,
+                dataclasses.replace(small_cfg, gamma_tar_linear=1e12), small_ch,
                 np.random.default_rng(0)),
             "solve_tx": lambda: beamforming.solve_tx(dataclasses.replace(
                 tx, b0=2.0 * tx.p_bs * float(np.vdot(tx.d, tx.d).real))),
@@ -316,7 +316,7 @@ class TestLocalAndCost:
         from dataclasses import replace
         cache = replace(desk_config().cache, skew=skew)
         t, n_cp = 0.5, 3
-        price = float(cache.price_array()[0])
+        price = cache.backhaul_price
         r0 = cache.rate_array(n_cp)
         v = cache.n_files
         # twice: the second call reads the cached Zipf weights
