@@ -8,7 +8,9 @@ omitted keys take the defaults.
 Every record checks its own fields when it is built, in ``__post_init__``,
 which ``dataclasses.replace`` runs too: kinds first, then ranges, then the
 rules that tie fields together. It raises ConfigError, so no invalid record
-exists and no caller checks one again.
+exists and no caller checks one again. One derived value is not re-derived:
+``SystemConfig`` stores the ``eta_rt`` it derives from ``geometry`` and
+``pathloss``, and a ``replace`` of either keeps the stored value.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -45,16 +47,7 @@ def is_number(value) -> bool:
 
 
 def _finite_numbers(value) -> bool:
-    """Whether ``value`` is a tuple of finite numbers: in one numpy pass where
-    the entries are floats and ints, as files give them (a per-file tuple may
-    hold 1e5), else entry by entry."""
-    if not isinstance(value, tuple):
-        return False
-    if set(map(type, value)) <= {float, int}:
-        arr = np.array(value)
-        if arr.dtype.kind in "if":      # ints past int64 give an object array
-            return bool(np.isfinite(arr).all())
-    return all(map(is_number, value))
+    return isinstance(value, tuple) and all(map(is_number, value))
 
 
 # what a field of each annotation accepts; nested records check their own fields
@@ -275,13 +268,17 @@ _NESTED = {"cache": CacheConfig, "geometry": GeometryConfig, "pathloss": PathLos
 
 
 def _check_keys(data, cls, context: str) -> None:
-    """Raise ConfigError unless ``data`` is a dict keyed by fields of ``cls``."""
+    """Raise ConfigError unless ``data`` is a dict keyed by fields of ``cls``
+    that holds every field without a default."""
     if not isinstance(data, dict):
         raise ConfigError(f"{context} must be a JSON object")
-    known = {f.name for f in fields(cls)}
+    known = {f.name: f for f in fields(cls)}
     for key in data:
         if key not in known:
             raise ConfigError(f"unknown key '{key}' in {context}")
+    for name, f in known.items():
+        if name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key '{name}' in {context}")
 
 
 def read_json_object(path: str | Path, cls, context: str) -> dict:
@@ -312,7 +309,7 @@ def record_from_dict(cls, data: dict, context: str):
         kwargs[key] = value
     try:
         return cls(**kwargs)
-    except (ConfigError, TypeError) as exc:     # TypeError: a required key is missing
+    except ConfigError as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
 

@@ -26,8 +26,8 @@ from pathlib import Path
 import numpy as np
 
 from .channels import draw_channels
-from .config import (ConfigError, SystemConfig, check_field_kinds, config_from_dict,
-                     read_json_object, record_from_dict)
+from .config import (ConfigError, SystemConfig, check_field_kinds, read_json_object,
+                     record_from_dict)
 from .orchestrator import RunOptions, RunResult, evaluate_baseline, radio_key
 from .sysmodel import METRICS_CSV_COLUMNS, metrics_csv_row
 
@@ -81,6 +81,8 @@ class SweepSpec:
             raise ConfigError("n_seeds must be >= 1")
         if self.seed_base < 0:
             raise ConfigError(f"seed_base must be >= 0, got {self.seed_base}")
+        if self.base_config is not None:
+            sweep_base_config(self)
 
 
 def load_sweep_spec(path: str | Path) -> SweepSpec:
@@ -142,7 +144,9 @@ def run_cell(cfg: SystemConfig, parameter: str, value, scheme: str, seed: int,
 
 def sweep_base_config(spec: SweepSpec, base_cfg: SystemConfig | None = None) -> SystemConfig:
     """The sweep's base config: ``base_cfg`` if given, else the spec's own."""
-    return config_from_dict(spec.base_config or {}) if base_cfg is None else base_cfg
+    if base_cfg is not None:
+        return base_cfg
+    return record_from_dict(SystemConfig, spec.base_config or {}, "base_config")
 
 
 def keyed_cells(spec: SweepSpec, cfg: SystemConfig) -> list[tuple[tuple, tuple]]:
@@ -204,12 +208,13 @@ def run_sweep(spec: SweepSpec, base_cfg: SystemConfig | None = None,
     first cell of a key pays for the solve inside its own ``run_cell``, so its
     ``wall_time_s`` includes it; the cells of a key are counted up front, and
     the solve is dropped after the last of them. A key's only cell runs as a
-    plain ``run``, with no key lookups and no copies. Cells run in (value, scheme, seed) order, which keeps cells of one
-    cache config together, so a sweep over a cache parameter with caching
-    schemes only holds at most ``n_seeds`` solves at a time, and the
-    ``proposed`` cells of one cache config read one knapsack solve, which
-    ``cacheopt.solve_caching`` keeps for the last config it saw in the
-    process (the first such cell's ``wall_time_s`` includes it).
+    plain ``run``, with no key lookups and no copies. Cells run in (value,
+    scheme, seed) order, which keeps cells of one cache config together, so a
+    sweep over a cache parameter with caching schemes only holds at most
+    ``n_seeds`` solves at a time, and the ``proposed`` cells of one cache
+    config read one knapsack solve, which ``cacheopt.solve_caching`` keeps
+    for the last config it saw in the process (the first such cell's
+    ``wall_time_s`` includes it).
 
     With ``workers > 1`` each key's cells form one task in a pool of spawned
     processes, at most one process per key, each started with one BLAS

@@ -12,7 +12,7 @@ import pytest
 
 from fdiscc.channels import draw_channels
 from fdiscc.config import (CacheConfig, ConfigError, GeometryConfig, PathLossConfig,
-                           SystemConfig, desk_config)
+                           SystemConfig, config_from_dict, desk_config)
 from fdiscc.harness import (RUN_CSV_COLUMNS, SWEEP_CSV_COLUMNS, SweepSpec,
                             aggregate, apply_parameter, load_sweep_spec,
                             result_row, run_cell, run_sweep, write_csv)
@@ -42,6 +42,16 @@ class TestValidate:
         # every record checks itself when built, and replace builds one
         with pytest.raises(ConfigError, match=next(iter(change))):
             replace(record, **change)
+
+    def test_fault_in_a_check_is_not_a_config_error(self, monkeypatch):
+        # only a bad value is a config error; a fault inside a check keeps
+        # its own type and traceback
+        def faulty(record):
+            raise TypeError("fault inside a check")
+
+        monkeypatch.setattr(GeometryConfig, "__post_init__", faulty)
+        with pytest.raises(TypeError, match="fault inside a check"):
+            config_from_dict({"geometry": {}})
 
     def test_two_configs_per_sweep_cell_none_per_run(self, monkeypatch):
         # a cell's config is built once to key it and once to run it; the
@@ -93,6 +103,10 @@ class TestSweepSpec:
         for bad in ({"seed_base": -1}, {"max_iter": 0}):
             with pytest.raises(ConfigError, match=next(iter(bad))):
                 SweepSpec(parameter="m_passive", values=(8,), **bad)
+
+    def test_base_config_checked_when_built(self):
+        with pytest.raises(ConfigError, match="base_config: p_bs_watt"):
+            SweepSpec(parameter="m_passive", values=(8,), base_config={"p_bs_watt": -1})
 
     def test_unknown_key_named(self, tmp_path):
         path = tmp_path / "spec.json"
