@@ -11,12 +11,13 @@ Palomar, IEEE TSP 2010), so its Lagrangian dual in the power multiplier mu and
 the radar multiplier nu has no gap. With A = S + mu I - nu d d^H > 0 the
 maximizer is w_{k+1} = A^{-1} q_k, w_0 = 0 (the ISAC construction of Liu,
 Huang, Li & Masouros, IEEE TSP 2020). The echo matrix d d^H is rank one
-(d = conj(r), r the echo row of ``sysmodel.Composite``), so one eigendecomposition
-of S and Sherman-Morrison in nu give every trial point, the
+(d = conj(r), r the echo row of ``sysmodel.Composite``), so one
+eigendecomposition of S and Sherman-Morrison in nu give every trial point, the
 nu minimizing the dual at a given mu is closed form, and mu solves the power
 equation by a secular root-find. When no communication beam can carry echo
 power A is singular at the optimum and the sensing beam w_0 lies in its null
-space.
+space. ``tx_certificate`` gives a solve's KKT residuals, which the tests and
+``fdiscc selftest`` (``selftest.py``) read.
 
 ``solve_tx_sdr``, ``sdr_bound`` and ``gaussian_randomize`` keep the lifted
 relaxation and its randomized rank-one recovery as the test oracle of the
@@ -35,7 +36,7 @@ from . import conic
 from .channels import ChannelSet
 from .config import SystemConfig
 from .rootfind import EPS, NoBracketError, increasing_root
-from .sysmodel import LinkTerms, SensingInfeasible, Solution
+from .sysmodel import LinkTerms, SensingInfeasible, Solution, relative
 from .wmmse import LN2, AuxVars, _bracket
 
 # the closed form aims at b0 (1 + RADAR_MARGIN), so rounding leaves the echo
@@ -181,6 +182,30 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
                         "iterations": iters, "sensing_beam": bool(np.any(w[0]))}
 
 
+def tx_certificate(coeffs: TxCoeffs, w: np.ndarray, info: dict) -> dict:
+    """KKT residuals of the beams ``w`` at the ``mu``, ``nu`` and ``dual`` of
+    ``solve_tx``'s info, each relative to its own scale and 0 when exact. With
+    A = S + mu I - nu d d^H, stationarity reads A w_{k+1} = q_k, A w_0 = 0."""
+    mu, nu, d, w0 = info["mu"], info["nu"], coeffs.d, w[0]
+    a = coeffs.s_mat + mu * np.eye(d.size) - nu * np.outer(d, d.conj())
+    value, power, echo = tx_objective(coeffs, w), float(np.sum(np.abs(w) ** 2)), radar_power(coeffs, w)
+    scale = max(1.0, abs(value))
+    w0_terms = (np.linalg.norm(coeffs.s_mat @ w0) + mu * np.linalg.norm(w0)
+                + nu * np.linalg.norm(d) * abs(np.vdot(d, w0)))
+    return {
+        "power": max(power / coeffs.p_bs - 1.0, 0.0),
+        "echo": relative(max(coeffs.b0 - echo, 0.0), coeffs.b0),
+        "comm_stationarity": relative(np.linalg.norm(w[1:] @ a.T - coeffs.q),
+                                      np.linalg.norm(coeffs.q)),
+        "sensing_stationarity": relative(np.linalg.norm(a @ w0), w0_terms),
+        "mu_sign": max(0.0, -mu) * coeffs.p_bs / scale,
+        "nu_sign": float(max(0.0, -nu) * coeffs.b0 / scale),
+        "power_slackness": abs(mu * (coeffs.p_bs - power)) / scale,
+        "echo_slackness": float(abs(nu * (echo - coeffs.b0)) / scale),
+        "dual_gap": abs(info["dual"] - value) / scale,
+    }
+
+
 def optimize_tx(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
                 lt: LinkTerms) -> tuple[np.ndarray, dict]:
     """Full transmit update with a monotonicity safeguard: the incumbent beams
@@ -190,7 +215,6 @@ def optimize_tx(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
     incumbent_val = tx_objective(coeffs, sol.w)
     w_new, info = solve_tx(coeffs)
     new_val = tx_objective(coeffs, w_new)
-    info["objective"] = new_val
     info["accepted"] = new_val >= incumbent_val - 1e-10 * (1.0 + abs(incumbent_val))
     if not info["accepted"]:
         return sol.w, info

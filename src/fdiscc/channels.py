@@ -9,7 +9,6 @@ known target angle.  Everything is a pure function of (config, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -70,13 +69,10 @@ def _rician(rng, pl: float, k_lin: float, los: np.ndarray) -> np.ndarray:
     )
 
 
-def draw_channels(cfg: SystemConfig, rng_state=None) -> ChannelSet:
-    """Draw one channel realization.  ``rng_state`` may be a seed or a
-    Generator; by default cfg.seed is used, so equal configs give bitwise
-    equal channel sets."""
-    if rng_state is None:
-        rng_state = cfg.seed
-    rng = rng_state if isinstance(rng_state, np.random.Generator) else np.random.default_rng(rng_state)
+def draw_channels(cfg: SystemConfig) -> ChannelSet:
+    """Draw the channel realization of ``cfg.seed``: equal configs give
+    bitwise equal channel sets."""
+    rng = np.random.default_rng(cfg.seed)
 
     geo, plc = cfg.geometry, cfg.pathloss
     k_lin = db2lin(cfg.rician_k_db)
@@ -125,7 +121,7 @@ def draw_channels(cfg: SystemConfig, rng_state=None) -> ChannelSet:
 
     a_active = steering_vector(geo.target_angle_rad, cfg.m_active)
     a_passive = steering_vector(geo.target_angle_rad, cfg.m_passive)
-    g_s = cfg.eta_rt * np.outer(a_active, a_passive.conj())
+    g_s = cfg.target_reflection() * np.outer(a_active, a_passive.conj())
 
     ch = ChannelSet(
         g_t=g_t, g_r=g_r, h_pu=h_pu, g_pu=g_pu, g_au=g_au, e_direct=e_direct,
@@ -136,21 +132,3 @@ def draw_channels(cfg: SystemConfig, rng_state=None) -> ChannelSet:
         arr.setflags(write=False)
     return ch
 
-
-_FIELDS = (
-    "g_t", "g_r", "h_pu", "g_pu", "g_au", "e_direct", "h_si",
-    "a_active", "a_passive", "g_s", "cm_pos", "cp_pos",
-)
-
-
-def save_channels(ch: ChannelSet, path: str | Path) -> None:
-    """Binary dump for run reproducibility."""
-    np.savez(path, **{name: getattr(ch, name) for name in _FIELDS})
-
-
-def load_channels(path: str | Path) -> ChannelSet:
-    with np.load(path) as data:
-        ch = ChannelSet(**{name: data[name] for name in _FIELDS})
-    for arr in vars(ch).values():
-        arr.setflags(write=False)
-    return ch

@@ -8,9 +8,8 @@ omitted keys take the defaults.
 Every record checks its own fields when it is built, in ``__post_init__``,
 which ``dataclasses.replace`` runs too: kinds first, then ranges, then the
 rules that tie fields together. It raises ConfigError, so no invalid record
-exists and no caller checks one again. One derived value is not re-derived:
-``SystemConfig`` stores the ``eta_rt`` it derives from ``geometry`` and
-``pathloss``, and a ``replace`` of either keeps the stored value.
+exists and no caller checks one again. Values derived from fields are
+computed on read, so a ``replace`` cannot leave one stale.
 """
 
 from __future__ import annotations
@@ -213,7 +212,7 @@ class SystemConfig:
     pathloss: PathLossConfig = field(default_factory=PathLossConfig)
     rician_k_db: float = 3.0
     si_power_db: float = -110.0
-    eta_rt: float | None = None               # target reflection coefficient
+    eta_rt: float | None = None               # see ``target_reflection``
     seed: int = 0
 
     def __post_init__(self):
@@ -237,14 +236,16 @@ class SystemConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         # one backhaul rate per CP-UE, which only this record knows the number of
         _per_index(self.cache, "backhaul_rate", self.n_cp)
-        if self.eta_rt is None:
-            # two-way reflected-path loss at the target distance times an
-            # effective RCS gain (~13.5 dB): keeps the sensing threshold
-            # attainable yet active at the reference scale
-            pl = self.pathloss.lambda_linear * (
-                self.geometry.target_distance_m / self.pathloss.d0_m
-            ) ** (-self.pathloss.eta_rt)
-            object.__setattr__(self, "eta_rt", 4.75 * pl)
+
+    def target_reflection(self) -> float:
+        """``eta_rt`` if given, else the two-way reflected-path loss at the
+        target distance times an effective RCS gain (~13.5 dB), which keeps the
+        sensing threshold attainable yet active at the reference scale."""
+        if self.eta_rt is not None:
+            return self.eta_rt
+        plc = self.pathloss
+        return 4.75 * (plc.lambda_linear * (
+            self.geometry.target_distance_m / plc.d0_m) ** (-plc.eta_rt))
 
     def e_max_array(self) -> np.ndarray:
         return _broadcast(self.e_max_joule, self.n_cp)

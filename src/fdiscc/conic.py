@@ -17,7 +17,6 @@ deterministic: no randomness, no sparsity machinery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -534,56 +533,3 @@ def _constraint_violation(prob: SdpProblem, x_blocks) -> float:
         else:
             worst = max(worst, max(0.0, con.rhs - val) / scale)
     return worst
-
-
-def slater_margin(prob: SdpProblem, trace_bound: float = 1e6) -> float:
-    """Feasibility pre-solve: the largest t with A(X)=b feasible for X >= t I
-    (Tr X bounded).  t > 0 certifies a Slater point."""
-    prob = SdpProblem.build(prob.dims, prob.costs, prob.constraints)
-    dims = list(prob.dims)
-    nb = len(dims)
-    # variables: Y_k = X_k - t I >= 0, plus free t = t+ - t- as two 1x1 blocks
-    dims_aux = dims + [1, 1]
-    costs_aux = [np.zeros((d, d), complex) for d in dims] + [
-        -np.ones((1, 1), complex), np.ones((1, 1), complex)
-    ]
-    cons = []
-    for con in prob.constraints:
-        tr_i = sum(float(np.trace(mat).real) for _, mat in con.terms)
-        terms = list(con.terms) + [
-            (nb, np.array([[tr_i]], complex)),
-            (nb + 1, np.array([[-tr_i]], complex)),
-        ]
-        cons.append(SdpConstraint(tuple(terms), con.sense, con.rhs))
-    n_tot = sum(dims)
-    bound_terms = [(k, np.eye(d, dtype=complex)) for k, d in enumerate(dims)]
-    bound_terms += [(nb, np.array([[float(n_tot)]], complex)),
-                    (nb + 1, np.array([[-float(n_tot)]], complex))]
-    cons.append(SdpConstraint(tuple(bound_terms), "<=", trace_bound))
-    aux = SdpProblem.build(dims_aux, costs_aux, cons)
-    res = solve_sdp(aux, tol=1e-9, max_iter=120)
-    return -res.objective
-
-
-def dump_problem(prob, path: str | Path) -> None:
-    """Readable text dump of a QCQP or SDP instance for offline debugging."""
-    lines = [f"# {type(prob).__name__}"]
-    if isinstance(prob, QcqpProblem):
-        lines.append(f"n = {prob.a.shape[0]}")
-        lines.append("A = " + np.array2string(prob.a, precision=12, max_line_width=200))
-        lines.append("b = " + np.array2string(prob.b, precision=12, max_line_width=200))
-        lines.append(f"c = {prob.c!r}")
-        if prob.d is not None:
-            lines.append("D = " + np.array2string(np.atleast_2d(prob.d), precision=12, max_line_width=200))
-            lines.append("e = " + np.array2string(np.atleast_1d(prob.e), precision=12, max_line_width=200))
-    elif isinstance(prob, SdpProblem):
-        lines.append(f"dims = {tuple(prob.dims)}")
-        for k, c in enumerate(prob.costs):
-            lines.append(f"C[{k}] = " + np.array2string(np.asarray(c), precision=12, max_line_width=200))
-        for j, con in enumerate(prob.constraints):
-            lines.append(f"constraint {j}: sense {con.sense} rhs {con.rhs!r}")
-            for k, mat in con.terms:
-                lines.append(f"  A[block {k}] = " + np.array2string(np.asarray(mat), precision=12, max_line_width=200))
-    else:
-        raise ConicError(f"cannot dump {type(prob)}")
-    Path(path).write_text("\n".join(lines) + "\n")

@@ -41,7 +41,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import LinkTerms, SensingInfeasible, Solution, target_row
+from .sysmodel import LinkTerms, SensingInfeasible, Solution, relative, target_row
 from .wmmse import LN2, AuxVars, _bracket
 
 
@@ -170,6 +170,25 @@ def admm_phi_step(coeffs: PhaseCoeffs, state: AdmmState, lin: LinearRadar) -> np
     if curvature <= 0.0:
         raise SensingInfeasible("the linearized radar constraint admits no reflection vector")
     return phi_u + (slack / (2.0 * curvature)) * a_inv_d
+
+
+def step_certificate(coeffs: PhaseCoeffs, state: AdmmState, lin: LinearRadar,
+                     x: np.ndarray) -> dict:
+    """KKT residuals of ``x`` as the minimizer of ``admm_phi_step``'s problem,
+    each relative to its own scale and 0 when exact; the multiplier of
+    A x - r = mu d is fitted by least squares."""
+    prox = 1.0 / (2.0 * state.rho)
+    r = coeffs.t12_vec + prox * (state.psi - state.rho * state.lam)
+    grad = coeffs.t12_mat @ x + prox * x - r
+    d_norm, r_norm = np.linalg.norm(lin.d), np.linalg.norm(r)
+    mu = relative(float((lin.d.conj() @ grad).real), d_norm ** 2)
+    violation = relative(lin.e - 2.0 * float((lin.d.conj() @ x).real), abs(lin.e))
+    return {
+        "stationarity": relative(np.linalg.norm(grad - mu * lin.d), r_norm),
+        "mu_sign": float(max(0.0, -mu) * d_norm / r_norm),
+        "feasibility": max(violation, 0.0),
+        "slackness": float(abs(mu * violation) * d_norm / r_norm),
+    }
 
 
 def psi_step(phi: np.ndarray, lam: np.ndarray, rho: float) -> np.ndarray:

@@ -5,14 +5,15 @@ as functions of the uplink powers: each offloading surrogate is a p-free
 term plus sqrt(p_l) b6 - p_l b7, each downlink surrogate loses its uplink CCI
 linearly in p, and the radar constraint, echo >= Gamma (sum_l p_l ||g_au,l||^2
 + sigma_irs^2) with the echo of ``LinkTerms``, is one linear interference
-budget.  Only the p-dependent part is kept, with
-every cost linear in p summed once into ``lin``.  That leaves a separable
-concave maximization with one coupling constraint.  The energy constraint is
-always active at an optimum because residual energy is worth strictly
-positive computation rate, so each user reduces to a 1-D concave problem in
-p after substituting f(p) = ((E - T p) / (T zeta))^{1/3}, and the coupling
-multiplier mu makes the interference total, which falls with mu, meet the
-budget.
+budget.  Only the p-dependent part is kept, with every cost linear in p
+summed once into ``lin``.  That leaves a separable concave maximization with
+one coupling constraint.  The energy constraint is always active at an
+optimum because residual energy is worth strictly positive computation rate,
+so each user reduces to a 1-D concave problem in p after substituting
+f(p) = ((E - T p) / (T zeta))^{1/3}, and the coupling multiplier mu makes the
+interference total, which falls with mu, meet the budget.
+``power_certificate`` gives a solve's KKT residuals, which the tests and
+``fdiscc selftest`` (``selftest.py``) read.
 
 Both searches, each user's root of the derivative in p and the outer one
 for mu, are ``rootfind.increasing_root``. Its stop rule is relative, so
@@ -30,7 +31,7 @@ import numpy as np
 from .channels import ChannelSet
 from .config import SystemConfig
 from .rootfind import increasing_root
-from .sysmodel import LinkTerms, SensingInfeasible, Solution
+from .sysmodel import LinkTerms, SensingInfeasible, Solution, relative
 from .wmmse import LN2, AuxVars
 
 
@@ -159,6 +160,29 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
     p = np.where(p < snap, 0.0, p)
     f = np.zeros(l_n) if force_f_zero else ((e_max - t * p) / (t * zeta)) ** (1.0 / 3.0)
     return p, f, {"mu": mu, "iterations": iters, "evaluations": evaluations}
+
+
+def power_certificate(coeffs: PowerCoeffs, cfg: SystemConfig, p: np.ndarray,
+                      f: np.ndarray, info: dict) -> dict:
+    """KKT residuals of (p, f) at the ``mu`` of ``solve_power_compute``'s info
+    (f > 0), each relative to its own scale and 0 when exact. The energy
+    constraint T p + T zeta f^3 = E is active, and each interior p has
+    b6 / (2 sqrt p) = lin + mu b9 + nu T with 1 / (eps B) = 3 nu T zeta f^2."""
+    t, zeta, e_max = cfg.coherence_time_s, cfg.zeta, cfg.e_max_array()
+    mu, load = info["mu"], float(p @ coeffs.b9)
+    inner = (p > 0.0) & (p < e_max / t)
+    grad = coeffs.b6[inner] / (2.0 * np.sqrt(p[inner]))
+    nu_t = 1.0 / (cfg.eps_array()[inner] * cfg.bandwidth_hz * 3.0 * zeta * f[inner] ** 2)
+    stationarity = np.abs(grad - coeffs.lin[inner] - mu * coeffs.b9[inner] - nu_t) / grad
+    scale = max(1.0, abs(power_objective(coeffs, cfg, p, f)))
+    return {
+        "energy": float(np.max(np.abs(t * p + t * zeta * f ** 3 - e_max) / e_max, initial=0.0)),
+        "stationarity": float(np.max(stationarity, initial=0.0)),
+        "mu_sign": max(0.0, -mu) * coeffs.c8 / scale,
+        "budget": relative(max(load - coeffs.c8, 0.0), coeffs.c8),
+        # mu = inf leaves only p = 0 on a zero budget, which is exact
+        "slackness": (abs(mu * (coeffs.c8 - load)) if load != coeffs.c8 else 0.0) / scale,
+    }
 
 
 def optimize_power(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,

@@ -180,11 +180,6 @@ def link_terms(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
     )
 
 
-def local_rate_energy(f_l: float, eps_l: float, t: float, zeta: float) -> tuple[float, float]:
-    """Computation rate f/eps (bit/s) and energy T*zeta*f^3 (J)."""
-    return f_l / eps_l, t * zeta * f_l ** 3
-
-
 def backhaul_cost(e: np.ndarray, cache_cfg, t: float, n_cp: int,
                   mass: float | None = None) -> float:
     """D_total = T sum_v rho_v (1 - e_v) c_v sum_l R_0l.
@@ -258,6 +253,12 @@ def residuals(sol: Solution, cfg: SystemConfig, lt: LinkTerms, *,
         "power": power, "radar": radar, "modulus": modulus,
         "energy": energy, "cache": cache,
     }
+
+
+def relative(residual: float, scale: float) -> float:
+    """A certificate residual over its scale, and 0 for an exact zero, as of
+    an empty or all-zero term."""
+    return float(residual / scale) if residual else 0.0
 
 
 METRICS_CSV_COLUMNS = (

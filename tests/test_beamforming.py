@@ -6,7 +6,7 @@ import pytest
 from fdiscc.beamforming import (assemble_rx_coeffs, assemble_tx_coeffs,
                                 gaussian_randomize, optimize_rx, optimize_tx,
                                 radar_power, rx_objective, sdr_bound, solve_rx,
-                                solve_tx, solve_tx_sdr, tx_objective)
+                                solve_tx, solve_tx_sdr, tx_certificate, tx_objective)
 from fdiscc.channels import draw_channels
 from fdiscc.config import db2lin, desk_config, paper_config
 from fdiscc.orchestrator import echo_aligned_phases
@@ -189,12 +189,11 @@ class TestSolveTxSdr:
             - 1e-9 * (1 + abs(tx_objective(coeffs, tx_sol.w)))
 
 
-def _certificate_gap(coeffs, w, info):
-    """(dual - primal) / max(1, |primal|), and the beams' feasibility."""
-    primal = tx_objective(coeffs, w)
-    feasible = (np.sum(np.abs(w) ** 2) <= coeffs.p_bs * (1 + 1e-12)
-                and radar_power(coeffs, w) >= coeffs.b0)
-    return (info["dual"] - primal) / max(1.0, abs(primal)), feasible
+def _certified(coeffs, w, info):
+    """The beams are feasible (power within 1e-12 of the budget, the echo on
+    or above the floor) and the dual gap is at most 1e-9 relative."""
+    cert = tx_certificate(coeffs, w, info)
+    return cert["power"] <= 1e-12 and cert["echo"] == 0.0 and cert["dual_gap"] <= 1e-9
 
 
 def _paper_tx_coeffs(seed, hd=False):
@@ -238,10 +237,9 @@ class TestSolveTx:
                 ceiling = coeffs.p_bs * np.linalg.norm(coeffs.d) ** 2
                 coeffs = dataclasses.replace(coeffs, b0=frac * ceiling)
             w, info = solve_tx(coeffs)
-            gap, feasible = _certificate_gap(coeffs, w, info)
-            assert feasible
-            assert abs(gap) <= 1e-9
-            assert info["mu"] >= 0 and info["nu"] >= 0
+            assert _certified(coeffs, w, info)
+            cert = tx_certificate(coeffs, w, info)
+            assert cert["mu_sign"] == 0.0 and cert["nu_sign"] == 0.0
 
     def test_slack_power_gives_zero_mu(self, tx_setup):
         _, coeffs = tx_setup
@@ -250,8 +248,7 @@ class TestSolveTx:
         w, info = solve_tx(roomy)
         assert info["mu"] == 0.0 and info["iterations"] == 0
         assert np.sum(np.abs(w) ** 2) < roomy.p_bs
-        gap, feasible = _certificate_gap(roomy, w, info)
-        assert feasible and abs(gap) <= 1e-9
+        assert _certified(roomy, w, info)
 
     @pytest.mark.parametrize("hd", [False, True])
     def test_no_cm_users_use_the_sensing_beam(self, hd):
@@ -265,8 +262,7 @@ class TestSolveTx:
         w, info = solve_tx(coeffs)
         assert w.shape == (1, cfg.n_tx) and info["sensing_beam"]
         assert radar_power(coeffs, w) == pytest.approx(coeffs.b0, rel=1e-9)
-        gap, feasible = _certificate_gap(coeffs, w, info)
-        assert feasible and abs(gap) <= 1e-9
+        assert _certified(coeffs, w, info)
 
     def test_hd_coefficients(self, small_cfg, small_ch, tx_sol):
         lt_hd = link_terms(tx_sol, small_ch, small_cfg, True)
@@ -277,8 +273,7 @@ class TestSolveTx:
         # HD drops the self-interference weight from S
         assert np.linalg.norm(coeffs.s_mat) < np.linalg.norm(fd.s_mat)
         w, info = solve_tx(coeffs)
-        gap, feasible = _certificate_gap(coeffs, w, info)
-        assert feasible and abs(gap) <= 1e-9
+        assert _certified(coeffs, w, info)
         w_new, _ = optimize_tx(tx_sol, small_ch, aux, small_cfg, lt_hd)
         assert np.array_equal(w_new, w)
 

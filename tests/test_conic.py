@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from fdiscc.conic import (INFEASIBLE, MAX_ITER, OPTIMAL, ConicError,
-                          QcqpProblem, SdpConstraint, SdpProblem, dump_problem,
-                          fix_diag_entry, qcqp_kkt_residuals, slater_margin,
-                          solve_qcqp, solve_sdp)
+                          QcqpProblem, SdpConstraint, SdpProblem, fix_diag_entry,
+                          qcqp_kkt_residuals, solve_qcqp, solve_sdp)
 
 
 def random_hermitian(rng, n):
@@ -273,15 +272,6 @@ class TestSdp:
         assert res.status in (INFEASIBLE, MAX_ITER)
         assert res.status == INFEASIBLE
 
-    def test_slater_margin(self):
-        prob = SdpProblem(dims=(3,), costs=(np.eye(3, dtype=complex),), constraints=(
-            SdpConstraint(((0, np.eye(3, dtype=complex)),), "==", 3.0),))
-        assert slater_margin(prob, trace_bound=100.0) == pytest.approx(1.0, abs=1e-5)
-        tight = SdpProblem(dims=(2,), costs=(np.eye(2, dtype=complex),), constraints=(
-            SdpConstraint(((0, np.diag([1.0, 0.0]).astype(complex)),), "==", 0.0),))
-        # X[0,0] = 0 forces a boundary point: no Slater margin
-        assert slater_margin(tight, trace_bound=10.0) <= 1e-6
-
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         c = random_hermitian(rng, 4)
@@ -290,18 +280,3 @@ class TestSdp:
         a = solve_sdp(prob).blocks[0]
         b = solve_sdp(prob).blocks[0]
         assert np.array_equal(a, b)
-
-
-class TestDump:
-    def test_dump_roundtrip_readable(self, tmp_path):
-        rng = np.random.default_rng(9)
-        prob = QcqpProblem(a=random_psd(rng, 2), b=np.zeros(2, complex),
-                           d=np.ones((1, 2), complex), e=np.array([0.5]))
-        path = tmp_path / "qcqp.txt"
-        dump_problem(prob, path)
-        text = path.read_text()
-        assert "QcqpProblem" in text and "A =" in text
-        sprob = SdpProblem(dims=(2,), costs=(np.eye(2, dtype=complex),),
-                           constraints=(SdpConstraint(((0, np.eye(2, dtype=complex)),), "==", 1.0),))
-        dump_problem(sprob, tmp_path / "sdp.txt")
-        assert "SdpProblem" in (tmp_path / "sdp.txt").read_text()

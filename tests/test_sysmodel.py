@@ -7,7 +7,7 @@ from fdiscc import beamforming, orchestrator, phaseadmm, powercomp
 from fdiscc.channels import draw_channels
 from fdiscc.config import desk_config
 from fdiscc.sysmodel import (SensingInfeasible, Solution, backhaul_cost, composite_channels,
-                             link_terms, local_rate_energy, residuals, target_row, utility)
+                             link_terms, residuals, target_row, utility)
 from fdiscc.wmmse import update_aux
 
 from conftest import make_solution
@@ -293,16 +293,26 @@ class TestSensingInfeasible:
 
 
 class TestLocalAndCost:
-    def test_zero_frequency(self):
-        assert local_rate_energy(0.0, 1000.0, 1.0, 1e-26) == (0.0, 0.0)
+    @staticmethod
+    def _local(small_cfg, small_ch, rand_sol, f):
+        """utility's local rate and energy at CPU frequency f for every CP-UE,
+        with eps = 1000 cycles/bit, T = 1 s and zeta = 1e-26."""
+        cfg = dataclasses.replace(small_cfg, eps_cycles_per_bit=1000.0,
+                                  coherence_time_s=1.0, zeta=1e-26)
+        met = utility(rand_sol.copy_with(f=np.full(cfg.n_cp, f)), small_ch, cfg)
+        return met.rate_loc, met.energy_loc
 
-    def test_direct_arithmetic(self):
-        rate, energy = local_rate_energy(1e9, 1000.0, 1.0, 1e-26)
+    def test_zero_frequency(self, small_cfg, small_ch, rand_sol):
+        rate, energy = self._local(small_cfg, small_ch, rand_sol, 0.0)
+        assert np.all(rate == 0.0) and np.all(energy == 0.0)
+
+    def test_direct_arithmetic(self, small_cfg, small_ch, rand_sol):
+        rate, energy = self._local(small_cfg, small_ch, rand_sol, 1e9)
         assert rate == pytest.approx(1e6)
         assert energy == pytest.approx(1e-26 * 1e27)
 
-    def test_unit_ratio(self):
-        rate, _ = local_rate_energy(1000.0, 1000.0, 1.0, 1e-26)
+    def test_unit_ratio(self, small_cfg, small_ch, rand_sol):
+        rate, _ = self._local(small_cfg, small_ch, rand_sol, 1000.0)
         assert rate == pytest.approx(1.0)
 
     def test_backhaul_all_cached(self, small_cfg):
