@@ -1,23 +1,24 @@
 """Cache placement: the exact fractional-knapsack optimum, the random
 baseline, and the sums that price a placement.
 
-The cache placement LP (minimize uncached popularity mass subject to the
-capacity budget and box bounds) is solved by greedy loading in decreasing
-popularity-per-byte order, which is optimal for this structure; optimality is
-certified through the knapsack dual price.
+A placement e is charged the backhaul cost T rho_max M(e) sum_l R_0l
+(``sysmodel.backhaul_cost``), with the priced uncached mass M(e) =
+sum_v s_v (1 - e_v) c_v, s = rho / rho_max, of the Zipf popularity c and the
+backhaul prices rho (s = 1 under a uniform price). The cache placement LP
+minimizes M(e) subject to sum_v q_v e_v <= F and 0 <= e <= 1. Greedy loading
+in decreasing order of priced popularity per byte s_v c_v / q_v is optimal
+for this structure (Dantzig 1957), and the knapsack dual price certifies it.
 
 Catalogue-sized work is done once per cache config, not once per priced
-cell: ``catalogue`` keeps the last config's read-only popularity and file
-lengths, and ``solve_caching`` its solution, with the uncached mass and cache
-residual that pricing reads. ``empty_placement`` is one shared read-only
-all-zero placement, whose mass (exactly 1) and residual (exactly -F) need no
-pass at all, so only a random draw costs catalogue-sized passes per cell.
+cell: ``catalogue`` keeps the last config's read-only per-file arrays, the
+empty placement and its mass, and ``solve_caching`` its solution, with the
+priced mass and cache residual that pricing reads. So only a random draw
+costs catalogue-sized passes per cell.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,34 +29,33 @@ from .config import CacheConfig
 @dataclass(frozen=True)
 class CacheSolution:
     e: np.ndarray          # read-only placement in [0, 1] per file
-    objective: float       # sum_v (1 - e_v) * c_v, see uncached_mass
-    dual_price: float      # marginal popularity per unit of capacity
+    objective: float       # priced uncached mass of e, see uncached_mass
+    dual_price: float      # marginal priced popularity per unit of capacity
     duality_gap: float     # certified optimality gap (should be ~0)
-    residual: float = math.nan  # cache_residual of e; NaN on a record built without it
+    residual: float        # cache_residual of e
 
 
 @dataclass(frozen=True)
 class Catalogue:
-    """Read-only per-file arrays of one cache config."""
+    """Read-only per-file arrays of one cache config, and the empty placement.
+
+    Under a uniform price, or an all-zero price tuple, s = 1 and ``sw`` is
+    the Zipf weight array itself, not a copy."""
 
     c: np.ndarray          # Zipf popularity, see zipf_popularity
     q: np.ndarray          # file lengths (bits)
+    sw: np.ndarray         # price-weighted Zipf weights s_v w_v
+    w_sum: float           # sum_v w_v
+    rho_max: float         # the largest backhaul price
+    empty: np.ndarray      # the all-zero placement (``no-caching``)
+    empty_mass: float      # its priced uncached mass, exactly 1 under a uniform price
 
 
-@functools.lru_cache(maxsize=1)
 def zipf_weights(n_files: int, skew: float) -> np.ndarray:
-    """Unnormalised Zipf weights w_v = v^-skew, v = 1..V, as a read-only array.
-
-    The last (n_files, skew) is cached: ``catalogue`` is built from it, and
-    every dense ``uncached_mass`` (a knapsack solve's, a random draw's, one
-    under per-file prices) reads it. One entry, since a sweep runs the cells
-    of one cache config together, and each entry holds a catalogue-sized
-    array (0.8 MB at 1e5 files)."""
+    """Unnormalised Zipf weights w_v = v^-skew, v = 1..V."""
     if n_files < 1:
         raise ValueError("n_files must be >= 1")
-    weights = np.arange(1, n_files + 1, dtype=float) ** (-skew)
-    weights.flags.writeable = False
-    return weights
+    return np.arange(1, n_files + 1, dtype=float) ** (-skew)
 
 
 def zipf_popularity(n_files: int, skew: float) -> np.ndarray:
@@ -66,40 +66,38 @@ def zipf_popularity(n_files: int, skew: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def catalogue(cache_cfg: CacheConfig) -> Catalogue:
-    """The popularity and the file lengths of the last cache config asked
-    for, as read-only arrays; one entry, as for ``zipf_weights``."""
-    c, q = zipf_popularity(cache_cfg.n_files, cache_cfg.skew), cache_cfg.lengths_array()
-    c.flags.writeable = q.flags.writeable = False
-    return Catalogue(c=c, q=q)
+    """The per-file arrays of the last cache config asked for. One entry,
+    since a sweep runs the cells of one cache config together, and each
+    array is catalogue-sized (0.8 MB at 1e5 files)."""
+    w = zipf_weights(cache_cfg.n_files, cache_cfg.skew)
+    w_sum = float(w.sum())
+    rho = np.atleast_1d(np.asarray(cache_cfg.backhaul_price, float))
+    rho_max = float(rho.max())
+    sw = w if rho.min() == rho_max else (rho / rho_max) * w
+    c, q, empty = w / w_sum, cache_cfg.lengths_array(), np.zeros(w.size)
+    for arr in (w, sw, c, q, empty):
+        arr.flags.writeable = False
+    return Catalogue(c=c, q=q, sw=sw, w_sum=w_sum, rho_max=rho_max, empty=empty,
+                     empty_mass=float(sw.sum() / w_sum))
 
 
-def uncached_mass(e: np.ndarray, skew: float, scale: np.ndarray | None = None) -> float:
-    """sum_v s_v (1 - e_v) c_v with per-file weights s = ``scale`` (1 if None).
+def uncached_mass(e: np.ndarray, cache_cfg: CacheConfig) -> float:
+    """The priced uncached mass M(e) = sum_v s_v (1 - e_v) c_v.
 
-    Evaluated as sum_v s_v (1 - e_v) w_v / sum_v w_v on the unnormalised
+    Evaluated as sum_v (1 - e_v) s_v w_v / sum_v w_v on the unnormalised
     weights: the normalised c need not sum to exactly 1 in floating point
-    (it is 1 + 2e-16 at some skews), so with s = 1 this gives exactly 1.0 at
-    e = 0 and exactly 0.0 at e = 1 for every skew.
+    (it is 1 + 2e-16 at some skews), so under a uniform price this gives
+    exactly 1.0 at e = 0 and exactly 0.0 at e = 1 for every skew.
     """
+    cat = catalogue(cache_cfg)
     uncached = 1.0 - np.asarray(e, float)
-    w = zipf_weights(uncached.size, skew)
-    if scale is not None:
-        uncached *= scale
-    uncached *= w
-    return float(uncached.sum() / w.sum())
+    uncached *= cat.sw
+    return float(uncached.sum() / cat.w_sum)
 
 
 def cache_residual(e: np.ndarray, cache_cfg: CacheConfig) -> float:
     """Cache load of placement ``e`` minus the cache capacity."""
     return float(e @ catalogue(cache_cfg).q - cache_cfg.capacity)
-
-
-@functools.lru_cache(maxsize=1)
-def empty_placement(n_files: int) -> np.ndarray:
-    """The read-only all-zero placement (``no-caching``), shared by every caller."""
-    e = np.zeros(n_files)
-    e.flags.writeable = False
-    return e
 
 
 def first_k_stable(key: np.ndarray, k: int) -> np.ndarray:
@@ -125,20 +123,22 @@ def _reach(cap: float, q_min: float, n: int) -> int:
 
 @functools.lru_cache(maxsize=1)
 def solve_caching(cache_cfg: CacheConfig) -> CacheSolution:
-    """Exact LP optimum with at most one fractional placement.
+    """Exact optimum of the priced placement LP, with at most one fractional
+    placement.
 
-    Ties in popularity-per-byte are broken toward the smaller file index so
-    the result is deterministic. Only the files the greedy loading can reach
-    are ordered: at most floor(F / q_min) load fully, and one more may load in
-    part. The loading is the sequential left fold ``np.subtract.accumulate``
-    of the capacity by the file lengths in that order.
+    Ties in priced popularity per byte are broken toward the smaller file
+    index so the result is deterministic. Only the files the greedy loading
+    can reach are ordered: at most floor(F / q_min) load fully, and one more
+    may load in part. The loading is the sequential left fold
+    ``np.subtract.accumulate`` of the capacity by the file lengths in that
+    order.
 
     The last cache config's solution is kept (one entry, in the idiom of
-    ``zipf_weights``), so the cells of one config share one solve; its ``e``
+    ``catalogue``), so the cells of one config share one solve; its ``e``
     is read-only, since every caller gets the same array.
     """
     cat = catalogue(cache_cfg)
-    c, q = cat.c, cat.q
+    c, q = cat.sw / cat.w_sum, cat.q        # priced popularity s_v c_v: c bit for bit if s = 1
     cap = float(cache_cfg.capacity)
     key = -c / q
 
@@ -176,7 +176,7 @@ def solve_caching(cache_cfg: CacheConfig) -> CacheSolution:
     # LP duality on the equivalent max-form: value(mu) = mu*F + sum max(0, c - mu q)
     gained = float(e @ c)
     dual_value = marginal * cap + float(np.maximum(0.0, c - marginal * q).sum())
-    return CacheSolution(e=e, objective=uncached_mass(e, cache_cfg.skew),
+    return CacheSolution(e=e, objective=uncached_mass(e, cache_cfg),
                          dual_price=marginal, duality_gap=dual_value - gained,
                          residual=cache_residual(e, cache_cfg))
 

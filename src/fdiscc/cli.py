@@ -71,7 +71,7 @@ def _cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows_path = out / spec.output
     harness.write_csv(rows, harness.SWEEP_CSV_COLUMNS, rows_path)
-    agg = harness.aggregate(rows)
+    agg = harness.aggregate(rows, spec.parameter)
     agg_path = rows_path.with_name(rows_path.stem + "_aggregate.csv")
     if agg:
         harness.write_csv(agg, tuple(agg[0].keys()), agg_path)

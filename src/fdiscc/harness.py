@@ -254,25 +254,16 @@ def write_trace_csv(result: RunResult, path: str | Path) -> None:
             writer.writerow([repr(getattr(row, c)) for c in TRACE_CSV_COLUMNS])
 
 
-def aggregate(rows: list[dict], field: str = "utility_bits") -> list[dict]:
-    """Median and interquartile range of one field per (scheme, swept value),
-    in increasing swept value.
-
-    The swept value is inferred as any scenario column that varies; falls back
-    to grouping by scheme only (value None).
-    """
+def aggregate(rows: list[dict], parameter: str, field: str = "utility_bits") -> list[dict]:
+    """Median and interquartile range of one field per (scheme, value of the
+    swept ``parameter``), in increasing swept value."""
     if not rows:
         raise ValueError("aggregate needs at least one row")
-    varying = [c for c in SCENARIO_COLUMNS
-               if len({row[c] for row in rows}) > 1]
-    key_col = varying[0] if varying else None
     groups: dict = {}
     for row in rows:
-        key = (row["scheme"], row[key_col] if key_col else None)
-        groups.setdefault(key, []).append(float(row[field]))
+        groups.setdefault((row[parameter], row["scheme"]), []).append(float(row[field]))
     out = []
-    for (scheme, value), vals in sorted(groups.items(),
-                                        key=lambda kv: (kv[0][1] is None, kv[0][1] or 0, kv[0][0])):
+    for (value, scheme), vals in sorted(groups.items()):
         arr = np.asarray(vals)
         q1, q3 = np.percentile(arr, [25.0, 75.0])
         out.append({

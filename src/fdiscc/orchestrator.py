@@ -231,17 +231,19 @@ def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
 
 def _cache_for_scheme(cfg: SystemConfig, scheme: str,
                       rng: np.random.Generator) -> tuple[np.ndarray, float, float]:
-    """The scheme's placement, its uncached mass (``cacheopt.uncached_mass``)
-    and its cache residual: the knapsack's from its memo, the empty
-    placement's exact (mass 1, residual -F), and a random draw's from passes
-    over the draw."""
+    """The scheme's placement, its priced uncached mass
+    (``cacheopt.uncached_mass``) and its cache residual, each from the rule
+    that made it: the knapsack's from its memo, the empty placement's from
+    the catalogue (residual -F), and a random draw's from passes over the
+    draw."""
     cache = cfg.cache
     if scheme == "no-caching":
+        cat = cacheopt.catalogue(cache)
         # 0.0 - F, as the dense 0.0 - F: -F would read -0.0 at F = 0
-        return cacheopt.empty_placement(cache.n_files), 1.0, 0.0 - cache.capacity
+        return cat.empty, cat.empty_mass, 0.0 - cache.capacity
     if scheme == "random-caching":
         e = cacheopt.random_caching(cache, rng)
-        return e, cacheopt.uncached_mass(e, cache.skew), cacheopt.cache_residual(e, cache)
+        return e, cacheopt.uncached_mass(e, cache), cacheopt.cache_residual(e, cache)
     sol = cacheopt.solve_caching(cache)
     return sol.e, sol.objective, sol.residual
 

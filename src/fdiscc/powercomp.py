@@ -164,19 +164,28 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
 
 def power_certificate(coeffs: PowerCoeffs, cfg: SystemConfig, p: np.ndarray,
                       f: np.ndarray, info: dict) -> dict:
-    """KKT residuals of (p, f) at the ``mu`` of ``solve_power_compute``'s info
-    (f > 0), each relative to its own scale and 0 when exact. The energy
-    constraint T p + T zeta f^3 = E is active, and each interior p has
-    b6 / (2 sqrt p) = lin + mu b9 + nu T with 1 / (eps B) = 3 nu T zeta f^2."""
+    """KKT residuals of (p, f) at the ``mu`` of ``solve_power_compute``'s info,
+    each relative to its own scale and 0 when exact. A user with f > 0 has
+    the energy constraint T p + T zeta f^3 = E active, and an interior p has
+    b6 / (2 sqrt p) = lin + mu b9 + nu T with 1 / (eps B) = 3 nu T zeta f^2.
+    A user with f = 0 (full offloading) needs only T p <= E, an interior p
+    has b6 / (2 sqrt p) = lin + mu b9, and p = E/T needs b6 / (2 sqrt p) >=
+    lin + mu b9."""
     t, zeta, e_max = cfg.coherence_time_s, cfg.zeta, cfg.e_max_array()
     mu, load = info["mu"], float(p @ coeffs.b9)
-    inner = (p > 0.0) & (p < e_max / t)
-    grad = coeffs.b6[inner] / (2.0 * np.sqrt(p[inner]))
-    nu_t = 1.0 / (cfg.eps_array()[inner] * cfg.bandwidth_hz * 3.0 * zeta * f[inner] ** 2)
-    stationarity = np.abs(grad - coeffs.lin[inner] - mu * coeffs.b9[inner] - nu_t) / grad
+    local = f > 0.0
+    energy = t * p + t * zeta * f ** 3 - e_max
+    energy = np.where(local, np.abs(energy), np.maximum(energy, 0.0)) / e_max
+    cap = ~local & (p == e_max / t)
+    live = (p > 0.0) & ((p < e_max / t) | cap)
+    grad = coeffs.b6[live] / (2.0 * np.sqrt(p[live]))
+    nu_t = np.divide(1.0, cfg.eps_array() * cfg.bandwidth_hz * 3.0 * zeta * f ** 2,
+                     out=np.zeros(f.size), where=local)
+    gap = grad - coeffs.lin[live] - mu * coeffs.b9[live] - nu_t[live]
+    stationarity = np.where(cap[live], np.maximum(-gap, 0.0), np.abs(gap)) / grad
     scale = max(1.0, abs(power_objective(coeffs, cfg, p, f)))
     return {
-        "energy": float(np.max(np.abs(t * p + t * zeta * f ** 3 - e_max) / e_max, initial=0.0)),
+        "energy": float(np.max(energy, initial=0.0)),
         "stationarity": float(np.max(stationarity, initial=0.0)),
         "mu_sign": max(0.0, -mu) * coeffs.c8 / scale,
         "budget": relative(max(load - coeffs.c8, 0.0), coeffs.c8),

@@ -1,4 +1,4 @@
-"""The ``fdiscc selftest`` invariant suite: 15 checks on one desk-scale
+"""The ``fdiscc selftest`` invariant suite: 16 checks on one desk-scale
 scenario, one ``[PASS]`` or ``[FAIL]`` line each. The KKT checks read the
 solvers' own certificates (``phaseadmm.step_certificate``,
 ``beamforming.tx_certificate``, ``powercomp.power_certificate``)."""
@@ -31,7 +31,8 @@ def scenario():
 
 def kkt_instances(cfg, ch, sol, lt, aux, live, phi) -> dict:
     """Per block, the certificate arguments of one solve with its constraint
-    slack and one with it binding."""
+    slack and one with it binding; the power/compute block's in both of its
+    modes, with the CPU (``power``) and with f = 0 (``offload``)."""
     lt_live = sysmodel.link_terms(live, ch, cfg)
     coeffs = phaseadmm.assemble_phase_coeffs(live, ch, wmmse.update_aux(lt_live), cfg, lt_live)
     # ADMM phase step, its radar constraint set off the unconstrained
@@ -62,11 +63,12 @@ def kkt_instances(cfg, ch, sol, lt, aux, live, phi) -> dict:
     f_free = ((e_max - t * p_free) / (t * zeta)) ** (1 / 3)
     f_coef = 1.0 / (cfg.eps_array() * cfg.bandwidth_hz)
     pc = dataclasses.replace(pc, b6=2 * np.sqrt(p_free) * (pc.lin + f_coef / (3 * zeta * f_free ** 2)))
-    power = []
+    power, offload = [], []
     for frac in (2.0, 0.5):
         c = dataclasses.replace(pc, c8=frac * float(p_free @ pc.b9))
         power.append((c, cfg, *powercomp.solve_power_compute(c, cfg)))
-    return {"phase": phase, "transmit": transmit, "power": power}
+        offload.append((c, cfg, *powercomp.solve_power_compute(c, cfg, force_f_zero=True)))
+    return {"phase": phase, "transmit": transmit, "power": power, "offload": offload}
 
 
 def _certified(certificate, instances) -> bool:
@@ -119,9 +121,11 @@ def main() -> int:
     kkt = kkt_instances(cfg, ch, sol, lt, aux, live, phi)
     check("phase step KKT", _certified(phaseadmm.step_certificate, kkt["phase"]))
     check("transmit step KKT", _certified(beamforming.tx_certificate, kkt["transmit"]))
-    mus = [info["mu"] for *_, info in kkt["power"]]
-    check("power step KKT", _certified(powercomp.power_certificate, kkt["power"])
-          and mus[0] == 0.0 and mus[1] > 0.0)
+    for block, name in (("power", "power step KKT"),
+                        ("offload", "full-offloading power step KKT")):
+        mus = [info["mu"] for *_, info in kkt[block]]
+        check(name, _certified(powercomp.power_certificate, kkt[block])
+              and mus[0] == 0.0 and mus[1] > 0.0)
     rescaled = []       # b9 and c8 in other units must leave p and f bit-equal
     for c, _, p, f, _ in kkt["power"]:
         for scale in (2.0 ** 20, 2.0 ** -20):

@@ -35,7 +35,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .cacheopt import cache_residual, uncached_mass
+from .cacheopt import cache_residual, catalogue, uncached_mass
 
 
 @dataclass(frozen=True)
@@ -182,27 +182,17 @@ def link_terms(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
 
 def backhaul_cost(e: np.ndarray, cache_cfg, t: float, n_cp: int,
                   mass: float | None = None) -> float:
-    """D_total = T sum_v rho_v (1 - e_v) c_v sum_l R_0l.
+    """D_total = T sum_v rho_v (1 - e_v) c_v sum_l R_0l = T rho_max M(e) sum_l R_0l.
 
-    The largest price rho_max is factored out, D_total =
-    T rho_max [sum_v (rho_v / rho_max)(1 - e_v) c_v] sum_l R_0l, so that with a
-    uniform price the bracket is exactly 1 at e = 0 and exactly 0 at e = 1:
-    the no-cache cost is then exactly T rho sum_l R_0l whatever the skew.
-
-    With a uniform price the bracket is the uncached mass of ``e``
-    (``cacheopt.uncached_mass``), which a caller that holds it passes as
-    ``mass``; per-file prices always take the dense sum, and ``mass`` goes
-    unread.
+    M(e) = sum_v (rho_v / rho_max)(1 - e_v) c_v is the priced uncached mass
+    (``cacheopt.uncached_mass``), the objective of the cache placement LP that
+    ``cacheopt.solve_caching`` minimizes. A caller that holds it passes it as
+    ``mass``. Under a uniform price M is exactly 1 at e = 0 and exactly 0 at
+    e = 1, so the no-cache cost is exactly T rho sum_l R_0l whatever the skew.
     """
-    rho = np.atleast_1d(np.asarray(cache_cfg.backhaul_price, float))   # not broadcast
-    rho_max = float(rho.max())
-    if rho_max == 0.0:
-        return 0.0
-    if rho.size > 1:
-        mass = uncached_mass(e, cache_cfg.skew, rho / rho_max)
-    elif mass is None:
-        mass = uncached_mass(e, cache_cfg.skew)
-    return float(t * rho_max * mass * cache_cfg.rate_array(n_cp).sum())
+    if mass is None:
+        mass = uncached_mass(e, cache_cfg)
+    return float(t * catalogue(cache_cfg).rho_max * mass * cache_cfg.rate_array(n_cp).sum())
 
 
 def utility(sol: Solution, ch: ChannelSet, cfg: SystemConfig, hd: bool = False, *,

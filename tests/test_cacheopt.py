@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdiscc.cacheopt import (CacheSolution, catalogue, empty_placement, first_k_stable,
-                             random_caching, solve_caching, uncached_mass,
-                             zipf_popularity, zipf_weights)
+from fdiscc.cacheopt import (CacheSolution, catalogue, first_k_stable, random_caching,
+                             solve_caching, uncached_mass, zipf_popularity)
 from fdiscc.config import CacheConfig
 
 
@@ -30,12 +29,16 @@ class TestZipf:
         assert np.all(np.diff(c) <= 1e-15)
 
     def test_weights_cached_read_only(self):
-        w = zipf_weights(50, 1.1)
-        assert zipf_weights(50, 1.1) is w
-        assert not w.flags.writeable
-        with pytest.raises(ValueError):
-            w[0] = 2.0
-        assert np.array_equal(w, np.arange(1, 51, dtype=float) ** -1.1)
+        # under a uniform or all-zero price the priced weights are the Zipf
+        # weights themselves, kept once per cache config
+        for price in (1.0, 2.5, (0.0,) * 50):
+            cfg = CacheConfig(n_files=50, skew=1.1, backhaul_price=price)
+            w = catalogue(cfg).sw
+            assert catalogue(replace(cfg)).sw is w
+            assert not w.flags.writeable
+            with pytest.raises(ValueError):
+                w[0] = 2.0
+            assert np.array_equal(w, np.arange(1, 51, dtype=float) ** -1.1)
 
 
 def lp_vertex_oracle(c, q, cap, chunk=1 << 14):
@@ -147,6 +150,28 @@ class TestSolveCaching:
             objectives.append(solve_caching(cfg).objective)
         assert np.all(np.diff(objectives) <= 1e-14)
 
+    def test_matches_priced_lp_oracle(self):
+        # per-file prices: the knapsack maximizes sum_v rho_v c_v e_v, with
+        # zero prices and tied prices and lengths among the instances
+        rng = np.random.default_rng(7)
+        for trial in range(200):
+            v = int(rng.integers(1, 11))
+            if trial % 2:
+                rho, q = rng.uniform(0.0, 3.0, v), rng.uniform(0.2, 2.0, v)
+                rho[rng.random(v) < 0.2] = 0.0
+            else:
+                rho, q = rng.choice([0.0, 0.5, 1.0, 2.0], v), rng.choice([1.0, 2.0], v)
+            cap = float(rng.uniform(0.0, q.sum()))
+            cfg = CacheConfig(n_files=v, capacity=cap, lengths=tuple(q.tolist()),
+                              backhaul_price=tuple(rho.tolist()), skew=float(rng.uniform(0, 2)))
+            sol = solve_caching(cfg)
+            c = zipf_popularity(v, cfg.skew)
+            assert float(rho * c @ sol.e) == pytest.approx(lp_vertex_oracle(rho * c, q, cap),
+                                                           abs=1e-12)
+            s = rho / rho.max() if rho.max() > 0.0 else np.ones(v)    # all zero: unpriced
+            assert sol.objective == pytest.approx(float(s * c @ (1.0 - sol.e)), abs=1e-12)
+            assert abs(sol.duality_gap) <= 1e-10
+
     @given(st.integers(1, 8), st.floats(0.0, 8.0), st.floats(0.0, 2.0))
     @settings(max_examples=40, deadline=None)
     def test_greedy_optimal_hypothesis(self, v, cap, skew):
@@ -224,8 +249,9 @@ def _solve_caching_full_sort(cache_cfg):
         marginal = float(np.max(c[leftover] / q[leftover])) if leftover.any() else 0.0
     gained = float(e @ c)
     dual_value = marginal * cap + float(np.maximum(0.0, c - marginal * q).sum())
-    return CacheSolution(e=e, objective=uncached_mass(e, cache_cfg.skew),
-                         dual_price=marginal, duality_gap=dual_value - gained)
+    return CacheSolution(e=e, objective=uncached_mass(e, cache_cfg),
+                         dual_price=marginal, duality_gap=dual_value - gained,
+                         residual=float(e @ q - cap))
 
 
 def _random_caching_full_sort(cache_cfg, rng):
@@ -367,10 +393,9 @@ class TestMemo:
         with pytest.raises(ValueError):
             sol.e[0] = 0.5
         cat = catalogue(self.BASE)
-        empty = empty_placement(7)
-        for arr in (cat.c, cat.q, empty):
+        for arr in (cat.c, cat.q, cat.sw, cat.empty):
             assert not arr.flags.writeable
-        assert np.array_equal(empty, np.zeros(7))
+        assert np.array_equal(cat.empty, np.zeros(self.BASE.n_files))
 
     def test_equal_by_repr_with_and_without_clearing(self):
         cfgs = [self.BASE, replace(self.BASE, skew=0.4), self.BASE,

@@ -328,7 +328,7 @@ class TestAggregate:
                  **{c: 1 for c in ("m_active", "n_tx", "n_rx", "n_cm", "n_cp",
                                    "p_bs_watt", "gamma_tar_linear",
                                    "backhaul_rate", "skew")}}]
-        out = aggregate(rows)
+        out = aggregate(rows, "m_passive")
         assert out[0]["utility_bits_median"] == 5.0
         assert out[0]["utility_bits_iqr"] == 0.0
 
@@ -339,7 +339,7 @@ class TestAggregate:
                  **{c: 1 for c in ("m_active", "n_tx", "n_rx", "n_cm", "n_cp",
                                    "p_bs_watt", "gamma_tar_linear",
                                    "backhaul_rate", "skew")}} for v in vals]
-        out = aggregate(rows)
+        out = aggregate(rows, "m_passive")
         assert out[0]["utility_bits_median"] == sorted(vals)[4]
 
     def test_swept_values_sorted_numerically(self):
@@ -347,13 +347,21 @@ class TestAggregate:
                                 "gamma_tar_linear", "backhaul_rate", "skew")}
         rows = [{"scheme": scheme, "m_passive": m, "utility_bits": float(m), **fixed}
                 for m in (32, 8, 64, 16) for scheme in ("random-caching", "proposed")]
-        out = aggregate(rows)
+        out = aggregate(rows, "m_passive")
         assert [(r["value"], r["scheme"]) for r in out] == [
             (m, scheme) for m in (8, 16, 32, 64) for scheme in ("proposed", "random-caching")]
 
+    def test_one_value_sweep_keeps_its_value(self):
+        fixed = {c: 1 for c in ("m_active", "n_tx", "n_rx", "n_cm", "n_cp", "p_bs_watt",
+                                "gamma_tar_linear", "backhaul_rate", "skew")}
+        rows = [{"scheme": scheme, "m_passive": 8, "utility_bits": 1.0, **fixed}
+                for scheme in ("random-caching", "proposed")]
+        out = aggregate(rows, "m_passive")
+        assert [(r["value"], r["scheme"]) for r in out] == [(8, "proposed"), (8, "random-caching")]
+
     def test_empty_group_errors(self):
         with pytest.raises(ValueError):
-            aggregate([])
+            aggregate([], "m_passive")
 
 
 SRC_DIR = Path(__file__).resolve().parents[1] / "src"
@@ -542,4 +550,4 @@ class TestCli:
         assert r.returncode == 0, r.stdout + r.stderr
         assert "FAIL" not in r.stdout
         # every check of the suite ran: one lost in a move fails here
-        assert r.stdout.count("[PASS]") == 15
+        assert r.stdout.count("[PASS]") == 16

@@ -316,14 +316,35 @@ class TestPricing:
             for s in self.CACHING:
                 cacheopt.solve_caching.cache_clear()
                 cacheopt.catalogue.cache_clear()
-                cacheopt.zipf_weights.cache_clear()
                 cleared.append(outcome(c, s))
         assert kept == cleared
 
-    def test_knapsack_and_empty_placements_priced_without_catalogue_arrays(self):
+    def test_costs_ordered_under_per_file_prices(self, desk):
+        # the knapsack minimizes the priced mass it is charged, so no random
+        # draw costs less, and no placement costs more than caching nothing
+        cfg, ch = desk
+        radio = solve_radio(cfg, ch, "proposed", 1)
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            v = 50
+            prices = rng.uniform(0.0, 3.0, v)
+            prices[rng.random(v) < 0.2] = 0.0
+            lengths = rng.uniform(5e4, 2e5, v)
+            cache = CacheConfig(n_files=v, capacity=float(rng.uniform(0.05, 0.5) * lengths.sum()),
+                                lengths=tuple(lengths.tolist()),
+                                backhaul_price=tuple(prices.tolist()),
+                                skew=float(rng.uniform(0.0, 1.5)), backhaul_rate=(1e8, 3e7))
+            priced = replace(cfg, cache=cache)
+            d = [price(priced, radio, s).metrics.d_total for s in self.CACHING]
+            assert d[0] <= d[1] <= d[2], d
+
+    @pytest.mark.parametrize("prices", ["uniform", "per-file"])
+    def test_knapsack_and_empty_placements_priced_without_catalogue_arrays(self, prices):
         # after one warm-up, the knapsack's price comes from its memo and the
-        # empty placement's is exact: no array of the catalogue's size is built
-        cache = CacheConfig(n_files=100_000, capacity=2000 * 1e5, lengths=1e5, skew=1.1)
+        # empty placement's from the catalogue: no array of the catalogue's size is built
+        rho = 1.0 if prices == "uniform" else tuple(np.linspace(0.0, 2.0, 100_000).tolist())
+        cache = CacheConfig(n_files=100_000, capacity=2000 * 1e5, lengths=1e5, skew=1.1,
+                            backhaul_price=rho)
         cfg = desk_config(cache=cache, seed=1)
         radio = solve_radio(cfg, draw_channels(cfg), "proposed", 1)
         for scheme in ("proposed", "no-caching"):

@@ -362,14 +362,16 @@ class TestLocalAndCost:
         dense = 0.5 * np.sum(np.array(prices) * (1.0 - e) * zipf_popularity(50, 0.8)) * 7.0
         cost = backhaul_cost(e, cache, 0.5, 2)
         assert cost == pytest.approx(dense, rel=1e-12, abs=0.0)
-        # per-file prices take the dense sum: a placement's uniform-price mass goes unread
-        assert backhaul_cost(e, cache, 0.5, 2, uncached_mass(e, 0.8)) == cost
+        # the priced mass a placement rule hands over is the one charged
+        assert backhaul_cost(e, cache, 0.5, 2, uncached_mass(e, cache)) == cost
+        assert backhaul_cost(e, cache, 0.5, 2, 0.25) == pytest.approx(
+            0.5 * max(prices) * 0.25 * 7.0, rel=1e-15)
 
     def test_backhaul_uniform_price_reads_given_mass(self, small_cfg):
         from fdiscc.cacheopt import uncached_mass
         cache = small_cfg.cache
         e = np.linspace(0.0, 1.0, cache.n_files)
-        mass = uncached_mass(e, cache.skew)
+        mass = uncached_mass(e, cache)
         assert backhaul_cost(e, cache, 1.0, 2, mass) == backhaul_cost(e, cache, 1.0, 2)
         assert backhaul_cost(e, cache, 1.0, 2, 0.25) == pytest.approx(
             0.25 * float(cache.backhaul_price) * 2 * float(cache.backhaul_rate), rel=1e-15)
