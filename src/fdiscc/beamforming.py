@@ -110,6 +110,57 @@ def radar_power(coeffs: TxCoeffs, w: np.ndarray) -> float:
     return float(np.sum(np.abs(w @ coeffs.d.conj()) ** 2))
 
 
+def _tx_beams(s: np.ndarray, x: np.ndarray, y: np.ndarray, target: float,
+              mu: float) -> tuple[np.ndarray, float, float]:
+    """Beams maximizing the Lagrangian at (mu, nu*(mu)) in the eigenbasis of S (eigenvalues
+    s, coordinates x of the q_k and y of d), nu*, and sum_k q_k^H A^{-1} q_k."""
+    b = s + mu
+    xb, yb = x / b, y / b
+    phi = float(np.sum(np.abs(y) ** 2 / b))
+    r = xb @ y.conj()                                   # d^H B^{-1} q_k
+    rr = float(np.sum(np.abs(r) ** 2))
+    gain = float(np.sum(np.abs(x) ** 2 / b))
+    w = np.zeros((x.shape[0] + 1, s.size), complex)
+    w[1:] = xb
+    if rr >= target:
+        return w, 0.0, gain
+    if rr > 0.0:
+        t = np.sqrt(rr / target)                        # 1 - nu phi
+        w[1:] += ((1.0 - t) / (phi * t)) * r[:, None] * yb
+        return w, (1.0 - t) / phi, gain + (1.0 - t) * np.sqrt(rr * target) / phi
+    w[0] = (np.sqrt(target) / phi) * yb
+    return w, 1.0 / phi, gain
+
+
+def _tx_power(s: np.ndarray, xx: np.ndarray, yy: np.ndarray, z: np.ndarray, target: float,
+              mu: float) -> tuple[float, float]:
+    """||w||^2 of ``_tx_beams`` at mu and its slope in mu, from the sums
+    X_i = sum_k |x_ki|^2, Y_i = |y_i|^2 and Z_ki = x_ki conj(y_i) against
+    b^-n = (s + mu)^-n: with A_n = X b^-n, phi_n = Y b^-n and r_n = Z b^-n,
+    ||w||^2 = A_2 + 2 c Re(r_1^H r_2) + c^2 |r_1|^2 phi_2, c = 0 at nu* = 0 and
+    (sqrt(target) / |r_1| - 1) / phi_1 below 1/phi_1; A_2 + target phi_2 / phi_1^2
+    with the sensing beam."""
+    b1 = 1.0 / (s + mu)
+    b2, b3 = b1 * b1, b1 * b1 * b1
+    norm, slope = float(xx @ b2), -2.0 * float(xx @ b3)
+    r1, r2 = z @ b1, z @ b2
+    rr = float(np.sum(np.abs(r1) ** 2))
+    if rr >= target:
+        return norm, slope
+    phi, phi2, phi3 = float(yy @ b1), float(yy @ b2), float(yy @ b3)
+    if rr == 0.0:
+        return (norm + target * phi2 / phi ** 2,
+                slope + 2.0 * target * (phi2 ** 2 / phi - phi3) / phi ** 2)
+    cross = float(np.sum(r1 * r2.conj()).real)
+    d_cross = -float(np.sum(np.abs(r2) ** 2)) - 2.0 * float(np.sum(r1 * (z @ b3).conj()).real)
+    g = np.sqrt(target / rr)                            # d rr = -2 cross
+    c = (g - 1.0) / phi
+    d_c = (g * cross / rr + c * phi2) / phi
+    return (norm + 2.0 * c * cross + c * c * rr * phi2,
+            slope + 2.0 * (d_c * cross + c * d_cross) + 2.0 * c * d_c * rr * phi2
+            - 2.0 * c * c * (cross * phi2 + rr * phi3))
+
+
 def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
     """Exact transmit optimum and its dual certificate.
 
@@ -122,17 +173,19 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
     A singular and the floor is met by w_0 = tau B^{-1} d, its null vector.
     The power ||w(mu)||^2 then falls with mu, and mu is 0 when the budget is
     slack (EPS max(1, ||S||) if S is singular, where B must stay invertible),
-    else the root of 1/||w(mu)|| = 1/sqrt(P) by ``rootfind.increasing_root``,
-    on the side where the beams fit the budget.
+    else the root of 1/||w(mu)|| = 1/sqrt(P) by ``rootfind.increasing_root``
+    on ``_tx_power``, from the larger of the Newton step off that smallest mu
+    and max_i sqrt(X_i / P) - s_i, the mu each term alone needs. The beams are
+    formed once, at the root.
 
     Returns the beams (K+1, N_t) and ``{"dual", "mu", "nu", "iterations",
     "sensing_beam"}``, where ``iterations`` counts the root-find's evaluations
-    and ``dual`` is g(mu, nu) = b3 + b4 + sum_k q_k^H A^{-1} q_k + mu P - nu b0,
-    an upper bound on the objective.
+    of ||w(mu)|| (0 when the budget is slack) and ``dual`` is
+    g(mu, nu) = b3 + b4 + sum_k q_k^H A^{-1} q_k + mu P - nu b0, an upper
+    bound on the objective.
     Raises SensingInfeasible when the floor exceeds the echo ceiling P ||d||^2.
     """
     q, d = coeffs.q, coeffs.d
-    k_n, nt = q.shape[0], coeffs.s_mat.shape[0]
     p_max, target = coeffs.p_bs, coeffs.b0 * (1.0 + RADAR_MARGIN)
     ceiling = p_max * float(np.vdot(d, d).real)
     if ceiling < target:
@@ -140,43 +193,23 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
     s, vecs = np.linalg.eigh(coeffs.s_mat)
     s = np.maximum(s, 0.0)
     x, y = q @ vecs.conj(), d @ vecs.conj()          # eigenbasis coordinates
-    points = {}         # every trial point by mu, so the root is not re-solved
+    xx, yy, z = np.sum(np.abs(x) ** 2, axis=0), np.abs(y) ** 2, x * y.conj()
 
-    def beams(mu: float):
-        """Beams maximizing the Lagrangian at (mu, nu*(mu)) in the eigenbasis,
-        nu*, and sum_k q_k^H A^{-1} q_k."""
-        b = s + mu
-        xb, yb = x / b, y / b
-        phi = float(np.sum(np.abs(y) ** 2 / b))
-        r = xb @ y.conj()                               # d^H B^{-1} q_k
-        rr = float(np.sum(np.abs(r) ** 2))
-        gain = float(np.sum(np.abs(x) ** 2 / b))
-        w = np.zeros((k_n + 1, nt), complex)
-        w[1:] = xb
-        if rr >= target:
-            return w, 0.0, gain
-        if rr > 0.0:
-            t = np.sqrt(rr / target)                    # 1 - nu phi
-            w[1:] += ((1.0 - t) / (phi * t)) * r[:, None] * yb
-            return w, (1.0 - t) / phi, gain + (1.0 - t) * np.sqrt(rr * target) / phi
-        w[0] = (np.sqrt(target) / phi) * yb
-        return w, 1.0 / phi, gain
-
-    def slack(mu: float) -> float:
-        """1/||w|| - 1/sqrt(P): increasing and nearly linear in mu."""
-        points[mu] = beams(mu)
-        norm = np.sqrt(np.sum(np.abs(points[mu][0]) ** 2))
-        return 1.0 / norm - 1.0 / np.sqrt(p_max) if norm > 0.0 else np.inf
+    def slack(mu: float) -> tuple[float, float]:     # 1/||w|| - 1/sqrt(P), nearly linear in mu
+        norm2, d_norm2 = _tx_power(s, xx, yy, z, target, mu)
+        if norm2 <= 0.0:
+            return np.inf, 0.0
+        return 1.0 / np.sqrt(norm2) - 1.0 / np.sqrt(p_max), -0.5 * d_norm2 / norm2 ** 1.5
 
     mu = 0.0 if s[0] > 0.0 else EPS * max(s[-1], 1.0)
-    f_lo, iters = slack(mu), 0
-    if f_lo < 0.0:
-        hi = max(s[-1], np.sqrt(np.sum(np.abs(q) ** 2) / p_max), 2.0 * mu)
+    value, slope, iters = *slack(mu), 0
+    if value < 0.0:
+        start = max(mu - value / slope, float(np.max(np.sqrt(xx / p_max) - s)))
         try:
-            mu, iters = increasing_root(slack, mu, f_lo, hi)
+            mu, iters = increasing_root(slack, start, mu)
         except NoBracketError as exc:
             raise SensingInfeasible("sensing floor at the echo ceiling") from exc
-    w, nu, gain = points[mu]
+    w, nu, gain = _tx_beams(s, x, y, target, mu)
     dual = float(coeffs.b3.sum() + coeffs.b4.sum()) + gain + mu * p_max - nu * coeffs.b0
     return w @ vecs.T, {"dual": float(dual), "mu": float(mu), "nu": float(nu),
                         "iterations": iters, "sensing_beam": bool(np.any(w[0]))}
@@ -379,13 +412,6 @@ def assemble_rx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     t5 = (np.sqrt(1.0 + aux.alpha2) * aux.beta2.conj() * np.sqrt(sol.p) / LN2)[:, None] * comp.g
     return RxCoeffs(t5=t5, cov=cov, weight=np.abs(aux.beta2) ** 2 / LN2,
                     b5=(np.log(1.0 + aux.alpha2) - aux.alpha2) / LN2)
-
-
-def rx_objective(coeffs: RxCoeffs, u: np.ndarray, l: int) -> float:
-    """b5 + 2Re{u^H t5} - weight u^H R u for CP-UE l."""
-    lin = 2.0 * float((u.conj() @ coeffs.t5[l]).real)
-    quad = float(coeffs.weight[l] * (u.conj() @ coeffs.cov @ u).real)
-    return float(coeffs.b5[l]) + lin - quad
 
 
 def solve_rx(coeffs: RxCoeffs) -> np.ndarray:

@@ -29,11 +29,6 @@ def db2lin(x_db: float) -> float:
     return 10.0 ** (x_db / 10.0)
 
 
-def dbm2watt(x_dbm: float) -> float:
-    """Convert dBm to watts."""
-    return 10.0 ** ((x_dbm - 30.0) / 10.0)
-
-
 class ConfigError(ValueError):
     """Invalid configuration value or malformed config file."""
 

@@ -170,8 +170,8 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray,
         target = max(target, floor0 * (1.0 + 1e-9))
         if base >= target:
             share_needed = 0.0
-        else:
-            share_needed = (target - base) / max(ceiling - base, 1e-300)
+        else:       # ceiling - base > ceiling - target >= 1e-9 ceiling > 0
+            share_needed = (target - base) / (ceiling - base)
         share = min(max(1.0 / (k_n + 1), share_needed), 1.0 - 1e-6)
     w = beams(share)
     echo_val = echo(w)

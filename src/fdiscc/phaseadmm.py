@@ -1,19 +1,21 @@
 """IRS phase-shift optimization.
 
 The surrogate objective and the radar constraint are first collapsed to the
-data (T12, t12, b12, V, b0) of the reflection vector.  Every surrogate term
-is a sum of products with one factor on each side of diag(phi), so T12 is
-built from Hadamard products (o) of Gram matrices:
+data (F, t12, b12, V, b0) of the reflection vector.  Each quadratic surrogate
+term is |a^H diag(phi) b|^2 = |(a o conj(b))^H phi|^2, so the quadratic
+weight is T12 = F F^H with one column of F (over sqrt(ln 2)) per term:
 
-    G_w = sum_j conj(G_t w_j) (G_t w_j)^T          over every beam,
-    G_p = sum_l p_l conj(g_pu,l) g_pu,l^T          over the CP-UEs,
-    H_b = sum_k |beta1_k|^2 h_pu,k h_pu,k^H,
-    C_b = sum_l |beta2_l|^2 c_l c_l^H,  c_l = G_r u_l,
+    |beta1_k| h_pu,k o conj(G_t w_j)              every CM-UE k and beam j,
+    sqrt(p_l) |beta1_k| h_pu,k o conj(g_pu,l)     every k and CP-UE l (FD only),
+    sqrt(p_l') |beta2_l| c_l o conj(g_pu,l'),  c_l = G_r u_l,  every l and l'.
 
-    T12 = (H_b o (G_w + G_p) + C_b o G_p) / ln 2   (G_w alone in H_b's factor
-                                                    under HD, which has no CCI).
+So T12 has rank at most K(K+1) + KL + L^2; zero columns (p_l = 0) are
+dropped. With the thin SVD F = U Sigma W^H, exactly for any column count,
 
-The echo power needs no M x M matrix: with the target row t of
+    (T12 + c I)^{-1} v = v / c - U diag(sigma^2 / (c (sigma^2 + c))) U^H v,
+
+and the surrogate reads ||F^H phi||^2, so no M x M matrix is formed.
+The echo power needs no M x M matrix either: with the target row t of
 ``sysmodel.target_row``, it is ||V phi||^2 over the K+1 echo rows
 v_j = t o (G_t w_j), and V^H (V phi) is its gradient direction.
 
@@ -49,23 +51,24 @@ from .wmmse import LN2, AuxVars, _bracket
 class PhaseCoeffs:
     """Quadratic data of the reflection vector phi.
 
-    Surrogate sum = -phi^H T12 phi + 2 Re{t12^H phi} + b12 (log2 units);
-    radar constraint reads  b0 - ||V phi||^2 <= 0  (linear units).
-    T12 = (H_b o (G_w + G_p) + C_b o G_p) / ln 2 (H_b o G_w + C_b o G_p under HD),
-    with the Gram matrices of the module docstring, and V (K+1, M) holds the
-    echo rows v_j = t o (G_t w_j).
+    Surrogate sum = -||F^H phi||^2 + 2 Re{t12^H phi} + b12 (log2 units), so
+    T12 = F F^H with the factor F (M, r) of the module docstring;
+    radar constraint reads  b0 - ||V phi||^2 <= 0  (linear units), and V
+    (K+1, M) holds the echo rows v_j = t o (G_t w_j).
     """
 
-    t12_mat: np.ndarray
+    factor: np.ndarray
     t12_vec: np.ndarray
     b12: float
     echo_rows: np.ndarray
     b0: float
 
     @cached_property
-    def t12_eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """Eigen split of T12, shared by every proximal solve on these data."""
-        return np.linalg.eigh(self.t12_mat)
+    def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """U, U^H, sigma^2 and U^H t12 of the thin SVD F = U Sigma W^H."""
+        u, sigma, _ = np.linalg.svd(self.factor, full_matrices=False)
+        uh = u.conj().T
+        return u, uh, sigma ** 2, uh @ self.t12_vec
 
 
 @dataclass
@@ -99,41 +102,43 @@ class PhaseInfo:
     infeasible: bool = False
 
 
+def _column_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows a_i o conj(b_j) over every pair (i, j)."""
+    return (a[:, None, :] * b.conj()[None, :, :]).reshape(-1, a.shape[1])
+
+
 def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
                           cfg: SystemConfig, lt: LinkTerms) -> PhaseCoeffs:
     """Collapse the surrogates and the echo power into quadratic coefficients
-    (the Gram/Hadamard forms of the module docstring), in the duplex mode of
-    ``lt``, the ``link_terms`` of this same solution."""
+    (the factor F of the module docstring), in the duplex mode of ``lt``, the
+    ``link_terms`` of this same solution."""
     gtw = sol.w @ ch.g_t.T                      # rows G_t w_j, shape (K+1, M)
     c = sol.u @ ch.g_r.T                        # rows c_l = G_r u_l, shape (L, M)
-    bb1, bb2 = np.abs(aux.beta1) ** 2, np.abs(aux.beta2) ** 2
-    g_w = gtw.conj().T @ gtw
-    g_p = (ch.g_pu.conj().T * sol.p) @ ch.g_pu
-    h_b = (ch.h_pu.T * bb1) @ ch.h_pu.conj()
-    c_b = (c.T * bb2) @ c.conj()
+    gp = np.sqrt(sol.p)[:, None] * ch.g_pu      # rows sqrt(p_l) g_pu,l
+    bb1 = np.abs(aux.beta1) ** 2
 
     t1 = (np.sqrt(1.0 + aux.alpha1) * aux.beta1) @ (gtw[1:].conj() * ch.h_pu)
     t2 = (np.sqrt(1.0 + aux.alpha2) * aux.beta2 * np.sqrt(sol.p)) @ (c * ch.g_pu.conj())
     den1 = np.full(bb1.shape, cfg.noise_ue_watt)
-    if lt.hd:
-        t12_mat = h_b * g_w + c_b * g_p
-    else:
+    beams = gtw if lt.hd else np.vstack([gtw, gp])      # H_b's partners; no CCI under HD
+    if not lt.hd:
         # full-duplex CCI: e_lk + h_pu_k^H diag(phi) g_pu_l through every CP-UE
         t1 = t1 - bb1 @ (ch.h_pu * ((sol.p[:, None] * ch.e_direct).T @ ch.g_pu.conj()))
-        t12_mat = h_b * (g_w + g_p) + c_b * g_p
         den1 = den1 + sol.p @ np.abs(ch.e_direct) ** 2
     # phi-free rest: downlink noise and direct-link CCI, offloading SI and noise
     b12 = np.sum(_bracket(aux.alpha1, aux.beta1, 0.0, den1)) \
         + np.sum(_bracket(aux.alpha2, aux.beta2, 0.0, lt.si + lt.noise_off))
 
-    t12_mat = t12_mat / LN2
-    return PhaseCoeffs(t12_mat=(t12_mat + t12_mat.conj().T) / 2.0, t12_vec=(t1 + t2) / LN2,
+    cols = np.vstack([_column_products(np.abs(aux.beta1)[:, None] * ch.h_pu, beams),
+                      _column_products(np.abs(aux.beta2)[:, None] * c, gp)])
+    cols = cols[np.any(cols != 0.0, axis=1)]
+    return PhaseCoeffs(factor=cols.T / np.sqrt(LN2), t12_vec=(t1 + t2) / LN2,
                        b12=float(b12), echo_rows=gtw * target_row(ch), b0=lt.floor)
 
 
 def surrogate_value(coeffs: PhaseCoeffs, phi: np.ndarray) -> float:
-    """-phi^H T12 phi + 2 Re{t12^H phi} + b12."""
-    quad = float((phi.conj() @ coeffs.t12_mat @ phi).real)
+    """-||F^H phi||^2 + 2 Re{t12^H phi} + b12."""
+    quad = float(np.sum(np.abs(phi @ coeffs.factor.conj()) ** 2))
     lin = 2.0 * float((coeffs.t12_vec.conj() @ phi).real)
     return -quad + lin + coeffs.b12
 
@@ -154,18 +159,21 @@ def admm_phi_step(coeffs: PhaseCoeffs, state: AdmmState, lin: LinearRadar) -> np
     """Exact minimizer of phi^H A phi - 2 Re{r^H phi} s.t. -2 Re{d^H phi} + e <= 0 with
     A = T12 + I/(2 rho), r = t12 + (psi - rho lambda)/(2 rho): phi_u = A^-1 r if it meets
     the constraint, else phi_u + mu A^-1 d with the binding multiplier mu = slack(phi_u) /
-    (2 d^H A^-1 d).  Raises SensingInfeasible when d = 0 and the constraint is violated."""
-    evals, evecs = coeffs.t12_eig
+    (2 d^H A^-1 d).  A^-1 is applied through the thin SVD of the factor F (module
+    docstring).  Raises SensingInfeasible when d = 0 and the constraint is violated."""
+    u, uh, sigma2, uh_t12 = coeffs.split
     prox = 1.0 / (2.0 * state.rho)
+    shrink = sigma2 / (prox * (sigma2 + prox))
 
-    def a_inv(v):
-        return evecs @ ((evecs.conj().T @ v) / (evals + prox))
+    def a_inv(v, uh_v):
+        return v / prox - u @ (shrink * uh_v)
 
-    phi_u = a_inv(coeffs.t12_vec + prox * (state.psi - state.rho * state.lam))
+    target = state.psi - state.rho * state.lam
+    phi_u = a_inv(coeffs.t12_vec + prox * target, uh_t12 + prox * (uh @ target))
     slack = -2.0 * float((lin.d.conj() @ phi_u).real) + lin.e
     if slack <= SLACK_TOL * max(1.0, abs(lin.e)):
         return phi_u
-    a_inv_d = a_inv(lin.d)
+    a_inv_d = a_inv(lin.d, uh @ lin.d)
     curvature = float((lin.d.conj() @ a_inv_d).real)
     if curvature <= 0.0:
         raise SensingInfeasible("the linearized radar constraint admits no reflection vector")
@@ -179,7 +187,7 @@ def step_certificate(coeffs: PhaseCoeffs, state: AdmmState, lin: LinearRadar,
     A x - r = mu d is fitted by least squares."""
     prox = 1.0 / (2.0 * state.rho)
     r = coeffs.t12_vec + prox * (state.psi - state.rho * state.lam)
-    grad = coeffs.t12_mat @ x + prox * x - r
+    grad = coeffs.factor @ (x @ coeffs.factor.conj()) + prox * x - r
     d_norm, r_norm = np.linalg.norm(lin.d), np.linalg.norm(r)
     mu = relative(float((lin.d.conj() @ grad).real), d_norm ** 2)
     violation = relative(lin.e - 2.0 * float((lin.d.conj() @ x).real), abs(lin.e))

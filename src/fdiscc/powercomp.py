@@ -15,10 +15,10 @@ interference total, which falls with mu, meet the budget.
 ``power_certificate`` gives a solve's KKT residuals, which the tests and
 ``fdiscc selftest`` (``selftest.py``) read.
 
-Both searches, each user's root of the derivative in p and the outer one
-for mu, are ``rootfind.increasing_root``. Its stop rule is relative, so
-rescaling b9 and c8 by a power of two (a change of units) rescales mu
-exactly and leaves p and f bit-equal.
+Both searches, each user's root of the derivative (in sqrt(p)) and the outer
+one for mu, are ``rootfind.increasing_root``, safeguarded Newton with slopes
+in closed form. Its stop rule is relative, so rescaling b9 and c8 by a power
+of two (a change of units) rescales mu exactly and leaves p and f bit-equal.
 """
 
 from __future__ import annotations
@@ -78,9 +78,11 @@ def _user_solve(b6: float, lin: float, mu_b9: float, e_max: float, t: float,
                 zeta: float, f_coef: float, force_f_zero: bool) -> float:
     """The p maximizing b6 sqrt(p) - (lin + mu_b9) p + f_coef * f(p) on [0, E/T].
 
-    The derivative falls in p, so an interior optimum is the root of its
-    negative on the bracket [1e-14, 1 - 1e-14] E/T, returned on the side
-    where the derivative is not positive.
+    The derivative h(p) falls in p, so an interior optimum is the root of -h
+    on the bracket [1e-14, 1 - 1e-14] E/T, returned on the side where h is
+    not positive. It runs in s = sqrt(p), -h(s^2) = lin + mu_b9 - b6 / (2 s)
+    + c(s^2) with the compute term c(p) rising in p, from the root with c
+    frozen at c(0), b6 / (2 (lin + mu_b9 + c(0))), which lies above the root.
     """
     b6, e_max, t, zeta, f_coef = float(b6), float(e_max), float(t), float(zeta), float(f_coef)
     p_hi = e_max / t
@@ -99,13 +101,21 @@ def _user_solve(b6: float, lin: float, mu_b9: float, e_max: float, t: float,
     def deriv(p):
         return f_slope * ((e_max - t * p) / tz) ** (-2.0 / 3.0) - slope + b6 / (2.0 * math.sqrt(p))
 
+    def neg_deriv(s):
+        """-h(s^2) and its slope in s."""
+        p = s * s
+        growth = -4.0 * s * f_slope / (3.0 * zeta) * ((e_max - t * p) / tz) ** (-5.0 / 3.0)
+        return -deriv(p), b6 / (2.0 * p) + growth
+
     lo, hi = p_hi * 1e-14, p_hi * (1.0 - 1e-14)
-    d_lo = deriv(lo)            # negative whenever b6 <= 0
-    if d_lo <= 0.0:
+    if deriv(lo) <= 0.0:        # always when b6 <= 0
         return 0.0
     if deriv(hi) >= 0.0:
         return hi
-    return increasing_root(lambda p: -deriv(p), lo, -d_lo, hi)[0]
+    s_lo, s_hi = math.sqrt(lo), math.sqrt(hi)
+    frozen = slope - f_slope * (e_max / tz) ** (-2.0 / 3.0)     # lin + mu_b9 + c(0)
+    start = b6 / (2.0 * frozen) if 2.0 * frozen * s_hi > b6 else 0.5 * (s_lo + s_hi)
+    return increasing_root(neg_deriv, start, s_lo, s_hi)[0] ** 2
 
 
 def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
@@ -117,7 +127,10 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
     c8 - sum_l b9_l p_l(mu) on [0, mu_bar], mu_bar = max_l b6_l / (2 sqrt(c8 b9_l / L)):
     at mu_bar no user's derivative is positive at its share c8 / (L b9_l) of
     the budget, so the budget holds there, as it does at the returned mu,
-    where p is taken. Only p = 0 fits c8 = 0 (mu = inf).
+    where p is taken. Only p = 0 fits c8 = 0 (mu = inf). The search runs on
+    1/sqrt(load) - 1/sqrt(c8), load = sum_l b9_l p_l(mu) (linear in mu for a
+    lone user with f = 0), from its Newton step off 0, with dp_l/dmu = b9_l /
+    h_l'(p_l) at an interior p_l (h_l as in ``_user_solve``) and 0 at a bound.
 
     The info dict holds ``mu``, ``iterations``, the root-find's evaluations,
     and ``evaluations``, the number of all-user solves: the one at mu = 0, one
@@ -134,7 +147,8 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
 
     t, zeta, e_max = cfg.coherence_time_s, cfg.zeta, cfg.e_max_array()
     f_coef = 1.0 / (cfg.eps_array() * cfg.bandwidth_hz)
-    evaluations = 0
+    evaluations, inv_root_c8 = 0, 1.0 / math.sqrt(coeffs.c8) if coeffs.c8 > 0.0 else math.inf
+    f_curv = 0.0 * f_coef if force_f_zero else 2.0 * f_coef / (9.0 * zeta ** 2)
 
     def all_users(mu):
         nonlocal evaluations
@@ -142,15 +156,25 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
         return np.array([_user_solve(coeffs.b6[l], coeffs.lin[l], mu * coeffs.b9[l], e_max[l],
                                      t, zeta, f_coef[l], force_f_zero) for l in range(l_n)])
 
-    p = all_users(0.0)
-    total = float(p @ coeffs.b9)
+    def secular(mu):
+        """p(mu), 1/sqrt(load) - 1/sqrt(c8) and its slope in mu."""
+        p = all_users(mu)
+        load, live = float(p @ coeffs.b9), (p > 0.0) & (p < e_max / t * (1.0 - 1e-14))
+        if load == 0.0:
+            return p, math.inf, 0.0
+        x = (e_max[live] - t * p[live]) / (t * zeta)
+        curv = coeffs.b6[live] / (4.0 * p[live] ** 1.5) + f_curv[live] * x ** (-5.0 / 3.0)
+        return (p, 1.0 / math.sqrt(load) - inv_root_c8,       # curv = -h_l'(p_l)
+                0.5 * float(np.sum(coeffs.b9[live] ** 2 / curv)) / (load * math.sqrt(load)))
+
+    p, value, slope = secular(0.0)
     mu, iters = 0.0, 0
-    if total > coeffs.c8 and coeffs.c8 == 0.0:
+    if value < 0.0 and coeffs.c8 == 0.0:
         mu, p = math.inf, np.zeros(l_n)
-    elif total > coeffs.c8:
+    elif value < 0.0:
         mu_bar = float(np.max(coeffs.b6 / (2.0 * np.sqrt(coeffs.c8 * coeffs.b9 / l_n))))
-        mu, iters = increasing_root(lambda m: coeffs.c8 - float(all_users(m) @ coeffs.b9),
-                                    0.0, coeffs.c8 - total, mu_bar)
+        start = -value / slope if -value < mu_bar * slope else 0.5 * mu_bar
+        mu, iters = increasing_root(lambda m: secular(m)[1:], start, 0.0, mu_bar)
         p = all_users(mu)
 
     # snap vanishing powers to an exact zero so downstream scale-sensitive

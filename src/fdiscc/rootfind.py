@@ -1,51 +1,58 @@
-"""The package's one scalar root-find. The transmit power multiplier, the
-power block's sensing multiplier and each user's power stationarity are roots
-of continuous increasing functions, found by regula falsi with the Illinois
-modification (Dowell & Jarratt, BIT 11, 1971), which keeps superlinear
-convergence where plain regula falsi stalls on a fixed end.
+"""The package's one scalar root-find, safeguarded Newton (Moré & Sorensen, SIAM J.
+Sci. Stat. Comput. 4, 1983), for the transmit power multiplier, the power block's
+sensing multiplier and each user's power stationarity: roots of continuous
+increasing functions with closed-form slopes. The Newton step is taken if it lands
+in the bracket that holds the root (and, once the bracket has an upper end, is at
+most half the step before last); else the bracket is bisected, or doubled while it
+has no upper end. A step under 2 eps x is lengthened to that, so a search closing
+in from one side still crosses the root. The search stops when fn is 0 or the
+bracket [lo, hi] is no wider than 4 eps hi, a rule free of the units of fn and of
+its argument, and returns a point where fn is not negative.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from typing import Callable
 
 EPS = sys.float_info.epsilon
-MAX_DOUBLINGS = 200     # bracket growth before the root counts as unreachable
+MAX_DOUBLINGS = 200     # steps without an upper end before the root counts as unreachable
 
 
 class NoBracketError(ArithmeticError):
-    """The function stayed negative through MAX_DOUBLINGS doublings."""
+    """The function stayed negative through MAX_DOUBLINGS steps."""
 
 
-def increasing_root(fn: Callable[[float], float], lo: float, f_lo: float,
-                    hi: float) -> tuple[float, int]:
-    """Root of a continuous increasing ``fn`` above ``lo``, given f_lo = fn(lo) < 0
-    and a trial upper end ``hi`` > max(lo, 0).
+def increasing_root(fn: Callable[[float], tuple[float, float]], x: float, lo: float,
+                    hi: float = math.inf) -> tuple[float, int]:
+    """Root of a continuous increasing ``fn`` in (lo, hi], searched from x in (lo, hi).
 
-    ``hi`` doubles until fn(hi) >= 0; Illinois steps then shrink [lo, hi]
-    until fn(hi) == 0 or hi - lo <= 4 eps hi, a stop rule free of the units
-    of fn and of its argument. Returns ``hi``, where fn is never negative, and
-    the number of evaluations of ``fn``.
+    ``fn(t)`` returns (value, slope). fn(lo) < 0 and, for a finite ``hi``,
+    fn(hi) >= 0 are taken as given and never evaluated; hi = inf says no
+    upper end is known, and then x > 0. Returns the root, where fn is not
+    negative, and the number of evaluations of ``fn``.
     """
-    f_hi, evaluations = fn(hi), 1
-    while f_hi < 0.0:
-        if evaluations > MAX_DOUBLINGS:
-            raise NoBracketError(f"no sign change up to {hi:.3e}")
-        lo, f_lo, hi = hi, f_hi, 2.0 * hi
-        f_hi, evaluations = fn(hi), evaluations + 1
-    side = 0            # +1 / -1: the last step moved hi / lo
-    while f_hi > 0.0 and hi - lo > 4.0 * EPS * hi:
-        mid = hi - f_hi * (hi - lo) / (f_hi - f_lo)
-        if not lo < mid < hi:
-            mid = 0.5 * (lo + hi)
-        f_mid, evaluations = fn(mid), evaluations + 1
-        if f_mid >= 0.0:
-            hi, f_hi = mid, f_mid
-            f_lo = f_lo / 2.0 if side > 0 else f_lo
-            side = 1
+    evaluations, last, before_last = 0, math.inf, math.inf     # step lengths into x
+    while True:
+        value, slope = fn(x)
+        evaluations += 1
+        if value == 0.0:
+            return x, evaluations
+        if value < 0.0:
+            lo = x
         else:
-            lo, f_lo = mid, f_mid
-            f_hi = f_hi / 2.0 if side < 0 else f_hi
-            side = -1
-    return hi, evaluations
+            hi = x
+        if hi < math.inf and hi - lo <= 4.0 * EPS * hi:
+            return hi, evaluations
+        if hi == math.inf and evaluations > MAX_DOUBLINGS:
+            raise NoBracketError(f"no sign change up to {x:.3e}")
+        newton = x - value / slope if 0.0 < slope < math.inf else math.nan
+        if abs(newton - x) < 2.0 * EPS * x:
+            newton = x + math.copysign(2.0 * EPS * x, -value)
+        if hi == math.inf:
+            newton = newton if newton > lo else 2.0 * x
+        elif not (lo < newton < hi and abs(newton - x) <= 0.5 * before_last):
+            newton = 0.5 * (lo + hi)
+        before_last, last = last, abs(newton - x)
+        x = newton

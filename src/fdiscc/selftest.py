@@ -38,7 +38,7 @@ def kkt_instances(cfg, ch, sol, lt, aux, live, phi) -> dict:
     # ADMM phase step, its radar constraint set off the unconstrained
     # minimizer by +-||r|| (a unit d keeps mu O(1))
     state = phaseadmm.AdmmState(phi=phi, psi=phi, lam=np.zeros_like(phi), rho=0.5)
-    a, r = coeffs.t12_mat + np.eye(cfg.m_passive), coeffs.t12_vec + phi
+    a, r = coeffs.factor @ coeffs.factor.conj().T + np.eye(cfg.m_passive), coeffs.t12_vec + phi
     d = phaseadmm.mm_linearize_radar(coeffs, phi).d
     d = d / la.norm(d)
     edge = 2 * float((d.conj() @ la.solve(a, r)).real)

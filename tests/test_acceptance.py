@@ -18,18 +18,24 @@ import pytest
 
 from fdiscc import beamforming, cacheopt, conic, phaseadmm, powercomp, wmmse
 from fdiscc.channels import draw_channels
-from fdiscc.config import CacheConfig, db2lin, dbm2watt, desk_config, paper_config
+from fdiscc.config import CacheConfig, db2lin, desk_config, paper_config
 from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, RunOptions,
                                  echo_aligned_phases, evaluate_baseline, run)
 from fdiscc.sysmodel import SensingInfeasible, backhaul_cost, link_terms, utility
 from fdiscc.wmmse import update_aux
 
 from conftest import make_solution
+from test_beamforming import rx_objective
 from test_cacheopt import lp_vertex_oracle
 from test_powercomp import _grid_oracle
 
 N_SEEDS = 10
 DESK_SEEDS = range(N_SEEDS)
+
+
+def dbm2watt(x_dbm):
+    """Convert dBm to watts."""
+    return 10.0 ** ((x_dbm - 30.0) / 10.0)
 
 
 @pytest.fixture(scope="module")
@@ -123,14 +129,14 @@ def test_criterion_4_closed_form_oracles(small_cfg, small_ch):
     u_hat = beamforming.solve_rx(rc)
     h = 1e-6
     for l in range(small_cfg.n_cp):
-        base = beamforming.rx_objective(rc, u_hat[l], l)
+        base = rx_objective(rc, u_hat[l], l)
         scale = max(1.0, abs(base))
         for i in range(small_cfg.n_rx):
             for delta in (h, 1j * h):
                 e = np.zeros(small_cfg.n_rx, complex)
                 e[i] = delta
-                diff = (beamforming.rx_objective(rc, u_hat[l] + e, l)
-                        - beamforming.rx_objective(rc, u_hat[l] - e, l)) / (2 * h)
+                diff = (rx_objective(rc, u_hat[l] + e, l)
+                        - rx_objective(rc, u_hat[l] - e, l)) / (2 * h)
                 assert abs(diff) <= 1e-6 * scale
 
     # power/compute block matches the per-user grid + multiplier-grid oracle

@@ -3,10 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fdiscc.beamforming import (assemble_rx_coeffs, assemble_tx_coeffs,
-                                gaussian_randomize, optimize_rx, optimize_tx,
-                                radar_power, rx_objective, sdr_bound, solve_rx,
-                                solve_tx, solve_tx_sdr, tx_certificate, tx_objective)
+from fdiscc.beamforming import (_tx_beams, _tx_power, assemble_rx_coeffs,
+                                assemble_tx_coeffs, gaussian_randomize, optimize_rx,
+                                optimize_tx, radar_power, sdr_bound, solve_rx, solve_tx,
+                                solve_tx_sdr, tx_certificate, tx_objective)
 from fdiscc.channels import draw_channels
 from fdiscc.config import db2lin, desk_config, paper_config
 from fdiscc.orchestrator import echo_aligned_phases
@@ -14,6 +14,13 @@ from fdiscc.sysmodel import SensingInfeasible, composite_channels, link_terms
 from fdiscc.wmmse import surrogate_sum, surrogates, update_aux
 
 from conftest import make_solution
+
+
+def rx_objective(coeffs, u, l):
+    """b5 + 2Re{u^H t5} - weight u^H R u for CP-UE l."""
+    lin = 2.0 * float((u.conj() @ coeffs.t5[l]).real)
+    quad = float(coeffs.weight[l] * (u.conj() @ coeffs.cov @ u).real)
+    return float(coeffs.b5[l]) + lin - quad
 
 
 @pytest.fixture()
@@ -283,6 +290,32 @@ class TestSolveTx:
         bad = dataclasses.replace(coeffs, b0=small_cfg.p_bs_watt * lam_max * 1.01)
         with pytest.raises(SensingInfeasible):
             solve_tx(bad)
+
+    @pytest.mark.parametrize("regime", ["comm-echo", "boosted", "sensing-beam"])
+    def test_eigen_sum_power_matches_beams(self, regime):
+        # ||w(mu)||^2 from the sums X, Y, Z against ||_tx_beams||^2, and its
+        # slope against a central difference, in each regime of nu*: 0, in
+        # (0, 1/phi), and 1/phi with the sensing beam (Z = 0: no comm echo)
+        rng = np.random.default_rng(11)
+        s = np.array([0.0, 1e-3, 0.4, 2.0, 7.0])
+        x = rng.normal(size=(3, 5)) + 1j * rng.normal(size=(3, 5))
+        y = rng.normal(size=5) + 1j * rng.normal(size=5)
+        if regime == "sensing-beam":
+            x[:, :2], y[2:] = 0.0, 0.0
+        xx, yy, z = np.sum(np.abs(x) ** 2, axis=0), np.abs(y) ** 2, x * y.conj()
+        for mu in (0.05, 0.7, 3.0):
+            rr = float(np.sum(np.abs((x / (s + mu)) @ y.conj()) ** 2))
+            target = {"comm-echo": 0.5 * rr, "boosted": 3.0 * rr, "sensing-beam": 2.0}[regime]
+            w, nu, _ = _tx_beams(s, x, y, target, mu)
+            assert (nu == 0.0) == (regime == "comm-echo")
+            assert bool(np.any(w[0])) == (regime == "sensing-beam")
+            norm2, slope = _tx_power(s, xx, yy, z, target, mu)
+            direct = float(np.sum(np.abs(w) ** 2))
+            assert abs(norm2 - direct) <= 1e-12 * direct
+            h = 1e-5 * mu
+            central = (_tx_power(s, xx, yy, z, target, mu + h)[0]
+                       - _tx_power(s, xx, yy, z, target, mu - h)[0]) / (2.0 * h)
+            assert slope < 0.0 and abs(slope - central) <= 1e-6 * abs(slope)
 
     def test_repeated_calls_bit_identical(self, tx_setup):
         _, coeffs = tx_setup

@@ -60,6 +60,24 @@ class TestInitialize:
         with pytest.raises(SensingInfeasible):
             initialize(cfg_hi, ch, np.random.default_rng(0))
 
+    def test_user_beam_on_the_echo_ceiling(self, monkeypatch):
+        # one CM-UE whose composite channel is the echo row itself: its
+        # matched-filter beam alone reaches the ceiling (base = ceiling), so
+        # the sensing beam keeps only the minimum share 1 / (K + 1)
+        from fdiscc import orchestrator
+        cfg = desk_config(n_cm=1, seed=3)
+        ch = draw_channels(cfg)
+        phi = echo_aligned_phases(ch)
+        comp = sysmodel.composite_channels(ch, phi)
+        aligned = replace(comp, h=comp.r[None, :].copy())
+        monkeypatch.setattr(orchestrator, "composite_channels", lambda *args: aligned)
+        sol = orchestrator._start_for_phi(cfg, ch, phi, np.zeros(cfg.cache.n_files))
+        ceiling = cfg.p_bs_watt * np.linalg.norm(comp.r) ** 2
+        base = float(np.abs(orchestrator._mrt_rows(aligned.h)[0] @ comp.r) ** 2) * cfg.p_bs_watt
+        assert abs(base - ceiling) <= 4e-16 * ceiling
+        assert np.sum(np.abs(sol.w[0]) ** 2) == pytest.approx(cfg.p_bs_watt / 2, rel=1e-12)
+        assert np.sum(np.abs(sol.w @ comp.r) ** 2) >= cfg.gamma_tar_linear * cfg.noise_irs_watt
+
     def test_pinned_phases_respected(self, desk):
         cfg, ch = desk
         phi = fixed_phase_heuristic(ch, cfg)

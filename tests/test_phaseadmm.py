@@ -11,9 +11,40 @@ from fdiscc.phaseadmm import (AdmmState, LinearRadar, PhaseCoeffs, admm_phi_step
                               mm_linearize_radar, optimize_phase, psi_step,
                               surrogate_value)
 from fdiscc.sysmodel import SensingInfeasible, link_terms
-from fdiscc.wmmse import surrogate_sum, update_aux
+from fdiscc.wmmse import LN2, surrogate_sum, update_aux
 
 from conftest import make_solution
+
+
+def _t12(coeffs):
+    """The quadratic weight T12 = F F^H of the factor."""
+    return coeffs.factor @ coeffs.factor.conj().T
+
+
+def _dense_t12(sol, ch, aux, lt):
+    """T12 from Hadamard products of M x M Gram matrices (the oracle of the
+    factor): (H_b o (G_w + G_p) + C_b o G_p) / ln 2, G_w alone in H_b's
+    factor under HD."""
+    gtw = sol.w @ ch.g_t.T
+    c = sol.u @ ch.g_r.T
+    g_w = gtw.conj().T @ gtw
+    g_p = (ch.g_pu.conj().T * sol.p) @ ch.g_pu
+    h_b = (ch.h_pu.T * np.abs(aux.beta1) ** 2) @ ch.h_pu.conj()
+    c_b = (c.T * np.abs(aux.beta2) ** 2) @ c.conj()
+    t12 = (h_b * g_w if lt.hd else h_b * (g_w + g_p)) + c_b * g_p
+    t12 = t12 / LN2
+    return (t12 + t12.conj().T) / 2.0
+
+
+def _proximal_solve(factor, c, v):
+    """(F F^H + c I)^-1 v through ``admm_phi_step``: with psi = lambda = 0,
+    rho = 1 / (2c) and a slack constraint it returns A^-1 t12."""
+    m = factor.shape[0]
+    coeffs = PhaseCoeffs(factor=factor, t12_vec=v, b12=0.0,
+                         echo_rows=np.zeros((1, m), complex), b0=0.0)
+    state = AdmmState(phi=np.zeros(m, complex), psi=np.zeros(m, complex),
+                      lam=np.zeros(m, complex), rho=1.0 / (2.0 * c))
+    return admm_phi_step(coeffs, state, LinearRadar(d=np.zeros(m, complex), e=-1.0))
 
 
 @pytest.fixture()
@@ -43,15 +74,43 @@ class TestAssemble:
         aux = AuxVars(alpha1=np.zeros(0), beta1=np.zeros(0, complex),
                       alpha2=np.zeros(0), beta2=np.zeros(0, complex))
         coeffs = assemble_phase_coeffs(sol, ch, aux, cfg, link_terms(sol, ch, cfg))
-        assert np.allclose(coeffs.t12_mat, 0)
+        assert np.allclose(_t12(coeffs), 0)
         assert np.allclose(coeffs.t12_vec, 0)
         assert coeffs.b12 == 0.0
         # sensing floor with no uplink: threshold times noise only
         assert coeffs.b0 == pytest.approx(cfg.gamma_tar_linear * cfg.noise_irs_watt)
 
     def test_t12_hermitian_psd(self, coeffs):
-        assert np.allclose(coeffs.t12_mat, coeffs.t12_mat.conj().T)
-        assert np.linalg.eigvalsh(coeffs.t12_mat).min() >= -1e-10
+        assert np.allclose(_t12(coeffs), _t12(coeffs).conj().T)
+        assert np.linalg.eigvalsh(_t12(coeffs)).min() >= -1e-10
+
+    @pytest.mark.parametrize("uplink", ["zero", "idle", "live"])
+    def test_factor_matches_dense_t12(self, small_cfg, small_ch, hd, uplink):
+        # F F^H against the Gram/Hadamard assembly, under FD and HD, with the
+        # uplink silent (p = 0, whose columns are dropped) and on
+        p_max = small_cfg.e_max_array().min() / (2.0 * small_cfg.coherence_time_s)
+        p_scale = {"zero": 0.0, "idle": 1e-8, "live": p_max}[uplink]
+        sol = make_solution(small_cfg, small_ch, np.random.default_rng(42), p_scale)
+        lt = link_terms(sol, small_ch, small_cfg, hd)
+        aux = update_aux(lt)
+        coeffs = assemble_phase_coeffs(sol, small_ch, aux, small_cfg, lt)
+        dense = _dense_t12(sol, small_ch, aux, lt)
+        assert np.linalg.norm(_t12(coeffs) - dense) <= 1e-12 * np.linalg.norm(dense)
+        k, l, m = small_cfg.n_cm, small_cfg.n_cp, small_cfg.m_passive
+        full = k * (k + 1) + (0 if hd else k * l) + l * l
+        assert coeffs.factor.shape == (m, k * (k + 1) if uplink == "zero" else full)
+
+    @pytest.mark.parametrize("m, r", [(50, 14), (50, 6), (16, 14), (8, 14)])
+    def test_thin_proximal_solve_matches_dense(self, m, r):
+        # v / c - U diag(sigma^2 / (c (sigma^2 + c))) U^H v against a dense
+        # solve, over the penalty range of the ADMM (c = 1 / (2 rho))
+        rng = np.random.default_rng(m + r)
+        factor = (rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))) / np.sqrt(r)
+        for c in (0.5, 5.0, 50.0, 5e3, 5e5):
+            v = rng.normal(size=m) + 1j * rng.normal(size=m)
+            dense = np.linalg.solve(factor @ factor.conj().T + c * np.eye(m), v)
+            thin = _proximal_solve(factor, c, v)
+            assert np.linalg.norm(thin - dense) <= 1e-12 * np.linalg.norm(dense), (m, r, c)
 
     def test_echo_identity(self, small_cfg, small_ch, uplink_sol, hd):
         lt = link_terms(uplink_sol, small_ch, small_cfg, hd)
@@ -144,7 +203,7 @@ class TestPhiStep:
         # returns the proximal target psi - rho*lambda
         import dataclasses
         m = small_cfg.m_passive
-        c0 = dataclasses.replace(coeffs, t12_mat=np.zeros((m, m), complex),
+        c0 = dataclasses.replace(coeffs, factor=np.zeros((m, 0), complex),
                                  t12_vec=np.zeros(m, complex), b12=0.0)
         rng = np.random.default_rng(5)
         psi = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
@@ -170,7 +229,7 @@ class TestPhiStep:
         state = AdmmState(phi=sol.phi.copy(), psi=psi, lam=lam, rho=0.8)
 
         def al(phi):
-            quad = float((phi.conj() @ coeffs.t12_mat @ phi).real)
+            quad = float((phi.conj() @ _t12(coeffs) @ phi).real)
             lin_term = 2 * float((coeffs.t12_vec.conj() @ phi).real)
             prox = float(np.linalg.norm(phi - psi + 0.8 * lam) ** 2) / (2 * 0.8)
             return quad - lin_term - coeffs.b12 + prox
@@ -193,7 +252,7 @@ class TestPhiStep:
         lin = mm_linearize_radar(coeffs, sol.phi)
         phi = admm_phi_step(coeffs, state, lin)
         m = small_cfg.m_passive
-        a = coeffs.t12_mat + np.eye(m) / (2 * state.rho)
+        a = _t12(coeffs) + np.eye(m) / (2 * state.rho)
         b = coeffs.t12_vec + (state.psi - state.rho * state.lam) / (2 * state.rho)
         d = -2.0 * lin.d
 
@@ -220,7 +279,8 @@ class TestPhiStep:
             m = int(rng.integers(2, 12))
             g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
             t12 = g @ g.conj().T / m
-            coeffs = PhaseCoeffs(t12_mat=t12, t12_vec=rng.normal(size=m) + 1j * rng.normal(size=m),
+            coeffs = PhaseCoeffs(factor=g / np.sqrt(m),
+                                 t12_vec=rng.normal(size=m) + 1j * rng.normal(size=m),
                                  b12=0.0, echo_rows=np.eye(m, dtype=complex), b0=0.0)
             state = AdmmState(phi=np.zeros(m, complex),
                               psi=np.exp(1j * rng.uniform(0, 2 * np.pi, m)),
