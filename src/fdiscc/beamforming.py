@@ -101,13 +101,13 @@ def tx_objective(coeffs: TxCoeffs, w: np.ndarray) -> float:
     """Surrogate sum at a concrete beam set (matches the SDP objective on
     rank-one liftings)."""
     quad = np.einsum("ji,ik,jk->", w.conj(), coeffs.s_mat, w).real
-    lin = 2.0 * np.sum(w[1:].conj() * coeffs.q).real
+    lin = 2.0 * (w[1:].conj() * coeffs.q).sum().real
     return float(coeffs.b3.sum() + coeffs.b4.sum() - quad + lin)
 
 
 def radar_power(coeffs: TxCoeffs, w: np.ndarray) -> float:
     """Expected echo power sum_j |d^H w_j|^2."""
-    return float(np.sum(np.abs(w @ coeffs.d.conj()) ** 2))
+    return float((np.abs(w @ coeffs.d.conj()) ** 2).sum())
 
 
 def _tx_beams(s: np.ndarray, x: np.ndarray, y: np.ndarray, target: float,
@@ -116,10 +116,10 @@ def _tx_beams(s: np.ndarray, x: np.ndarray, y: np.ndarray, target: float,
     s, coordinates x of the q_k and y of d), nu*, and sum_k q_k^H A^{-1} q_k."""
     b = s + mu
     xb, yb = x / b, y / b
-    phi = float(np.sum(np.abs(y) ** 2 / b))
+    phi = float((np.abs(y) ** 2 / b).sum())
     r = xb @ y.conj()                                   # d^H B^{-1} q_k
-    rr = float(np.sum(np.abs(r) ** 2))
-    gain = float(np.sum(np.abs(x) ** 2 / b))
+    rr = float((np.abs(r) ** 2).sum())
+    gain = float((np.abs(x) ** 2 / b).sum())
     w = np.zeros((x.shape[0] + 1, s.size), complex)
     w[1:] = xb
     if rr >= target:
@@ -144,15 +144,15 @@ def _tx_power(s: np.ndarray, xx: np.ndarray, yy: np.ndarray, z: np.ndarray, targ
     b2, b3 = b1 * b1, b1 * b1 * b1
     norm, slope = float(xx @ b2), -2.0 * float(xx @ b3)
     r1, r2 = z @ b1, z @ b2
-    rr = float(np.sum(np.abs(r1) ** 2))
+    rr = float((np.abs(r1) ** 2).sum())
     if rr >= target:
         return norm, slope
     phi, phi2, phi3 = float(yy @ b1), float(yy @ b2), float(yy @ b3)
     if rr == 0.0:
         return (norm + target * phi2 / phi ** 2,
                 slope + 2.0 * target * (phi2 ** 2 / phi - phi3) / phi ** 2)
-    cross = float(np.sum(r1 * r2.conj()).real)
-    d_cross = -float(np.sum(np.abs(r2) ** 2)) - 2.0 * float(np.sum(r1 * (z @ b3).conj()).real)
+    cross = float((r1 * r2.conj()).sum().real)
+    d_cross = -float((np.abs(r2) ** 2).sum()) - 2.0 * float((r1 * (z @ b3).conj()).sum().real)
     g = np.sqrt(target / rr)                            # d rr = -2 cross
     c = (g - 1.0) / phi
     d_c = (g * cross / rr + c * phi2) / phi
@@ -193,7 +193,7 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
     s, vecs = np.linalg.eigh(coeffs.s_mat)
     s = np.maximum(s, 0.0)
     x, y = q @ vecs.conj(), d @ vecs.conj()          # eigenbasis coordinates
-    xx, yy, z = np.sum(np.abs(x) ** 2, axis=0), np.abs(y) ** 2, x * y.conj()
+    xx, yy, z = (np.abs(x) ** 2).sum(axis=0), np.abs(y) ** 2, x * y.conj()
 
     def slack(mu: float) -> tuple[float, float]:     # 1/||w|| - 1/sqrt(P), nearly linear in mu
         norm2, d_norm2 = _tx_power(s, xx, yy, z, target, mu)
@@ -204,7 +204,7 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
     mu = 0.0 if s[0] > 0.0 else EPS * max(s[-1], 1.0)
     value, slope, iters = *slack(mu), 0
     if value < 0.0:
-        start = max(mu - value / slope, float(np.max(np.sqrt(xx / p_max) - s)))
+        start = max(mu - value / slope, float((np.sqrt(xx / p_max) - s).max()))
         try:
             mu, iters = increasing_root(slack, start, mu)
         except NoBracketError as exc:

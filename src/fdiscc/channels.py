@@ -9,10 +9,11 @@ known target angle.  Everything is a pure function of (config, seed).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .config import SystemConfig, db2lin
+from .config import SystemConfig, _read_only, db2lin
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,11 @@ class ChannelSet:
     g_au (L, M_a), e_direct (L, K), h_si (N_r, N_t), a_active (M_a,),
     a_passive (M,), g_s (M_a, M).  User drop positions are kept for
     reproducibility checks.
+
+    The channel-only constants the blocks read, ``target_row`` and
+    ``g_au_norm2``, are computed once per record, on first read, and are
+    read-only like the channels.  They live in the instance, so a
+    ``dataclasses.replace`` computes them afresh for the new record.
     """
 
     g_t: np.ndarray
@@ -37,6 +43,17 @@ class ChannelSet:
     g_s: np.ndarray
     cm_pos: np.ndarray
     cp_pos: np.ndarray
+
+    @cached_property
+    def target_row(self) -> np.ndarray:
+        """t (M,) = a_active^H G_s / ||a_active||, so that G_s^H G_s = t^H t."""
+        return _read_only((self.a_active.conj() @ self.g_s) / np.linalg.norm(self.a_active))
+
+    @cached_property
+    def g_au_norm2(self) -> np.ndarray:
+        """||g_au,l||^2 per CP-UE (L,): its uplink power's weight at the IRS
+        sensing elements."""
+        return _read_only((np.abs(self.g_au) ** 2).sum(axis=1))
 
 
 def steering_vector(theta: float, n: int) -> np.ndarray:

@@ -9,7 +9,9 @@ Every record checks its own fields when it is built, in ``__post_init__``,
 which ``dataclasses.replace`` runs too: kinds first, then ranges, then the
 rules that tie fields together. It raises ConfigError, so no invalid record
 exists and no caller checks one again. Values derived from fields are
-computed on read, so a ``replace`` cannot leave one stale.
+computed on read, so a ``replace`` cannot leave one stale; the per-user
+arrays of a ``SystemConfig`` are computed on the first read and kept in that
+record alone.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -181,10 +184,19 @@ def _broadcast(value, n: int) -> np.ndarray:
     return np.full(n, float(arr[0])) if arr.size == 1 else arr.copy()
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """All scenario constants.  Defaults reproduce the reference parameter table
-    (4x4 BS arrays, 50-element IRS, 2+2 users, 1 MHz band, 30 dBm budget)."""
+    (4x4 BS arrays, 50-element IRS, 2+2 users, 1 MHz band, 30 dBm budget).
+
+    ``e_max_array`` and ``eps_array`` are built once per record, on first
+    read, and are read-only: the blocks read them on every call.  A
+    ``dataclasses.replace`` builds a new record, which builds its own."""
 
     n_tx: int = 4
     n_rx: int = 4
@@ -243,10 +255,18 @@ class SystemConfig:
             self.geometry.target_distance_m / plc.d0_m) ** (-plc.eta_rt))
 
     def e_max_array(self) -> np.ndarray:
-        return _broadcast(self.e_max_joule, self.n_cp)
+        return self._e_max
 
     def eps_array(self) -> np.ndarray:
-        return _broadcast(self.eps_cycles_per_bit, self.n_cp)
+        return self._eps
+
+    @cached_property
+    def _e_max(self) -> np.ndarray:
+        return _read_only(_broadcast(self.e_max_joule, self.n_cp))
+
+    @cached_property
+    def _eps(self) -> np.ndarray:
+        return _read_only(_broadcast(self.eps_cycles_per_bit, self.n_cp))
 
 
 def paper_config(**overrides) -> SystemConfig:

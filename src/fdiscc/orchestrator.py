@@ -17,7 +17,11 @@ So ``proposed``, ``random-caching`` and ``no-caching`` share one radio
 problem, and a sweep whose cells differ only in the cache or in these schemes
 solves it once (see ``run``'s ``solves`` and ``harness.run_sweep``). Each
 solution state's ``sysmodel.link_terms`` is computed once and shared by the
-blocks that read that state (see ``solve_radio``).
+blocks that read that state, and each phase vector's composite channels
+(``sysmodel.Composite``) once and shared by every ``link_terms`` at it: one
+per start candidate in ``initialize``, then in the loop one for the start and
+one per phase vector the phase block returns that is not the incoming one
+(see ``solve_radio``).
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ import numpy as np
 from . import beamforming, cacheopt, phaseadmm, powercomp, sysmodel, wmmse
 from .channels import ChannelSet
 from .config import ConfigError, SystemConfig, check_field_kinds
-from .sysmodel import (Metrics, SensingInfeasible, Solution, composite_channels,
-                       link_terms, residuals, utility)
+from .sysmodel import (Composite, Metrics, SensingInfeasible, Solution,
+                       composite_channels, link_terms, residuals, utility)
 
 SCHEMES = ("proposed", "full-offloading", "fixed-phase", "hd",
            "random-caching", "no-caching")
@@ -131,10 +135,10 @@ def echo_aligned_phases(ch: ChannelSet) -> np.ndarray:
     return np.exp(-1j * np.angle(cascade[:, j_star]))
 
 
-def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray,
+def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, comp: Composite,
                    e: np.ndarray) -> Solution | None:
-    """Feasible start at the given phases, or None if the sensing threshold is
-    out of reach there.
+    """Feasible start at the phases ``comp.phi``, given with their composite
+    channels ``comp``, or None if the sensing threshold is out of reach there.
 
     The power split between the sensing beam (along conj(r), r the echo row)
     and the matched-filter user beams is the smallest share meeting twice the
@@ -143,7 +147,6 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray,
     surrogate gradients never vanish."""
     k_n, l_n = cfg.n_cm, cfg.n_cp
     floor0 = cfg.gamma_tar_linear * cfg.noise_irs_watt  # radar floor with the uplink silent
-    comp = composite_channels(ch, phi)
     r = comp.r
     gain = float(np.linalg.norm(r))
     ceiling = cfg.p_bs_watt * gain ** 2             # all power on the echo direction
@@ -160,7 +163,7 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray,
         return w
 
     def echo(w: np.ndarray) -> float:
-        return float(np.sum(np.abs(w @ r) ** 2))
+        return float((np.abs(w @ r) ** 2).sum())
 
     if k_n == 0:
         share = 1.0
@@ -182,15 +185,14 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, phi: np.ndarray,
     # unit-vector combiners, reused cyclically when n_cp > n_rx
     u = np.eye(cfg.n_rx, dtype=complex)[np.arange(l_n) % cfg.n_rx]
     if l_n:
-        g_au_norm2 = (np.abs(ch.g_au) ** 2).sum(axis=1)
         budget = max(0.0, echo_val / cfg.gamma_tar_linear - cfg.noise_irs_watt)
-        p_uni = budget / float(g_au_norm2.sum()) * (1.0 - 1e-9)
+        p_uni = budget / float(ch.g_au_norm2.sum()) * (1.0 - 1e-9)
         p = np.minimum(e_max / (2.0 * t), p_uni)
         f = ((e_max - t * p) / (t * cfg.zeta)) ** (1.0 / 3.0)
     else:
         p, f = np.zeros(0), np.zeros(0)
 
-    return Solution(w=w, u=u, phi=phi.copy(), f=f, p=p, e=e)
+    return Solution(w=w, u=u, phi=comp.phi, f=f, p=p, e=e)
 
 
 def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
@@ -198,7 +200,8 @@ def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
     """Feasible start with cache placement ``e`` (by default the optimal one).  With
     ``phi`` pinned (fixed-phase baseline) only that phase vector is tried; otherwise the
     best of the max-gain alignment, the echo alignment and a random draw is kept, scored
-    by initial sum bits, which no placement changes.
+    by initial sum bits, which no placement changes. Each candidate's
+    composite channels are built once and serve both its start and its score.
 
     Candidates are scored under FD for every radio mode, ``hd`` included: the
     score only ranks starts, and scoring ``hd`` ones under HD picked another start
@@ -207,7 +210,7 @@ def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
     Raises SensingInfeasible when no candidate reaches the threshold."""
     e = cacheopt.solve_caching(cfg.cache).e if e is None else e
     if phi is not None:
-        candidates = [np.asarray(phi, complex)]
+        candidates = [np.array(phi, complex)]
     else:
         candidates = [
             fixed_phase_heuristic(ch, cfg),
@@ -216,10 +219,12 @@ def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
         ]
     best, best_score = None, -np.inf
     for cand in candidates:
-        sol = _start_for_phi(cfg, ch, cand, e)
+        comp = composite_channels(ch, cand)
+        sol = _start_for_phi(cfg, ch, comp, e)
         if sol is None:
             continue
-        score = utility(sol, ch, cfg, d_total=0.0).sum_bits
+        score = utility(sol, ch, cfg, lt=link_terms(sol, ch, cfg, comp=comp),
+                        d_total=0.0).sum_bits
         if score > best_score:
             best, best_score = sol, score
     if best is None:
@@ -270,7 +275,12 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
     its composite channels and mode, which the beams do not change) the
     receive block; the one after the receive block serves the power block;
     the one at the end serves the BCA objective and the metrics. That makes
-    4 per iteration, 3 with fixed phases. The final metrics are those of the
+    4 per iteration, 3 with fixed phases or when the phase block returns the
+    incoming array ``sol.phi`` itself (a revert, or an infeasible entry or
+    step), for then the state after it is the state before it. Each ``link_terms`` is
+    handed the last one's composite channels, which it reuses while the
+    phases are that same array: so the loop builds one composite per new
+    phase vector, and one for its start. The final metrics are those of the
     last iteration, whose solution is the returned one.
     """
     hd = mode == "hd"
@@ -293,6 +303,7 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
         sol = sol.copy_with(f=np.zeros(cfg.n_cp))
 
     rows: list[TraceRow] = []
+    comp = None             # the composite channels of the last link_terms
     status = MAX_ITER_STATUS
     slow_count = 0
     t0 = time.perf_counter()
@@ -303,17 +314,18 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
         if sol.u.size:
             norms = np.linalg.norm(sol.u, axis=1, keepdims=True)
             sol = sol.copy_with(u=np.where(norms > 0, sol.u / np.maximum(norms, 1e-300), sol.u))
-        lt = link_terms(sol, ch, cfg, hd)
+        lt = link_terms(sol, ch, cfg, hd, comp)
         aux = wmmse.update_aux(lt)
 
         if not fixed_phase and cfg.n_cm + cfg.n_cp > 0:
             phi_new, _ = phaseadmm.optimize_phase(sol, ch, aux, cfg, lt)
-            sol = sol.copy_with(phi=phi_new)
-            # re-tighten the surrogate at the new phases: with the exact transmit
-            # step, beams fitted to a stale surrogate made phases and beams creep
-            # (desk seed 9 took 77 iterations instead of 41)
-            lt = link_terms(sol, ch, cfg, hd)
-            aux = wmmse.update_aux(lt)
+            if phi_new is not sol.phi:
+                sol = sol.copy_with(phi=phi_new)
+                # re-tighten the surrogate at the new phases: with the exact transmit
+                # step, beams fitted to a stale surrogate made phases and beams creep
+                # (desk seed 9 took 77 iterations instead of 41)
+                lt = link_terms(sol, ch, cfg, hd)
+                aux = wmmse.update_aux(lt)
 
         try:
             w_new, _ = beamforming.optimize_tx(sol, ch, aux, cfg, lt)
@@ -325,12 +337,13 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
             sol = sol.copy_with(u=beamforming.optimize_rx(sol, ch, aux, cfg, lt))
             try:
                 p_new, f_new, _ = powercomp.optimize_power(
-                    sol, ch, aux, cfg, link_terms(sol, ch, cfg, hd), force_f_zero)
+                    sol, ch, aux, cfg, link_terms(sol, ch, cfg, hd, lt.comp), force_f_zero)
                 sol = sol.copy_with(p=p_new, f=f_new)
             except SensingInfeasible:
                 pass
 
-        lt = link_terms(sol, ch, cfg, hd)
+        lt = link_terms(sol, ch, cfg, hd, lt.comp)
+        comp = lt.comp
         obj = wmmse.bca_objective(sol, cfg, aux, lt)
         met = utility(sol, ch, cfg, lt=lt, d_total=0.0)
         # the cache residual belongs to the placement, which pricing charges

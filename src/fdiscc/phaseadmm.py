@@ -16,7 +16,7 @@ dropped. With the thin SVD F = U Sigma W^H, exactly for any column count,
 
 and the surrogate reads ||F^H phi||^2, so no M x M matrix is formed.
 The echo power needs no M x M matrix either: with the target row t of
-``sysmodel.target_row``, it is ||V phi||^2 over the K+1 echo rows
+``ChannelSet.target_row``, it is ||V phi||^2 over the K+1 echo rows
 v_j = t o (G_t w_j), and V^H (V phi) is its gradient direction.
 
 The linear term is t12 = (t1 + t2) / ln 2 with
@@ -32,6 +32,13 @@ ADMM with a geometrically decreasing penalty; the nonconvex side of the radar
 constraint is linearized at the current iterate each pass (a tangent minorant
 of the echo power, so any point feasible for the linearized constraint is
 feasible for the true one), so each pass has a closed-form reflection step.
+
+What does not change within a call is computed once per call, on the
+``PhaseCoeffs``: the thin SVD of F with U^H t12 (``split``) and V^H
+(``echo_rows_h``). A pass computes only what its iterate and penalty set.
+A call that keeps the incoming phases (a revert, or an infeasible entry or
+step) returns the array ``sol.phi`` itself, so its caller can tell that
+nothing moved.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .sysmodel import LinkTerms, SensingInfeasible, Solution, relative, target_row
+from .sysmodel import LinkTerms, SensingInfeasible, Solution, relative
 from .wmmse import LN2, AuxVars, _bracket
 
 
@@ -69,6 +76,11 @@ class PhaseCoeffs:
         u, sigma, _ = np.linalg.svd(self.factor, full_matrices=False)
         uh = u.conj().T
         return u, uh, sigma ** 2, uh @ self.t12_vec
+
+    @cached_property
+    def echo_rows_h(self) -> np.ndarray:
+        """V^H (M, K+1), which every pass's tangent applies."""
+        return self.echo_rows.conj().T
 
 
 @dataclass
@@ -126,33 +138,33 @@ def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
         t1 = t1 - bb1 @ (ch.h_pu * ((sol.p[:, None] * ch.e_direct).T @ ch.g_pu.conj()))
         den1 = den1 + sol.p @ np.abs(ch.e_direct) ** 2
     # phi-free rest: downlink noise and direct-link CCI, offloading SI and noise
-    b12 = np.sum(_bracket(aux.alpha1, aux.beta1, 0.0, den1)) \
-        + np.sum(_bracket(aux.alpha2, aux.beta2, 0.0, lt.si + lt.noise_off))
+    b12 = _bracket(aux.alpha1, aux.beta1, 0.0, den1).sum() \
+        + _bracket(aux.alpha2, aux.beta2, 0.0, lt.si + lt.noise_off).sum()
 
     cols = np.vstack([_column_products(np.abs(aux.beta1)[:, None] * ch.h_pu, beams),
                       _column_products(np.abs(aux.beta2)[:, None] * c, gp)])
     cols = cols[np.any(cols != 0.0, axis=1)]
     return PhaseCoeffs(factor=cols.T / np.sqrt(LN2), t12_vec=(t1 + t2) / LN2,
-                       b12=float(b12), echo_rows=gtw * target_row(ch), b0=lt.floor)
+                       b12=float(b12), echo_rows=gtw * ch.target_row, b0=lt.floor)
 
 
 def surrogate_value(coeffs: PhaseCoeffs, phi: np.ndarray) -> float:
     """-||F^H phi||^2 + 2 Re{t12^H phi} + b12."""
-    quad = float(np.sum(np.abs(phi @ coeffs.factor.conj()) ** 2))
+    quad = float((np.abs(phi @ coeffs.factor.conj()) ** 2).sum())
     lin = 2.0 * float((coeffs.t12_vec.conj() @ phi).real)
     return -quad + lin + coeffs.b12
 
 
 def echo_power(coeffs: PhaseCoeffs, phi: np.ndarray) -> float:
     """||V phi||^2."""
-    return float(np.sum(np.abs(coeffs.echo_rows @ phi) ** 2))
+    return float((np.abs(coeffs.echo_rows @ phi) ** 2).sum())
 
 
 def mm_linearize_radar(coeffs: PhaseCoeffs, phi0: np.ndarray) -> LinearRadar:
     """Tangent minorant of the echo power at phi0: d = V^H (V phi0)."""
     echo = coeffs.echo_rows @ phi0
-    return LinearRadar(d=coeffs.echo_rows.conj().T @ echo,
-                       e=float(np.sum(np.abs(echo) ** 2)) + coeffs.b0)
+    return LinearRadar(d=coeffs.echo_rows_h @ echo,
+                       e=float((np.abs(echo) ** 2).sum()) + coeffs.b0)
 
 
 def admm_phi_step(coeffs: PhaseCoeffs, state: AdmmState, lin: LinearRadar) -> np.ndarray:
@@ -211,10 +223,11 @@ def dual_step(state: AdmmState) -> np.ndarray:
 def optimize_phase(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
                    lt: LinkTerms) -> tuple[np.ndarray, PhaseInfo]:
     """Full inner ADMM pass; returns a unit-modulus phi that never lowers the
-    surrogate of the incoming one (reverts otherwise)."""
+    surrogate of the incoming one, or else the incoming array ``sol.phi``
+    itself."""
     coeffs = assemble_phase_coeffs(sol, ch, aux, cfg, lt)
     info = PhaseInfo()
-    phi_in = sol.phi.copy()
+    phi_in = sol.phi
     entry_val = surrogate_value(coeffs, phi_in)
     if echo_power(coeffs, phi_in) < coeffs.b0 * (1.0 - 1e-9):
         # entry violates the sensing floor: phases alone are not trusted to
@@ -223,7 +236,7 @@ def optimize_phase(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfi
         info.infeasible = True
         return phi_in, info
 
-    state = AdmmState(phi=phi_in.copy(), psi=np.exp(1j * np.angle(phi_in)),
+    state = AdmmState(phi=phi_in, psi=np.exp(1j * np.angle(phi_in)),
                       lam=np.zeros_like(phi_in), rho=RHO_INIT)
 
     for it in range(1, MAX_INNER + 1):

@@ -61,7 +61,7 @@ def assemble_power_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
         lin = lin + (np.abs(aux.beta1) ** 2 / LN2) @ (np.abs(lt.comp.ebar) ** 2).T
 
     c8 = lt.echo - cfg.gamma_tar_linear * cfg.noise_irs_watt
-    b9 = cfg.gamma_tar_linear * (np.abs(ch.g_au) ** 2).sum(axis=1)
+    b9 = cfg.gamma_tar_linear * ch.g_au_norm2
     dw = lt.duplex              # HD links transmit half of the time
     return PowerCoeffs(b6=dw * b6, lin=dw * lin, b9=b9, c8=float(c8))
 
@@ -69,8 +69,8 @@ def assemble_power_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
 def power_objective(coeffs: PowerCoeffs, cfg: SystemConfig, p: np.ndarray,
                     f: np.ndarray) -> float:
     """The separable concave objective at (p, f)."""
-    off = float(np.sum(coeffs.b6 * np.sqrt(p) - coeffs.lin * p))
-    loc = float(np.sum(f / (cfg.eps_array() * cfg.bandwidth_hz)))
+    off = float((coeffs.b6 * np.sqrt(p) - coeffs.lin * p).sum())
+    loc = float((f / (cfg.eps_array() * cfg.bandwidth_hz)).sum())
     return off + loc
 
 
@@ -165,14 +165,14 @@ def solve_power_compute(coeffs: PowerCoeffs, cfg: SystemConfig,
         x = (e_max[live] - t * p[live]) / (t * zeta)
         curv = coeffs.b6[live] / (4.0 * p[live] ** 1.5) + f_curv[live] * x ** (-5.0 / 3.0)
         return (p, 1.0 / math.sqrt(load) - inv_root_c8,       # curv = -h_l'(p_l)
-                0.5 * float(np.sum(coeffs.b9[live] ** 2 / curv)) / (load * math.sqrt(load)))
+                0.5 * float((coeffs.b9[live] ** 2 / curv).sum()) / (load * math.sqrt(load)))
 
     p, value, slope = secular(0.0)
     mu, iters = 0.0, 0
     if value < 0.0 and coeffs.c8 == 0.0:
         mu, p = math.inf, np.zeros(l_n)
     elif value < 0.0:
-        mu_bar = float(np.max(coeffs.b6 / (2.0 * np.sqrt(coeffs.c8 * coeffs.b9 / l_n))))
+        mu_bar = float((coeffs.b6 / (2.0 * np.sqrt(coeffs.c8 * coeffs.b9 / l_n))).max())
         start = -value / slope if -value < mu_bar * slope else 0.5 * mu_bar
         mu, iters = increasing_root(lambda m: secular(m)[1:], start, 0.0, mu_bar)
         p = all_users(mu)

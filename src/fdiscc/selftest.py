@@ -91,7 +91,7 @@ def main() -> int:
           la.matrix_rank(ch.g_s, tol=1e-12 * np.abs(ch.g_s).max()) == 1)
 
     # the rank-one rows against the dense M_a x M target response
-    t, gram = sysmodel.target_row(ch), ch.g_s.conj().T @ ch.g_s
+    t, gram = ch.target_row, ch.g_s.conj().T @ ch.g_s
     cascade = ch.g_s @ (ch.g_t * sol.phi[:, None])
     dense, echo_gram = float(np.sum(np.abs(cascade @ sol.w.T) ** 2)), cascade.conj().T @ cascade
     r = sysmodel.composite_channels(ch, sol.phi).r

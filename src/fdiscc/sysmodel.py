@@ -9,9 +9,17 @@ top of those: local computation rate/energy, backhaul cost and the overall
 system utility (bits).
 
 It is the one module that knows the target response G_s = eta a_active
-a_passive^H is rank one: G_s^H G_s = t^H t for the row t (``target_row``), so
-the echo power of the beams w_j at phases phi is sum_j |r w_j|^2 for the row
-r = (t o phi) G_t (``Composite.r``), and no block forms G_s diag(phi) G_t.
+a_passive^H is rank one: G_s^H G_s = t^H t for the row t
+(``ChannelSet.target_row``), so the echo power of the beams w_j at phases phi
+is sum_j |r w_j|^2 for the row r = (t o phi) G_t (``Composite.r``), and no
+block forms G_s diag(phi) G_t.
+
+Each quantity is computed once, at the level it depends on. The row t and
+the rows ||g_au,l||^2 depend on the channels alone, and the ``ChannelSet``
+keeps them. The composite channels depend on the phases alone, so one
+``Composite`` serves every ``link_terms`` at one phase array: it records the
+array it was built from, and ``link_terms`` reuses a passed one only for that
+same array (``sol.phi`` itself) and recomputes it otherwise.
 
 ``link_terms`` is where the duplex mode enters: it applies the HD rule (no
 CCI, no SI) and records the mode in its ``LinkTerms`` (``hd``, and
@@ -29,7 +37,7 @@ including the sensing beam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +59,7 @@ class Solution:
     e: np.ndarray
 
     def copy_with(self, **changes) -> "Solution":
-        return replace(self, **changes)
+        return Solution(**{**self.__dict__, **changes})
 
 
 @dataclass(frozen=True)
@@ -76,17 +84,14 @@ class SensingInfeasible(Exception):
 @dataclass(frozen=True)
 class Composite:
     """phi-dependent effective channels: h (K, N_t) rows h_k, ebar (L, K),
-    g (L, N_r) and the echo row r (N_t,)."""
+    g (L, N_r) and the echo row r (N_t,), at the phase array ``phi`` they
+    were built from."""
 
+    phi: np.ndarray
     h: np.ndarray
     ebar: np.ndarray
     g: np.ndarray
     r: np.ndarray
-
-
-def target_row(ch: ChannelSet) -> np.ndarray:
-    """t (M,) = a_active^H G_s / ||a_active||, so that G_s^H G_s = t^H t."""
-    return (ch.a_active.conj() @ ch.g_s) / np.linalg.norm(ch.a_active)
 
 
 def composite_channels(ch: ChannelSet, phi: np.ndarray) -> Composite:
@@ -101,8 +106,8 @@ def composite_channels(ch: ChannelSet, phi: np.ndarray) -> Composite:
     h = hp @ ch.g_t                                  # (K, N_t)
     ebar = ch.e_direct + (hp @ ch.g_pu.T).T          # (L, K): e_lk + h_k^H Phi g_pu_l
     g = (ch.g_pu * phi[None, :]) @ ch.g_r.conj()     # (L, N_r): G_r^H diag(phi) g_pu_l
-    r = (target_row(ch) * phi) @ ch.g_t              # (N_t,): the echo row
-    return Composite(h=h, ebar=ebar, g=g, r=r)
+    r = (ch.target_row * phi) @ ch.g_t               # (N_t,): the echo row
+    return Composite(phi=phi, h=h, ebar=ebar, g=g, r=r)
 
 
 @dataclass(frozen=True)
@@ -155,23 +160,25 @@ class LinkTerms:
 
 
 def link_terms(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
-               hd: bool = False) -> LinkTerms:
+               hd: bool = False, comp: Composite | None = None) -> LinkTerms:
     """Every user's desired amplitude and SINR denominator, and the radar
-    terms, at ``sol``."""
-    comp = composite_channels(ch, sol.phi)
+    terms, at ``sol``.  A passed ``comp`` is used if it was built from the
+    array ``sol.phi`` itself, and the composite is recomputed otherwise."""
+    if comp is None or comp.phi is not sol.phi:
+        comp = composite_channels(ch, sol.phi)
     k_n = comp.h.shape[0]
     amps = comp.h @ sol.w.T                          # [k, j] = h_k w_j
     cci = np.zeros(k_n) if hd else sol.p @ np.abs(comp.ebar) ** 2
-    com_den = np.sum(np.abs(amps) ** 2, axis=1) + cci + cfg.noise_ue_watt
+    com_den = (np.abs(amps) ** 2).sum(axis=1) + cci + cfg.noise_ue_watt
 
     l_n = comp.g.shape[0]
     uamp = sol.u.conj() @ comp.g.T                   # [l, l'] = u_l^H g_l'
-    si = np.zeros(l_n) if hd else np.sum(np.abs(sol.u.conj() @ ch.h_si @ sol.w.T) ** 2, axis=1)
-    noise_off = np.sum(np.abs(sol.u) ** 2, axis=1) * cfg.noise_bs_watt
+    si = np.zeros(l_n) if hd else (np.abs(sol.u.conj() @ ch.h_si @ sol.w.T) ** 2).sum(axis=1)
+    noise_off = (np.abs(sol.u) ** 2).sum(axis=1) * cfg.noise_bs_watt
     off_den = np.abs(uamp) ** 2 @ sol.p + si + noise_off
 
-    echo = float(np.sum(np.abs(sol.w @ comp.r) ** 2))
-    disturbance = float(sol.p @ (np.abs(ch.g_au) ** 2).sum(axis=1)) + cfg.noise_irs_watt
+    echo = float((np.abs(sol.w @ comp.r) ** 2).sum())
+    disturbance = float(sol.p @ ch.g_au_norm2) + cfg.noise_irs_watt
     return LinkTerms(
         comp=comp, com_sig=np.diagonal(amps, 1), com_den=com_den,
         cci=cci, off_sig=np.sqrt(sol.p) * np.diagonal(uamp), off_den=off_den, si=si,
@@ -230,12 +237,12 @@ def residuals(sol: Solution, cfg: SystemConfig, lt: LinkTerms, *,
     ``link_terms`` of ``sol``, and ``res_cache``, when given, is
     ``cache_residual`` of ``sol.e``."""
     t = cfg.coherence_time_s
-    power = float(np.sum(np.abs(sol.w) ** 2) - cfg.p_bs_watt)
+    power = float((np.abs(sol.w) ** 2).sum() - cfg.p_bs_watt)
     gamma = cfg.gamma_tar_linear
     radar = float(gamma - lt.r_tar) / gamma
-    modulus = float(np.max(np.abs(np.abs(sol.phi) - 1.0))) if sol.phi.size else 0.0
+    modulus = float(np.abs(np.abs(sol.phi) - 1.0).max()) if sol.phi.size else 0.0
     if sol.p.size:
-        energy = float(np.max(t * sol.p + t * cfg.zeta * sol.f ** 3 - cfg.e_max_array()))
+        energy = float((t * sol.p + t * cfg.zeta * sol.f ** 3 - cfg.e_max_array()).max())
     else:
         energy = 0.0
     cache = cache_residual(sol.e, cfg.cache) if res_cache is None else res_cache

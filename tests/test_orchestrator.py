@@ -60,7 +60,7 @@ class TestInitialize:
         with pytest.raises(SensingInfeasible):
             initialize(cfg_hi, ch, np.random.default_rng(0))
 
-    def test_user_beam_on_the_echo_ceiling(self, monkeypatch):
+    def test_user_beam_on_the_echo_ceiling(self):
         # one CM-UE whose composite channel is the echo row itself: its
         # matched-filter beam alone reaches the ceiling (base = ceiling), so
         # the sensing beam keeps only the minimum share 1 / (K + 1)
@@ -70,8 +70,7 @@ class TestInitialize:
         phi = echo_aligned_phases(ch)
         comp = sysmodel.composite_channels(ch, phi)
         aligned = replace(comp, h=comp.r[None, :].copy())
-        monkeypatch.setattr(orchestrator, "composite_channels", lambda *args: aligned)
-        sol = orchestrator._start_for_phi(cfg, ch, phi, np.zeros(cfg.cache.n_files))
+        sol = orchestrator._start_for_phi(cfg, ch, aligned, np.zeros(cfg.cache.n_files))
         ceiling = cfg.p_bs_watt * np.linalg.norm(comp.r) ** 2
         base = float(np.abs(orchestrator._mrt_rows(aligned.h)[0] @ comp.r) ** 2) * cfg.p_bs_watt
         assert abs(base - ceiling) <= 4e-16 * ceiling
@@ -184,9 +183,10 @@ class TestRun:
 
     def test_link_terms_at_most_four_per_iteration(self, monkeypatch):
         # one LinkTerms per solution state: iteration start, after the phase
-        # block (not with fixed phases), before the power block, iteration end
+        # block (not with fixed phases, nor when it kept the incoming phases),
+        # before the power block, iteration end
         from fdiscc import beamforming, orchestrator, phaseadmm, powercomp, wmmse
-        calls = {"all": 0, "init": 0}
+        calls = {"all": 0, "init": 0, "kept": 0}
         terms = sysmodel.link_terms
 
         def counted(*args, **kwargs):
@@ -206,16 +206,38 @@ class TestRun:
                 calls["init"] += calls["all"] - before
 
         monkeypatch.setattr(orchestrator, "initialize", counted_init)
+        optimize_phase = phaseadmm.optimize_phase
+
+        def counted_phase(sol, *args):
+            phi, info = optimize_phase(sol, *args)
+            calls["kept"] += phi is sol.phi
+            return phi, info
+
+        monkeypatch.setattr(phaseadmm, "optimize_phase", counted_phase)
         for seed in (1, 2):
             cfg = desk_config(seed=seed)
             ch = draw_channels(cfg)
             for scheme, per_iteration in (("proposed", 4), ("full-offloading", 4),
                                           ("hd", 4), ("fixed-phase", 3)):
-                calls.update(all=0, init=0)
+                calls.update(all=0, init=0, kept=0)
                 res = run(cfg, ch, RunOptions(scheme=scheme))
                 assert res.iterations >= 3, (seed, scheme)
-                assert calls["all"] - calls["init"] == per_iteration * res.iterations, \
-                    (seed, scheme)
+                assert calls["all"] - calls["init"] \
+                    == per_iteration * res.iterations - calls["kept"], (seed, scheme)
+
+
+class TestWarmRecords:
+    def test_second_run_on_a_warm_channel_set_equal(self):
+        # the channel set's constants, computed by the first run, serve the
+        # second: both give the same bits
+        cfg = desk_config(seed=4)
+        ch = draw_channels(cfg)
+        runs = [run(cfg, ch, RunOptions(max_iter=8)) for _ in range(2)]
+        assert "target_row" in vars(ch)
+        with np.printoptions(floatmode="unique", threshold=10**9):
+            a, b = (repr((r.status, r.metrics, r.solution,
+                          [replace(row, wall_ms=0.0) for row in r.trace])) for r in runs)
+        assert a == b
 
 
 class TestSharedSolves:

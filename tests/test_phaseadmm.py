@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdiscc import conic, orchestrator
+from fdiscc import conic, orchestrator, phaseadmm
 from fdiscc.channels import draw_channels
 from fdiscc.config import db2lin, desk_config, paper_config
 from fdiscc.phaseadmm import (AdmmState, LinearRadar, PhaseCoeffs, admm_phi_step,
@@ -342,6 +344,27 @@ class TestOptimizePhase:
         phi, info = optimize_phase(rand_sol, small_ch, aux, small_cfg, lt)
         assert info.infeasible
         assert np.array_equal(phi, rand_sol.phi)
+
+    def test_kept_phases_are_the_incoming_array(self, small_cfg, small_ch, feasible_sol,
+                                                monkeypatch):
+        # an infeasible entry, and every revert or infeasible call of real
+        # runs, hands back sol.phi itself; an accepted call a new array
+        lt = link_terms(feasible_sol, small_ch, replace(small_cfg, gamma_tar_linear=1e12))
+        phi, info = optimize_phase(feasible_sol, small_ch, update_aux(lt), small_cfg, lt)
+        assert info.infeasible and phi is feasible_sol.phi
+        calls = []
+
+        def recorded(sol, *args):
+            phi, info = optimize_phase(sol, *args)
+            calls.append((phi is sol.phi, info.reverted or info.infeasible))
+            return phi, info
+
+        monkeypatch.setattr(phaseadmm, "optimize_phase", recorded)
+        for make in (desk_config, paper_config):
+            cfg = make(seed=1)
+            orchestrator.run(cfg, draw_channels(cfg))
+        assert any(kept for kept, _ in calls) and not all(kept for kept, _ in calls)
+        assert all(kept == rejected for kept, rejected in calls)
 
     def test_never_decreases_surrogate(self, small_cfg, small_ch, feasible_sol):
         lt = link_terms(feasible_sol, small_ch, small_cfg)

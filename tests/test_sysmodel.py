@@ -5,12 +5,18 @@ import pytest
 
 from fdiscc import beamforming, orchestrator, phaseadmm, powercomp
 from fdiscc.channels import draw_channels
-from fdiscc.config import desk_config
+from fdiscc.config import _broadcast, desk_config, paper_config
 from fdiscc.sysmodel import (SensingInfeasible, Solution, backhaul_cost, composite_channels,
-                             link_terms, residuals, target_row, utility)
+                             link_terms, residuals, utility)
 from fdiscc.wmmse import update_aux
 
 from conftest import make_solution
+
+
+def exact_repr(record) -> str:
+    """repr with every float written to the last bit, arrays in full."""
+    with np.printoptions(floatmode="unique", threshold=10**9):
+        return repr(record)
 
 
 class TestCompositeChannels:
@@ -236,7 +242,7 @@ class TestLinkTerms:
             cfg = desk_config(m_passive=8, m_active=m_a, seed=7)
             ch = draw_channels(cfg)
             sol = make_solution(cfg, ch, np.random.default_rng(m_a))
-            t, gram = target_row(ch), ch.g_s.conj().T @ ch.g_s
+            t, gram = ch.target_row, ch.g_s.conj().T @ ch.g_s
             assert np.linalg.norm(np.outer(t.conj(), t) - gram) <= 1e-12 * np.linalg.norm(gram)
             cascade = ch.g_s @ np.diag(sol.phi) @ ch.g_t
             r, echo_gram = composite_channels(ch, sol.phi).r, cascade.conj().T @ cascade
@@ -440,7 +446,8 @@ class TestDuplexMode:
 
     def test_mode_enters_only_through_link_terms(self):
         # the blocks take the LinkTerms record and never the mode itself, nor
-        # an optional record they would recompute when it is missing
+        # an optional record they would recompute when it is missing; only the
+        # model's own evaluators, link_terms and utility, take one
         import importlib
         import inspect
         import pkgutil
@@ -458,4 +465,63 @@ class TestDuplexMode:
                 if any(p.name in ("lt", "comp") and p.default is None for p in params):
                     optional.add(f"{info.name}.{name}")
         assert with_hd == {"sysmodel.link_terms", "sysmodel.utility"}
-        assert optional <= {"sysmodel.utility"}
+        assert optional <= {"sysmodel.link_terms", "sysmodel.utility"}
+
+
+class TestDerivedOnce:
+    """Each derived quantity is computed once per record it depends on, and a
+    reused one equals a fresh computation bit for bit."""
+
+    @pytest.mark.parametrize("make", [desk_config, paper_config], ids=["desk", "paper"])
+    @pytest.mark.parametrize("uplink", ["p0", "live"])
+    def test_link_terms_with_composite_equals_without(self, make, uplink, hd):
+        cfg = make(seed=3)
+        ch = draw_channels(cfg)
+        p_scale = 0.0 if uplink == "p0" else float(
+            cfg.e_max_array().min() / (2.0 * cfg.coherence_time_s))
+        sol = make_solution(cfg, ch, np.random.default_rng(5), p_scale)
+        comp = composite_channels(ch, sol.phi)
+        given = link_terms(sol, ch, cfg, hd, comp)
+        assert given.comp is comp
+        assert exact_repr(given) == exact_repr(link_terms(sol, ch, cfg, hd))
+
+    def test_composite_of_another_array_recomputed(self, small_cfg, small_ch, rand_sol):
+        fresh = link_terms(rand_sol, small_ch, small_cfg)
+        other = np.exp(1j * np.random.default_rng(3).uniform(0, 2 * np.pi, rand_sol.phi.size))
+        for phi in (other, rand_sol.phi.copy()):       # stale, and equal but another array
+            comp = composite_channels(small_ch, phi)
+            lt = link_terms(rand_sol, small_ch, small_cfg, comp=comp)
+            assert lt.comp is not comp and lt.comp.phi is rand_sol.phi
+            assert exact_repr(lt) == exact_repr(fresh)
+
+    def test_channel_constants_once_per_record(self):
+        cfg = desk_config(seed=2)
+        ch = draw_channels(cfg)
+        fresh = {"target_row": (ch.a_active.conj() @ ch.g_s) / np.linalg.norm(ch.a_active),
+                 "g_au_norm2": (np.abs(ch.g_au) ** 2).sum(axis=1)}
+        for name, want in fresh.items():
+            value = getattr(ch, name)
+            assert value.dtype == want.dtype and value.tobytes() == want.tobytes()
+            assert getattr(ch, name) is value and not value.flags.writeable
+            with pytest.raises(ValueError):
+                value[0] = 0.0
+            copy = dataclasses.replace(ch)
+            assert name not in vars(copy)
+            assert getattr(copy, name) is not value
+            assert getattr(copy, name).tobytes() == want.tobytes()
+        louder = dataclasses.replace(ch, g_au=2.0 * ch.g_au)
+        assert np.array_equal(louder.g_au_norm2, (np.abs(2.0 * ch.g_au) ** 2).sum(axis=1))
+
+    def test_config_arrays_once_per_record(self):
+        cfg = desk_config(e_max_joule=(0.01, 0.02), eps_cycles_per_bit=500.0)
+        for read, field, value in ((cfg.e_max_array, "e_max_joule", (0.03, 0.04)),
+                                   (cfg.eps_array, "eps_cycles_per_bit", 700.0)):
+            arr = read()
+            want = _broadcast(getattr(cfg, field), cfg.n_cp)
+            assert arr.dtype == want.dtype and arr.tobytes() == want.tobytes()
+            assert read() is arr and not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+            moved = dataclasses.replace(cfg, **{field: value})
+            assert np.array_equal(getattr(moved, read.__name__)(), _broadcast(value, cfg.n_cp))
+            assert getattr(dataclasses.replace(cfg), read.__name__)() is not arr
