@@ -28,6 +28,7 @@ and the echo matrix d d^H.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     ``link_terms`` of this same solution."""
     comp = lt.comp
     bb1 = np.abs(aux.beta1) ** 2
-    s_mat = np.einsum("k,ki,kj->ij", bb1, comp.h.conj(), comp.h)
+    s_mat = (comp.h.conj().T * bb1) @ comp.h
     q = (np.sqrt(1.0 + aux.alpha1) * aux.beta1 / LN2)[:, None] * comp.h.conj()
     # beam-free parts of the surrogates: downlink CCI and noise, and every
     # offloading term but the residual SI
@@ -89,7 +90,7 @@ def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     b4 = _bracket(aux.alpha2, aux.beta2, lt.off_sig, lt.off_den - lt.si)
     if not lt.hd:
         v = sol.u @ ch.h_si.conj()              # rows v_l = H_SI^H u_l
-        s_mat = s_mat + np.einsum("l,li,lj->ij", np.abs(aux.beta2) ** 2, v, v.conj())
+        s_mat = s_mat + (v.T * np.abs(aux.beta2) ** 2) @ v.conj()
 
     return TxCoeffs(
         q=q, s_mat=(s_mat + s_mat.conj().T) / 2.0 / LN2,
@@ -100,8 +101,8 @@ def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
 def tx_objective(coeffs: TxCoeffs, w: np.ndarray) -> float:
     """Surrogate sum at a concrete beam set (matches the SDP objective on
     rank-one liftings)."""
-    quad = np.einsum("ji,ik,jk->", w.conj(), coeffs.s_mat, w).real
-    lin = 2.0 * (w[1:].conj() * coeffs.q).sum().real
+    quad = np.vdot(w, w @ coeffs.s_mat.T).real          # sum_j w_j^H S w_j
+    lin = 2.0 * np.vdot(w[1:], coeffs.q).real
     return float(coeffs.b3.sum() + coeffs.b4.sum() - quad + lin)
 
 
@@ -132,28 +133,32 @@ def _tx_beams(s: np.ndarray, x: np.ndarray, y: np.ndarray, target: float,
     return w, 1.0 / phi, gain
 
 
-def _tx_power(s: np.ndarray, xx: np.ndarray, yy: np.ndarray, z: np.ndarray, target: float,
-              mu: float) -> tuple[float, float]:
-    """||w||^2 of ``_tx_beams`` at mu and its slope in mu, from the sums
-    X_i = sum_k |x_ki|^2, Y_i = |y_i|^2 and Z_ki = x_ki conj(y_i) against
-    b^-n = (s + mu)^-n: with A_n = X b^-n, phi_n = Y b^-n and r_n = Z b^-n,
-    ||w||^2 = A_2 + 2 c Re(r_1^H r_2) + c^2 |r_1|^2 phi_2, c = 0 at nu* = 0 and
-    (sqrt(target) / |r_1| - 1) / phi_1 below 1/phi_1; A_2 + target phi_2 / phi_1^2
-    with the sensing beam."""
-    b1 = 1.0 / (s + mu)
-    b2, b3 = b1 * b1, b1 * b1 * b1
-    norm, slope = float(xx @ b2), -2.0 * float(xx @ b3)
-    r1, r2 = z @ b1, z @ b2
-    rr = float((np.abs(r1) ** 2).sum())
+# exponents of the rows b^-1, b^-2, b^-3 of _tx_power's B
+_POWERS = -np.arange(1.0, 4.0)[:, None]
+
+
+def _tx_power(s: np.ndarray, sums: np.ndarray, target: float, mu: float) -> tuple[float, float]:
+    """||w||^2 of ``_tx_beams`` at mu and its slope in mu, from ``sums`` =
+    [X Y C] (N_t, N_t + 2): X_i = sum_k |x_ki|^2, Y_i = |y_i|^2 and
+    C = Re(Z^H Z) with Z_ki = x_ki conj(y_i). With the rows b^-n = (s + mu)^-n
+    (n = 1, 2, 3) of B, every sum below is an entry of B [X Y] or of B C B^T:
+    A_n = X b^-n, phi_n = Y b^-n and c_nm = Re(r_n^H r_m) for r_n = Z b^-n. Then
+    ||w||^2 = A_2 + 2 c c_12 + c^2 c_11 phi_2 with c = 0 at nu* = 0 (c_11 >= target)
+    and (sqrt(target / c_11) - 1) / phi_1 below 1/phi_1, and A_2 + target phi_2 /
+    phi_1^2 with the sensing beam (c_11 = 0). Two matmuls and the rest on
+    Python floats."""
+    b = (s + mu) ** _POWERS
+    rows = b @ sums
+    (_, phi, *_), (norm, phi2, *_), (xx3, phi3, *_) = rows.tolist()
+    (rr, cross, c13), (_, c22, _), _ = (rows[:, 2:] @ b.T).tolist()
+    slope = -2.0 * xx3
     if rr >= target:
         return norm, slope
-    phi, phi2, phi3 = float(yy @ b1), float(yy @ b2), float(yy @ b3)
-    if rr == 0.0:
+    if rr <= 0.0:
         return (norm + target * phi2 / phi ** 2,
                 slope + 2.0 * target * (phi2 ** 2 / phi - phi3) / phi ** 2)
-    cross = float((r1 * r2.conj()).sum().real)
-    d_cross = -float((np.abs(r2) ** 2).sum()) - 2.0 * float((r1 * (z @ b3).conj()).sum().real)
-    g = np.sqrt(target / rr)                            # d rr = -2 cross
+    d_cross = -c22 - 2.0 * c13
+    g = math.sqrt(target / rr)                          # d rr = -2 cross
     c = (g - 1.0) / phi
     d_c = (g * cross / rr + c * phi2) / phi
     return (norm + 2.0 * c * cross + c * c * rr * phi2,
@@ -175,7 +180,9 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
     slack (EPS max(1, ||S||) if S is singular, where B must stay invertible),
     else the root of 1/||w(mu)|| = 1/sqrt(P) by ``rootfind.increasing_root``
     on ``_tx_power``, from the larger of the Newton step off that smallest mu
-    and max_i sqrt(X_i / P) - s_i, the mu each term alone needs. The beams are
+    and max_i sqrt(X_i / P) - s_i, the mu each term alone needs. The mu-free
+    data of ``_tx_power``, [X Y C] with the N_t x N_t C = Re(Z^H Z), is formed
+    once per call, so each evaluation is two small matmuls. The beams are
     formed once, at the root.
 
     Returns the beams (K+1, N_t) and ``{"dual", "mu", "nu", "iterations",
@@ -193,13 +200,15 @@ def solve_tx(coeffs: TxCoeffs) -> tuple[np.ndarray, dict]:
     s, vecs = np.linalg.eigh(coeffs.s_mat)
     s = np.maximum(s, 0.0)
     x, y = q @ vecs.conj(), d @ vecs.conj()          # eigenbasis coordinates
-    xx, yy, z = (np.abs(x) ** 2).sum(axis=0), np.abs(y) ** 2, x * y.conj()
+    xx, z = (np.abs(x) ** 2).sum(axis=0), x * y.conj()
+    sums = np.column_stack((xx, np.abs(y) ** 2, (z.conj().T @ z).real))
+    inv_sqrt_p = 1.0 / math.sqrt(p_max)
 
     def slack(mu: float) -> tuple[float, float]:     # 1/||w|| - 1/sqrt(P), nearly linear in mu
-        norm2, d_norm2 = _tx_power(s, xx, yy, z, target, mu)
+        norm2, d_norm2 = _tx_power(s, sums, target, mu)
         if norm2 <= 0.0:
             return np.inf, 0.0
-        return 1.0 / np.sqrt(norm2) - 1.0 / np.sqrt(p_max), -0.5 * d_norm2 / norm2 ** 1.5
+        return 1.0 / math.sqrt(norm2) - inv_sqrt_p, -0.5 * d_norm2 / norm2 ** 1.5
 
     mu = 0.0 if s[0] > 0.0 else EPS * max(s[-1], 1.0)
     value, slope, iters = *slack(mu), 0

@@ -19,9 +19,9 @@ solves it once (see ``run``'s ``solves`` and ``harness.run_sweep``). Each
 solution state's ``sysmodel.link_terms`` is computed once and shared by the
 blocks that read that state, and each phase vector's composite channels
 (``sysmodel.Composite``) once and shared by every ``link_terms`` at it: one
-per start candidate in ``initialize``, then in the loop one for the start and
-one per phase vector the phase block returns that is not the incoming one
-(see ``solve_radio``).
+per start candidate in ``initialize``, whose kept one serves the loop's start,
+then in the loop one per phase vector the phase block returns that is not the
+incoming one (see ``solve_radio``).
 """
 
 from __future__ import annotations
@@ -196,12 +196,15 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, comp: Composite,
 
 
 def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
-               phi: np.ndarray | None = None, e: np.ndarray | None = None) -> Solution:
-    """Feasible start with cache placement ``e`` (by default the optimal one).  With
-    ``phi`` pinned (fixed-phase baseline) only that phase vector is tried; otherwise the
-    best of the max-gain alignment, the echo alignment and a random draw is kept, scored
-    by initial sum bits, which no placement changes. Each candidate's
-    composite channels are built once and serve both its start and its score.
+               phi: np.ndarray | None = None,
+               e: np.ndarray | None = None) -> tuple[Solution, Composite]:
+    """Feasible start with cache placement ``e`` (by default the optimal one), and
+    the composite channels at its phases.  With ``phi`` pinned (fixed-phase
+    baseline) only that phase vector is tried; otherwise the best of the max-gain
+    alignment, the echo alignment and a random draw is kept, scored by initial
+    sum bits, which no placement changes. Each candidate's composite channels
+    are built once and serve its start, its score and, for the kept start, the
+    caller's first ``link_terms``.
 
     Candidates are scored under FD for every radio mode, ``hd`` included: the
     score only ranks starts, and scoring ``hd`` ones under HD picked another start
@@ -226,7 +229,7 @@ def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
         score = utility(sol, ch, cfg, lt=link_terms(sol, ch, cfg, comp=comp),
                         d_total=0.0).sum_bits
         if score > best_score:
-            best, best_score = sol, score
+            best, best_score = (sol, comp), score
     if best is None:
         raise SensingInfeasible(
             f"sensing threshold {cfg.gamma_tar_linear * cfg.noise_irs_watt:.3e} "
@@ -278,10 +281,11 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
     4 per iteration, 3 with fixed phases or when the phase block returns the
     incoming array ``sol.phi`` itself (a revert, or an infeasible entry or
     step), for then the state after it is the state before it. Each ``link_terms`` is
-    handed the last one's composite channels, which it reuses while the
-    phases are that same array: so the loop builds one composite per new
-    phase vector, and one for its start. The final metrics are those of the
-    last iteration, whose solution is the returned one.
+    handed the last one's composite channels, the first one those of the
+    start from ``initialize``, which it reuses while the phases are that same
+    array: so the loop builds one composite per new phase vector and none for
+    its start. The final metrics are those of the last iteration, whose
+    solution is the returned one.
     """
     hd = mode == "hd"
     fixed_phase = mode == "fixed-phase"
@@ -291,7 +295,7 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
     # the initializer pick the best candidate start
     phi0 = fixed_phase_heuristic(ch, cfg) if fixed_phase else None
     try:
-        sol = initialize(cfg, ch, rng_init, phi=phi0, e=NO_PLACEMENT)
+        sol, comp = initialize(cfg, ch, rng_init, phi=phi0, e=NO_PLACEMENT)
     except SensingInfeasible:
         sol = Solution(w=np.zeros((cfg.n_cm + 1, cfg.n_tx), complex),
                        u=np.zeros((cfg.n_cp, cfg.n_rx), complex),
@@ -303,7 +307,6 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
         sol = sol.copy_with(f=np.zeros(cfg.n_cp))
 
     rows: list[TraceRow] = []
-    comp = None             # the composite channels of the last link_terms
     status = MAX_ITER_STATUS
     slow_count = 0
     t0 = time.perf_counter()

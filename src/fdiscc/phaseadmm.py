@@ -10,11 +10,14 @@ weight is T12 = F F^H with one column of F (over sqrt(ln 2)) per term:
     sqrt(p_l') |beta2_l| c_l o conj(g_pu,l'),  c_l = G_r u_l,  every l and l'.
 
 So T12 has rank at most K(K+1) + KL + L^2; zero columns (p_l = 0) are
-dropped. With the thin SVD F = U Sigma W^H, exactly for any column count,
+dropped. With the eigendecomposition F^H F = W diag(sigma^2) W^H of the
+r x r Gram matrix and U' = F W (so U'^H U' = diag(sigma^2)), exactly for any
+column count and any rank,
 
-    (T12 + c I)^{-1} v = v / c - U diag(sigma^2 / (c (sigma^2 + c))) U^H v,
+    (T12 + c I)^{-1} v = v / c - U' diag(1 / (c (sigma^2 + c))) U'^H v,
 
-and the surrogate reads ||F^H phi||^2, so no M x M matrix is formed.
+and the surrogate reads ||F^H phi||^2, so no M x M matrix is formed and
+nothing is divided by sigma: a zero or tiny singular value needs no guard.
 The echo power needs no M x M matrix either: with the target row t of
 ``ChannelSet.target_row``, it is ||V phi||^2 over the K+1 echo rows
 v_j = t o (G_t w_j), and V^H (V phi) is its gradient direction.
@@ -27,15 +30,21 @@ phi-free rest b12 is the surrogate bracket with the downlink denominator
 sigma_ue^2 + sum_l p_l |e_lk|^2 (the sum under FD only) and the offloading one
 residual SI plus receiver noise.
 
-The unit modulus constraint is split off onto a copy variable and handled by
-ADMM with a geometrically decreasing penalty; the nonconvex side of the radar
-constraint is linearized at the current iterate each pass (a tangent minorant
-of the echo power, so any point feasible for the linearized constraint is
-feasible for the true one), so each pass has a closed-form reflection step.
+The unit modulus constraint is split off onto a copy variable psi and
+handled by ADMM with a geometrically decreasing penalty rho; the nonconvex
+side of the radar constraint is linearized at the current iterate each pass
+(a tangent minorant of the echo power, so any point feasible for the
+linearized constraint is feasible for the true one), so each pass has a
+closed-form reflection step.
 
 What does not change within a call is computed once per call, on the
-``PhaseCoeffs``: the thin SVD of F with U^H t12 (``split``) and V^H
-(``echo_rows_h``). A pass computes only what its iterate and penalty set.
+``PhaseCoeffs``: U', U'^H and sigma^2 of the Gram eigendecomposition
+(``split``) and V^H (``echo_rows_h``). A pass computes only what its iterate
+and penalty set, on plain arrays: the tangent (d, e) at phi
+(``mm_linearize_radar``), rho lambda once, the step (``admm_phi_step``) on
+the target psi - rho lambda, the projection psi = (phi + rho lambda) /
+|phi + rho lambda| (``unit_modulus``), phi - psi once, and from it the dual
+update lambda + (phi - psi) / rho and the consensus max |phi - psi|.
 A call that keeps the incoming phases (a revert, or an infeasible entry or
 step) returns the array ``sol.phi`` itself, so its caller can tell that
 nothing moved.
@@ -71,32 +80,17 @@ class PhaseCoeffs:
     b0: float
 
     @cached_property
-    def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """U, U^H, sigma^2 and U^H t12 of the thin SVD F = U Sigma W^H."""
-        u, sigma, _ = np.linalg.svd(self.factor, full_matrices=False)
-        uh = u.conj().T
-        return u, uh, sigma ** 2, uh @ self.t12_vec
+    def split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """U' = F W, U'^H and sigma^2 of the Gram eigendecomposition
+        F^H F = W diag(sigma^2) W^H (module docstring)."""
+        sigma2, w = np.linalg.eigh(self.factor.conj().T @ self.factor)
+        u = self.factor @ w
+        return u, u.conj().T, sigma2
 
     @cached_property
     def echo_rows_h(self) -> np.ndarray:
         """V^H (M, K+1), which every pass's tangent applies."""
         return self.echo_rows.conj().T
-
-
-@dataclass
-class AdmmState:
-    phi: np.ndarray
-    psi: np.ndarray
-    lam: np.ndarray
-    rho: float
-
-
-@dataclass(frozen=True)
-class LinearRadar:
-    """Affine minorant constraint -2 Re{d^H phi} + e <= 0."""
-
-    d: np.ndarray
-    e: float
 
 
 # penalty rho = max(RHO_INIT * RHO_FACTOR^n, RHO_FLOOR) on pass n; stop after
@@ -112,6 +106,7 @@ class PhaseInfo:
     consensus: float = float("inf")
     reverted: bool = False
     infeasible: bool = False
+    binding: int = 0        # passes whose tangent radar constraint binds
 
 
 def _column_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -160,64 +155,63 @@ def echo_power(coeffs: PhaseCoeffs, phi: np.ndarray) -> float:
     return float((np.abs(coeffs.echo_rows @ phi) ** 2).sum())
 
 
-def mm_linearize_radar(coeffs: PhaseCoeffs, phi0: np.ndarray) -> LinearRadar:
-    """Tangent minorant of the echo power at phi0: d = V^H (V phi0)."""
+def mm_linearize_radar(coeffs: PhaseCoeffs, phi0: np.ndarray) -> tuple[np.ndarray, float]:
+    """Tangent minorant -2 Re{d^H phi} + e <= 0 of the radar constraint at
+    phi0: d = V^H (V phi0) and e = ||V phi0||^2 + b0."""
     echo = coeffs.echo_rows @ phi0
-    return LinearRadar(d=coeffs.echo_rows_h @ echo,
-                       e=float((np.abs(echo) ** 2).sum()) + coeffs.b0)
+    return coeffs.echo_rows_h @ echo, float(np.vdot(echo, echo).real) + coeffs.b0
 
 
-def admm_phi_step(coeffs: PhaseCoeffs, state: AdmmState, lin: LinearRadar) -> np.ndarray:
-    """Exact minimizer of phi^H A phi - 2 Re{r^H phi} s.t. -2 Re{d^H phi} + e <= 0 with
-    A = T12 + I/(2 rho), r = t12 + (psi - rho lambda)/(2 rho): phi_u = A^-1 r if it meets
-    the constraint, else phi_u + mu A^-1 d with the binding multiplier mu = slack(phi_u) /
-    (2 d^H A^-1 d).  A^-1 is applied through the thin SVD of the factor F (module
-    docstring).  Raises SensingInfeasible when d = 0 and the constraint is violated."""
-    u, uh, sigma2, uh_t12 = coeffs.split
-    prox = 1.0 / (2.0 * state.rho)
-    shrink = sigma2 / (prox * (sigma2 + prox))
-
-    def a_inv(v, uh_v):
-        return v / prox - u @ (shrink * uh_v)
-
-    target = state.psi - state.rho * state.lam
-    phi_u = a_inv(coeffs.t12_vec + prox * target, uh_t12 + prox * (uh @ target))
-    slack = -2.0 * float((lin.d.conj() @ phi_u).real) + lin.e
-    if slack <= SLACK_TOL * max(1.0, abs(lin.e)):
-        return phi_u
-    a_inv_d = a_inv(lin.d, uh @ lin.d)
-    curvature = float((lin.d.conj() @ a_inv_d).real)
+def admm_phi_step(coeffs: PhaseCoeffs, rho: float, target: np.ndarray, d: np.ndarray,
+                  e: float) -> tuple[np.ndarray, float]:
+    """Exact minimizer of phi^H A phi - 2 Re{r^H phi} s.t. -2 Re{d^H phi} + e <= 0,
+    with A = T12 + c I, c = 1/(2 rho), and r = t12 + c target (target = psi - rho lambda),
+    and its multiplier mu: phi_u = A^-1 r if it meets the constraint (mu = 0), else
+    phi_u + mu A^-1 d with mu = slack(phi_u) / (2 d^H A^-1 d).  With v = r / c =
+    2 rho t12 + target the Gram-eigen inverse (module docstring) reads
+    A^-1 r = v - U' diag(1 / (sigma^2 + c)) U'^H v.  Raises SensingInfeasible when
+    d = 0 and the constraint is violated."""
+    u, uh, sigma2 = coeffs.split
+    g = 1.0 / (sigma2 + 0.5 / rho)
+    v = 2.0 * rho * coeffs.t12_vec + target
+    phi_u = v - u @ (g * (uh @ v))
+    slack = e - 2.0 * np.vdot(d, phi_u).real
+    if slack <= SLACK_TOL * max(1.0, abs(e)):
+        return phi_u, 0.0
+    y = d - u @ (g * (uh @ d))                  # A^-1 d = 2 rho y
+    curvature = np.vdot(d, y).real
     if curvature <= 0.0:
         raise SensingInfeasible("the linearized radar constraint admits no reflection vector")
-    return phi_u + (slack / (2.0 * curvature)) * a_inv_d
+    return phi_u + (0.5 * slack / curvature) * y, float(slack / (4.0 * rho * curvature))
 
 
-def step_certificate(coeffs: PhaseCoeffs, state: AdmmState, lin: LinearRadar,
-                     x: np.ndarray) -> dict:
-    """KKT residuals of ``x`` as the minimizer of ``admm_phi_step``'s problem,
-    each relative to its own scale and 0 when exact; the multiplier of
-    A x - r = mu d is fitted by least squares."""
-    prox = 1.0 / (2.0 * state.rho)
-    r = coeffs.t12_vec + prox * (state.psi - state.rho * state.lam)
-    grad = coeffs.factor @ (x @ coeffs.factor.conj()) + prox * x - r
-    d_norm, r_norm = np.linalg.norm(lin.d), np.linalg.norm(r)
-    mu = relative(float((lin.d.conj() @ grad).real), d_norm ** 2)
-    violation = relative(lin.e - 2.0 * float((lin.d.conj() @ x).real), abs(lin.e))
+def step_certificate(coeffs: PhaseCoeffs, rho: float, target: np.ndarray, d: np.ndarray,
+                     e: float, x: np.ndarray) -> dict:
+    """KKT residuals of ``x`` as the minimizer of ``admm_phi_step``'s problem at
+    the same (rho, target, d, e), each relative to its own scale and 0 when
+    exact; the multiplier of A x - r = mu d is fitted by least squares, not
+    taken from the step."""
+    c = 0.5 / rho
+    r = coeffs.t12_vec + c * target
+    grad = coeffs.factor @ (x @ coeffs.factor.conj()) + c * x - r
+    d_norm, r_norm = np.linalg.norm(d), np.linalg.norm(r)
+    mu = relative(float((d.conj() @ grad).real), d_norm ** 2)
+    violation = relative(e - 2.0 * float((d.conj() @ x).real), abs(e))
     return {
-        "stationarity": relative(np.linalg.norm(grad - mu * lin.d), r_norm),
+        "stationarity": relative(np.linalg.norm(grad - mu * d), r_norm),
         "mu_sign": float(max(0.0, -mu) * d_norm / r_norm),
         "feasibility": max(violation, 0.0),
         "slackness": float(abs(mu * violation) * d_norm / r_norm),
     }
 
 
-def psi_step(phi: np.ndarray, lam: np.ndarray, rho: float) -> np.ndarray:
-    """Unit-modulus projection aligned with phi + rho*lambda."""
-    return np.exp(1j * np.angle(phi + rho * lam))
-
-
-def dual_step(state: AdmmState) -> np.ndarray:
-    return state.lam + (state.phi - state.psi) / state.rho
+def unit_modulus(z: np.ndarray) -> np.ndarray:
+    """The unit-modulus vector nearest z, z / |z| entrywise; a zero entry maps
+    to 1, as exp(1j angle(0)) does."""
+    m = np.abs(z)
+    if m.all():
+        return z / m
+    return np.divide(z, m, out=np.ones_like(z), where=m > 0.0)
 
 
 def optimize_phase(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
@@ -236,28 +230,28 @@ def optimize_phase(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfi
         info.infeasible = True
         return phi_in, info
 
-    state = AdmmState(phi=phi_in, psi=np.exp(1j * np.angle(phi_in)),
-                      lam=np.zeros_like(phi_in), rho=RHO_INIT)
-
+    phi, psi, lam, rho = phi_in, unit_modulus(phi_in), np.zeros_like(phi_in), RHO_INIT
     for it in range(1, MAX_INNER + 1):
-        lin = mm_linearize_radar(coeffs, state.phi)
+        d, e = mm_linearize_radar(coeffs, phi)
+        rho_lam = rho * lam
         try:
-            state.phi = admm_phi_step(coeffs, state, lin)
+            phi, mu = admm_phi_step(coeffs, rho, psi - rho_lam, d, e)
         except SensingInfeasible:
             info.infeasible = True
             return phi_in, info
-        state.psi = psi_step(state.phi, state.lam, state.rho)
-        state.lam = dual_step(state)
-        info.consensus = float(np.abs(state.phi - state.psi).max())
+        psi = unit_modulus(phi + rho_lam)
+        gap = phi - psi
+        lam = lam + gap / rho
+        info.binding += mu > 0.0
+        info.consensus = float(np.abs(gap).max())
         info.iterations = it
         if info.consensus <= CONSENSUS_TOL:
             break
-        state.rho = max(state.rho * RHO_FACTOR, RHO_FLOOR)
+        rho = max(rho * RHO_FACTOR, RHO_FLOOR)
 
-    phi_out = state.psi
-    exit_val = surrogate_value(coeffs, phi_out)
-    radar_ok = echo_power(coeffs, phi_out) >= coeffs.b0 * (1.0 - 1e-6)
+    exit_val = surrogate_value(coeffs, psi)
+    radar_ok = echo_power(coeffs, psi) >= coeffs.b0 * (1.0 - 1e-6)
     if exit_val < entry_val - 1e-10 * (1.0 + abs(entry_val)) or not radar_ok:
         info.reverted = True
         return phi_in, info
-    return phi_out, info
+    return psi, info

@@ -21,7 +21,7 @@ def scenario():
     the CCI and uplink terms weigh in), and random phases."""
     cfg = desk_config(m_passive=8, seed=3)
     ch = draw_channels(cfg)
-    sol = orchestrator.initialize(cfg, ch, np.random.default_rng(0))
+    sol, _ = orchestrator.initialize(cfg, ch, np.random.default_rng(0))
     lt = sysmodel.link_terms(sol, ch, cfg)
     p = cfg.e_max_array() / (2.0 * cfg.coherence_time_s)
     live = sol.copy_with(p=p, f=(p / cfg.zeta) ** (1 / 3))
@@ -35,17 +35,14 @@ def kkt_instances(cfg, ch, sol, lt, aux, live, phi) -> dict:
     modes, with the CPU (``power``) and with f = 0 (``offload``)."""
     lt_live = sysmodel.link_terms(live, ch, cfg)
     coeffs = phaseadmm.assemble_phase_coeffs(live, ch, wmmse.update_aux(lt_live), cfg, lt_live)
-    # ADMM phase step, its radar constraint set off the unconstrained
-    # minimizer by +-||r|| (a unit d keeps mu O(1))
-    state = phaseadmm.AdmmState(phi=phi, psi=phi, lam=np.zeros_like(phi), rho=0.5)
+    # ADMM phase step at rho = 0.5 and the target phi, its radar constraint
+    # set off the unconstrained minimizer by +-||r|| (a unit d keeps mu O(1))
     a, r = coeffs.factor @ coeffs.factor.conj().T + np.eye(cfg.m_passive), coeffs.t12_vec + phi
-    d = phaseadmm.mm_linearize_radar(coeffs, phi).d
+    d, _ = phaseadmm.mm_linearize_radar(coeffs, phi)
     d = d / la.norm(d)
     edge = 2 * float((d.conj() @ la.solve(a, r)).real)
-    phase = []
-    for e in (edge - la.norm(r), edge + la.norm(r)):
-        lin = phaseadmm.LinearRadar(d=d, e=e)
-        phase.append((coeffs, state, lin, phaseadmm.admm_phi_step(coeffs, state, lin)))
+    phase = [(coeffs, 0.5, phi, d, e, phaseadmm.admm_phi_step(coeffs, 0.5, phi, d, e)[0])
+             for e in (edge - la.norm(r), edge + la.norm(r))]
 
     # transmit step, radar floor at 1% then 90% of the echo ceiling
     tx = beamforming.assemble_tx_coeffs(sol, ch, aux, cfg, lt)

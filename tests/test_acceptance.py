@@ -118,7 +118,7 @@ def test_criterion_4_closed_form_oracles(small_cfg, small_ch):
 
     # unit-modulus projection beats 1000 random samples
     v = rng.normal(size=small_cfg.m_passive) + 1j * rng.normal(size=small_cfg.m_passive)
-    psi_hat = phaseadmm.psi_step(v, np.zeros(small_cfg.m_passive, complex), 1.0)
+    psi_hat = phaseadmm.unit_modulus(v)
     score = float((v.conj() @ psi_hat).real)
     for _ in range(1000):
         cand = np.exp(1j * rng.uniform(0, 2 * np.pi, small_cfg.m_passive))

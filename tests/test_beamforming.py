@@ -3,12 +3,14 @@ import dataclasses
 import numpy as np
 import pytest
 
+from fdiscc import beamforming, orchestrator
 from fdiscc.beamforming import (_tx_beams, _tx_power, assemble_rx_coeffs,
                                 assemble_tx_coeffs, gaussian_randomize, optimize_rx,
                                 optimize_tx, radar_power, sdr_bound, solve_rx, solve_tx,
                                 solve_tx_sdr, tx_certificate, tx_objective)
 from fdiscc.channels import draw_channels
 from fdiscc.config import db2lin, desk_config, paper_config
+from fdiscc.rootfind import EPS
 from fdiscc.orchestrator import echo_aligned_phases
 from fdiscc.sysmodel import SensingInfeasible, composite_channels, link_terms
 from fdiscc.wmmse import surrogate_sum, surrogates, update_aux
@@ -21,6 +23,66 @@ def rx_objective(coeffs, u, l):
     lin = 2.0 * float((u.conj() @ coeffs.t5[l]).real)
     quad = float(coeffs.weight[l] * (u.conj() @ coeffs.cov @ u).real)
     return float(coeffs.b5[l]) + lin - quad
+
+
+def _power_sums(xx, yy, z):
+    """``_tx_power``'s [X Y C] with C = Re(Z^H Z), as ``solve_tx`` forms it."""
+    return np.column_stack((xx, yy, (z.conj().T @ z).real))
+
+
+def _tx_power_reference(s, xx, yy, z, target, mu):
+    """The reference of ``_tx_power``: ||w(mu)||^2 and its slope from the
+    complex sums r_n = Z b^-n, one array operation per sum."""
+    b1 = 1.0 / (s + mu)
+    b2, b3 = b1 * b1, b1 * b1 * b1
+    norm, slope = float(xx @ b2), -2.0 * float(xx @ b3)
+    r1, r2 = z @ b1, z @ b2
+    rr = float((np.abs(r1) ** 2).sum())
+    if rr >= target:
+        return norm, slope
+    phi, phi2, phi3 = float(yy @ b1), float(yy @ b2), float(yy @ b3)
+    if rr == 0.0:
+        return (norm + target * phi2 / phi ** 2,
+                slope + 2.0 * target * (phi2 ** 2 / phi - phi3) / phi ** 2)
+    cross = float((r1 * r2.conj()).sum().real)
+    d_cross = -float((np.abs(r2) ** 2).sum()) - 2.0 * float((r1 * (z @ b3).conj()).sum().real)
+    g = np.sqrt(target / rr)
+    c = (g - 1.0) / phi
+    d_c = (g * cross / rr + c * phi2) / phi
+    return (norm + 2.0 * c * cross + c * c * rr * phi2,
+            slope + 2.0 * (d_c * cross + c * d_cross) + 2.0 * c * d_c * rr * phi2
+            - 2.0 * c * c * (cross * phi2 + rr * phi3))
+
+
+def _eigen_data(coeffs):
+    """(s, xx, yy, z, target, smallest mu) of ``solve_tx``'s eigenbasis."""
+    s, vecs = np.linalg.eigh(coeffs.s_mat)
+    s = np.maximum(s, 0.0)
+    x, y = coeffs.q @ vecs.conj(), coeffs.d @ vecs.conj()
+    target = coeffs.b0 * (1.0 + beamforming.RADAR_MARGIN)
+    mu0 = 0.0 if s[0] > 0.0 else EPS * max(s[-1], 1.0)
+    return s, (np.abs(x) ** 2).sum(axis=0), np.abs(y) ** 2, x * y.conj(), target, mu0
+
+
+def _captured_tx(scheme):
+    """The coefficients and root mu of every transmit solve of short desk and
+    paper runs of ``scheme``."""
+    calls = []
+    solve = beamforming.solve_tx
+
+    def captured(coeffs):
+        w, info = solve(coeffs)
+        calls.append((coeffs, info["mu"]))
+        return w, info
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(beamforming, "solve_tx", captured)
+        for make in (desk_config, paper_config):
+            for seed in (1, 2, 3):
+                cfg = make(seed=seed)
+                orchestrator.run(cfg, draw_channels(cfg),
+                                 orchestrator.RunOptions(scheme=scheme, max_iter=4))
+    return calls
 
 
 @pytest.fixture()
@@ -303,19 +365,76 @@ class TestSolveTx:
         if regime == "sensing-beam":
             x[:, :2], y[2:] = 0.0, 0.0
         xx, yy, z = np.sum(np.abs(x) ** 2, axis=0), np.abs(y) ** 2, x * y.conj()
+        sums = _power_sums(xx, yy, z)
         for mu in (0.05, 0.7, 3.0):
             rr = float(np.sum(np.abs((x / (s + mu)) @ y.conj()) ** 2))
             target = {"comm-echo": 0.5 * rr, "boosted": 3.0 * rr, "sensing-beam": 2.0}[regime]
             w, nu, _ = _tx_beams(s, x, y, target, mu)
             assert (nu == 0.0) == (regime == "comm-echo")
             assert bool(np.any(w[0])) == (regime == "sensing-beam")
-            norm2, slope = _tx_power(s, xx, yy, z, target, mu)
+            norm2, slope = _tx_power(s, sums, target, mu)
             direct = float(np.sum(np.abs(w) ** 2))
             assert abs(norm2 - direct) <= 1e-12 * direct
             h = 1e-5 * mu
-            central = (_tx_power(s, xx, yy, z, target, mu + h)[0]
-                       - _tx_power(s, xx, yy, z, target, mu - h)[0]) / (2.0 * h)
+            central = (_tx_power(s, sums, target, mu + h)[0]
+                       - _tx_power(s, sums, target, mu - h)[0]) / (2.0 * h)
             assert slope < 0.0 and abs(slope - central) <= 1e-6 * abs(slope)
+
+    @pytest.mark.parametrize("case", ["random", "captured", "rank-deficient"])
+    def test_power_sums_match_complex_reference(self, case):
+        # ||w(mu)||^2 and its slope from B [X Y] and B C B^T against the
+        # complex-array reference, to 1e-12 relative: random instances in all
+        # three regimes of nu*, the solves of real runs at their start, their
+        # root and a grid, and solves whose S has rank K < N_t (beta2 = 0:
+        # ``hd`` runs, and a synthetic S of K rank-one terms). Above
+        # mu = max(s) the slope's terms cancel in either form (against
+        # 60-digit arithmetic the reference itself errs by up to 1.2e-10 at
+        # mu = 100 max(s)), so there the slopes are compared to 1e-9; the
+        # roots of real runs lie below 0.61 max(s)
+        rng = np.random.default_rng(17)
+        points = []                     # (s, xx, yy, z, target, mus)
+        if case == "random":
+            for _ in range(40):
+                k, n = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+                s = np.sort(rng.exponential(size=n)) * 10.0 ** rng.uniform(-3, 3)
+                x = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+                y = rng.normal(size=n) + 1j * rng.normal(size=n)
+                if rng.random() < 0.25:         # some of d, never all, off the eigenbasis
+                    off = rng.random(n) < 0.5
+                    off[rng.integers(n)] = False
+                    y[off] = 0.0
+                z = x * y.conj()
+                mus = s[-1] * 10.0 ** rng.uniform(-4, 2, size=4)
+                rr = float(np.sum(np.abs((x / (s + mus[0])) @ y.conj()) ** 2))
+                for target in (0.5 * rr, 3.0 * rr, 1.0):
+                    points.append((s, np.sum(np.abs(x) ** 2, axis=0), np.abs(y) ** 2, z,
+                                   target, mus))
+        else:
+            captured = _captured_tx("hd" if case == "rank-deficient" else "proposed")
+            if case == "rank-deficient":
+                k, n = 2, 5
+                h = rng.normal(size=(k, n)) + 1j * rng.normal(size=(k, n))
+                s_mat = h.conj().T @ h
+                coeffs = dataclasses.replace(
+                    captured[0][0], q=h.conj() * 0.3, s_mat=(s_mat + s_mat.conj().T) / 2.0,
+                    d=rng.normal(size=n) + 1j * rng.normal(size=n), b0=1e-3)
+                captured.append((coeffs, 0.1))
+                assert all(np.linalg.matrix_rank(c.s_mat) < c.s_mat.shape[0]
+                           for c, _ in captured)
+            for coeffs, root in captured:
+                s, xx, yy, z, target, mu0 = _eigen_data(coeffs)
+                mus = [mu0, *(m for m in (root,) if m > 0.0),
+                       *(s[-1] * 10.0 ** np.linspace(-6, 1, 4))]
+                points.append((s, xx, yy, z, target, mus))
+        assert len(points) >= 20
+        for s, xx, yy, z, target, mus in points:
+            sums = _power_sums(xx, yy, z)
+            for mu in mus:
+                norm2, slope = _tx_power(s, sums, target, float(mu))
+                ref_norm2, ref_slope = _tx_power_reference(s, xx, yy, z, target, float(mu))
+                slope_tol = 1e-12 if mu <= s[-1] else 1e-9
+                assert abs(norm2 - ref_norm2) <= 1e-12 * abs(ref_norm2), (case, mu)
+                assert abs(slope - ref_slope) <= slope_tol * abs(ref_slope), (case, mu)
 
     def test_repeated_calls_bit_identical(self, tx_setup):
         _, coeffs = tx_setup

@@ -19,9 +19,9 @@ def binding():
     return {block: cases[1] for block, cases in kkt.items()}
 
 
-def _step_moved(coeffs, state, lin, x):
+def _step_moved(coeffs, rho, target, d, e, x):
     """x moved by 1e-6 ||x|| against the radar direction d."""
-    return coeffs, state, lin, x - 1e-6 * np.linalg.norm(x) * lin.d / np.linalg.norm(lin.d)
+    return coeffs, rho, target, d, e, x - 1e-6 * np.linalg.norm(x) * d / np.linalg.norm(d)
 
 
 def _mu_off(coeffs, cfg, p, f, info):

@@ -30,8 +30,8 @@ def desk_result(desk):
 class TestInitialize:
     def test_deterministic(self, desk):
         cfg, ch = desk
-        a = initialize(cfg, ch, np.random.default_rng(1))
-        b = initialize(cfg, ch, np.random.default_rng(1))
+        a, _ = initialize(cfg, ch, np.random.default_rng(1))
+        b, _ = initialize(cfg, ch, np.random.default_rng(1))
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.phi, b.phi)
         assert np.array_equal(a.p, b.p)
@@ -40,7 +40,7 @@ class TestInitialize:
         for seed in range(40):
             cfg = desk_config(seed=seed)
             ch = draw_channels(cfg)
-            sol = initialize(cfg, ch, np.random.default_rng([seed, 101]))
+            sol, _ = initialize(cfg, ch, np.random.default_rng([seed, 101]))
             res = residuals(sol, cfg, link_terms(sol, ch, cfg))
             assert res["power"] <= 1e-9
             assert res["radar"] <= 1e-9
@@ -51,7 +51,7 @@ class TestInitialize:
     def test_zero_threshold_always_feasible(self, desk):
         cfg, ch = desk
         cfg0 = replace(cfg, gamma_tar_linear=1e-30)
-        sol = initialize(cfg0, ch, np.random.default_rng(0))
+        sol, _ = initialize(cfg0, ch, np.random.default_rng(0))
         assert link_terms(sol, ch, cfg0).r_tar >= 1e-30
 
     def test_impossible_threshold_raises(self, desk):
@@ -80,8 +80,19 @@ class TestInitialize:
     def test_pinned_phases_respected(self, desk):
         cfg, ch = desk
         phi = fixed_phase_heuristic(ch, cfg)
-        sol = initialize(cfg, ch, np.random.default_rng(0), phi=phi)
+        sol, _ = initialize(cfg, ch, np.random.default_rng(0), phi=phi)
         assert np.array_equal(sol.phi, phi)
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_start_comes_with_its_composite(self, desk, pinned):
+        # the kept candidate's composite channels, built from the start's own
+        # phase array, equal a fresh build bit for bit
+        cfg, ch = desk
+        phi = fixed_phase_heuristic(ch, cfg) if pinned else None
+        sol, comp = initialize(cfg, ch, np.random.default_rng(0), phi=phi)
+        assert comp.phi is sol.phi
+        with np.printoptions(floatmode="unique", threshold=10**9):
+            assert repr(comp) == repr(sysmodel.composite_channels(ch, sol.phi))
 
 
 class TestRun:

@@ -2,16 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fdiscc import conic, orchestrator, phaseadmm
 from fdiscc.channels import draw_channels
 from fdiscc.config import db2lin, desk_config, paper_config
-from fdiscc.phaseadmm import (AdmmState, LinearRadar, PhaseCoeffs, admm_phi_step,
-                              assemble_phase_coeffs, dual_step, echo_power,
-                              mm_linearize_radar, optimize_phase, psi_step,
-                              surrogate_value)
+from fdiscc.phaseadmm import (PhaseCoeffs, admm_phi_step, assemble_phase_coeffs,
+                              echo_power, mm_linearize_radar, optimize_phase,
+                              surrogate_value, unit_modulus)
 from fdiscc.sysmodel import SensingInfeasible, link_terms
 from fdiscc.wmmse import LN2, surrogate_sum, update_aux
 
@@ -39,14 +36,39 @@ def _dense_t12(sol, ch, aux, lt):
 
 
 def _proximal_solve(factor, c, v):
-    """(F F^H + c I)^-1 v through ``admm_phi_step``: with psi = lambda = 0,
+    """(F F^H + c I)^-1 v through ``admm_phi_step``: with a zero target,
     rho = 1 / (2c) and a slack constraint it returns A^-1 t12."""
     m = factor.shape[0]
     coeffs = PhaseCoeffs(factor=factor, t12_vec=v, b12=0.0,
                          echo_rows=np.zeros((1, m), complex), b0=0.0)
-    state = AdmmState(phi=np.zeros(m, complex), psi=np.zeros(m, complex),
-                      lam=np.zeros(m, complex), rho=1.0 / (2.0 * c))
-    return admm_phi_step(coeffs, state, LinearRadar(d=np.zeros(m, complex), e=-1.0))
+    zero = np.zeros(m, complex)
+    return admm_phi_step(coeffs, 1.0 / (2.0 * c), zero, zero, -1.0)[0]
+
+
+def _svd_proximal_solve(factor, c, v):
+    """The reference of the Gram-eigen inverse: (F F^H + c I)^-1 v from the
+    thin SVD F = U Sigma W^H, as v / c - U diag(sigma^2 / (c (sigma^2 + c))) U^H v."""
+    u, sigma, _ = np.linalg.svd(factor, full_matrices=False)
+    sigma2 = sigma ** 2
+    return v / c - u @ (sigma2 / (c * (sigma2 + c)) * (u.conj().T @ v))
+
+
+def _captured_factors():
+    """The factors F of every phase call of a short desk and paper run."""
+    factors = []
+    assemble = phaseadmm.assemble_phase_coeffs
+
+    def captured(*args):
+        coeffs = assemble(*args)
+        factors.append(coeffs.factor)
+        return coeffs
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phaseadmm, "assemble_phase_coeffs", captured)
+        for make in (desk_config, paper_config):
+            cfg = make(seed=2)
+            orchestrator.run(cfg, draw_channels(cfg), orchestrator.RunOptions(max_iter=3))
+    return factors
 
 
 @pytest.fixture()
@@ -114,6 +136,32 @@ class TestAssemble:
             thin = _proximal_solve(factor, c, v)
             assert np.linalg.norm(thin - dense) <= 1e-12 * np.linalg.norm(dense), (m, r, c)
 
+    @pytest.mark.parametrize("case", ["random", "captured", "rank-deficient"])
+    def test_gram_eigen_inverse_matches_svd_reference(self, case):
+        # the Gram-eigen A^-1 v against the thin-SVD form it replaced, to 1e-12
+        # relative, over the penalty range of the ADMM (c = 1 / (2 rho) from
+        # 0.5 to 5e5): random factors, the factors of real phase calls, and
+        # factors with repeated and all-zero columns (sigma = 0), or none
+        rng = np.random.default_rng(21)
+        if case == "random":
+            factors = [(rng.normal(size=(m, r)) + 1j * rng.normal(size=(m, r))) / np.sqrt(r)
+                       for m, r in ((50, 14), (50, 6), (16, 14), (8, 14), (3, 1))]
+        elif case == "captured":
+            factors = _captured_factors()
+        else:
+            base = rng.normal(size=(16, 4)) + 1j * rng.normal(size=(16, 4))
+            factors = [np.hstack([base, base[:, :2], np.zeros((16, 3))]),
+                       np.hstack([base[:, :1]] * 5),
+                       np.zeros((16, 4), complex), np.zeros((16, 0), complex)]
+        assert len(factors) >= 4
+        for factor in factors:
+            m = factor.shape[0]
+            for c in (0.5, 5.0, 50.0, 5e3, 5e5):
+                v = rng.normal(size=m) + 1j * rng.normal(size=m)
+                ref = _svd_proximal_solve(factor, c, v)
+                gram = _proximal_solve(factor, c, v)
+                assert np.linalg.norm(gram - ref) <= 1e-12 * np.linalg.norm(ref), (factor.shape, c)
+
     def test_echo_identity(self, small_cfg, small_ch, uplink_sol, hd):
         lt = link_terms(uplink_sol, small_ch, small_cfg, hd)
         aux = update_aux(lt)
@@ -136,67 +184,69 @@ class TestAssemble:
             phi = np.exp(1j * rng.uniform(0, 2 * np.pi, small_cfg.m_passive))
             dense = float((phi.conj() @ t0 @ phi).real)
             assert echo_power(coeffs, phi) == pytest.approx(dense, rel=1e-12)
-            d = mm_linearize_radar(coeffs, phi).d
+            d, _ = mm_linearize_radar(coeffs, phi)
             assert np.allclose(d, t0 @ phi, rtol=0, atol=1e-12 * np.abs(t0 @ phi).max())
 
 
 class TestMmLinearize:
     def test_tight_at_expansion_point(self, coeffs, rand_sol):
-        lin = mm_linearize_radar(coeffs, rand_sol.phi)
-        val = -2 * float((lin.d.conj() @ rand_sol.phi).real) + lin.e
+        d, e = mm_linearize_radar(coeffs, rand_sol.phi)
+        val = -2 * float((d.conj() @ rand_sol.phi).real) + e
         direct = coeffs.b0 - echo_power(coeffs, rand_sol.phi)
         assert val == pytest.approx(direct, rel=1e-10, abs=1e-18)
 
     def test_zero_matrix_reduces_to_floor(self, coeffs, rand_sol):
         import dataclasses
         c0 = dataclasses.replace(coeffs, echo_rows=np.zeros_like(coeffs.echo_rows))
-        lin = mm_linearize_radar(c0, rand_sol.phi)
-        assert np.allclose(lin.d, 0)
-        assert lin.e == pytest.approx(coeffs.b0)
+        d, e = mm_linearize_radar(c0, rand_sol.phi)
+        assert np.allclose(d, 0)
+        assert e == pytest.approx(coeffs.b0)
 
     def test_minorant_sampled(self, coeffs, rand_sol, small_cfg):
         # linearized echo underestimates the true quadratic everywhere
         rng = np.random.default_rng(2)
-        lin = mm_linearize_radar(coeffs, rand_sol.phi)
+        d, e = mm_linearize_radar(coeffs, rand_sol.phi)
         for _ in range(1000):
             phi = np.exp(1j * rng.uniform(0, 2 * np.pi, small_cfg.m_passive))
-            lin_echo = 2 * float((lin.d.conj() @ phi).real) - (lin.e - coeffs.b0)
+            lin_echo = 2 * float((d.conj() @ phi).real) - (e - coeffs.b0)
             assert lin_echo <= echo_power(coeffs, phi) + 1e-12
 
 
 class TestPsiDual:
     def test_phase_alignment(self):
-        psi = psi_step(np.array([1.0 + 0j, 2j]), np.zeros(2, complex), 1.0)
+        psi = unit_modulus(np.array([1.0 + 0j, 2j]))
         assert np.allclose(psi, [1.0, 1j])
 
     def test_real_positive_gives_ones(self):
-        psi = psi_step(np.array([0.3 + 0j, 5.0 + 0j]), np.zeros(2, complex), 2.0)
+        psi = unit_modulus(np.array([0.3 + 0j, 5.0 + 0j]))
         assert np.allclose(psi, 1.0)
 
     def test_sampling_oracle(self):
         rng = np.random.default_rng(3)
         v = rng.normal(size=6) + 1j * rng.normal(size=6)
-        psi_hat = psi_step(v, np.zeros(6, complex), 1.0)
+        psi_hat = unit_modulus(v)
         best = float((v.conj() @ psi_hat).real)
         for _ in range(1000):
             cand = np.exp(1j * rng.uniform(0, 2 * np.pi, 6))
             assert float((v.conj() @ cand).real) <= best + 1e-12
 
-    def test_dual_unchanged_at_consensus(self):
-        phi = np.exp(1j * np.linspace(0, 1, 5))
-        lam = np.ones(5, complex) * 0.3
-        state = AdmmState(phi=phi, psi=phi.copy(), lam=lam, rho=0.7)
-        assert np.allclose(dual_step(state), lam)
-
-    @given(st.floats(0.1, 10.0))
-    @settings(max_examples=25, deadline=None)
-    def test_dual_linearity(self, rho):
-        rng = np.random.default_rng(4)
-        phi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
-        lam = rng.normal(size=4) + 1j * rng.normal(size=4)
-        out = dual_step(AdmmState(phi=phi, psi=psi, lam=lam, rho=rho))
-        assert np.allclose(out, lam + (phi - psi) / rho)
+    def test_projection_matches_exp_angle(self):
+        # z / |z| against exp(i angle(z)) within 4 eps and on the unit circle
+        # within 2 eps, over moduli from 1e-150 to 1e150; a zero entry maps
+        # to 1 as exp(i angle(0)) does
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(12)
+        z = (rng.normal(size=(200, 50)) + 1j * rng.normal(size=(200, 50))) \
+            * 10.0 ** rng.uniform(-150, 150, size=(200, 1))
+        for row in z:
+            psi = unit_modulus(row)
+            assert np.abs(psi - np.exp(1j * np.angle(row))).max() <= 4 * eps
+            assert np.abs(np.abs(psi) - 1.0).max() <= 2 * eps
+        z[0, [3, 17]] = 0.0
+        psi = unit_modulus(z[0])
+        assert psi[3] == psi[17] == 1.0 == np.exp(1j * np.angle(0j))
+        # the other entries as without the zeros
+        assert np.array_equal(np.delete(psi, [3, 17]), unit_modulus(np.delete(z[0], [3, 17])))
 
 
 class TestPhiStep:
@@ -210,16 +260,15 @@ class TestPhiStep:
         rng = np.random.default_rng(5)
         psi = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
         lam = 0.1 * (rng.normal(size=m) + 1j * rng.normal(size=m))
-        state = AdmmState(phi=psi.copy(), psi=psi, lam=lam, rho=0.5)
-        lin = mm_linearize_radar(c0, psi)
-        if -2 * float((lin.d.conj() @ (psi - 0.5 * lam)).real) + lin.e <= 0:
-            phi = admm_phi_step(c0, state, lin)
+        d, e = mm_linearize_radar(c0, psi)
+        if -2 * float((d.conj() @ (psi - 0.5 * lam)).real) + e <= 0:
+            phi, _ = admm_phi_step(c0, 0.5, psi - 0.5 * lam, d, e)
             assert np.allclose(phi, psi - 0.5 * lam, atol=1e-7)
 
     def test_al_objective_nonincreasing(self, small_cfg, small_ch):
         # feasible entry with sensing margin: one step never raises the AL value
         from fdiscc.orchestrator import initialize
-        sol = initialize(small_cfg, small_ch, np.random.default_rng(1))
+        sol, _ = initialize(small_cfg, small_ch, np.random.default_rng(1))
         sol = sol.copy_with(p=0.25 * sol.p)
         lt = link_terms(sol, small_ch, small_cfg)
         aux = update_aux(lt)
@@ -228,7 +277,6 @@ class TestPhiStep:
         psi = np.exp(1j * np.angle(sol.phi))
         lam = 0.05 * (rng.normal(size=small_cfg.m_passive)
                       + 1j * rng.normal(size=small_cfg.m_passive))
-        state = AdmmState(phi=sol.phi.copy(), psi=psi, lam=lam, rho=0.8)
 
         def al(phi):
             quad = float((phi.conj() @ _t12(coeffs) @ phi).real)
@@ -236,27 +284,26 @@ class TestPhiStep:
             prox = float(np.linalg.norm(phi - psi + 0.8 * lam) ** 2) / (2 * 0.8)
             return quad - lin_term - coeffs.b12 + prox
 
-        lin = mm_linearize_radar(coeffs, state.phi)
-        before = al(state.phi)
-        phi_new = admm_phi_step(coeffs, state, lin)
+        d, e = mm_linearize_radar(coeffs, sol.phi)
+        before = al(sol.phi)
+        phi_new, _ = admm_phi_step(coeffs, 0.8, psi - 0.8 * lam, d, e)
         assert al(phi_new) <= before + 1e-9 * (1 + abs(before))
 
     def test_matches_dual_pg_oracle(self, small_cfg, small_ch):
         # independent projected-gradient check of the constrained step
         from fdiscc.orchestrator import initialize
-        sol = initialize(small_cfg, small_ch, np.random.default_rng(1))
+        sol, _ = initialize(small_cfg, small_ch, np.random.default_rng(1))
         sol = sol.copy_with(p=0.25 * sol.p)
         lt = link_terms(sol, small_ch, small_cfg)
         aux = update_aux(lt)
         coeffs = assemble_phase_coeffs(sol, small_ch, aux, small_cfg, lt)
-        state = AdmmState(phi=sol.phi.copy(), psi=sol.phi.copy(),
-                          lam=np.zeros(small_cfg.m_passive, complex), rho=2.0)
-        lin = mm_linearize_radar(coeffs, sol.phi)
-        phi = admm_phi_step(coeffs, state, lin)
+        rho, psi = 2.0, sol.phi.copy()          # lambda = 0: the target is psi
+        lin_d, lin_e = mm_linearize_radar(coeffs, sol.phi)
+        phi, _ = admm_phi_step(coeffs, rho, psi, lin_d, lin_e)
         m = small_cfg.m_passive
-        a = _t12(coeffs) + np.eye(m) / (2 * state.rho)
-        b = coeffs.t12_vec + (state.psi - state.rho * state.lam) / (2 * state.rho)
-        d = -2.0 * lin.d
+        a = _t12(coeffs) + np.eye(m) / (2 * rho)
+        b = coeffs.t12_vec + psi / (2 * rho)
+        d = -2.0 * lin_d
 
         def obj(x):
             return float((x.conj() @ a @ x).real - 2 * (b.conj() @ x).real)
@@ -268,7 +315,7 @@ class TestPhiStep:
         x = a_inv @ b
         for _ in range(50_000):
             x = a_inv @ (b - 0.5 * mu * d)
-            grad = float((d.conj() @ x).real) + lin.e
+            grad = float((d.conj() @ x).real) + lin_e
             mu = max(0.0, mu + lr * grad)
         assert obj(phi) == pytest.approx(obj(x), rel=1e-6, abs=1e-12)
 
@@ -284,18 +331,16 @@ class TestPhiStep:
             coeffs = PhaseCoeffs(factor=g / np.sqrt(m),
                                  t12_vec=rng.normal(size=m) + 1j * rng.normal(size=m),
                                  b12=0.0, echo_rows=np.eye(m, dtype=complex), b0=0.0)
-            state = AdmmState(phi=np.zeros(m, complex),
-                              psi=np.exp(1j * rng.uniform(0, 2 * np.pi, m)),
-                              lam=0.1 * (rng.normal(size=m) + 1j * rng.normal(size=m)),
-                              rho=float(rng.uniform(0.05, 2.0)))
-            a = t12 + np.eye(m) / (2 * state.rho)
-            r = coeffs.t12_vec + (state.psi - state.rho * state.lam) / (2 * state.rho)
+            psi = np.exp(1j * rng.uniform(0, 2 * np.pi, m))
+            lam = 0.1 * (rng.normal(size=m) + 1j * rng.normal(size=m))
+            rho = float(rng.uniform(0.05, 2.0))
+            a = t12 + np.eye(m) / (2 * rho)
+            r = coeffs.t12_vec + (psi - rho * lam) / (2 * rho)
             d = rng.normal(size=m) + 1j * rng.normal(size=m)
             # place e so the unconstrained point is strictly inside or outside
             edge = 2 * float((d.conj() @ np.linalg.solve(a, r)).real)
             e = edge + (1.0 if active else -1.0) * float(rng.uniform(0.5, 3.0))
-            lin = LinearRadar(d=d, e=e)
-            phi = admm_phi_step(coeffs, state, lin)
+            phi, _ = admm_phi_step(coeffs, rho, psi - rho * lam, d, e)
             ref = conic.solve_qcqp(conic.QcqpProblem(a=a, b=r, d=(-2.0 * d)[None, :],
                                                      e=np.array([e])))
             assert ref.status == conic.OPTIMAL
@@ -309,19 +354,38 @@ class TestPhiStep:
             if active:
                 assert abs(violation) <= 1e-12 * abs(e)
 
+    @pytest.mark.parametrize("active", [False, True])
+    def test_multiplier_is_the_kkt_multiplier(self, active):
+        # the returned mu is 0 exactly when the unconstrained point meets the
+        # constraint, and A phi - r = mu d otherwise
+        rng = np.random.default_rng(30 + active)
+        for _ in range(20):
+            m, r_cols = int(rng.integers(2, 12)), int(rng.integers(0, 6))
+            factor = rng.normal(size=(m, r_cols)) + 1j * rng.normal(size=(m, r_cols))
+            coeffs = PhaseCoeffs(factor=factor, t12_vec=rng.normal(size=m) + 1j * rng.normal(size=m),
+                                 b12=0.0, echo_rows=np.eye(m, dtype=complex), b0=0.0)
+            rho = float(rng.uniform(0.05, 2.0))
+            target = rng.normal(size=m) + 1j * rng.normal(size=m)
+            a = factor @ factor.conj().T + np.eye(m) / (2 * rho)
+            r = coeffs.t12_vec + target / (2 * rho)
+            d = rng.normal(size=m) + 1j * rng.normal(size=m)
+            edge = 2 * float((d.conj() @ np.linalg.solve(a, r)).real)
+            e = edge + (1.0 if active else -1.0) * float(rng.uniform(0.5, 3.0))
+            phi, mu = admm_phi_step(coeffs, rho, target, d, e)
+            assert (mu > 0.0) == active and mu >= 0.0
+            assert np.linalg.norm(a @ phi - r - mu * d) <= 1e-10 * np.linalg.norm(r)
+
     def test_zero_direction_infeasible(self, coeffs):
         m = coeffs.t12_vec.shape[0]
-        state = AdmmState(phi=np.ones(m, complex), psi=np.ones(m, complex),
-                          lam=np.zeros(m, complex), rho=1.0)
         with pytest.raises(SensingInfeasible):
-            admm_phi_step(coeffs, state, LinearRadar(d=np.zeros(m, complex), e=1.0))
+            admm_phi_step(coeffs, 1.0, np.ones(m, complex), np.zeros(m, complex), 1.0)
 
 
 class TestOptimizePhase:
     @pytest.fixture()
     def feasible_sol(self, small_cfg, small_ch):
         from fdiscc.orchestrator import initialize
-        sol = initialize(small_cfg, small_ch, np.random.default_rng(1))
+        sol, _ = initialize(small_cfg, small_ch, np.random.default_rng(1))
         return sol.copy_with(p=0.25 * sol.p)   # sensing margin for phase moves
 
     def test_consensus_reached(self, small_cfg, small_ch, feasible_sol):
@@ -392,12 +456,36 @@ class TestOptimizePhase:
     def test_radar_constraint_respected(self, small_cfg, small_ch):
         # start from a feasible solution; output must stay feasible
         from fdiscc.orchestrator import initialize
-        sol = initialize(small_cfg, small_ch, np.random.default_rng(0))
+        sol, _ = initialize(small_cfg, small_ch, np.random.default_rng(0))
         lt = link_terms(sol, small_ch, small_cfg)
         aux = update_aux(lt)
         coeffs = assemble_phase_coeffs(sol, small_ch, aux, small_cfg, lt)
         phi, info = optimize_phase(sol, small_ch, aux, small_cfg, lt)
         assert echo_power(coeffs, phi) >= coeffs.b0 * (1 - 1e-6)
+
+    def test_binding_counts_the_passes_with_a_multiplier(self, monkeypatch):
+        # PhaseInfo.binding is the number of steps of the call whose tangent
+        # constraint bound (mu > 0), at most one per pass
+        steps, counts = [], []
+        step, phase = phaseadmm.admm_phi_step, phaseadmm.optimize_phase
+
+        def counted_step(*args):
+            phi, mu = step(*args)
+            steps.append(mu > 0.0)
+            return phi, mu
+
+        def counted_phase(*args):
+            del steps[:]
+            phi, info = phase(*args)
+            counts.append((info.binding, sum(steps), info.iterations))
+            return phi, info
+
+        monkeypatch.setattr(phaseadmm, "admm_phi_step", counted_step)
+        monkeypatch.setattr(phaseadmm, "optimize_phase", counted_phase)
+        cfg = desk_config(seed=0, gamma_tar_linear=db2lin(17.0))
+        orchestrator.run(cfg, draw_channels(cfg), orchestrator.RunOptions(max_iter=4))
+        assert counts and any(binding for binding, *_ in counts)
+        assert all(binding == bound <= passes for binding, bound, passes in counts)
 
     def test_tight_paper_cell_runs_without_qcqp(self, monkeypatch):
         # a 17 dB sensing floor binds the linearized radar constraint on many
@@ -408,13 +496,12 @@ class TestOptimizePhase:
         monkeypatch.setattr(conic, "solve_qcqp", forbidden)
         binding = []
 
-        def counted(coeffs, state, lin):
-            phi = admm_phi_step(coeffs, state, lin)
-            binding.append(abs(-2 * float((lin.d.conj() @ phi).real) + lin.e)
-                           <= 1e-9 * abs(lin.e))
-            return phi
+        def counted(*args):
+            phi, info = optimize_phase(*args)
+            binding.append(info.binding)
+            return phi, info
 
-        monkeypatch.setattr("fdiscc.phaseadmm.admm_phi_step", counted)
+        monkeypatch.setattr(phaseadmm, "optimize_phase", counted)
         cfg = paper_config(seed=0, gamma_tar_linear=db2lin(17.0))
         res = orchestrator.run(cfg, draw_channels(cfg))
         assert res.status in (orchestrator.CONVERGED, orchestrator.MAX_ITER_STATUS)

@@ -289,10 +289,8 @@ class TestSensingInfeasible:
                 dataclasses.replace(powercomp.assemble_power_coeffs(*args), c8=-1.0),
                 small_cfg),
             "admm_phi_step": lambda: phaseadmm.admm_phi_step(
-                phaseadmm.assemble_phase_coeffs(*args),
-                phaseadmm.AdmmState(phi=rand_sol.phi, psi=rand_sol.phi,
-                                    lam=np.zeros(m, complex), rho=1.0),
-                phaseadmm.LinearRadar(d=np.zeros(m, complex), e=1.0)),
+                phaseadmm.assemble_phase_coeffs(*args), 1.0, rand_sol.phi,
+                np.zeros(m, complex), 1.0),
         }
         with pytest.raises(SensingInfeasible):
             calls[site]()
