@@ -67,13 +67,13 @@ class TxCoeffs:
 @dataclass(frozen=True)
 class RxCoeffs:
     """Combiner data (log2 scaled): CP-UE l maximizes
-    b5_l + 2Re{u^H t5_l} - weight_l u^H R u, with the received covariance R
-    shared by every user and weight_l = |beta2_l|^2 / ln 2."""
+    2Re{u^H t5_l} - weight_l u^H R u, with the received covariance R shared
+    by every user and weight_l = |beta2_l|^2 / ln 2. Its offloading surrogate
+    adds the u-free (ln(1 + alpha2_l) - alpha2_l) / ln 2."""
 
     t5: np.ndarray
     cov: np.ndarray
     weight: np.ndarray
-    b5: np.ndarray
 
 
 def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
@@ -252,10 +252,14 @@ def optimize_tx(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
                 lt: LinkTerms) -> tuple[np.ndarray, dict]:
     """Full transmit update with a monotonicity safeguard: the incumbent beams
     are kept whenever the new ones do not improve the surrogate (possible only
-    when the incumbent misses the current sensing floor)."""
+    when the incumbent misses the current sensing floor) or when the floor is
+    out of reach, flagged ``infeasible``."""
     coeffs = assemble_tx_coeffs(sol, ch, aux, cfg, lt)
+    try:
+        w_new, info = solve_tx(coeffs)
+    except SensingInfeasible:
+        return sol.w, {"accepted": False, "infeasible": True}
     incumbent_val = tx_objective(coeffs, sol.w)
-    w_new, info = solve_tx(coeffs)
     new_val = tx_objective(coeffs, w_new)
     info["accepted"] = new_val >= incumbent_val - 1e-10 * (1.0 + abs(incumbent_val))
     if not info["accepted"]:
@@ -419,8 +423,7 @@ def assemble_rx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
         cov = cov + hw.T @ hw.conj()
     cov = (cov + cov.conj().T) / 2.0
     t5 = (np.sqrt(1.0 + aux.alpha2) * aux.beta2.conj() * np.sqrt(sol.p) / LN2)[:, None] * comp.g
-    return RxCoeffs(t5=t5, cov=cov, weight=np.abs(aux.beta2) ** 2 / LN2,
-                    b5=(np.log(1.0 + aux.alpha2) - aux.alpha2) / LN2)
+    return RxCoeffs(t5=t5, cov=cov, weight=np.abs(aux.beta2) ** 2 / LN2)
 
 
 def solve_rx(coeffs: RxCoeffs) -> np.ndarray:

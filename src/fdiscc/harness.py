@@ -25,10 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import draw_channels
+from . import orchestrator
+from .channels import ChannelSet, draw_channels
 from .config import (ConfigError, SystemConfig, check_field_kinds, read_json_object,
                      record_from_dict)
-from .orchestrator import RunOptions, RunResult, evaluate_baseline, radio_key
+from .orchestrator import RADIO_MODE, RunOptions, RunResult, price, radio_key
 from .sysmodel import METRICS_CSV_COLUMNS, metrics_csv_row
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -121,20 +122,32 @@ def result_row(cfg: SystemConfig, result: RunResult, wall_s: float | None = None
     return row
 
 
-def cell_config(cfg: SystemConfig, parameter: str, value, seed: int) -> SystemConfig:
-    """The config of one sweep cell: the base with its seed and swept value."""
-    return apply_parameter(cfg, parameter, value, seed=seed)
+def evaluate_baseline(cfg: SystemConfig, ch: ChannelSet, scheme: str, max_iter: int = 50,
+                      solves: dict | None = None) -> RunResult:
+    """One scheme on ``ch``, as ``orchestrator.run``, with radio solves shared
+    through ``solves``, a dict keyed by ``orchestrator.radio_key``: a call
+    solves and stores its key on a miss, then prices the stored solve. This
+    is exact because the radio solve reads neither ``cfg.cache`` nor the
+    scheme's cache rule. The calls of one key must pass the channel set of its
+    solve, ``RadioSolve.ch``, as ``run_cell`` does."""
+    RunOptions(scheme, max_iter)                  # checks the scheme and the cap
+    solves = {} if solves is None else solves
+    key = radio_key(cfg, scheme, max_iter)
+    if key not in solves:
+        # read off the module, so that a patch of orchestrator.solve_radio sees sweeps too
+        solves[key] = orchestrator.solve_radio(cfg, ch, RADIO_MODE[scheme], max_iter)
+    return price(cfg, solves[key], scheme)
 
 
 def run_cell(cfg: SystemConfig, parameter: str, value, scheme: str, seed: int,
              max_iter: int = 50, solves: dict | None = None) -> dict:
-    """One sweep cell: draw channels for the seed, run the scheme, build a row.
+    """One sweep cell: draw channels for the seed, run the scheme through
+    ``evaluate_baseline``, build a row.
 
-    With ``solves`` (see ``orchestrator.run``), a cell whose radio problem is
-    already solved there reuses that solve and the channel set it ran on;
-    ``draw_channels`` does not read the cache config, so that set equals a
-    fresh draw."""
-    cell_cfg = cell_config(cfg, parameter, value, seed)
+    A cell whose radio problem is already solved in ``solves`` reuses that
+    solve and the channel set it ran on; ``draw_channels`` does not read the
+    cache config, so that set equals a fresh draw."""
+    cell_cfg = apply_parameter(cfg, parameter, value, seed=seed)
     shared = None if solves is None else solves.get(radio_key(cell_cfg, scheme, max_iter))
     ch = draw_channels(cell_cfg) if shared is None else shared.ch
     t0 = time.perf_counter()
@@ -152,25 +165,25 @@ def sweep_base_config(spec: SweepSpec, base_cfg: SystemConfig | None = None) -> 
 def keyed_cells(spec: SweepSpec, cfg: SystemConfig) -> list[tuple[tuple, tuple]]:
     """Every cell of the sweep in (value, scheme, seed) order, as its radio key
     (``orchestrator.radio_key``) and its ``run_cell`` arguments."""
-    return [(radio_key(cell_config(cfg, spec.parameter, value, seed), scheme, spec.max_iter),
+    return [(radio_key(apply_parameter(cfg, spec.parameter, value, seed=seed), scheme,
+                       spec.max_iter),
              (cfg, spec.parameter, value, scheme, seed, spec.max_iter))
             for value in spec.values for scheme in spec.schemes
             for seed in range(spec.seed_base, spec.seed_base + spec.n_seeds)]
 
 
 def _run_cells(cells: list[tuple[tuple, tuple]]) -> list[dict]:
-    """Run keyed cells in order. The cells of one key share one radio solve,
-    dropped after the last of them; a key's only cell has nothing to share
-    and runs without the dict of solves."""
+    """Run keyed cells in order. Every cell gets one dict of radio solves, in
+    which the cells of one key share one solve (``evaluate_baseline``),
+    deleted after the last of them."""
     left = Counter(key for key, _ in cells)
     solves: dict = {}
     rows = []
     for key, args in cells:
+        rows.append(run_cell(*args, solves=solves))
         left[key] -= 1
-        alone = not left[key] and key not in solves
-        rows.append(run_cell(*args, solves=None if alone else solves))
         if not left[key]:
-            solves.pop(key, None)
+            del solves[key]
     return rows
 
 
@@ -200,21 +213,20 @@ def run_sweep(spec: SweepSpec, base_cfg: SystemConfig | None = None,
     A sweep shares two solves between its cells: a radio solve per radio key
     and a cache knapsack per cache config.
 
-    Cells that differ only in the cache share one radio solve (see
-    ``orchestrator.run``): those of a ``skew`` or ``backhaul_rate`` sweep at one
-    seed, and the ``proposed``, ``random-caching`` and ``no-caching`` cells of
-    one (value, seed). The key is the cell config's fields but its cache, the
-    scheme's radio mode and ``max_iter`` (``orchestrator.radio_key``). The
-    first cell of a key pays for the solve inside its own ``run_cell``, so its
-    ``wall_time_s`` includes it; the cells of a key are counted up front, and
-    the solve is dropped after the last of them. A key's only cell runs as a
-    plain ``run``, with no key lookups and no copies. Cells run in (value,
-    scheme, seed) order, which keeps cells of one cache config together, so a
-    sweep over a cache parameter with caching schemes only holds at most
-    ``n_seeds`` solves at a time, and the ``proposed`` cells of one cache
-    config read one knapsack solve, which ``cacheopt.solve_caching`` keeps
-    for the last config it saw in the process (the first such cell's
-    ``wall_time_s`` includes it).
+    Cells that differ only in the cache share one radio solve, kept and
+    priced by ``evaluate_baseline``: those of a ``skew`` or ``backhaul_rate``
+    sweep at one seed, and the ``proposed``, ``random-caching`` and
+    ``no-caching`` cells of one (value, seed). The key is the cell config's
+    fields but its cache, the scheme's radio mode and ``max_iter``
+    (``orchestrator.radio_key``). The first cell of a key pays for the solve
+    inside its own ``run_cell``, so its ``wall_time_s`` includes it; the cells
+    of a key are counted up front, and the solve is deleted after the last of
+    them. Cells run in (value, scheme, seed) order, which keeps cells of one
+    cache config together, so a sweep over a cache parameter with caching
+    schemes only holds at most ``n_seeds`` solves at a time, and the
+    ``proposed`` cells of one cache config read one knapsack solve, which
+    ``cacheopt.solve_caching`` keeps for the last config it saw in the process
+    (the first such cell's ``wall_time_s`` includes it).
 
     With ``workers > 1`` each key's cells form one task in a pool of spawned
     processes, at most one process per key, each started with one BLAS

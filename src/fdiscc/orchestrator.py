@@ -4,8 +4,8 @@ cycle auxiliaries -> reflection phases (ADMM) -> auxiliaries -> transmit beams
 root-find), then the cache placement.
 
 Every block carries a monotonicity safeguard, so the recorded surrogate
-objective never decreases across accepted iterations; infeasible subproblems
-skip their block for the iteration and keep the incumbent.
+objective never decreases across accepted iterations; a block whose
+subproblem is infeasible keeps the incumbent and flags the call in its info.
 
 A run has two parts. The *radio solve* (``solve_radio``) is the block loop
 above; it never reads the cache placement, ``cfg.cache`` or a scheme's cache
@@ -14,8 +14,8 @@ rule, because the placement enters the utility only through the backhaul cost
 cache by the scheme's rule and charges its backhaul cost and cache residual:
 ``utility = sum_bits - d_total`` on the final metrics and on every trace row.
 So ``proposed``, ``random-caching`` and ``no-caching`` share one radio
-problem, and a sweep whose cells differ only in the cache or in these schemes
-solves it once (see ``run``'s ``solves`` and ``harness.run_sweep``). Each
+problem (``RADIO_MODE``, ``radio_key``), which ``harness.evaluate_baseline``
+solves once for the sweep cells that share it and prices for each. Each
 solution state's ``sysmodel.link_terms`` is computed once and shared by the
 blocks that read that state, and each phase vector's composite channels
 (``sysmodel.Composite``) once and shared by every ``link_terms`` at it: one
@@ -330,20 +330,14 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
                 lt = link_terms(sol, ch, cfg, hd)
                 aux = wmmse.update_aux(lt)
 
-        try:
-            w_new, _ = beamforming.optimize_tx(sol, ch, aux, cfg, lt)
-            sol = sol.copy_with(w=w_new)
-        except SensingInfeasible:
-            pass
+        w_new, _ = beamforming.optimize_tx(sol, ch, aux, cfg, lt)
+        sol = sol.copy_with(w=w_new)
 
         if cfg.n_cp:
             sol = sol.copy_with(u=beamforming.optimize_rx(sol, ch, aux, cfg, lt))
-            try:
-                p_new, f_new, _ = powercomp.optimize_power(
-                    sol, ch, aux, cfg, link_terms(sol, ch, cfg, hd, lt.comp), force_f_zero)
-                sol = sol.copy_with(p=p_new, f=f_new)
-            except SensingInfeasible:
-                pass
+            p_new, f_new, _ = powercomp.optimize_power(
+                sol, ch, aux, cfg, link_terms(sol, ch, cfg, hd, lt.comp), force_f_zero)
+            sol = sol.copy_with(p=p_new, f=f_new)
 
         lt = link_terms(sol, ch, cfg, hd, lt.comp)
         comp = lt.comp
@@ -368,58 +362,37 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
     return RadioSolve(ch, sol, met, tuple(rows), status)
 
 
+def _with_own_arrays(record, **changes):
+    """A copy of a frozen record with ``changes``, whose other array fields
+    are copies too."""
+    own = {k: v.copy() for k, v in vars(record).items() if isinstance(v, np.ndarray)}
+    return replace(record, **(own | changes))
+
+
 def price(cfg: SystemConfig, radio: RadioSolve, scheme: str) -> RunResult:
     """The scheme's cache placement on a radio solve: its backhaul cost and
     cache residual are computed once and charged to the final metrics and to
     every trace row, as ``utility = sum_bits - d_total``. The placement comes
     with its uncached mass and residual (``_cache_for_scheme``), so pricing a
-    knapsack or empty placement makes no pass over the catalogue."""
+    knapsack or empty placement makes no pass over the catalogue. The result
+    owns copies of the solve's arrays, so a solve may be priced any number of
+    times; results share only the read-only knapsack and empty placements."""
     e, mass, res_cache = _cache_for_scheme(cfg, scheme, np.random.default_rng([cfg.seed, 151]))
     d_total = sysmodel.backhaul_cost(e, cfg.cache, cfg.coherence_time_s, cfg.n_cp, mass)
     met = radio.metrics
     trace = tuple(replace(r, utility=r.utility - d_total, res_cache=res_cache)
                   for r in radio.rows)
-    return RunResult(radio.solution.copy_with(e=e),
-                     replace(met, d_total=d_total, utility=met.sum_bits - d_total),
+    return RunResult(_with_own_arrays(radio.solution, e=e),
+                     _with_own_arrays(met, d_total=d_total, utility=met.sum_bits - d_total),
                      trace, radio.status, scheme, len(trace))
 
 
-def _with_own_arrays(record):
-    """A copy of a frozen record whose array fields are copies too."""
-    return replace(record, **{k: v.copy() for k, v in vars(record).items()
-                              if isinstance(v, np.ndarray)})
-
-
-def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions(),
-        solves: dict | None = None) -> RunResult:
+def run(cfg: SystemConfig, ch: ChannelSet, opts: RunOptions = RunOptions()) -> RunResult:
     """Full solve of one scenario under the given scheme: the radio solve of
     the scheme's radio mode (``solve_radio``), then the scheme's cache
-    placement priced on it (``price``).
-
-    ``solves``, when given, is a dict of radio solves shared between calls and
-    keyed by ``radio_key``: a call whose key is present, on the same channel
-    set object, reuses that solve instead of running the loop again, and a
-    call that runs it stores it. This is exact because the radio solve reads
-    neither ``cfg.cache`` nor the scheme's cache rule. A reused solve's arrays
-    are copied, so results share only read-only arrays: the knapsack's and
-    the empty placement.
-    """
-    mode = RADIO_MODE[opts.scheme]
-    if solves is None:
-        return price(cfg, solve_radio(cfg, ch, mode, opts.max_iter), opts.scheme)
-    key = radio_key(cfg, opts.scheme, opts.max_iter)
-    radio = solves.get(key)
-    if radio is None or radio.ch is not ch:
-        radio = solves[key] = solve_radio(cfg, ch, mode, opts.max_iter)
-    radio = replace(radio, solution=_with_own_arrays(radio.solution),
-                    metrics=_with_own_arrays(radio.metrics))
-    return price(cfg, radio, opts.scheme)
-
-
-def evaluate_baseline(cfg: SystemConfig, ch: ChannelSet, scheme: str,
-                      max_iter: int = 50, solves: dict | None = None) -> RunResult:
-    """Run one scheme from the comparison set (``solves`` as in ``run``)."""
-    return run(cfg, ch, RunOptions(scheme=scheme, max_iter=max_iter), solves=solves)
+    placement priced on it (``price``). Cells that share a radio solve get it
+    from ``harness.evaluate_baseline`` instead."""
+    return price(cfg, solve_radio(cfg, ch, RADIO_MODE[opts.scheme], opts.max_iter), opts.scheme)
 
 
 def _to_jsonable(obj):

@@ -221,9 +221,13 @@ def power_certificate(coeffs: PowerCoeffs, cfg: SystemConfig, p: np.ndarray,
 def optimize_power(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
                    lt: LinkTerms, force_f_zero: bool = False
                    ) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Power/compute update with a monotonicity safeguard against the incumbent."""
+    """Power/compute update with a monotonicity safeguard against the
+    incumbent, also kept (and flagged ``infeasible``) when c8 < 0."""
     coeffs = assemble_power_coeffs(sol, ch, aux, cfg, lt)
-    p, f, info = solve_power_compute(coeffs, cfg, force_f_zero)
+    try:
+        p, f, info = solve_power_compute(coeffs, cfg, force_f_zero)
+    except SensingInfeasible:
+        return sol.p, sol.f, {"accepted": False, "infeasible": True, "iterations": 0}
     new_val = power_objective(coeffs, cfg, p, f)
     old_val = power_objective(coeffs, cfg, sol.p, sol.f)
     info["accepted"] = new_val >= old_val - 1e-12 * (1.0 + abs(old_val))

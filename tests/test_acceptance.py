@@ -19,8 +19,9 @@ import pytest
 from fdiscc import beamforming, cacheopt, conic, phaseadmm, powercomp, wmmse
 from fdiscc.channels import draw_channels
 from fdiscc.config import CacheConfig, db2lin, desk_config, paper_config
+from fdiscc.harness import evaluate_baseline
 from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, RunOptions,
-                                 echo_aligned_phases, evaluate_baseline, run)
+                                 echo_aligned_phases, run)
 from fdiscc.sysmodel import SensingInfeasible, backhaul_cost, link_terms, utility
 from fdiscc.wmmse import update_aux
 
@@ -129,14 +130,14 @@ def test_criterion_4_closed_form_oracles(small_cfg, small_ch):
     u_hat = beamforming.solve_rx(rc)
     h = 1e-6
     for l in range(small_cfg.n_cp):
-        base = rx_objective(rc, u_hat[l], l)
+        base = rx_objective(rc, aux, u_hat[l], l)
         scale = max(1.0, abs(base))
         for i in range(small_cfg.n_rx):
             for delta in (h, 1j * h):
                 e = np.zeros(small_cfg.n_rx, complex)
                 e[i] = delta
-                diff = (rx_objective(rc, u_hat[l] + e, l)
-                        - rx_objective(rc, u_hat[l] - e, l)) / (2 * h)
+                diff = (rx_objective(rc, aux, u_hat[l] + e, l)
+                        - rx_objective(rc, aux, u_hat[l] - e, l)) / (2 * h)
                 assert abs(diff) <= 1e-6 * scale
 
     # power/compute block matches the per-user grid + multiplier-grid oracle

@@ -13,16 +13,18 @@ from fdiscc.config import db2lin, desk_config, paper_config
 from fdiscc.rootfind import EPS
 from fdiscc.orchestrator import echo_aligned_phases
 from fdiscc.sysmodel import SensingInfeasible, composite_channels, link_terms
-from fdiscc.wmmse import surrogate_sum, surrogates, update_aux
+from fdiscc.wmmse import LN2, surrogate_sum, surrogates, update_aux
 
 from conftest import make_solution
 
 
-def rx_objective(coeffs, u, l):
-    """b5 + 2Re{u^H t5} - weight u^H R u for CP-UE l."""
+def rx_objective(coeffs, aux, u, l):
+    """b5 + 2Re{u^H t5} - weight u^H R u for CP-UE l, with the u-free
+    b5 = (ln(1 + alpha2) - alpha2) / ln 2 of the auxiliaries ``aux``."""
+    b5 = (np.log(1.0 + aux.alpha2[l]) - aux.alpha2[l]) / LN2
     lin = 2.0 * float((u.conj() @ coeffs.t5[l]).real)
     quad = float(coeffs.weight[l] * (u.conj() @ coeffs.cov @ u).real)
-    return float(coeffs.b5[l]) + lin - quad
+    return float(b5) + lin - quad
 
 
 def _power_sums(xx, yy, z):
@@ -353,6 +355,17 @@ class TestSolveTx:
         with pytest.raises(SensingInfeasible):
             solve_tx(bad)
 
+    def test_unreachable_floor_keeps_incumbent_and_flags_call(self, small_cfg, small_ch,
+                                                               tx_sol):
+        # the block owns its infeasibility: no exception reaches the loop
+        lam_max = float(np.linalg.norm(composite_channels(small_ch, tx_sol.phi).r) ** 2)
+        bad = dataclasses.replace(small_cfg, gamma_tar_linear=1.01 * small_cfg.p_bs_watt
+                                  * lam_max / small_cfg.noise_irs_watt)
+        lt = link_terms(tx_sol, small_ch, bad)
+        w, info = optimize_tx(tx_sol, small_ch, update_aux(lt), bad, lt)
+        assert w is tx_sol.w
+        assert info["infeasible"] and not info["accepted"]
+
     @pytest.mark.parametrize("regime", ["comm-echo", "boosted", "sensing-beam"])
     def test_eigen_sum_power_matches_beams(self, regime):
         # ||w(mu)||^2 from the sums X, Y, Z against ||_tx_beams||^2, and its
@@ -486,12 +499,12 @@ class TestRx:
             _, off = surrogates(aux, link_terms(sol2, small_ch, small_cfg, hd))
             for l in range(small_cfg.n_cp):
                 direct = off[l]
-                assert rx_objective(coeffs, u[l], l) == pytest.approx(direct, rel=1e-12)
+                assert rx_objective(coeffs, aux, u[l], l) == pytest.approx(direct, rel=1e-12)
 
     def test_identity_matrix_case(self):
         from fdiscc.beamforming import RxCoeffs
         coeffs = RxCoeffs(t5=np.eye(1, 4, dtype=complex), cov=np.eye(4, dtype=complex),
-                          weight=np.ones(1), b5=np.zeros(1))
+                          weight=np.ones(1))
         u = solve_rx(coeffs)
         assert np.allclose(u[0], np.eye(4)[0])
 
@@ -499,7 +512,7 @@ class TestRx:
         # a zero weight among regular rows is not divided by
         from fdiscc.beamforming import RxCoeffs
         coeffs = RxCoeffs(t5=np.ones((3, 3), complex), cov=2.0 * np.eye(3, dtype=complex),
-                          weight=np.array([0.0, 1.0, 0.5]), b5=np.zeros(3))
+                          weight=np.array([0.0, 1.0, 0.5]))
         with np.errstate(all="raise"):
             u = solve_rx(coeffs)
         assert np.array_equal(u[0], [1, 0, 0])
@@ -532,14 +545,14 @@ class TestRx:
         u_hat = solve_rx(coeffs)
         h = 1e-6
         for l in range(small_cfg.n_cp):
-            base = rx_objective(coeffs, u_hat[l], l)
+            base = rx_objective(coeffs, aux, u_hat[l], l)
             scale = max(1.0, abs(base))
             for i in range(small_cfg.n_rx):
                 for delta in (h, 1j * h):
                     e = np.zeros(small_cfg.n_rx, complex)
                     e[i] = delta
-                    plus = rx_objective(coeffs, u_hat[l] + e, l)
-                    minus = rx_objective(coeffs, u_hat[l] - e, l)
+                    plus = rx_objective(coeffs, aux, u_hat[l] + e, l)
+                    minus = rx_objective(coeffs, aux, u_hat[l] - e, l)
                     assert abs(plus - minus) / (2 * h) <= 1e-6 * scale
 
     def test_sphere_search_no_better(self, small_cfg, small_ch, rand_sol):
@@ -549,11 +562,11 @@ class TestRx:
         u_hat = solve_rx(coeffs)
         rng = np.random.default_rng(8)
         for l in range(small_cfg.n_cp):
-            best = rx_objective(coeffs, u_hat[l], l)
+            best = rx_objective(coeffs, aux, u_hat[l], l)
             for _ in range(10_000):
                 cand = rng.normal(size=small_cfg.n_rx) + 1j * rng.normal(size=small_cfg.n_rx)
                 cand *= rng.uniform(0, 2) / np.linalg.norm(cand)
-                assert rx_objective(coeffs, cand, l) <= best + 1e-12
+                assert rx_objective(coeffs, aux, cand, l) <= best + 1e-12
 
     def test_never_decreases_offload_surrogate(self, small_cfg, small_ch, rand_sol):
         lt = link_terms(rand_sol, small_ch, small_cfg)

@@ -14,8 +14,8 @@ from fdiscc.channels import draw_channels
 from fdiscc.config import (CacheConfig, ConfigError, GeometryConfig, PathLossConfig,
                            SystemConfig, config_from_dict, desk_config)
 from fdiscc.harness import (RUN_CSV_COLUMNS, SWEEP_CSV_COLUMNS, SweepSpec,
-                            aggregate, apply_parameter, load_sweep_spec,
-                            result_row, run_cell, run_sweep, write_csv)
+                            aggregate, apply_parameter, evaluate_baseline,
+                            load_sweep_spec, result_row, run_cell, run_sweep, write_csv)
 from fdiscc.orchestrator import RunOptions, run
 
 
@@ -71,7 +71,7 @@ class TestValidate:
         rows = run_sweep(spec, base_cfg=cfg)
         assert 0 < len(built) <= 2 * len(rows)
         built.clear()
-        run(cfg, draw_channels(cfg), RunOptions(max_iter=2), solves={})
+        evaluate_baseline(cfg, draw_channels(cfg), "proposed", max_iter=2, solves={})
         assert built == []
 
 
@@ -234,6 +234,40 @@ def _timeless(rows):
     return rows
 
 
+class TestSharedSolves:
+    @pytest.fixture(scope="class")
+    def desk(self):
+        cfg = desk_config(seed=3)
+        return cfg, draw_channels(cfg)
+
+    def test_results_own_their_arrays(self, desk):
+        cfg, ch = desk
+        solves = {}
+        a = evaluate_baseline(cfg, ch, "proposed", max_iter=3, solves=solves)
+        b = evaluate_baseline(cfg, ch, "no-caching", max_iter=3, solves=solves)
+        assert len(solves) == 1
+        assert np.array_equal(a.solution.w, b.solution.w)
+        before = [np.copy(x) for x in (b.solution.w, b.solution.p, b.metrics.rate_com)]
+        for x in (a.solution.w, a.solution.u, a.solution.phi, a.solution.f, a.solution.p,
+                  a.metrics.r_com, a.metrics.rate_com, a.metrics.rate_loc):
+            x[...] = 0.0
+        after = (b.solution.w, b.solution.p, b.metrics.rate_com)
+        assert all(np.array_equal(x, y) for x, y in zip(before, after))
+        c = evaluate_baseline(cfg, ch, "random-caching", max_iter=3, solves=solves)
+        assert np.array_equal(c.solution.w, before[0])
+
+    def test_equal_to_unshared(self, desk):
+        cfg, ch = desk
+        solves = {}
+        evaluate_baseline(cfg, ch, "proposed", max_iter=3, solves=solves)
+        shared = evaluate_baseline(cfg, ch, "random-caching", max_iter=3, solves=solves)
+        alone = run(cfg, ch, RunOptions(scheme="random-caching", max_iter=3))
+        untimed = [[replace(row, wall_ms=0.0) for row in r.trace] for r in (shared, alone)]
+        assert repr(untimed[0]) == repr(untimed[1])
+        assert shared.metrics.utility == alone.metrics.utility
+        assert np.array_equal(shared.solution.e, alone.solution.e)
+
+
 class TestSharedRadioSolves:
     @pytest.mark.parametrize("parameter,values,schemes", [
         ("skew", (0.8, 1.1, 1.4), CACHE_SCHEMES),
@@ -297,21 +331,6 @@ class TestSharedRadioSolves:
             fresh = draw_channels(cfg)
             for f in fields(ch):
                 assert np.array_equal(getattr(ch, f.name), getattr(fresh, f.name)), f.name
-
-    def test_cell_alone_on_its_key_runs_unshared(self, monkeypatch):
-        from fdiscc import harness
-        seen = []
-        evaluate = harness.evaluate_baseline
-
-        def recorded(cfg, ch, scheme, **kwargs):
-            seen.append(kwargs["solves"])
-            return evaluate(cfg, ch, scheme, **kwargs)
-
-        monkeypatch.setattr(harness, "evaluate_baseline", recorded)
-        spec = SweepSpec(parameter="gamma_tar_linear", values=(0.5, 1.0),
-                         schemes=("proposed", "hd"), n_seeds=2, max_iter=1)
-        run_sweep(spec, base_cfg=_shared_cfg())
-        assert seen == [None] * 8
 
     def test_two_worker_skew_sweep_gives_the_serial_rows(self):
         spec = SweepSpec(parameter="skew", values=(0.8, 1.4), schemes=CACHE_SCHEMES,

@@ -8,10 +8,10 @@ import pytest
 from fdiscc import cacheopt, sysmodel
 from fdiscc.channels import draw_channels
 from fdiscc.config import CacheConfig, desk_config
+from fdiscc.harness import evaluate_baseline
 from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, SCHEMES, RunOptions,
-                                 echo_aligned_phases, evaluate_baseline,
-                                 fixed_phase_heuristic, initialize, price, result_to_json,
-                                 run, solve_radio)
+                                 echo_aligned_phases, fixed_phase_heuristic, initialize,
+                                 price, result_to_json, run, solve_radio)
 from fdiscc.sysmodel import SensingInfeasible, link_terms, residuals, utility
 
 
@@ -249,43 +249,6 @@ class TestWarmRecords:
             a, b = (repr((r.status, r.metrics, r.solution,
                           [replace(row, wall_ms=0.0) for row in r.trace])) for r in runs)
         assert a == b
-
-
-class TestSharedSolves:
-    def test_results_own_their_arrays(self, desk):
-        cfg, ch = desk
-        solves = {}
-        a = run(cfg, ch, RunOptions(scheme="proposed", max_iter=3), solves=solves)
-        b = run(cfg, ch, RunOptions(scheme="no-caching", max_iter=3), solves=solves)
-        assert len(solves) == 1
-        assert np.array_equal(a.solution.w, b.solution.w)
-        before = [np.copy(x) for x in (b.solution.w, b.solution.p, b.metrics.rate_com)]
-        for x in (a.solution.w, a.solution.u, a.solution.phi, a.solution.f, a.solution.p,
-                  a.metrics.r_com, a.metrics.rate_com, a.metrics.rate_loc):
-            x[...] = 0.0
-        after = (b.solution.w, b.solution.p, b.metrics.rate_com)
-        assert all(np.array_equal(x, y) for x, y in zip(before, after))
-        c = run(cfg, ch, RunOptions(scheme="random-caching", max_iter=3), solves=solves)
-        assert np.array_equal(c.solution.w, before[0])
-
-    def test_equal_to_unshared_and_keyed_by_channel_set(self, desk, monkeypatch):
-        from fdiscc import orchestrator
-        cfg, ch = desk
-        solves = {}
-        opts = RunOptions(scheme="random-caching", max_iter=3)
-        shared = run(cfg, ch, opts, solves=solves)
-        alone = run(cfg, ch, opts)
-        untimed = [[replace(row, wall_ms=0.0) for row in r.trace] for r in (shared, alone)]
-        assert repr(untimed[0]) == repr(untimed[1])
-        assert shared.metrics.utility == alone.metrics.utility
-        assert np.array_equal(shared.solution.e, alone.solution.e)
-        # another channel set under the same key is solved afresh
-        calls = []
-        init = orchestrator.initialize
-        monkeypatch.setattr(orchestrator, "initialize",
-                            lambda *a, **k: calls.append(1) or init(*a, **k))
-        run(cfg, replace(ch), opts, solves=solves)
-        assert calls == [1] and len(solves) == 1
 
 
 class TestBaselines:

@@ -205,6 +205,17 @@ class TestSolve:
         with pytest.raises(SensingInfeasible):
             solve_power_compute(bad, small_cfg)
 
+    def test_unreachable_floor_keeps_incumbent_and_flags_call(self, small_cfg, small_ch,
+                                                               pc_sol):
+        # the block owns its infeasibility: no exception reaches the loop
+        bad = dataclasses.replace(small_cfg, gamma_tar_linear=1e6 * small_cfg.gamma_tar_linear)
+        lt = link_terms(pc_sol, small_ch, bad)
+        aux = update_aux(lt)
+        assert assemble_power_coeffs(pc_sol, small_ch, aux, bad, lt).c8 < 0.0
+        p, f, info = optimize_power(pc_sol, small_ch, aux, bad, lt)
+        assert p is pc_sol.p and f is pc_sol.f
+        assert info["infeasible"] and not info["accepted"] and info["iterations"] == 0
+
     def test_matches_grid_oracle(self, small_cfg, small_ch):
         # solver sits between the primal (feasible grid) and dual (mu grid)
         # bounds within 1e-5 relative
