@@ -266,21 +266,21 @@ def write_trace_csv(result: RunResult, path: str | Path) -> None:
             writer.writerow([repr(getattr(row, c)) for c in TRACE_CSV_COLUMNS])
 
 
-def aggregate(rows: list[dict], parameter: str, field: str = "utility_bits") -> list[dict]:
-    """Median and interquartile range of one field per (scheme, value of the
-    swept ``parameter``), in increasing swept value."""
+def aggregate(rows: list[dict], parameter: str) -> list[dict]:
+    """Median and interquartile range of ``utility_bits`` per (scheme, value of
+    the swept ``parameter``), in increasing swept value."""
     if not rows:
         raise ValueError("aggregate needs at least one row")
     groups: dict = {}
     for row in rows:
-        groups.setdefault((row[parameter], row["scheme"]), []).append(float(row[field]))
+        groups.setdefault((row[parameter], row["scheme"]), []).append(float(row["utility_bits"]))
     out = []
     for (value, scheme), vals in sorted(groups.items()):
         arr = np.asarray(vals)
         q1, q3 = np.percentile(arr, [25.0, 75.0])
         out.append({
             "scheme": scheme, "value": value, "n": len(vals),
-            f"{field}_median": float(np.median(arr)),
-            f"{field}_iqr": float(q3 - q1),
+            "utility_bits_median": float(np.median(arr)),
+            "utility_bits_iqr": float(q3 - q1),
         })
     return out

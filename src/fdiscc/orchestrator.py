@@ -10,8 +10,9 @@ subproblem is infeasible keeps the incumbent and flags the call in its info.
 A run has two parts. The *radio solve* (``solve_radio``) is the block loop
 above; it never reads the cache placement, ``cfg.cache`` or a scheme's cache
 rule, because the placement enters the utility only through the backhaul cost
-``D_total``, a term no block optimizes. *Pricing* (``price``) then places the
-cache by the scheme's rule and charges its backhaul cost and cache residual:
+``D_total``, a term no block optimizes. *Pricing* (``price``), the one place
+a run charges a placement, then places the cache by the scheme's rule and
+charges its backhaul cost and cache residual:
 ``utility = sum_bits - d_total`` on the final metrics and on every trace row.
 So ``proposed``, ``random-caching`` and ``no-caching`` share one radio
 problem (``RADIO_MODE``, ``radio_key``), which ``harness.evaluate_baseline``
@@ -84,9 +85,10 @@ class TraceRow:
 
 @dataclass(frozen=True)
 class RadioSolve:
-    """Result of the block-coordinate loop alone. ``solution.e`` is the empty
-    ``NO_PLACEMENT``, and ``metrics`` carry ``d_total = 0`` (utility equals
-    sum_bits) until ``price`` charges a placement."""
+    """Result of the block-coordinate loop alone, which reads no placement:
+    ``solution.e`` is the empty ``NO_PLACEMENT``, as is every start's, and
+    ``metrics`` carry ``d_total = 0`` (utility equals sum_bits) until
+    ``price`` charges a placement."""
 
     ch: ChannelSet          # the channel set the loop ran on
     solution: Solution
@@ -135,10 +137,10 @@ def echo_aligned_phases(ch: ChannelSet) -> np.ndarray:
     return np.exp(-1j * np.angle(cascade[:, j_star]))
 
 
-def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, comp: Composite,
-                   e: np.ndarray) -> Solution | None:
+def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, comp: Composite) -> Solution | None:
     """Feasible start at the phases ``comp.phi``, given with their composite
     channels ``comp``, or None if the sensing threshold is out of reach there.
+    It carries no cache placement (``NO_PLACEMENT``).
 
     The power split between the sensing beam (along conj(r), r the echo row)
     and the matched-filter user beams is the smallest share meeting twice the
@@ -192,26 +194,23 @@ def _start_for_phi(cfg: SystemConfig, ch: ChannelSet, comp: Composite,
     else:
         p, f = np.zeros(0), np.zeros(0)
 
-    return Solution(w=w, u=u, phi=comp.phi, f=f, p=p, e=e)
+    return Solution(w=w, u=u, phi=comp.phi, f=f, p=p, e=NO_PLACEMENT)
 
 
 def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
-               phi: np.ndarray | None = None,
-               e: np.ndarray | None = None) -> tuple[Solution, Composite]:
-    """Feasible start with cache placement ``e`` (by default the optimal one), and
-    the composite channels at its phases.  With ``phi`` pinned (fixed-phase
+               phi: np.ndarray | None = None) -> tuple[Solution, Composite]:
+    """Feasible start, with no cache placement (``NO_PLACEMENT``), and the
+    composite channels at its phases.  With ``phi`` pinned (fixed-phase
     baseline) only that phase vector is tried; otherwise the best of the max-gain
     alignment, the echo alignment and a random draw is kept, scored by initial
-    sum bits, which no placement changes. Each candidate's composite channels
-    are built once and serve its start, its score and, for the kept start, the
-    caller's first ``link_terms``.
+    sum bits. Each candidate's composite channels are built once and serve its
+    start, its score and, for the kept start, the caller's first ``link_terms``.
 
     Candidates are scored under FD for every radio mode, ``hd`` included: the
     score only ranks starts, and scoring ``hd`` ones under HD picked another start
     on 5 of 20 desk and paper seeds (0-9, max_iter 50), each of which then ended
     25% to 51% lower in ``hd`` sum_bits (mean -5.5% on desk, -13.4% on paper).
     Raises SensingInfeasible when no candidate reaches the threshold."""
-    e = cacheopt.solve_caching(cfg.cache).e if e is None else e
     if phi is not None:
         candidates = [np.array(phi, complex)]
     else:
@@ -223,7 +222,7 @@ def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
     best, best_score = None, -np.inf
     for cand in candidates:
         comp = composite_channels(ch, cand)
-        sol = _start_for_phi(cfg, ch, comp, e)
+        sol = _start_for_phi(cfg, ch, comp)
         if sol is None:
             continue
         score = utility(sol, ch, cfg, lt=link_terms(sol, ch, cfg, comp=comp),
@@ -295,7 +294,7 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
     # the initializer pick the best candidate start
     phi0 = fixed_phase_heuristic(ch, cfg) if fixed_phase else None
     try:
-        sol, comp = initialize(cfg, ch, rng_init, phi=phi0, e=NO_PLACEMENT)
+        sol, comp = initialize(cfg, ch, rng_init, phi=phi0)
     except SensingInfeasible:
         sol = Solution(w=np.zeros((cfg.n_cm + 1, cfg.n_tx), complex),
                        u=np.zeros((cfg.n_cp, cfg.n_rx), complex),
@@ -343,10 +342,9 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
         comp = lt.comp
         obj = wmmse.bca_objective(sol, cfg, aux, lt)
         met = utility(sol, ch, cfg, lt=lt, d_total=0.0)
-        # the cache residual belongs to the placement, which pricing charges
-        res = residuals(sol, cfg, lt, res_cache=np.nan)
+        res = residuals(sol, cfg, lt)
         rows.append(TraceRow(n, obj, float(met.sum_bits), res["power"], res["radar"],
-                             res["modulus"], res["energy"], res["cache"],
+                             res["modulus"], res["energy"], np.nan,
                              (time.perf_counter() - t0) * 1e3))
         if n > 1:
             prev_obj = rows[-2].objective

@@ -23,11 +23,13 @@ same array (``sol.phi`` itself) and recomputes it otherwise.
 
 ``link_terms`` is where the duplex mode enters: it applies the HD rule (no
 CCI, no SI) and records the mode in its ``LinkTerms`` (``hd``, and
-``duplex``, the share of time each link transmits).  Every block takes that
-record as a required ``lt`` and reads the mode from it, without recomputing
-it.  ``utility`` computes its own from ``hd`` when none is passed; it takes
-a precomputed ``d_total``, and ``residuals`` a precomputed ``res_cache``,
-since both depend only on the cache placement.
+``duplex``, the share of time each link transmits).  Every block, and
+``residuals``, take that record as a required ``lt`` and read the mode from
+it, without recomputing it.  ``utility`` computes its own from ``hd`` when
+none is passed, and charges the backhaul cost of ``sol.e`` unless given a
+``d_total``.  ``residuals`` measures the radio constraints alone: the cache
+residual depends on the placement alone, and ``orchestrator.price``, which
+charges a run's placement, records it.
 
 Rates use log2 so that SINR = 1 gives exactly B bits/s.  Quadratic terms in
 the transmitted symbol vector are evaluated in expectation (unit-variance
@@ -43,7 +45,7 @@ import numpy as np
 
 from .channels import ChannelSet
 from .config import SystemConfig
-from .cacheopt import cache_residual, catalogue, uncached_mass
+from .cacheopt import catalogue, uncached_mass
 
 
 @dataclass(frozen=True)
@@ -210,19 +212,18 @@ def utility(sol: Solution, ch: ChannelSet, cfg: SystemConfig, hd: bool = False, 
     A caller that already holds ``link_terms`` of this solution, or
     ``backhaul_cost`` of its cache placement ``sol.e``, passes them as ``lt``
     and ``d_total`` instead of having them recomputed; a passed ``lt``
-    carries its own duplex mode, and ``hd`` then goes unread."""
-    l_n = ch.g_pu.shape[0]
+    carries its own duplex mode, and ``hd`` then goes unread.  The radio
+    solve passes ``d_total = 0``, since its solutions carry no placement."""
     b, t = cfg.bandwidth_hz, cfg.coherence_time_s
 
     lt = link_terms(sol, ch, cfg, hd) if lt is None else lt
     r_com, r_off = lt.r_com, lt.r_off
     rate_com = lt.duplex * b * np.log2(1.0 + r_com)
     rate_off = lt.duplex * b * np.log2(1.0 + r_off)
-    eps = cfg.eps_array()
-    rate_loc = sol.f / eps if l_n else np.zeros(0)
-    energy_loc = t * cfg.zeta * sol.f ** 3 if l_n else np.zeros(0)
+    rate_loc = sol.f / cfg.eps_array()
+    energy_loc = t * cfg.zeta * sol.f ** 3
     if d_total is None:
-        d_total = backhaul_cost(sol.e, cfg.cache, t, l_n)
+        d_total = backhaul_cost(sol.e, cfg.cache, t, cfg.n_cp)
     sum_bits = t * (rate_com.sum() + rate_off.sum() + rate_loc.sum())
     return Metrics(
         r_com=r_com, rate_com=rate_com, r_off=r_off, rate_off=rate_off,
@@ -231,25 +232,20 @@ def utility(sol: Solution, ch: ChannelSet, cfg: SystemConfig, hd: bool = False, 
     )
 
 
-def residuals(sol: Solution, cfg: SystemConfig, lt: LinkTerms, *,
-              res_cache: float | None = None) -> dict[str, float]:
-    """Signed constraint residuals; positive means violated.  ``lt`` is the
-    ``link_terms`` of ``sol``, and ``res_cache``, when given, is
-    ``cache_residual`` of ``sol.e``."""
+def residuals(sol: Solution, cfg: SystemConfig, lt: LinkTerms) -> dict[str, float]:
+    """Signed residuals of the radio constraints; positive means violated.
+    ``lt`` is the ``link_terms`` of ``sol``.  The cache constraint belongs to
+    the placement, whose residual ``orchestrator.price`` records."""
     t = cfg.coherence_time_s
     power = float((np.abs(sol.w) ** 2).sum() - cfg.p_bs_watt)
     gamma = cfg.gamma_tar_linear
     radar = float(gamma - lt.r_tar) / gamma
-    modulus = float(np.abs(np.abs(sol.phi) - 1.0).max()) if sol.phi.size else 0.0
+    modulus = float(np.abs(np.abs(sol.phi) - 1.0).max())
     if sol.p.size:
         energy = float((t * sol.p + t * cfg.zeta * sol.f ** 3 - cfg.e_max_array()).max())
     else:
         energy = 0.0
-    cache = cache_residual(sol.e, cfg.cache) if res_cache is None else res_cache
-    return {
-        "power": power, "radar": radar, "modulus": modulus,
-        "energy": energy, "cache": cache,
-    }
+    return {"power": power, "radar": radar, "modulus": modulus, "energy": energy}
 
 
 def relative(residual: float, scale: float) -> float:

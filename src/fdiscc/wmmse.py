@@ -68,5 +68,5 @@ def surrogate_sum(aux: AuxVars, lt: LinkTerms) -> float:
 def bca_objective(sol: Solution, cfg: SystemConfig, aux: AuxVars, lt: LinkTerms) -> float:
     """Block-coordinate objective: surrogates (halved under HD) plus normalized
     local computation rate (everything per channel use, log2 units)."""
-    loc = float((sol.f / (cfg.eps_array() * cfg.bandwidth_hz)).sum()) if sol.f.size else 0.0
+    loc = float((sol.f / (cfg.eps_array() * cfg.bandwidth_hz)).sum())
     return lt.duplex * surrogate_sum(aux, lt) + loc

@@ -9,9 +9,9 @@ from fdiscc import cacheopt, sysmodel
 from fdiscc.channels import draw_channels
 from fdiscc.config import CacheConfig, desk_config
 from fdiscc.harness import evaluate_baseline
-from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, SCHEMES, RunOptions,
-                                 echo_aligned_phases, fixed_phase_heuristic, initialize,
-                                 price, result_to_json, run, solve_radio)
+from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, NO_PLACEMENT, SCHEMES,
+                                 RunOptions, echo_aligned_phases, fixed_phase_heuristic,
+                                 initialize, price, result_to_json, run, solve_radio)
 from fdiscc.sysmodel import SensingInfeasible, link_terms, residuals, utility
 
 
@@ -46,7 +46,6 @@ class TestInitialize:
             assert res["radar"] <= 1e-9
             assert res["modulus"] <= 1e-9
             assert res["energy"] <= 1e-9
-            assert res["cache"] <= 1e-9
 
     def test_zero_threshold_always_feasible(self, desk):
         cfg, ch = desk
@@ -70,12 +69,22 @@ class TestInitialize:
         phi = echo_aligned_phases(ch)
         comp = sysmodel.composite_channels(ch, phi)
         aligned = replace(comp, h=comp.r[None, :].copy())
-        sol = orchestrator._start_for_phi(cfg, ch, aligned, np.zeros(cfg.cache.n_files))
+        sol = orchestrator._start_for_phi(cfg, ch, aligned)
         ceiling = cfg.p_bs_watt * np.linalg.norm(comp.r) ** 2
         base = float(np.abs(orchestrator._mrt_rows(aligned.h)[0] @ comp.r) ** 2) * cfg.p_bs_watt
         assert abs(base - ceiling) <= 4e-16 * ceiling
         assert np.sum(np.abs(sol.w[0]) ** 2) == pytest.approx(cfg.p_bs_watt / 2, rel=1e-12)
         assert np.sum(np.abs(sol.w @ comp.r) ** 2) >= cfg.gamma_tar_linear * cfg.noise_irs_watt
+
+    def test_start_solves_no_knapsack(self, desk, monkeypatch):
+        # a start carries no placement: pricing alone places the cache
+        def solve_caching(cache):
+            raise AssertionError("a start solved the cache knapsack")
+
+        cfg, ch = desk
+        monkeypatch.setattr(cacheopt, "solve_caching", solve_caching)
+        sol, _ = initialize(cfg, ch, np.random.default_rng(0))
+        assert sol.e is NO_PLACEMENT
 
     def test_pinned_phases_respected(self, desk):
         cfg, ch = desk
@@ -314,6 +323,11 @@ class TestPricing:
                  * (1e8 + 3e7))
         assert res.metrics.d_total == pytest.approx(dense, rel=1e-12, abs=0.0)
         assert res.metrics.utility == res.metrics.sum_bits - res.metrics.d_total
+        # every trace row carries the placement's residual and the final row
+        # the final utility
+        res_cache = cacheopt.cache_residual(res.solution.e, cache)
+        assert all(row.res_cache == res_cache for row in res.trace)
+        assert res.trace[-1].utility == res.metrics.utility
 
     def test_equal_by_repr_with_and_without_clearing(self, desk):
         cfg, ch = desk

@@ -428,7 +428,8 @@ class TestUtility:
         assert res["power"] <= 0.0       # built inside the budget
         assert res["energy"] <= 1e-9
         assert res["modulus"] <= 1e-12
-        assert res["cache"] <= 0.0
+        # the cache residual belongs to the placement, which pricing records
+        assert set(res) == {"power", "radar", "modulus", "energy"}
 
 
 class TestDuplexMode:
@@ -445,13 +446,15 @@ class TestDuplexMode:
     def test_mode_enters_only_through_link_terms(self):
         # the blocks take the LinkTerms record and never the mode itself, nor
         # an optional record they would recompute when it is missing; only the
-        # model's own evaluators, link_terms and utility, take one
+        # model's own evaluators, link_terms and utility, take one. Only
+        # utility takes a placement's cost, and no start takes a placement:
+        # a run's placement is charged by pricing alone
         import importlib
         import inspect
         import pkgutil
 
         import fdiscc
-        with_hd, optional = set(), set()
+        with_hd, optional, priced = set(), set(), set()
         for info in pkgutil.iter_modules(fdiscc.__path__):
             mod = importlib.import_module(f"fdiscc.{info.name}")
             for name, fn in vars(mod).items():
@@ -462,8 +465,13 @@ class TestDuplexMode:
                     with_hd.add(f"{info.name}.{name}")
                 if any(p.name in ("lt", "comp") and p.default is None for p in params):
                     optional.add(f"{info.name}.{name}")
+                if any(p.name in ("d_total", "res_cache") for p in params):
+                    priced.add(f"{info.name}.{name}")
         assert with_hd == {"sysmodel.link_terms", "sysmodel.utility"}
         assert optional <= {"sysmodel.link_terms", "sysmodel.utility"}
+        assert priced == {"sysmodel.utility"}
+        for start in (orchestrator.initialize, orchestrator._start_for_phi):
+            assert "e" not in inspect.signature(start).parameters
 
 
 class TestDerivedOnce:
