@@ -117,12 +117,13 @@ def draw_channels(cfg: SystemConfig) -> ChannelSet:
         los = steering_vector(_angle(irs, pos), n_elem)
         return _rician(rng, pl, k_lin, los)
 
-    h_pu = np.stack([user_link(cm_pos[k], cfg.m_passive) for k in range(cfg.n_cm)]) \
-        if cfg.n_cm else np.zeros((0, cfg.m_passive), complex)
-    g_pu = np.stack([user_link(cp_pos[l], cfg.m_passive) for l in range(cfg.n_cp)]) \
-        if cfg.n_cp else np.zeros((0, cfg.m_passive), complex)
-    g_au = np.stack([user_link(cp_pos[l], cfg.m_active) for l in range(cfg.n_cp)]) \
-        if cfg.n_cp else np.zeros((0, cfg.m_active), complex)
+    def user_links(pos, n_elem):
+        # the width is given: reshape(0, -1) raises when there are no users
+        return np.array([user_link(x, n_elem) for x in pos], complex).reshape(len(pos), n_elem)
+
+    h_pu = user_links(cm_pos, cfg.m_passive)
+    g_pu = user_links(cp_pos, cfg.m_passive)
+    g_au = user_links(cp_pos, cfg.m_active)
 
     e_direct = np.zeros((cfg.n_cp, cfg.n_cm), complex)
     for l in range(cfg.n_cp):

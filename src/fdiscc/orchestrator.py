@@ -8,21 +8,22 @@ objective never decreases across accepted iterations; a block whose
 subproblem is infeasible keeps the incumbent and flags the call in its info.
 
 A run has two parts. The *radio solve* (``solve_radio``) is the block loop
-above; it never reads the cache placement, ``cfg.cache`` or a scheme's cache
-rule, because the placement enters the utility only through the backhaul cost
-``D_total``, a term no block optimizes. *Pricing* (``price``), the one place
-a run charges a placement, then places the cache by the scheme's rule and
-charges its backhaul cost and cache residual:
-``utility = sum_bits - d_total`` on the final metrics and on every trace row.
-So ``proposed``, ``random-caching`` and ``no-caching`` share one radio
-problem (``RADIO_MODE``, ``radio_key``), which ``harness.evaluate_baseline``
-solves once for the sweep cells that share it and prices for each. Each
-solution state's ``sysmodel.link_terms`` is computed once and shared by the
-blocks that read that state, and each phase vector's composite channels
-(``sysmodel.Composite``) once and shared by every ``link_terms`` at it: one
-per start candidate in ``initialize``, whose kept one serves the loop's start,
-then in the loop one per phase vector the phase block returns that is not the
-incoming one (see ``solve_radio``).
+above, one ``bca_step`` per iteration; it never reads the cache placement,
+``cfg.cache`` or a scheme's cache rule, because the placement enters the
+utility only through the backhaul cost ``D_total``, a term no block optimizes.
+*Pricing* (``price``), the one place a run charges a placement, then places
+the cache by the scheme's rule and charges its backhaul cost and cache
+residual: ``utility = sum_bits - d_total`` on the final metrics and on every
+trace row. So ``proposed``, ``random-caching`` and ``no-caching`` share one
+radio problem (``RADIO_MODE``, ``radio_key``), which
+``harness.evaluate_baseline`` solves once for the sweep cells that share it
+and prices for each. Each solution state's ``sysmodel.link_terms`` is computed
+once and shared by the blocks that read that state, and each phase vector's
+composite channels (``sysmodel.Composite``) once and shared by every
+``link_terms`` at it: one per start candidate in ``initialize``, whose kept
+one serves the loop's start, then one per iteration whose phase block moves
+the phases (see ``bca_step``). A radio solve's arrays are read-only, so every
+pricing of it shares them.
 """
 
 from __future__ import annotations
@@ -37,8 +38,9 @@ import numpy as np
 from . import beamforming, cacheopt, phaseadmm, powercomp, sysmodel, wmmse
 from .channels import ChannelSet
 from .config import ConfigError, SystemConfig, check_field_kinds
-from .sysmodel import (Composite, Metrics, SensingInfeasible, Solution,
+from .sysmodel import (Composite, LinkTerms, Metrics, SensingInfeasible, Solution,
                        composite_channels, link_terms, residuals, utility)
+from .wmmse import AuxVars
 
 SCHEMES = ("proposed", "full-offloading", "fixed-phase", "hd",
            "random-caching", "no-caching")
@@ -88,7 +90,8 @@ class RadioSolve:
     """Result of the block-coordinate loop alone, which reads no placement:
     ``solution.e`` is the empty ``NO_PLACEMENT``, as is every start's, and
     ``metrics`` carry ``d_total = 0`` (utility equals sum_bits) until
-    ``price`` charges a placement."""
+    ``price`` charges a placement. The arrays of both are read-only, and every
+    pricing shares them."""
 
     ch: ChannelSet          # the channel set the loop ran on
     solution: Solution
@@ -236,8 +239,7 @@ def initialize(cfg: SystemConfig, ch: ChannelSet, rng: np.random.Generator,
     return best
 
 
-def _cache_for_scheme(cfg: SystemConfig, scheme: str,
-                      rng: np.random.Generator) -> tuple[np.ndarray, float, float]:
+def _cache_for_scheme(cfg: SystemConfig, scheme: str) -> tuple[np.ndarray, float, float]:
     """The scheme's placement, its priced uncached mass
     (``cacheopt.uncached_mass``) and its cache residual, each from the rule
     that made it: the knapsack's from its memo, the empty placement's from
@@ -249,7 +251,7 @@ def _cache_for_scheme(cfg: SystemConfig, scheme: str,
         # 0.0 - F, as the dense 0.0 - F: -F would read -0.0 at F = 0
         return cat.empty, cat.empty_mass, 0.0 - cache.capacity
     if scheme == "random-caching":
-        e = cacheopt.random_caching(cache, rng)
+        e = cacheopt.random_caching(cache, np.random.default_rng([cfg.seed, 151]))
         return e, cacheopt.uncached_mass(e, cache), cacheopt.cache_residual(e, cache)
     sol = cacheopt.solve_caching(cache)
     return sol.e, sol.objective, sol.residual
@@ -264,45 +266,86 @@ def radio_key(cfg: SystemConfig, scheme: str, max_iter: int) -> tuple:
     return _radio_fields(cfg), RADIO_MODE[scheme], max_iter
 
 
-def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> RadioSolve:
-    """Initialization and the block-coordinate loop of one radio mode (a scheme
-    of ``RADIO_MODE``'s values), without the cache placement.
+def bca_step(sol: Solution, comp: Composite, ch: ChannelSet, cfg: SystemConfig,
+             mode: str) -> tuple[Solution, LinkTerms, AuxVars]:
+    """One block-coordinate iteration of a radio mode from ``sol`` and its
+    composite channels ``comp``: the new solution, its link terms and the
+    auxiliaries its BCA objective is read at.
 
-    The mode's flags each enter at one place: ``hd`` in ``link_terms``, whose
-    record carries it to every block, ``fixed_phase`` here (no phase block)
-    and ``force_f_zero`` in ``optimize_power``. Each solution state gets one
-    ``link_terms``, which the blocks take without recomputing: the one at the
-    start of an iteration serves the auxiliaries and the phase block; the one
-    after the phase block serves the auxiliaries, the transmit block and (by
-    its composite channels and mode, which the beams do not change) the
-    receive block; the one after the receive block serves the power block;
-    the one at the end serves the BCA objective and the metrics. That makes
-    4 per iteration, 3 with fixed phases or when the phase block returns the
-    incoming array ``sol.phi`` itself (a revert, or an infeasible entry or
-    step), for then the state after it is the state before it. Each ``link_terms`` is
-    handed the last one's composite channels, the first one those of the
-    start from ``initialize``, which it reuses while the phases are that same
-    array: so the loop builds one composite per new phase vector and none for
-    its start. The final metrics are those of the last iteration, whose
-    solution is the returned one.
+    The mode enters at one place each: ``hd`` in ``link_terms``, whose record
+    carries it to every block, ``fixed-phase`` here (no phase block) and
+    ``full-offloading`` in ``optimize_power`` (``force_f_zero``). Each
+    solution state gets one ``link_terms``, which the blocks take without
+    recomputing: the one at the start serves the auxiliaries and the phase
+    block; the one after the phase block serves the auxiliaries, the transmit
+    block and (by its composite channels and mode, which the beams do not
+    change) the receive block; the one after the receive block serves the
+    power block; the returned one serves the BCA objective and the metrics.
+    That makes 4 per step, 3 with fixed phases or when the phase block keeps
+    the incoming phases (its info flags a revert or an infeasible entry or
+    step), for then the state after it is the state before it. Each
+    ``link_terms`` is handed the last one's composite channels, the first one
+    ``comp``, which it reuses while the phases are that same array: so a step
+    builds one composite when the phases move and none otherwise.
     """
     hd = mode == "hd"
-    fixed_phase = mode == "fixed-phase"
-    force_f_zero = mode == "full-offloading"
-    rng_init = np.random.default_rng([cfg.seed, 101])
+    # combiner scale is immaterial (SINRs are u-scale invariant) but must
+    # stay bounded: the closed-form u grows like 1/sqrt(p) as p shrinks
+    norms = np.linalg.norm(sol.u, axis=1, keepdims=True)
+    sol = sol.copy_with(u=np.where(norms > 0, sol.u / np.maximum(norms, 1e-300), sol.u))
+    lt = link_terms(sol, ch, cfg, hd, comp)
+    aux = wmmse.update_aux(lt)
+
+    if mode != "fixed-phase" and cfg.n_cm + cfg.n_cp > 0:
+        phi, info = phaseadmm.optimize_phase(sol, ch, aux, cfg, lt)
+        if not (info.reverted or info.infeasible):
+            sol = sol.copy_with(phi=phi)
+            # re-tighten the surrogate at the new phases: with the exact transmit
+            # step, beams fitted to a stale surrogate made phases and beams creep
+            # (desk seed 9 took 77 iterations instead of 41)
+            lt = link_terms(sol, ch, cfg, hd)
+            aux = wmmse.update_aux(lt)
+
+    sol = sol.copy_with(w=beamforming.optimize_tx(sol, ch, aux, cfg, lt)[0])
+    sol = sol.copy_with(u=beamforming.optimize_rx(sol, ch, aux, cfg, lt))
+    p, f, _ = powercomp.optimize_power(sol, ch, aux, cfg, link_terms(sol, ch, cfg, hd, lt.comp),
+                                       mode == "full-offloading")
+    sol = sol.copy_with(p=p, f=f)
+    return sol, link_terms(sol, ch, cfg, hd, lt.comp), aux
+
+
+def _read_only(radio: RadioSolve) -> RadioSolve:
+    """``radio`` with the arrays of its solution and metrics made read-only,
+    so that every pricing of it can share them."""
+    for value in (*vars(radio.solution).values(), *vars(radio.metrics).values()):
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return radio
+
+
+def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> RadioSolve:
+    """Initialization and the block-coordinate loop (``bca_step``) of one
+    radio mode (a scheme of ``RADIO_MODE``'s values), without the cache
+    placement. The fixed-phase mode starts from its pinned heuristic phases,
+    the full-offloading one with f = 0. The loop's first step takes the
+    composite channels of the start from ``initialize``, every later one
+    those of the last step's link terms. The final metrics are those of the
+    last iteration, whose solution is the returned one; both hold read-only
+    arrays.
+    """
     # the fixed-phase baseline pins its heuristic phases; other modes let
     # the initializer pick the best candidate start
-    phi0 = fixed_phase_heuristic(ch, cfg) if fixed_phase else None
+    phi0 = fixed_phase_heuristic(ch, cfg) if mode == "fixed-phase" else None
     try:
-        sol, comp = initialize(cfg, ch, rng_init, phi=phi0)
+        sol, comp = initialize(cfg, ch, np.random.default_rng([cfg.seed, 101]), phi=phi0)
     except SensingInfeasible:
         sol = Solution(w=np.zeros((cfg.n_cm + 1, cfg.n_tx), complex),
                        u=np.zeros((cfg.n_cp, cfg.n_rx), complex),
                        phi=np.ones(cfg.m_passive, complex),
                        f=np.zeros(cfg.n_cp), p=np.zeros(cfg.n_cp), e=NO_PLACEMENT)
-        return RadioSolve(ch, sol, utility(sol, ch, cfg, hd, d_total=0.0), (),
-                          INFEASIBLE_SENSING)
-    if force_f_zero:
+        return _read_only(RadioSolve(ch, sol, utility(sol, ch, cfg, mode == "hd", d_total=0.0),
+                                     (), INFEASIBLE_SENSING))
+    if mode == "full-offloading":
         sol = sol.copy_with(f=np.zeros(cfg.n_cp))
 
     rows: list[TraceRow] = []
@@ -311,34 +354,7 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
     t0 = time.perf_counter()
 
     for n in range(1, max_iter + 1):
-        # combiner scale is immaterial (SINRs are u-scale invariant) but must
-        # stay bounded: the closed-form u grows like 1/sqrt(p) as p shrinks
-        if sol.u.size:
-            norms = np.linalg.norm(sol.u, axis=1, keepdims=True)
-            sol = sol.copy_with(u=np.where(norms > 0, sol.u / np.maximum(norms, 1e-300), sol.u))
-        lt = link_terms(sol, ch, cfg, hd, comp)
-        aux = wmmse.update_aux(lt)
-
-        if not fixed_phase and cfg.n_cm + cfg.n_cp > 0:
-            phi_new, _ = phaseadmm.optimize_phase(sol, ch, aux, cfg, lt)
-            if phi_new is not sol.phi:
-                sol = sol.copy_with(phi=phi_new)
-                # re-tighten the surrogate at the new phases: with the exact transmit
-                # step, beams fitted to a stale surrogate made phases and beams creep
-                # (desk seed 9 took 77 iterations instead of 41)
-                lt = link_terms(sol, ch, cfg, hd)
-                aux = wmmse.update_aux(lt)
-
-        w_new, _ = beamforming.optimize_tx(sol, ch, aux, cfg, lt)
-        sol = sol.copy_with(w=w_new)
-
-        if cfg.n_cp:
-            sol = sol.copy_with(u=beamforming.optimize_rx(sol, ch, aux, cfg, lt))
-            p_new, f_new, _ = powercomp.optimize_power(
-                sol, ch, aux, cfg, link_terms(sol, ch, cfg, hd, lt.comp), force_f_zero)
-            sol = sol.copy_with(p=p_new, f=f_new)
-
-        lt = link_terms(sol, ch, cfg, hd, lt.comp)
+        sol, lt, aux = bca_step(sol, comp, ch, cfg, mode)
         comp = lt.comp
         obj = wmmse.bca_objective(sol, cfg, aux, lt)
         met = utility(sol, ch, cfg, lt=lt, d_total=0.0)
@@ -350,21 +366,11 @@ def solve_radio(cfg: SystemConfig, ch: ChannelSet, mode: str, max_iter: int) -> 
             prev_obj = rows[-2].objective
             rel = (obj - prev_obj) / max(abs(prev_obj), 1e-12)
             slow_count = slow_count + 1 if rel < CONV_TOL else 0
-            if slow_count >= CONV_WINDOW:
-                status = CONVERGED
-                break
-        if cfg.n_cm + cfg.n_cp == 0:
+        if slow_count >= CONV_WINDOW or cfg.n_cm + cfg.n_cp == 0:
             status = CONVERGED
             break
 
-    return RadioSolve(ch, sol, met, tuple(rows), status)
-
-
-def _with_own_arrays(record, **changes):
-    """A copy of a frozen record with ``changes``, whose other array fields
-    are copies too."""
-    own = {k: v.copy() for k, v in vars(record).items() if isinstance(v, np.ndarray)}
-    return replace(record, **(own | changes))
+    return _read_only(RadioSolve(ch, sol, met, tuple(rows), status))
 
 
 def price(cfg: SystemConfig, radio: RadioSolve, scheme: str) -> RunResult:
@@ -373,15 +379,15 @@ def price(cfg: SystemConfig, radio: RadioSolve, scheme: str) -> RunResult:
     every trace row, as ``utility = sum_bits - d_total``. The placement comes
     with its uncached mass and residual (``_cache_for_scheme``), so pricing a
     knapsack or empty placement makes no pass over the catalogue. The result
-    owns copies of the solve's arrays, so a solve may be priced any number of
-    times; results share only the read-only knapsack and empty placements."""
-    e, mass, res_cache = _cache_for_scheme(cfg, scheme, np.random.default_rng([cfg.seed, 151]))
+    shares the solve's read-only arrays, so a solve may be priced any number
+    of times and no pricing copies an array."""
+    e, mass, res_cache = _cache_for_scheme(cfg, scheme)
     d_total = sysmodel.backhaul_cost(e, cfg.cache, cfg.coherence_time_s, cfg.n_cp, mass)
     met = radio.metrics
     trace = tuple(replace(r, utility=r.utility - d_total, res_cache=res_cache)
                   for r in radio.rows)
-    return RunResult(_with_own_arrays(radio.solution, e=e),
-                     _with_own_arrays(met, d_total=d_total, utility=met.sum_bits - d_total),
+    return RunResult(radio.solution.copy_with(e=e),
+                     replace(met, d_total=d_total, utility=met.sum_bits - d_total),
                      trace, radio.status, scheme, len(trace))
 
 

@@ -46,8 +46,7 @@ the target psi - rho lambda, the projection psi = (phi + rho lambda) /
 |phi + rho lambda| (``unit_modulus``), phi - psi once, and from it the dual
 update lambda + (phi - psi) / rho and the consensus max |phi - psi|.
 A call that keeps the incoming phases (a revert, or an infeasible entry or
-step) returns the array ``sol.phi`` itself, so its caller can tell that
-nothing moved.
+step) flags it in its ``PhaseInfo`` and returns the array ``sol.phi`` itself.
 """
 
 from __future__ import annotations
@@ -217,8 +216,8 @@ def unit_modulus(z: np.ndarray) -> np.ndarray:
 def optimize_phase(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
                    lt: LinkTerms) -> tuple[np.ndarray, PhaseInfo]:
     """Full inner ADMM pass; returns a unit-modulus phi that never lowers the
-    surrogate of the incoming one, or else the incoming array ``sol.phi``
-    itself."""
+    surrogate of the incoming one, or else, with the call flagged ``reverted``
+    or ``infeasible``, the incoming array ``sol.phi`` itself."""
     coeffs = assemble_phase_coeffs(sol, ch, aux, cfg, lt)
     info = PhaseInfo()
     phi_in = sol.phi

@@ -5,13 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fdiscc import cacheopt, sysmodel
+from fdiscc import cacheopt, orchestrator, phaseadmm, sysmodel, wmmse
 from fdiscc.channels import draw_channels
-from fdiscc.config import CacheConfig, desk_config
+from fdiscc.config import CacheConfig, desk_config, paper_config
 from fdiscc.harness import evaluate_baseline
 from fdiscc.orchestrator import (CONVERGED, INFEASIBLE_SENSING, NO_PLACEMENT, SCHEMES,
-                                 RunOptions, echo_aligned_phases, fixed_phase_heuristic,
-                                 initialize, price, result_to_json, run, solve_radio)
+                                 RunOptions, bca_step, echo_aligned_phases,
+                                 fixed_phase_heuristic, initialize, price, result_to_json, run,
+                                 solve_radio)
 from fdiscc.sysmodel import SensingInfeasible, link_terms, residuals, utility
 
 
@@ -230,7 +231,7 @@ class TestRun:
 
         def counted_phase(sol, *args):
             phi, info = optimize_phase(sol, *args)
-            calls["kept"] += phi is sol.phi
+            calls["kept"] += info.reverted or info.infeasible
             return phi, info
 
         monkeypatch.setattr(phaseadmm, "optimize_phase", counted_phase)
@@ -244,6 +245,74 @@ class TestRun:
                 assert res.iterations >= 3, (seed, scheme)
                 assert calls["all"] - calls["init"] \
                     == per_iteration * res.iterations - calls["kept"], (seed, scheme)
+
+
+class TestBcaStep:
+    @staticmethod
+    def start(cfg, ch, mode):
+        """The start ``solve_radio`` takes for ``mode``."""
+        phi = fixed_phase_heuristic(ch, cfg) if mode == "fixed-phase" else None
+        sol, comp = initialize(cfg, ch, np.random.default_rng([cfg.seed, 101]), phi=phi)
+        if mode == "full-offloading":
+            sol = sol.copy_with(f=np.zeros(cfg.n_cp))
+        return sol, comp
+
+    @pytest.mark.parametrize("make", [desk_config, paper_config])
+    @pytest.mark.parametrize("mode", ["proposed", "fixed-phase", "full-offloading", "hd"])
+    def test_resumed_steps_equal_one_solve(self, make, mode):
+        # k steps, then m more from the state they left: the same bytes as
+        # one solve of k + m iterations (too few for the stop rule to end it)
+        k, m = 2, 1
+        cfg = make(seed=1)
+        ch = draw_channels(cfg)
+        radio = solve_radio(cfg, ch, mode, k + m)
+        assert len(radio.rows) == k + m
+
+        def steps(sol, comp, n):
+            objectives = []
+            for _ in range(n):
+                sol, lt, aux = bca_step(sol, comp, ch, cfg, mode)
+                comp = lt.comp
+                met = utility(sol, ch, cfg, lt=lt, d_total=0.0)
+                objectives.append((wmmse.bca_objective(sol, cfg, aux, lt), met.sum_bits))
+            return sol, comp, met, objectives
+
+        sol, comp, _, first = steps(*self.start(cfg, ch, mode), k)
+        sol, _, met, more = steps(sol, comp, m)
+        assert first + more == [(row.objective, row.utility) for row in radio.rows]
+        for name, a in vars(radio.solution).items():
+            b = getattr(sol, name)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        with np.printoptions(floatmode="unique", threshold=10**9):
+            assert repr(met) == repr(radio.metrics)
+
+    def test_kept_phases_come_from_the_flags(self, desk, monkeypatch):
+        # a phase call flagged as reverted keeps the incoming phases, whatever
+        # array it returns, and the step re-tightens nothing: 3 link terms a step
+        cfg, ch = desk
+        start, _ = self.start(cfg, ch, "proposed")
+        calls = {"all": 0, "init": 0}
+        terms, init = orchestrator.link_terms, orchestrator.initialize
+
+        def counted_terms(*args, **kwargs):
+            calls["all"] += 1
+            return terms(*args, **kwargs)
+
+        def counted_init(*args, **kwargs):
+            out = init(*args, **kwargs)
+            calls["init"] = calls["all"]
+            return out
+
+        monkeypatch.setattr(orchestrator, "link_terms", counted_terms)
+        monkeypatch.setattr(orchestrator, "initialize", counted_init)
+        monkeypatch.setattr(phaseadmm, "optimize_phase",
+                            lambda sol, *args: (sol.phi.copy(), phaseadmm.PhaseInfo(reverted=True)))
+        radio = solve_radio(cfg, ch, "proposed", 4)
+        assert np.array_equal(radio.solution.phi, start.phi)
+        assert calls["all"] - calls["init"] == 3 * len(radio.rows)
+        sol, comp = self.start(cfg, ch, "proposed")
+        new, lt, _ = bca_step(sol, comp, ch, cfg, "proposed")
+        assert new.phi is sol.phi and lt.comp is comp
 
 
 class TestWarmRecords:
