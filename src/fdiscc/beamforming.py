@@ -78,8 +78,8 @@ class RxCoeffs:
 
 def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
                        cfg: SystemConfig, lt: LinkTerms) -> TxCoeffs:
-    """Transmit coefficients at ``sol``, in the duplex mode of ``lt``, the
-    ``link_terms`` of this same solution."""
+    """Transmit coefficients at ``sol``, with the residual SI weighed by
+    ``lt.cross``; ``lt`` is the ``link_terms`` of this same solution."""
     comp = lt.comp
     bb1 = np.abs(aux.beta1) ** 2
     s_mat = (comp.h.conj().T * bb1) @ comp.h
@@ -88,9 +88,8 @@ def assemble_tx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     # offloading term but the residual SI
     b3 = _bracket(aux.alpha1, aux.beta1, 0.0, lt.cci + cfg.noise_ue_watt)
     b4 = _bracket(aux.alpha2, aux.beta2, lt.off_sig, lt.off_den - lt.si)
-    if not lt.hd:
-        v = sol.u @ ch.h_si.conj()              # rows v_l = H_SI^H u_l
-        s_mat = s_mat + (v.T * np.abs(aux.beta2) ** 2) @ v.conj()
+    v = sol.u @ ch.h_si.conj()                  # rows v_l = H_SI^H u_l
+    s_mat = s_mat + (v.T * (lt.cross * np.abs(aux.beta2) ** 2)) @ v.conj()
 
     return TxCoeffs(
         q=q, s_mat=(s_mat + s_mat.conj().T) / 2.0 / LN2,
@@ -410,17 +409,16 @@ def _feasible(w: np.ndarray, coeffs: TxCoeffs) -> bool:
 def assemble_rx_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
                        cfg: SystemConfig, lt: LinkTerms) -> RxCoeffs:
     """Combiner coefficients at ``sol``.  Of ``lt`` only the composite
-    channels and the duplex mode are read, so it may be the ``link_terms`` of
-    any state with the phases ``sol.phi``.
+    channels and ``cross`` are read, so it may be the ``link_terms`` of any
+    state with the phases ``sol.phi``.
 
     Every CP-UE sees the same received covariance
-    R = sum_l p_l g_l g_l^H + H_SI W^T W^* H_SI^H (FD only) + sigma_bs^2 I,
+    R = sum_l p_l g_l g_l^H + sigma_bs^2 I + cross H_SI W^T W^* H_SI^H,
     which each weighs by |beta2_l|^2 / ln 2."""
     comp = lt.comp
-    cov = (comp.g.T * sol.p) @ comp.g.conj() + cfg.noise_bs_watt * np.eye(cfg.n_rx)
-    if not lt.hd:
-        hw = sol.w @ ch.h_si.T                  # rows H_SI w_j
-        cov = cov + hw.T @ hw.conj()
+    hw = sol.w @ ch.h_si.T                      # rows H_SI w_j
+    cov = (comp.g.T * sol.p) @ comp.g.conj() + cfg.noise_bs_watt * np.eye(cfg.n_rx) \
+        + lt.cross * (hw.T @ hw.conj())
     cov = (cov + cov.conj().T) / 2.0
     t5 = (np.sqrt(1.0 + aux.alpha2) * aux.beta2.conj() * np.sqrt(sol.p) / LN2)[:, None] * comp.g
     return RxCoeffs(t5=t5, cov=cov, weight=np.abs(aux.beta2) ** 2 / LN2)
@@ -441,8 +439,6 @@ def optimize_rx(sol: Solution, ch: ChannelSet, aux: AuxVars, cfg: SystemConfig,
                 lt: LinkTerms) -> np.ndarray:
     """Receive update; keeps the incumbent row of a user with zero weight
     (zero offload power makes the combiner irrelevant)."""
-    if sol.u.shape[0] == 0:
-        return sol.u
     coeffs = assemble_rx_coeffs(sol, ch, aux, cfg, lt)
     u_new = solve_rx(coeffs)
     keep = (coeffs.weight > 0.0) & np.all(np.isfinite(u_new), axis=1)

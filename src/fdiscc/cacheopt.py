@@ -209,7 +209,7 @@ def random_caching(cache_cfg: CacheConfig, rng: np.random.Generator) -> np.ndarr
     reaches is ordered: floor(F / q_min) + 1 files, widened while files too
     large to fit leave room behind them."""
     cat = catalogue(cache_cfg)
-    key = rng.exponential(size=cat.c.size)
+    key = rng.standard_exponential(cat.c.size)
     key /= cat.c
     cap = float(cache_cfg.capacity)
     q_min = float(cat.q.min())

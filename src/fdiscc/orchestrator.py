@@ -272,14 +272,16 @@ def bca_step(sol: Solution, comp: Composite, ch: ChannelSet, cfg: SystemConfig,
     composite channels ``comp``: the new solution, its link terms and the
     auxiliaries its BCA objective is read at.
 
-    The mode enters at one place each: ``hd`` in ``link_terms``, whose record
-    carries it to every block, ``fixed-phase`` here (no phase block) and
+    The mode enters at one place each: ``hd`` in ``link_terms``, whose
+    record carries it to every block as ``cross`` (the weight of each
+    block's cross-link term, 0 under HD) and ``duplex`` (the time share of
+    the rates), ``fixed-phase`` here (no phase block) and
     ``full-offloading`` in ``optimize_power`` (``force_f_zero``). Each
     solution state gets one ``link_terms``, which the blocks take without
     recomputing: the one at the start serves the auxiliaries and the phase
     block; the one after the phase block serves the auxiliaries, the transmit
-    block and (by its composite channels and mode, which the beams do not
-    change) the receive block; the one after the receive block serves the
+    block and (by its composite channels and ``cross``, which the beams do
+    not change) the receive block; the one after the receive block serves the
     power block; the returned one serves the BCA objective and the metrics.
     That makes 4 per step, 3 with fixed phases or when the phase block keeps
     the incoming phases (its info flags a revert or an infeasible entry or

@@ -6,10 +6,11 @@ term is |a^H diag(phi) b|^2 = |(a o conj(b))^H phi|^2, so the quadratic
 weight is T12 = F F^H with one column of F (over sqrt(ln 2)) per term:
 
     |beta1_k| h_pu,k o conj(G_t w_j)              every CM-UE k and beam j,
-    sqrt(p_l) |beta1_k| h_pu,k o conj(g_pu,l)     every k and CP-UE l (FD only),
+    cross sqrt(p_l) |beta1_k| h_pu,k o conj(g_pu,l)   every k and CP-UE l,
     sqrt(p_l') |beta2_l| c_l o conj(g_pu,l'),  c_l = G_r u_l,  every l and l'.
 
-So T12 has rank at most K(K+1) + KL + L^2; zero columns (p_l = 0) are
+with ``cross`` of ``LinkTerms`` (0 under HD, which hears no CCI).  So T12
+has rank at most K(K+1) + KL + L^2; zero columns (p_l = 0, or cross = 0) are
 dropped. With the eigendecomposition F^H F = W diag(sigma^2) W^H of the
 r x r Gram matrix and U' = F W (so U'^H U' = diag(sigma^2)), exactly for any
 column count and any rank,
@@ -23,12 +24,12 @@ The echo power needs no M x M matrix either: with the target row t of
 v_j = t o (G_t w_j), and V^H (V phi) is its gradient direction.
 
 The linear term is t12 = (t1 + t2) / ln 2 with
-t1 = sum_k sqrt(1+alpha1_k) beta1_k conj(G_t w_{k+1}) o h_pu,k, less, under FD
-only, sum_k |beta1_k|^2 h_pu,k o sum_l p_l e_lk conj(g_pu,l), and
+t1 = sum_k sqrt(1+alpha1_k) beta1_k conj(G_t w_{k+1}) o h_pu,k, less
+cross sum_k |beta1_k|^2 h_pu,k o sum_l p_l e_lk conj(g_pu,l), and
 t2 = sum_l sqrt(1+alpha2_l) beta2_l sqrt(p_l) c_l o conj(g_pu,l).  The
 phi-free rest b12 is the surrogate bracket with the downlink denominator
-sigma_ue^2 + sum_l p_l |e_lk|^2 (the sum under FD only) and the offloading one
-residual SI plus receiver noise.
+sigma_ue^2 + cross sum_l p_l |e_lk|^2 and the offloading one residual SI plus
+receiver noise.
 
 The unit modulus constraint is split off onto a copy variable psi and
 handled by ADMM with a geometrically decreasing penalty rho; the nonconvex
@@ -116,8 +117,8 @@ def _column_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
                           cfg: SystemConfig, lt: LinkTerms) -> PhaseCoeffs:
     """Collapse the surrogates and the echo power into quadratic coefficients
-    (the factor F of the module docstring), in the duplex mode of ``lt``, the
-    ``link_terms`` of this same solution."""
+    (the factor F of the module docstring), with the CCI weighed by
+    ``lt.cross``; ``lt`` is the ``link_terms`` of this same solution."""
     gtw = sol.w @ ch.g_t.T                      # rows G_t w_j, shape (K+1, M)
     c = sol.u @ ch.g_r.T                        # rows c_l = G_r u_l, shape (L, M)
     gp = np.sqrt(sol.p)[:, None] * ch.g_pu      # rows sqrt(p_l) g_pu,l
@@ -125,12 +126,11 @@ def assemble_phase_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
 
     t1 = (np.sqrt(1.0 + aux.alpha1) * aux.beta1) @ (gtw[1:].conj() * ch.h_pu)
     t2 = (np.sqrt(1.0 + aux.alpha2) * aux.beta2 * np.sqrt(sol.p)) @ (c * ch.g_pu.conj())
-    den1 = np.full(bb1.shape, cfg.noise_ue_watt)
-    beams = gtw if lt.hd else np.vstack([gtw, gp])      # H_b's partners; no CCI under HD
-    if not lt.hd:
-        # full-duplex CCI: e_lk + h_pu_k^H diag(phi) g_pu_l through every CP-UE
-        t1 = t1 - bb1 @ (ch.h_pu * ((sol.p[:, None] * ch.e_direct).T @ ch.g_pu.conj()))
-        den1 = den1 + sol.p @ np.abs(ch.e_direct) ** 2
+    # the CCI e_lk + h_pu_k^H diag(phi) g_pu_l through every CP-UE, weighed
+    # by cross: under HD its partners are zero rows, whose zero columns go
+    beams = np.vstack([gtw, lt.cross * gp])     # H_b's partners
+    t1 = t1 - lt.cross * (bb1 @ (ch.h_pu * ((sol.p[:, None] * ch.e_direct).T @ ch.g_pu.conj())))
+    den1 = cfg.noise_ue_watt + lt.cross * (sol.p @ np.abs(ch.e_direct) ** 2)
     # phi-free rest: downlink noise and direct-link CCI, offloading SI and noise
     b12 = _bracket(aux.alpha1, aux.beta1, 0.0, den1).sum() \
         + _bracket(aux.alpha2, aux.beta2, 0.0, lt.si + lt.noise_off).sum()

@@ -40,9 +40,10 @@ class PowerCoeffs:
     """Objective data (log2 scaled, halved under HD) and the unscaled sensing row.
 
     The surrogate sum depends on p through sum_l (sqrt(p_l) b6[l] - p_l lin[l]),
-    lin[l] = b7[l] + sum_k c1[k] |ebar_lk|^2: the offloading interference
-    weight b7 plus, under FD, the CCI each user causes at every CM-UE, with
-    c1 = |beta1|^2 / ln 2.  Sensing budget: sum_l p_l b9[l] <= c8.
+    lin[l] = b7[l] + cross sum_k c1[k] |ebar_lk|^2: the offloading
+    interference weight b7 plus the CCI each user causes at every CM-UE,
+    weighed by ``LinkTerms.cross``, with c1 = |beta1|^2 / ln 2.  Sensing
+    budget: sum_l p_l b9[l] <= c8.
     """
 
     b6: np.ndarray
@@ -56,9 +57,8 @@ def assemble_power_coeffs(sol: Solution, ch: ChannelSet, aux: AuxVars,
     """The terms in sqrt(p) and p of each surrogate of ``wmmse``, read from
     ``lt``, the ``link_terms`` of this same solution."""
     b6 = 2.0 * np.sqrt(1.0 + aux.alpha2) * (np.conj(aux.beta2) * np.diagonal(lt.uamp)).real / LN2
-    lin = np.abs(aux.beta2) ** 2 @ np.abs(lt.uamp) ** 2 / LN2
-    if not lt.hd:               # the uplink CCI at the CM-UEs, linear in p
-        lin = lin + (np.abs(aux.beta1) ** 2 / LN2) @ (np.abs(lt.comp.ebar) ** 2).T
+    lin = np.abs(aux.beta2) ** 2 @ np.abs(lt.uamp) ** 2 / LN2 \
+        + lt.cross * ((np.abs(aux.beta1) ** 2 / LN2) @ (np.abs(lt.comp.ebar) ** 2).T)
 
     c8 = lt.echo - cfg.gamma_tar_linear * cfg.noise_irs_watt
     b9 = cfg.gamma_tar_linear * ch.g_au_norm2

@@ -21,15 +21,18 @@ keeps them. The composite channels depend on the phases alone, so one
 array it was built from, and ``link_terms`` reuses a passed one only for that
 same array (``sol.phi`` itself) and recomputes it otherwise.
 
-``link_terms`` is where the duplex mode enters: it applies the HD rule (no
-CCI, no SI) and records the mode in its ``LinkTerms`` (``hd``, and
-``duplex``, the share of time each link transmits).  Every block, and
-``residuals``, take that record as a required ``lt`` and read the mode from
-it, without recomputing it.  ``utility`` computes its own from ``hd`` when
-none is passed, and charges the backhaul cost of ``sol.e`` unless given a
-``d_total``.  ``residuals`` measures the radio constraints alone: the cache
-residual depends on the placement alone, and ``orchestrator.price``, which
-charges a run's placement, records it.
+``link_terms`` is where the duplex mode enters, and the only place that
+tests it: it records the mode in its ``LinkTerms`` as ``hd``, ``duplex``
+(the share of time each link transmits) and ``cross`` (the share of the
+other direction's transmission each receiver hears: 1 under FD, 0 under HD,
+where the two directions take turns), and weighs the uplink CCI and the
+residual SI by ``cross``.  Every block, and ``residuals``, take that record
+as a required ``lt`` and weigh their own cross-link terms by its ``cross``,
+so FD and HD run one code path through every block.  ``utility`` computes
+its own from ``hd`` when none is passed, and charges the backhaul cost of
+``sol.e`` unless given a ``d_total``.  ``residuals`` measures the radio
+constraints alone: the cache residual depends on the placement alone, and
+``orchestrator.price``, which charges a run's placement, records it.
 
 Rates use log2 so that SINR = 1 gives exactly B bits/s.  Quadratic terms in
 the transmitted symbol vector are evaluated in expectation (unit-variance
@@ -121,9 +124,11 @@ class LinkTerms:
     the desired one included), so SINR_k = |sig|^2 / (den - |sig|^2).
     Offloading, CP-UE l after combining with u_l: off_sig_l = sqrt(p_l) uamp_ll
     and off_den_l = sum_l' p_l' |uamp_ll'|^2 + si_l + noise_off_l, with
-    uamp_ll' = u_l^H g_l'.  Under HD (``hd``) the uplink CCI and the residual
-    SI are zero; an all-zero combiner has off_den = 0 and SINR 0.  The radar
-    constraint is echo >= floor, i.e. r_tar >= Gamma.
+    uamp_ll' = u_l^H g_l'.  The uplink CCI and the residual SI are weighed by
+    ``cross``, the share of the other direction's transmission each receiver
+    hears: 1 under FD and 0 under HD (``hd``), so both are zero under HD.  An
+    all-zero combiner has off_den = 0 and SINR 0.  The radar constraint is
+    echo >= floor, i.e. r_tar >= Gamma.
     """
 
     comp: Composite
@@ -136,6 +141,7 @@ class LinkTerms:
     noise_off: np.ndarray  # (L,) ||u_l||^2 sigma_bs^2
     uamp: np.ndarray       # (L, L) complex
     hd: bool               # the duplex mode these terms were computed under
+    cross: float           # share of the other direction each receiver hears
     echo: float            # sum_j |r w_j|^2
     disturbance: float     # sum_l p_l ||g_au,l||^2 + sigma_irs^2
     floor: float           # Gamma disturbance
@@ -168,14 +174,13 @@ def link_terms(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
     array ``sol.phi`` itself, and the composite is recomputed otherwise."""
     if comp is None or comp.phi is not sol.phi:
         comp = composite_channels(ch, sol.phi)
-    k_n = comp.h.shape[0]
+    cross = 0.0 if hd else 1.0                       # HD: the two directions take turns
     amps = comp.h @ sol.w.T                          # [k, j] = h_k w_j
-    cci = np.zeros(k_n) if hd else sol.p @ np.abs(comp.ebar) ** 2
+    cci = cross * (sol.p @ np.abs(comp.ebar) ** 2)
     com_den = (np.abs(amps) ** 2).sum(axis=1) + cci + cfg.noise_ue_watt
 
-    l_n = comp.g.shape[0]
     uamp = sol.u.conj() @ comp.g.T                   # [l, l'] = u_l^H g_l'
-    si = np.zeros(l_n) if hd else (np.abs(sol.u.conj() @ ch.h_si @ sol.w.T) ** 2).sum(axis=1)
+    si = cross * (np.abs(sol.u.conj() @ ch.h_si @ sol.w.T) ** 2).sum(axis=1)
     noise_off = (np.abs(sol.u) ** 2).sum(axis=1) * cfg.noise_bs_watt
     off_den = np.abs(uamp) ** 2 @ sol.p + si + noise_off
 
@@ -184,7 +189,7 @@ def link_terms(sol: Solution, ch: ChannelSet, cfg: SystemConfig,
     return LinkTerms(
         comp=comp, com_sig=np.diagonal(amps, 1), com_den=com_den,
         cci=cci, off_sig=np.sqrt(sol.p) * np.diagonal(uamp), off_den=off_den, si=si,
-        noise_off=noise_off, uamp=uamp, hd=hd, echo=echo, disturbance=disturbance,
+        noise_off=noise_off, uamp=uamp, hd=hd, cross=cross, echo=echo, disturbance=disturbance,
         floor=cfg.gamma_tar_linear * disturbance,
     )
 

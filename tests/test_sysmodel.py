@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from fdiscc import beamforming, orchestrator, phaseadmm, powercomp
+from fdiscc import beamforming, orchestrator, phaseadmm, powercomp, selftest
 from fdiscc.channels import draw_channels
 from fdiscc.config import _broadcast, desk_config, paper_config
 from fdiscc.sysmodel import (SensingInfeasible, Solution, backhaul_cost, composite_channels,
@@ -434,14 +434,50 @@ class TestUtility:
 
 class TestDuplexMode:
     def test_link_terms_carry_the_mode(self, small_cfg, small_ch, rand_sol):
-        for hd, duplex in ((False, 1.0), (True, 0.5)):
+        for hd, duplex, cross in ((False, 1.0, 1.0), (True, 0.5, 0.0)):
             lt = link_terms(rand_sol, small_ch, small_cfg, hd)
-            assert lt.hd is hd and lt.duplex == duplex
+            assert lt.hd is hd and lt.duplex == duplex and lt.cross == cross
             # a passed record decides the mode, whatever ``hd`` says
             via_lt = utility(rand_sol, small_ch, small_cfg, not hd, lt=lt)
             own = utility(rand_sol, small_ch, small_cfg, hd)
             assert np.array_equal(via_lt.rate_com, own.rate_com)
             assert np.array_equal(via_lt.rate_off, own.rate_off)
+
+    def test_hd_blocks_hear_no_cross_link(self):
+        # the selftest's desk start with both CP-UEs at half its radar
+        # headroom, so that the phase and transmit blocks can meet the floor;
+        # a second channel set has the residual SI and the direct CCI links
+        # three times as strong. Under HD no block hears either, so every
+        # output is byte-equal on the two sets; under FD every one moves but
+        # the power block's, whose p is 0 on both, so its CCI slope is compared
+        cfg, ch, _, lt0, _, live, _ = selftest.scenario()
+        headroom = lt0.echo / cfg.gamma_tar_linear - cfg.noise_irs_watt
+        p = np.full(cfg.n_cp, 0.5 * headroom / ch.g_au_norm2.sum())
+        t = cfg.coherence_time_s
+        sol = live.copy_with(p=p, f=((cfg.e_max_array() - t * p) / (t * cfg.zeta)) ** (1 / 3))
+        loud = dataclasses.replace(ch, h_si=3.0 * ch.h_si, e_direct=3.0 * ch.e_direct)
+
+        def outputs(channels, hd):
+            lt = link_terms(sol, channels, cfg, hd)
+            aux = update_aux(lt)
+            phi, info = phaseadmm.optimize_phase(sol, channels, aux, cfg, lt)
+            assert not (info.reverted or info.infeasible)
+            p_new, f_new, _ = powercomp.optimize_power(sol, channels, aux, cfg, lt)
+            return {"cci": lt.cci, "si": lt.si, "phi": phi,
+                    "w": beamforming.optimize_tx(sol, channels, aux, cfg, lt)[0],
+                    "u": beamforming.optimize_rx(sol, channels, aux, cfg, lt),
+                    "p": p_new, "f": f_new,
+                    "lin": powercomp.assemble_power_coeffs(sol, channels, aux, cfg, lt).lin}
+
+        for hd in (True, False):
+            quiet, heard = outputs(ch, hd), outputs(loud, hd)
+            equal = {k: quiet[k].tobytes() == heard[k].tobytes() for k in quiet}
+            if hd:
+                assert all(equal.values()), equal
+                assert quiet["p"].any()
+            else:
+                assert not quiet["p"].any() and not heard["p"].any()
+                assert {k for k, same in equal.items() if same} == {"p", "f"}, equal
 
     def test_mode_enters_only_through_link_terms(self):
         # the blocks take the LinkTerms record and never the mode itself, nor
